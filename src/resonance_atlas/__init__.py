@@ -72,8 +72,6 @@ from .special import (
     sph_bessel_j_deriv,
     sph_hankel1,
     sph_hankel1_deriv,
-    sph_hankel2,
-    sph_hankel2_deriv,
 )
 
 __version__ = "0.1.0"

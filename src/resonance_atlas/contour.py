@@ -371,7 +371,7 @@ def _winding_with_perturbation(eval_w, box: ContourBox, samples: int,
         f"{what}: persistent boundary conflicts after perturbation") from last
 
 
-def locate_zeros(f, box: ContourBox, tol: float, *, fprime=None,
+def locate_zeros(f, box: ContourBox, tol: float, *,
                  log_form: bool = False, samples: int = 32,
                  residual_tol: float | None = None,
                  ceiling: float | None = None,
@@ -383,8 +383,10 @@ def locate_zeros(f, box: ContourBox, tol: float, *, fprime=None,
     and reads multiplicities off the winding of a small circle around each
     accepted zero.  Clusters tighter than ``tol`` are reported as one zero
     with the aggregate multiplicity at the cluster's winding centroid.
+    ``samples`` sets the initial sampling of every box boundary, and
+    ``guard_dist`` the minimum zero-to-contour distance of every box (default
+    1e-3 times its diameter).
     """
-    del fprime  # log-derivative differences serve all callers uniformly
     eval_w = _make_log_evaluator(f, log_form)
     found: list[tuple[complex, int]] = []
     top_w, top_box, top_loop = _winding_with_perturbation(
@@ -407,7 +409,8 @@ def locate_zeros(f, box: ContourBox, tol: float, *, fprime=None,
             if b.diameter < tol:
                 raise NumericalError(
                     f"could not resolve zero in box around {b.center:.6g}")
-        for child, cw, cloop in _split_box(eval_w, b, w, samples, tol, ceiling):
+        for child, cw, cloop in _split_box(eval_w, b, w, samples, tol, ceiling,
+                                           guard_dist):
             stack.append((child, cw, cloop))
 
     return _dedup_zeros(found, tol)
@@ -472,14 +475,16 @@ def _residual_ok(eval_w, z: complex, residual_tol) -> bool:
 
 
 def _split_box(eval_w, b: ContourBox, w: int, samples: int, tol: float,
-               ceiling: float | None = None):
+               ceiling: float | None = None, guard_dist: float | None = None):
     """Quadrisect b, jittering the split point until children are clean.
 
     Jitter handles zeros on the split cross; zeros hugging the *outer*
     boundary are handled by nudging the whole parent (expand plus shift) and
     re-deriving its winding, since no amount of cross jitter moves the outer
     edges.  The parent only ever grows, so no interior zero can be lost;
-    captured neighbours are deduplicated downstream.
+    captured neighbours are deduplicated downstream.  An edge pinned by the
+    ceiling cannot move at all, so a zero just beyond it must be tolerated by
+    a guard_dist smaller than the default 1e-3 times the box diameter.
     """
     if b.depth > 60:
         raise NumericalError(f"subdivision depth exhausted at {b.center:.6g}")
@@ -492,7 +497,8 @@ def _split_box(eval_w, b: ContourBox, w: int, samples: int, tol: float,
         try:
             for c in children:
                 cw, cloop = _winding_on_loop(
-                    _box_gamma(c), eval_w, samples, 1e-3 * c.diameter,
+                    _box_gamma(c), eval_w, samples,
+                    guard_dist if guard_dist is not None else 1e-3 * c.diameter,
                     f"child box {c.lower_left}..{c.upper_right}")
                 triples.append((c, cw, cloop))
             if sum(cw for _, cw, _loop in triples) == weff:
@@ -512,7 +518,8 @@ def _split_box(eval_w, b: ContourBox, w: int, samples: int, tol: float,
             try:
                 weff, _ = _winding_on_loop(
                     _box_gamma(candidate), eval_w, samples,
-                    1e-3 * candidate.diameter,
+                    guard_dist if guard_dist is not None
+                    else 1e-3 * candidate.diameter,
                     f"nudged parent {candidate.lower_left}..{candidate.upper_right}")
                 eff = candidate
             except BoundaryConflictError:
@@ -522,14 +529,26 @@ def _split_box(eval_w, b: ContourBox, w: int, samples: int, tol: float,
 
 
 def _dedup_zeros(found, tol):
+    """Merge zeros closer than tol / 2, keeping the larger multiplicity.
+
+    Each zero is compared with every kept zero whose real part lies within
+    the merge distance, not only the last one kept: a zero far away in the
+    imaginary direction may sort between two duplicates.
+    """
+    eps = 0.5 * tol
     found.sort(key=lambda p: (p[0].real, p[0].imag))
     out: list[tuple[complex, int]] = []
     for z, m in found:
-        if out and abs(z - out[-1][0]) < 0.5 * tol:
-            zp, mp = out[-1]
-            out[-1] = (zp, max(mp, m))
-            continue
-        out.append((z, m))
+        for i in range(len(out) - 1, -1, -1):
+            zp, mp = out[i]
+            if z.real - zp.real > eps:
+                out.append((z, m))
+                break
+            if abs(z - zp) < eps:
+                out[i] = (zp, max(mp, m))
+                break
+        else:
+            out.append((z, m))
     return out
 
 
@@ -655,6 +674,47 @@ def sector_jensen_residual(tc: JensenTestCase, r: float, phi: float, theta: floa
     term3 = _quad(lambda om: tc.log_abs(r * cmath.exp(1j * om)), phi, theta,
                   quad_tol, "sector arc term") / _TWO_PI
     return abs(lhs - (term1 + term2 + term3))
+
+
+def jensen_suite(cases: int = 20, seed: int = 20260809):
+    """Residuals of the Jensen-identity suite.
+
+    Returns (listed, sectors, randomized): (name, residual, analytic left
+    side) for three listed full-plane cases, (name, residual) for three
+    sector cases, and the residuals of ``cases`` randomized full-plane cases
+    at r = 3 drawn from ``seed``.
+    """
+    listed = [
+        ("(z-i)/(z+i), r=2", JensenTestCase.make([1j], [-1j]), 2.0, math.log(2.0)),
+        ("constant 1, r=3", JensenTestCase.make([], []), 3.0, 0.0),
+        ("(z-2i)(z-3i)/((z+2i)(z+3i)), r=4",
+         JensenTestCase.make([2j, 3j], [-2j, -3j]), 4.0, math.log(8.0 / 3.0)),
+    ]
+    lam = math.sqrt(2) * complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
+    z2 = 3 * complex(math.cos(math.pi / 3), math.sin(math.pi / 3))
+    one = JensenTestCase.make([lam], [-lam])
+    sectors = [
+        ("one zero, sector (pi/8, 3pi/8), r=2", one, 2.0, math.pi / 8, 3 * math.pi / 8),
+        ("one zero, sector (pi/2, 3pi/4), r=2", one, 2.0, math.pi / 2, 3 * math.pi / 4),
+        ("two zeros, sector (pi/8, 5pi/12), r=4",
+         JensenTestCase.make([lam, z2], [-lam, -z2]), 4.0, math.pi / 8, 5 * math.pi / 12),
+    ]
+    rng = np.random.default_rng(seed)
+    randomized = []
+    for _ in range(cases):
+        r = 3.0
+        n = int(rng.integers(1, 5))
+        zeros = []
+        while len(zeros) < n:
+            c = complex(rng.uniform(-r / 2, r / 2), rng.uniform(0.05, r / 2))
+            if abs(c) < r / 2:
+                zeros.append(c)
+        poles = [complex(z.real, -abs(z.imag)) * rng.uniform(0.5, 1.5) for z in zeros]
+        randomized.append(jensen_residual(JensenTestCase.make(zeros, poles), r))
+    return ([(name, jensen_residual(tc, r), lhs) for name, tc, r, lhs in listed],
+            [(name, sector_jensen_residual(tc, r, phi, theta))
+             for name, tc, r, phi, theta in sectors],
+            randomized)
 
 
 def _quad(fn, a, b, tol, what):

@@ -56,13 +56,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contour import (
-    ContourBox,
-    _winding_with_perturbation,
-    _wrap_phase,
-    locate_zeros,
-)
-from .errors import BoundaryConflictError, EvaluationOverflowError, NumericalError
+from .contour import ContourBox, _winding_with_perturbation, locate_zeros
+from .errors import EvaluationOverflowError, NumericalError
 from .special import _log_double_factorial, sph_h_pair_log, sph_j_pair_log
 
 __all__ = [
@@ -278,7 +273,7 @@ def channel_matcher_log(ell: int, pot: RadialStepPotential, kind: int = 1):
     j_ell(z)/z^ell near that point, so the square root never enters), and
     the (lambda a)^(ell+1) factor cancels the Hankel pole at the origin,
     which would otherwise sit a hair above the search region and poison
-    winding counts on nearby tiles.  Zeros in the open lower half plane are
+    winding counts on nearby boxes.  Zeros in the open lower half plane are
     exactly the channel resonances.
 
     Elsewhere W is first formed directly from one Bessel and one Hankel
@@ -358,145 +353,65 @@ def channel_matcher_log(ell: int, pot: RadialStepPotential, kind: int = 1):
 # Search geometry
 # ---------------------------------------------------------------------------
 
-def _search_frame(pot: RadialStepPotential, R: float, delta_axis: float,
-                  attempt: int = 0):
-    """Tile grid and bounding box covering the lower half disk |lambda| <= R.
+def _frame_winding(ell: int, pot: RadialStepPotential, R: float,
+                   delta_axis: float, zero_tol: float):
+    """Winding of channel ell's matcher around its search frame.
 
-    The grid origin carries an irrational-ratio offset so that grid lines do
-    not coincide with symmetry axes of the zero set; retries shift it again.
+    The frame covers the lower half disk |lambda| <= R from just below the
+    real axis (Im lambda = -delta_axis), reaching at least one step
+    min(1, R a / 16) / a beyond it, with width and height whole steps.  Its
+    left edge carries an irrational-ratio offset so that it does not
+    coincide with a symmetry axis of the zero set.  Returns (winding, frame):
+    the frame actually wound, which boundary conflicts may have grown
+    slightly.
     """
     a = pot.a
-    side = min(1.0, R * a / 16.0) / a
-    pad = side
-    x0 = -(R + pad) + _IRR / 2.0 * (1.0 + 0.37 * attempt) * side
-    nx = int(math.ceil(((R + pad) - x0) / side))
-    y_top = -delta_axis
-    ny = int(math.ceil((R + pad - delta_axis) / side))
-    return side, x0, nx, y_top, ny
+    step = min(1.0, R * a / 16.0) / a
+    x0 = -(R + step) + _IRR / 2.0 * step
+    nx = int(math.ceil(((R + step) - x0) / step))
+    ny = int(math.ceil((R + step - delta_axis) / step))
+    frame = ContourBox(complex(x0, -delta_axis - ny * step),
+                       complex(x0 + nx * step, -delta_axis))
+    total, frame, _ = _winding_with_perturbation(
+        channel_matcher_log(ell, pot), frame, _frame_samples(pot, R), zero_tol,
+        f"channel {ell} frame", -0.5 * delta_axis,
+        guard_dist=_frame_guard(delta_axis, zero_tol))
+    return total, frame
 
 
-def _box_for_frame(x0, nx, side, y_top, ny) -> ContourBox:
-    return ContourBox(complex(x0, y_top - ny * side), complex(x0 + nx * side, y_top))
+def _frame_samples(pot: RadialStepPotential, R: float) -> int:
+    # the near-free matcher turns about 2 a rad per unit of Re lambda along
+    # the frame bottom; coarser sampling can wrap a step past the pi/2 test
+    return max(96, int(10 * R * pot.a))
 
 
-def _tile_windings_batch(eval_w, tiles, samples_per_edge: int):
-    """Windings for many equal tiles at once.
-
-    Returns (windings, unresolved) where unresolved lists tile indices whose
-    phase steps exceeded pi/2 somewhere (to be redone adaptively).
-    """
-    if not tiles:
-        return np.zeros(0, dtype=int), []
-    m = samples_per_edge
-    t = np.arange(m) / m
-    corners = np.array([[x + 1j * y, x + side + 1j * y,
-                         x + side + 1j * (y + side), x + 1j * (y + side)]
-                        for (x, y, side) in tiles])
-    loop = np.concatenate([
-        corners[:, [0]] * (1 - t) + corners[:, [1]] * t,
-        corners[:, [1]] * (1 - t) + corners[:, [2]] * t,
-        corners[:, [2]] * (1 - t) + corners[:, [3]] * t,
-        corners[:, [3]] * (1 - t) + corners[:, [0]] * t,
-        corners[:, [0]],
-    ], axis=1)
-    flat = loop.ravel()
-    ws = np.empty(flat.shape, dtype=complex)
-    chunk = 200_000
-    for i in range(0, flat.size, chunk):
-        ws[i:i + chunk] = eval_w(flat[i:i + chunk])
-    ws = ws.reshape(loop.shape)
-    d = _wrap_phase(np.diff(ws.imag, axis=1))
-    dw = np.abs(np.diff(ws.real, axis=1) + 1j * d)
-    finite = np.all(np.isfinite(ws), axis=1)
-    smooth = (np.all(np.abs(d) <= math.pi / 2.0, axis=1) & finite
-              & np.all(dw <= 1.5, axis=1))
-    totals = d.sum(axis=1) / (2.0 * math.pi)
-    snapped = np.rint(totals).astype(int)
-    ok = smooth & (np.abs(totals - snapped) <= 0.05) & (snapped >= 0)
-    windings = np.where(ok, snapped, -1)
-    unresolved = [i for i in range(len(tiles)) if not ok[i]]
-    return windings, unresolved
+def _frame_guard(delta_axis: float, zero_tol: float) -> float:
+    return max(0.4 * delta_axis, 4.0 * zero_tol)
 
 
 def _channel_zeros(ell: int, pot: RadialStepPotential, R: float,
-                   delta_axis: float, zero_tol: float, attempt: int = 0):
-    """All zeros (with multiplicity) of the channel matcher in the frame."""
-    eval_w = channel_matcher_log(ell, pot)
-    ceiling = -0.5 * delta_axis
-    side, x0, nx, y_top, ny = _search_frame(pot, R, delta_axis, attempt)
-    frame = _box_for_frame(x0, nx, side, y_top, ny)
-    total, _, _ = _winding_with_perturbation(
-        eval_w, frame, max(96, int(10 * R * pot.a)), zero_tol,
-        f"channel {ell} frame", ceiling,
-        guard_dist=max(0.4 * delta_axis, 4.0 * zero_tol))
+                   delta_axis: float, zero_tol: float):
+    """All zeros (with multiplicity) of the channel matcher in its frame.
+
+    One quadtree over the frame that the frame winding settled on locates
+    them; the located count must equal that winding.
+    """
+    total, frame = _frame_winding(ell, pot, R, delta_axis, zero_tol)
     if total == 0:
-        return [], 0
-    tiles = [(x0 + i * side, y_top - (j + 1) * side, side)
-             for i in range(nx) for j in range(ny)]
-    windings, unresolved = _tile_windings_batch(eval_w, tiles, 12)
-    unresolved = set(unresolved)
-    guard = max(100.0 * zero_tol, 1e-8)  # absolute; zero spacing is far larger
-    zeros: list[tuple[complex, int]] = []
-    for idx, (x, y, s) in enumerate(tiles):
-        w = None
-        box = ContourBox(complex(x, y), complex(x + s, y + s))
-        if idx not in unresolved:
-            w = int(windings[idx])
-        else:
-            try:
-                w, _, _ = _winding_with_perturbation(
-                    eval_w, box, 64, zero_tol, f"channel {ell} tile", ceiling,
-                    guard_dist=guard)
-            except BoundaryConflictError:
-                # a zero pins the tile boundary; hand the enlarged tile to
-                # the locator, which subdivides with jitter (duplicates from
-                # the overlap are removed below)
-                box = ContourBox(
-                    complex(x - 0.3 * s, y - 0.3 * s),
-                    complex(x + 1.3 * s, min(y + 1.3 * s, ceiling)))
-        if w == 0:
-            continue
-        zeros.extend(locate_zeros(eval_w, box, zero_tol, log_form=True,
-                                  ceiling=ceiling, guard_dist=guard))
-    zeros = _dedup(zeros, zero_tol)
+        return []
+    zeros = locate_zeros(channel_matcher_log(ell, pot), frame, zero_tol,
+                         log_form=True, samples=_frame_samples(pot, R),
+                         ceiling=-0.5 * delta_axis,
+                         guard_dist=_frame_guard(delta_axis, zero_tol))
+    # boundary nudges inside the quadtree may capture zeros just outside
+    zeros = [(z, m) for z, m in zeros if frame.contains(z)]
     count = sum(m for _, m in zeros)
-    if count < total:
-        # a zero may straddle the perturbed frame boundary; retile and retry
-        if attempt < 2:
-            return _channel_zeros(ell, pot, R, delta_axis, zero_tol, attempt + 1)
+    if count != total:
         raise NumericalError(
-            f"channel {ell}: located {count} zeros but frame winding is {total}")
-    return zeros, total
-
-
-def _dedup(zeros, tol):
-    zeros.sort(key=lambda p: (p[0].real, p[0].imag))
-    out: list[tuple[complex, int]] = []
-    for z, m in zeros:
-        dup = False
-        for i in range(len(out) - 1, -1, -1):
-            zp, mp = out[i]
-            if abs(z - zp) < 4.0 * tol:
-                out[i] = (zp, max(mp, m))
-                dup = True
-                break
-            if z.real - zp.real > 4.0 * tol:
-                break
-        if not dup:
-            out.append((z, m))
-    return out
-
-
-def _channel_total(ell: int, pot: RadialStepPotential, R: float,
-                   delta_axis: float, zero_tol: float) -> int:
-    eval_w = channel_matcher_log(ell, pot)
-    side, x0, nx, y_top, ny = _search_frame(pot, R, delta_axis)
-    frame = _box_for_frame(x0, nx, side, y_top, ny)
-    total, _, _ = _winding_with_perturbation(
-        eval_w, frame, max(96, int(10 * R * pot.a)), zero_tol,
-        f"channel {ell} frame", -0.5 * delta_axis,
-        guard_dist=max(0.4 * delta_axis, 4.0 * zero_tol))
-    return total
+            f"channel {ell}: located {count} zeros inside the frame "
+            f"{frame.lower_left:.6g}..{frame.upper_right:.6g} but its winding "
+            f"is {total}")
+    return zeros
 
 
 def _default_zero_tol(pot: RadialStepPotential, R: float) -> float:
@@ -521,7 +436,7 @@ def ell_cutoff(pot: RadialStepPotential, R: float, *,
 
     def empty(l: int) -> bool:
         if l not in cache:
-            cache[l] = _channel_total(l, pot, R, delta, tol) == 0
+            cache[l] = _frame_winding(l, pot, R, delta, tol)[0] == 0
         return cache[l]
 
     if all(empty(l) for l in (guess + 1, guess + 2, guess + 3)):
@@ -562,10 +477,10 @@ def find_resonances(pot: RadialStepPotential, R: float, *,
             futs = {ell: pool.submit(_channel_zeros, ell, pot, R, delta, tol)
                     for ell in ells}
             for ell in ells:
-                results[ell] = futs[ell].result()[0]
+                results[ell] = futs[ell].result()
     else:
         for ell in ells:
-            results[ell] = _channel_zeros(ell, pot, R, delta, tol)[0]
+            results[ell] = _channel_zeros(ell, pot, R, delta, tol)
 
     resonances: list[Resonance] = []
     for ell in ells:

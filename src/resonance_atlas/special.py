@@ -42,8 +42,6 @@ __all__ = [
     "sph_bessel_j_deriv",
     "sph_hankel1",
     "sph_hankel1_deriv",
-    "sph_hankel2",
-    "sph_hankel2_deriv",
     "gamma_real",
 ]
 
@@ -296,44 +294,34 @@ def sph_bessel_j_deriv(ell: int, z):
     return complex(out[0]) if scalar else out.reshape(shape)
 
 
-def _hankel_raw(kind: int, order_half: float, zz):
-    fn = _ss.hankel1 if kind == 1 else _ss.hankel2
+def _hankel_raw(order_half: float, zz):
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        return _sph_factor(zz) * fn(order_half, zz)
+        return _sph_factor(zz) * _ss.hankel1(order_half, zz)
 
 
-def _sph_hankel(ell: int, z, kind: int, deriv: bool):
+def _sph_hankel(ell: int, z, deriv: bool):
     ell = _check_order(ell)
     arr, scalar, shape = _as_complex_array(z)
     if np.any(arr == 0):
         raise ValueError("Hankel functions require z != 0")
     if deriv:
-        hm1 = _hankel_raw(kind, ell - 0.5, arr)
-        hl = _hankel_raw(kind, ell + 0.5, arr)
+        hm1 = _hankel_raw(ell - 0.5, arr)
+        hl = _hankel_raw(ell + 0.5, arr)
         out = hm1 - (ell + 1) / arr * hl
     else:
-        out = _hankel_raw(kind, ell + 0.5, arr)
-    name = f"h^({kind})_{ell}" + ("'" if deriv else "")
+        out = _hankel_raw(ell + 0.5, arr)
+    name = f"h^(1)_{ell}" + ("'" if deriv else "")
     _raise_if_bad(out, name)
     return complex(out[0]) if scalar else out.reshape(shape)
 
 
 def sph_hankel1(ell: int, z):
     """Outgoing spherical Hankel h_ell^(1)(z), z != 0."""
-    return _sph_hankel(ell, z, 1, False)
+    return _sph_hankel(ell, z, False)
 
 
 def sph_hankel1_deriv(ell: int, z):
-    return _sph_hankel(ell, z, 1, True)
-
-
-def sph_hankel2(ell: int, z):
-    """Incoming spherical Hankel h_ell^(2)(z), z != 0."""
-    return _sph_hankel(ell, z, 2, False)
-
-
-def sph_hankel2_deriv(ell: int, z):
-    return _sph_hankel(ell, z, 2, True)
+    return _sph_hankel(ell, z, True)
 
 
 # -- log-scaled pair evaluators (internal API) ------------------------------

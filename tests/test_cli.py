@@ -109,6 +109,19 @@ def test_jensen_command(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_angle_expressions_parse():
+    from resonance_atlas.cli import _parse_angle
+    assert _parse_angle("1.5*pi") == pytest.approx(1.5 * math.pi)
+    assert _parse_angle("pi+pi/4") == pytest.approx(1.25 * math.pi)
+
+
+def test_angle_rejects_object_graph_expression(tmp_path):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["count", "--in", str(tmp_path / "set.json"), "--sector",
+                 "().__class__.__base__.__subclasses__().__len__():pi"])
+    assert err.value.code == 2
+
+
 def test_cli_entry_point_usage_error():
     proc = subprocess.run(
         [sys.executable, "-m", "resonance_atlas.cli", "density", "--d", "4",

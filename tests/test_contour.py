@@ -93,6 +93,25 @@ def test_locate_free_channel_is_empty():
     assert got == []
 
 
+def test_locate_with_zero_just_above_pinned_top_edge():
+    # the ceiling pins the top edge, so no nudge can move it away from the
+    # zero 5e-4 above it; the caller's guard_dist must reach the child boxes
+    want = [-0.5 - 1.0j, 0.4 - 0.6j, 0.2 - 1.5j]
+    q = np.poly1d(np.poly(want + [0.3 + 5e-4j]))
+    got = ct.locate_zeros(lambda z: q(z), ct.ContourBox(-1.0 - 2.0j, 1.0 + 0.0j),
+                          tol=1e-10, ceiling=0.0, guard_dist=1e-5)
+    assert len(got) == 3
+    for z, mult in got:
+        assert mult == 1
+        assert min(abs(z - w) for w in want) < 1e-10
+
+
+def test_dedup_merges_duplicates_split_by_a_distant_zero():
+    # 1e-13+5j sorts between the two duplicates by real part
+    got = ct._dedup_zeros([(0j, 1), (2e-13 + 1e-13j, 1), (1e-13 + 5j, 1)], 1e-9)
+    assert sorted(z.imag for z, _ in got) == [0.0, 5.0]
+
+
 # --- Jensen-type identities -------------------------------------------------
 
 def test_case_normalization_and_validation():

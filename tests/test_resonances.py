@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from resonance_atlas import resonances as rs
+from resonance_atlas.errors import NumericalError
 from resonance_atlas.special import (
     sph_bessel_j,
     sph_bessel_j_deriv,
@@ -128,7 +129,7 @@ def test_free_frame_windings_vanish(R):
     tol = rs._default_zero_tol(free, R)
     last = int(math.ceil(1.5 * R * free.a)) + 13
     for ell in range(last + 1):
-        assert rs._channel_total(ell, free, R, 1e-6, tol) == 0, ell
+        assert rs._frame_winding(ell, free, R, 1e-6, tol)[0] == 0, ell
 
 
 def test_free_well_solves_at_r40():
@@ -147,9 +148,10 @@ def test_matcher_matches_mpmath_on_frame_bottom(v0, ell, kind):
     # points in the upper half plane, where scattering_log_det evaluates it.
     mp = pytest.importorskip("mpmath")
     pot = rs.RadialStepPotential(a=1.0, v0=v0)
-    side, x0, nx, y_top, ny = rs._search_frame(pot, 40.0, 1e-6)
-    bottom = y_top - ny * side
-    lams = x0 + nx * side * np.linspace(0.03, 0.97, 7) + 1j * bottom
+    _, frame = rs._frame_winding(ell, pot, 40.0, 1e-6,
+                                 rs._default_zero_tol(pot, 40.0))
+    lams = (frame.lower_left.real + frame.width * np.linspace(0.03, 0.97, 7)
+            + 1j * frame.lower_left.imag)
     if kind == 2:
         lams = lams.conj()
     got = rs.channel_matcher_log(ell, pot, kind=kind)(lams)
@@ -220,7 +222,20 @@ def test_sorted_by_modulus(small_set):
 def test_cutoff_verified_empty(small_set):
     cut = small_set.ell_max
     for ell in (cut + 1, cut + 2, cut + 3):
-        assert rs._channel_total(ell, WELL, 6.0, 1e-6, 1e-9) == 0
+        assert rs._frame_winding(ell, WELL, 6.0, 1e-6, 1e-9)[0] == 0
+
+
+def test_channel_zeros_rejects_surplus_inside_frame(monkeypatch):
+    # a zero more than the frame winding must not pass silently
+    real = rs.locate_zeros
+
+    def surplus(*args, **kwargs):
+        zeros = real(*args, **kwargs)
+        return zeros + [(zeros[0][0] + 1e-3, 1)]
+
+    monkeypatch.setattr(rs, "locate_zeros", surplus)
+    with pytest.raises(NumericalError, match="channel 0: located 5 zeros.*winding is 4"):
+        rs._channel_zeros(0, WELL, 6.0, 1e-6, 1e-9)
 
 
 def test_cutoff_monotone_in_radius():
