@@ -6,6 +6,9 @@ jumps by more than pi/2 between adjacent samples, which makes missing a full
 turn impossible for analytic integrands: sneaking past a zero would force a
 near-pi step on the neighbouring intervals first.  A minimum-modulus guard
 converts "zero on the contour" into a typed error so callers can perturb.
+A box boundary is four such sampled edges, so the zero-finding quadtree
+samples only the cross through each split point: the children inherit the
+halves of their parent's edges.
 
 Functions are evaluated either directly or in "log form": a log-form
 callable returns log f(z) (any branch per point); only phase differences and
@@ -131,134 +134,131 @@ def _wrap1(x: float) -> float:
     return (x + math.pi) % _TWO_PI - math.pi
 
 
-class _LoopSampler:
-    """Adaptive sampling of a closed path with phase-step rejection."""
+def _steps(ws: np.ndarray) -> np.ndarray:
+    """Log increments between adjacent samples, with wrapped phase steps."""
+    return np.diff(ws.real) + 1j * _wrap_phase(np.diff(ws.imag))
 
-    def __init__(self, gamma, eval_w, n0: int, what: str):
-        self.gamma = gamma
-        self.eval_w = eval_w
-        self.what = what
-        ts = np.linspace(0.0, 1.0, max(8, n0) + 1)
-        self.ts = ts
-        self.zs = gamma(ts)
-        self.ws = eval_w(self.zs)
 
-    def _check_finite(self):
-        if not np.all(np.isfinite(self.ws)):
+def _refine(gamma, eval_w, ts, zs, ws, what: str, max_new: int = 200000):
+    """Insert midpoints of gamma(t) until all phase steps are trustworthy.
+
+    Rejects an interval when its wrapped phase step exceeds pi/2, and
+    also when the full complex log-step of the interval *or a neighbour*
+    is large: a zero of multiplicity m straddled symmetrically by one
+    interval can carry a true phase step near 2 pi (invisible after
+    wrapping), but its neighbours then necessarily see the approach to
+    the zero as a large log-magnitude swing.  Returns the refined (zs, ws).
+    """
+    budget = max_new
+    while True:
+        if not np.all(np.isfinite(ws)):
             raise BoundaryConflictError(
-                f"{self.what}: non-finite (or exactly zero) value on the contour")
-
-    def refine_until_smooth(self, max_new: int = 200000):
-        """Insert midpoints until all phase steps are trustworthy.
-
-        Rejects an interval when its wrapped phase step exceeds pi/2, and
-        also when the full complex log-step of the interval *or a neighbour*
-        is large: a zero of multiplicity m straddled symmetrically by one
-        interval can carry a true phase step near 2 pi (invisible after
-        wrapping), but its neighbours then necessarily see the approach to
-        the zero as a large log-magnitude swing.
-        """
-        self._check_finite()
-        budget = max_new
-        while True:
-            dphi = _wrap_phase(np.diff(self.ws.imag))
-            d = dphi
-            dw = np.abs(np.diff(self.ws.real) + 1j * dphi)
-            steep = dw > 1.5
-            bad = np.abs(dphi) > math.pi / 2.0
-            bad |= steep
-            bad[1:] |= steep[:-1]
-            bad[:-1] |= steep[1:]
-            if not np.any(bad):
-                return d
-            dts = np.diff(self.ts)[bad]
-            if np.min(dts) < 1e-12:
-                raise BoundaryConflictError(
-                    f"{self.what}: phase step will not settle under refinement "
-                    "(zero on or almost on the contour)")
-            mids = 0.5 * (self.ts[:-1][bad] + self.ts[1:][bad])
-            budget -= mids.size
-            if budget < 0:
-                raise NumericalError(f"{self.what}: refinement budget exhausted")
-            mz = self.gamma(mids)
-            mw = self.eval_w(mz)
-            order = np.searchsorted(self.ts, mids)
-            self.ts = np.insert(self.ts, order, mids)
-            self.zs = np.insert(self.zs, order, mz)
-            self.ws = np.insert(self.ws, order, mw)
-            self._check_finite()
-
-    def double(self):
-        mids = 0.5 * (self.ts[:-1] + self.ts[1:])
-        mz = self.gamma(mids)
-        mw = self.eval_w(mz)
-        order = np.searchsorted(self.ts, mids)
-        self.ts = np.insert(self.ts, order, mids)
-        self.zs = np.insert(self.zs, order, mz)
-        self.ws = np.insert(self.ws, order, mw)
-        self._check_finite()
-
-    def min_zero_distance(self) -> float:
-        """Smallest |f/f'| estimate along the path, from finite differences."""
-        dz = np.abs(np.diff(self.zs))
-        dw = np.abs(np.diff(self.ws.real) + 1j * _wrap_phase(np.diff(self.ws.imag)))
-        mask = dw > 1e-9
-        if not np.any(mask):
-            return math.inf
-        return float(np.min(dz[mask] / dw[mask]))
-
-    def phase_total(self, d=None) -> float:
-        if d is None:
-            d = _wrap_phase(np.diff(self.ws.imag))
-        return float(np.sum(d)) / _TWO_PI
-
-    def moment(self, n_zeros: int) -> complex:
-        """First moment (1/(2 pi i n)) * contour integral of z dlog f."""
-        dw = np.diff(self.ws.real) + 1j * _wrap_phase(np.diff(self.ws.imag))
-        mid = 0.5 * (self.zs[:-1] + self.zs[1:])
-        return complex(np.sum(mid * dw) / (2j * math.pi * n_zeros))
+                f"{what}: non-finite (or exactly zero) value on the contour")
+        dphi = _wrap_phase(np.diff(ws.imag))
+        steep = np.abs(np.diff(ws.real) + 1j * dphi) > 1.5
+        bad = np.abs(dphi) > math.pi / 2.0
+        bad |= steep
+        bad[1:] |= steep[:-1]
+        bad[:-1] |= steep[1:]
+        if not np.any(bad):
+            return zs, ws
+        if np.min(np.diff(ts)[bad]) < 1e-12:
+            raise BoundaryConflictError(
+                f"{what}: phase step will not settle under refinement "
+                "(zero on or almost on the contour)")
+        mids = 0.5 * (ts[:-1][bad] + ts[1:][bad])
+        budget -= mids.size
+        if budget < 0:
+            raise NumericalError(f"{what}: refinement budget exhausted")
+        mz = gamma(mids)
+        order = np.searchsorted(ts, mids)
+        ts = np.insert(ts, order, mids)
+        zs = np.insert(zs, order, mz)
+        ws = np.insert(ws, order, eval_w(mz))
 
 
-def _winding_on_loop(gamma, eval_w, n0, guard_dist, what) -> tuple[int, "_LoopSampler"]:
-    loop = _LoopSampler(gamma, eval_w, n0, what)
-    d = loop.refine_until_smooth()
-    if loop.min_zero_distance() < guard_dist:
+def _check_guard(zs, ws, guard_dist: float, what: str) -> None:
+    """Raise when the smallest |f/f'| estimate along the samples, from
+    finite differences, falls below guard_dist."""
+    dz = np.abs(np.diff(zs))
+    dw = np.abs(_steps(ws))
+    mask = dw > 1e-9
+    if np.any(mask) and np.min(dz[mask] / dw[mask]) < guard_dist:
         raise BoundaryConflictError(
             f"{what}: a zero lies within {guard_dist:.3g} of the contour; "
             "perturb the box and retry")
-    total = loop.phase_total(d)
-    snapped = round(total)
-    if abs(total - snapped) > 0.05:
-        loop.double()
-        d = loop.refine_until_smooth()
-        total2 = loop.phase_total(d)
-        if abs(total2 - round(total2)) > 0.25 or round(total2) != snapped:
-            raise NumericalError(
-                f"{what}: winding estimate {total:.3f} -> {total2:.3f} does not "
-                "settle on an integer")
-        snapped = round(total2)
-    return int(snapped), loop
 
 
-def _box_gamma(box: ContourBox):
+@dataclass(frozen=True)
+class _Edge:
+    """Refined samples (zs, ws) of log f along the segment zs[0] -> zs[-1]."""
+
+    zs: np.ndarray
+    ws: np.ndarray
+
+    def increment(self) -> complex:
+        """log f(end) - log f(start), continued along the samples."""
+        return complex(np.sum(_steps(self.ws)))
+
+    def moment(self) -> complex:
+        """Midpoint-rule integral of z dlog f along the edge."""
+        mid = 0.5 * (self.zs[:-1] + self.zs[1:])
+        return complex(np.sum(mid * _steps(self.ws)))
+
+    def reversed(self) -> "_Edge":
+        return _Edge(self.zs[::-1], self.ws[::-1])
+
+    def cut(self, z: complex, w: complex) -> tuple["_Edge", "_Edge"]:
+        """The parts of the edge before and after its point z, which share
+        the sample w = log f(z) there; every other sample is kept."""
+        d = (self.zs[-1] - self.zs[0]).conjugate()
+        pos = ((self.zs - self.zs[0]) * d).real
+        i = int(np.searchsorted(pos, ((z - self.zs[0]) * d).real))
+        return (_Edge(np.append(self.zs[:i], z), np.append(self.ws[:i], w)),
+                _Edge(np.insert(self.zs[i:], 0, z), np.insert(self.ws[i:], 0, w)))
+
+
+def _sampled_edges(eval_w, segments, spacing: float, guard_dist: float,
+                   what: str) -> list[_Edge]:
+    """Edges along the segments (z0, z1), first sampled at most ``spacing``
+    apart in at least 8 intervals (all of them in one evaluation), then
+    refined, then checked against the guard distance."""
+    ts = [np.linspace(0.0, 1.0, max(8, math.ceil(abs(z1 - z0) / spacing)) + 1)
+          for z0, z1 in segments]
+    zs = [z0 + t * (z1 - z0) for (z0, z1), t in zip(segments, ts)]
+    ws = np.split(eval_w(np.concatenate(zs)), np.cumsum([t.size for t in ts[:-1]]))
+    edges = []
+    for (z0, z1), t, z, w in zip(segments, ts, zs, ws):
+        z, w = _refine(lambda s: z0 + s * (z1 - z0), eval_w, t, z, w, what)
+        _check_guard(z, w, guard_dist, what)
+        edges.append(_Edge(z, w))
+    return edges
+
+
+def _box_edges(eval_w, box: ContourBox, spacing: float, guard_dist: float,
+               what: str) -> list[_Edge]:
+    """The box's bottom, right, top and left edges, counterclockwise."""
     cs = box.corners()
-    cs.append(cs[0])
-    cs = np.array(cs, dtype=complex)
-
-    def gamma(ts):
-        ts = np.asarray(ts, dtype=float)
-        seg = np.minimum((ts * 4).astype(int), 3)
-        frac = ts * 4 - seg
-        return cs[seg] * (1 - frac) + cs[seg + 1] * frac
-
-    return gamma
+    return _sampled_edges(eval_w, list(zip(cs, cs[1:] + cs[:1])), spacing,
+                          guard_dist, what)
 
 
-def _circle_gamma(center: complex, radius: float):
-    def gamma(ts):
-        return center + radius * np.exp(2j * math.pi * np.asarray(ts))
+def _spacing(box: ContourBox, samples: int) -> float:
+    return 2.0 * (box.width + box.height) / samples
 
-    return gamma
+
+def _winding(edges) -> int:
+    """Winding number of the closed loop the edges make in turn.
+
+    The wrapped phase steps of a closed sampled loop telescope, so their sum
+    is 2 pi times an integer up to rounding.
+    """
+    return round(sum(e.increment() for e in edges).imag / _TWO_PI)
+
+
+def _moment(edges, n_zeros: int) -> complex:
+    """First moment (1/(2 pi i n)) * contour integral of z dlog f."""
+    return sum(e.moment() for e in edges) / (2j * math.pi * n_zeros)
 
 
 def winding_count(f, box: ContourBox, samples: int = 32, *,
@@ -271,10 +271,10 @@ def winding_count(f, box: ContourBox, samples: int = 32, *,
     the whole boundary loop.
     """
     eval_w = _make_log_evaluator(f, log_form)
-    w, _ = _winding_on_loop(_box_gamma(box), eval_w, samples,
-                            guard * box.diameter, f"winding over {box.lower_left}..{box.upper_right}")
-    box.winding = w
-    return w
+    box.winding = _winding(_box_edges(
+        eval_w, box, _spacing(box, samples), guard * box.diameter,
+        f"winding over {box.lower_left}..{box.upper_right}"))
+    return box.winding
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +325,14 @@ def _newton_polish(eval_w, z0: complex, mult: int, tol: float, bound_check):
 
 
 def _circle_winding(eval_w, center: complex, radius: float, what: str) -> int:
-    w, _ = _winding_on_loop(_circle_gamma(center, radius), eval_w, 16,
-                            radius * 1e-6, what)
-    return w
+    def gamma(ts):
+        return center + radius * np.exp(2j * math.pi * ts)
+
+    ts = np.linspace(0.0, 1.0, 17)
+    zs = gamma(ts)
+    zs, ws = _refine(gamma, eval_w, ts, zs, eval_w(zs), what)
+    _check_guard(zs, ws, radius * 1e-6, what)
+    return round(float(np.sum(_wrap_phase(np.diff(ws.imag)))) / _TWO_PI)
 
 
 def _winding_with_perturbation(eval_w, box: ContourBox, samples: int,
@@ -336,12 +341,12 @@ def _winding_with_perturbation(eval_w, box: ContourBox, samples: int,
                                guard_dist: float | None = None):
     """Winding of a box, expanding it slightly on boundary conflicts.
 
-    Returns (winding, effective_box).  Expansion never loses interior zeros;
-    it may capture a zero just outside, which deduplication downstream
-    removes.  A ceiling keeps the expanded top edge below a line the caller
-    must not cross; guard_dist overrides the default minimum zero-to-contour
-    distance of 1e-3 times the diameter (large sweep contours legitimately
-    pass close to zeros they enclose).
+    Returns (winding, effective_box, edges).  Expansion never loses interior
+    zeros; it may capture a zero just outside, which deduplication
+    downstream removes.  A ceiling keeps the expanded top edge below a line
+    the caller must not cross; guard_dist overrides the default minimum
+    zero-to-contour distance of 1e-3 times the diameter (large sweep
+    contours legitimately pass close to zeros they enclose).
     """
     margin0 = max(tol, 2e-3 * box.diameter)
     last = None
@@ -360,11 +365,11 @@ def _winding_with_perturbation(eval_w, box: ContourBox, samples: int,
                 ur = complex(ur.real, min(ur.imag, ceiling))
             eff = ContourBox(ll, ur, depth=box.depth)
         try:
-            w, loop = _winding_on_loop(
-                _box_gamma(eff), eval_w, samples,
+            edges = _box_edges(
+                eval_w, eff, _spacing(eff, samples),
                 guard_dist if guard_dist is not None else 1e-3 * eff.diameter,
                 what)
-            return w, eff, loop
+            return _winding(edges), eff, edges
         except BoundaryConflictError as exc:
             last = exc
     raise BoundaryConflictError(
@@ -383,17 +388,23 @@ def locate_zeros(f, box: ContourBox, tol: float, *,
     and reads multiplicities off the winding of a small circle around each
     accepted zero.  Clusters tighter than ``tol`` are reported as one zero
     with the aggregate multiplicity at the cluster's winding centroid.
-    ``samples`` sets the initial sampling of every box boundary, and
-    ``guard_dist`` the minimum zero-to-contour distance of every box (default
-    1e-3 times its diameter).
+
+    Box boundaries are sampled edges of log f.  ``samples`` sets the initial
+    sampling of the top box's boundary and, through its spacing (perimeter
+    over ``samples``), that of the cross through every split point; child
+    boxes inherit the halves of their parent's edges.  ``guard_dist`` is the
+    minimum zero-to-contour distance of the top box and of every cross
+    (default 1e-3 times the top box's diameter, and 1e-3 times a child's
+    diameter for a cross).
     """
     eval_w = _make_log_evaluator(f, log_form)
     found: list[tuple[complex, int]] = []
-    top_w, top_box, top_loop = _winding_with_perturbation(
+    top_w, top_box, top_edges = _winding_with_perturbation(
         eval_w, box, samples, tol, "locate_zeros top box", ceiling, guard_dist)
-    stack = [(top_box, top_w, top_loop)]
+    spacing = _spacing(top_box, samples)
+    stack = [(top_box, top_w, top_edges)]
     while stack:
-        b, w, loop = stack.pop()
+        b, w, edges = stack.pop()
         if w == 0:
             continue
         if w < 0:
@@ -401,7 +412,7 @@ def locate_zeros(f, box: ContourBox, tol: float, *,
                 f"negative winding {w} over box at {b.center:.6g}: the "
                 "integrand has a pole inside (not holomorphic)")
         if w == 1 or b.diameter < tol:
-            z = _resolve_single_box(eval_w, b, w, tol, residual_tol, loop)
+            z = _resolve_single_box(eval_w, b, w, tol, residual_tol, edges)
             if z is not None:
                 found.append(z)
                 continue
@@ -409,29 +420,26 @@ def locate_zeros(f, box: ContourBox, tol: float, *,
             if b.diameter < tol:
                 raise NumericalError(
                     f"could not resolve zero in box around {b.center:.6g}")
-        for child, cw, cloop in _split_box(eval_w, b, w, samples, tol, ceiling,
-                                           guard_dist):
-            stack.append((child, cw, cloop))
+        stack.extend(_split_box(eval_w, b, w, edges, spacing, guard_dist))
 
     return _dedup_zeros(found, tol)
 
 
 def _resolve_single_box(eval_w, b: ContourBox, w: int, tol, residual_tol,
-                        loop: "_LoopSampler | None" = None):
+                        edges):
     """Newton (w == 1) or centroid (cluster) resolution inside one box.
 
-    When the caller's boundary sampling is available, the first contour
-    moment seeds Newton: for a winding-1 box the moment *is* the zero up to
-    quadrature error, so the iteration converges in a couple of steps and
-    does not wander off to a neighbouring zero.
+    The first moment over the box's edges seeds Newton: for a winding-1 box
+    the moment *is* the zero up to quadrature error, so the iteration
+    converges in a couple of steps and does not wander off to a neighbouring
+    zero.
     """
     what = f"multiplicity circle at box {b.center:.6g}"
     if w == 1:
         seed = b.center
-        if loop is not None:
-            m1 = loop.moment(1)
-            if b.contains(m1, pad=0.25 * b.diameter):
-                seed = m1
+        m1 = _moment(edges, 1)
+        if b.contains(m1, pad=0.25 * b.diameter):
+            seed = m1
         res = _newton_polish(eval_w, seed, 1, tol,
                              lambda z: b.contains(z, pad=0.75 * b.diameter))
         if res is not None:
@@ -445,10 +453,9 @@ def _resolve_single_box(eval_w, b: ContourBox, w: int, tol, residual_tol,
         if b.diameter >= tol:
             return None
     # cluster (or stubborn) case: winding centroid plus multiplicity circle
-    loop = _LoopSampler(_box_gamma(b.expanded(0.25 * tol)), eval_w, 64,
-                        f"cluster box at {b.center:.6g}")
-    loop.refine_until_smooth()
-    z = loop.moment(max(w, 1))
+    cluster = b.expanded(0.25 * tol)
+    z = _moment(_box_edges(eval_w, cluster, _spacing(cluster, 64), 0.0,
+                           f"cluster box at {b.center:.6g}"), max(w, 1))
     res = _newton_polish(eval_w, z, max(w, 1), tol,
                          lambda zz: b.contains(zz, pad=b.diameter))
     if res is not None and b.contains(res[0], pad=0.25 * b.diameter):
@@ -474,58 +481,43 @@ def _residual_ok(eval_w, z: complex, residual_tol) -> bool:
     return math.exp(min(w.real, 700.0)) < residual_tol
 
 
-def _split_box(eval_w, b: ContourBox, w: int, samples: int, tol: float,
-               ceiling: float | None = None, guard_dist: float | None = None):
-    """Quadrisect b, jittering the split point until children are clean.
+def _split_box(eval_w, b: ContourBox, w: int, edges, spacing: float,
+               guard_dist: float | None = None):
+    """Quadrisect b into (child, winding, edges) triples.
 
-    Jitter handles zeros on the split cross; zeros hugging the *outer*
-    boundary are handled by nudging the whole parent (expand plus shift) and
-    re-deriving its winding, since no amount of cross jitter moves the outer
-    edges.  The parent only ever grows, so no interior zero can be lost;
-    captured neighbours are deduplicated downstream.  An edge pinned by the
-    ceiling cannot move at all, so a zero just beyond it must be tolerated by
-    a guard_dist smaller than the default 1e-3 times the box diameter.
+    Only the cross through the split point is sampled, at ``spacing``; the
+    children inherit the halves of b's edges, which have passed their
+    refinement and guard checks already, so only the cross can run into a
+    zero, and then the split point is jittered.  Cutting an outer edge
+    inserts one sample, whose two phase steps replace one trusted step; a
+    wrong wrap there is the only way the children's windings can fail to
+    sum to w, so that sum is checked, and a failing split jittered as well.
     """
     if b.depth > 60:
         raise NumericalError(f"subdivision depth exhausted at {b.center:.6g}")
-    eff, weff = b, w
-    for attempt in range(10):
-        jitter = 0.0 if attempt == 0 else (
-            eff.width * (math.sqrt(2) - 1.0) / 16.0 * (1 + attempt % 4))
-        children = eff.quadrisect(jitter)
-        triples = []
+    guard = guard_dist if guard_dist is not None else 0.5e-3 * b.diameter
+    problem = None
+    for attempt in range(5):
+        children = b.quadrisect(b.width * (math.sqrt(2) - 1.0) / 16.0 * attempt)
+        c = children[0].upper_right
+        ends = [children[1].lower_left, children[1].upper_right,
+                children[2].upper_right, children[2].lower_left]
         try:
-            for c in children:
-                cw, cloop = _winding_on_loop(
-                    _box_gamma(c), eval_w, samples,
-                    guard_dist if guard_dist is not None else 1e-3 * c.diameter,
-                    f"child box {c.lower_left}..{c.upper_right}")
-                triples.append((c, cw, cloop))
-            if sum(cw for _, cw, _loop in triples) == weff:
-                return triples
-        except BoundaryConflictError:
-            pass
-        if attempt % 2 == 1:
-            # nudge the parent to free its outer edges from nearby zeros
-            grow = max(tol, 1.5e-3 * b.diameter) * (attempt + 1)
-            shift = complex(grow / 3.0 * ((attempt % 3) - 1),
-                            -grow / 4.0 * ((attempt // 2) % 2))
-            ll = b.lower_left - complex(grow, grow) + shift
-            ur = b.upper_right + complex(grow, grow) + shift
-            if ceiling is not None:
-                ur = complex(ur.real, min(ur.imag, ceiling))
-            candidate = ContourBox(ll, ur, depth=b.depth)
-            try:
-                weff, _ = _winding_on_loop(
-                    _box_gamma(candidate), eval_w, samples,
-                    guard_dist if guard_dist is not None
-                    else 1e-3 * candidate.diameter,
-                    f"nudged parent {candidate.lower_left}..{candidate.upper_right}")
-                eff = candidate
-            except BoundaryConflictError:
-                continue
-    raise BoundaryConflictError(
-        f"could not split box at {b.center:.6g} without boundary conflicts")
+            arms = _sampled_edges(eval_w, [(c, e) for e in ends], spacing, guard,
+                                  f"cross of box at {b.center:.6g}")
+        except BoundaryConflictError as exc:
+            problem = exc
+            continue
+        ab, ar, at, al = arms
+        (b1, b2), (r1, r2), (t1, t2), (l1, l2) = [
+            edge.cut(arm.zs[-1], arm.ws[-1]) for edge, arm in zip(edges, arms)]
+        loops = [(b1, ab.reversed(), al, l2), (b2, r1, ar.reversed(), ab),
+                 (al.reversed(), at, t2, l1), (ar, r2, t1, at.reversed())]
+        windings = [_winding(loop) for loop in loops]
+        if sum(windings) == w:
+            return list(zip(children, windings, loops))
+        problem = f"its children's windings {windings} do not sum to {w}"
+    raise NumericalError(f"could not split box at {b.center:.6g}: {problem}")
 
 
 def _dedup_zeros(found, tol):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +27,7 @@ from .resonances import (
     ResonanceSet,
     arg_lower,
     find_resonances,
+    map_ordered,
 )
 
 __all__ = [
@@ -282,18 +282,10 @@ class FamilyExperiment:
     def solve(self, threads: int = 1) -> None:
         """Populate resonance sets for all members with positive weight."""
         todo = [i for i in self.active_indices() if i not in self.sets]
-        if not todo:
-            return
-        if threads > 1 and len(todo) > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                futs = {i: pool.submit(_solve_member, self.potential_at(self.zs[i]),
-                                       self.r)
-                        for i in todo}
-                for i in todo:
-                    self.sets[i] = futs[i].result()
-        else:
-            for i in todo:
-                self.sets[i] = _solve_member(self.potential_at(self.zs[i]), self.r)
+        sets = map_ordered(_solve_member,
+                           [(self.potential_at(self.zs[i]), self.r) for i in todo],
+                           threads)
+        self.sets.update(zip(todo, sets))
 
     def to_json(self, path, sector_queries=()) -> None:
         members = []

@@ -76,6 +76,8 @@ _IRR = math.sqrt(2.0) - 1.0
 # this (about 1e-11 relative error); beyond it the potential series is used.
 _DIRECT_COND_MAX = 1e5
 _SERIES_MAX_TERMS = 200
+# every located resonance must satisfy |W_ell(lambda)| below this
+_RESIDUAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -381,7 +383,9 @@ def _frame_winding(ell: int, pot: RadialStepPotential, R: float,
 
 def _frame_samples(pot: RadialStepPotential, R: float) -> int:
     # the near-free matcher turns about 2 a rad per unit of Re lambda along
-    # the frame bottom; coarser sampling can wrap a step past the pi/2 test
+    # the frame bottom; coarser sampling can wrap a step past the pi/2 test.
+    # The frame's spacing, its perimeter over this count, is also the first
+    # spacing of every cross that the channel's quadtree samples.
     return max(96, int(10 * R * pot.a))
 
 
@@ -403,7 +407,7 @@ def _channel_zeros(ell: int, pot: RadialStepPotential, R: float,
                          log_form=True, samples=_frame_samples(pot, R),
                          ceiling=-0.5 * delta_axis,
                          guard_dist=_frame_guard(delta_axis, zero_tol))
-    # boundary nudges inside the quadtree may capture zeros just outside
+    # a cluster's centroid may land just outside the box that found it
     zeros = [(z, m) for z, m in zeros if frame.contains(z)]
     count = sum(m for _, m in zeros)
     if count != total:
@@ -454,42 +458,50 @@ def ell_cutoff(pot: RadialStepPotential, R: float, *,
         "suspected parameter pathology")
 
 
+def map_ordered(fn, arg_tuples, workers: int) -> list:
+    """[fn(*args) for args in arg_tuples], on a pool of ``workers``
+    processes when there are at least two workers and two items; fn must
+    be a module-level function."""
+    arg_tuples = list(arg_tuples)
+    if workers <= 1 or len(arg_tuples) <= 1:
+        return [fn(*args) for args in arg_tuples]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*arg_tuples)))
+
+
 def find_resonances(pot: RadialStepPotential, R: float, *,
                     threads: int | None = None,
                     delta_axis: float | None = None) -> ResonanceSet:
     """Locate all resonances with |lambda| <= R, Im lambda < 0.
 
     Channels are independent work units and may be solved in separate
-    processes; the merged set is identical for any thread count.
+    processes; the merged set is identical for any thread count.  A located
+    resonance whose residual |W_ell(lambda)| is not below the recorded
+    ``residual_tol`` raises NumericalError naming the channel.
     """
     if R <= 0:
         raise ValueError("search radius must be positive")
     a = pot.a
     delta = delta_axis if delta_axis is not None else 1e-6 / a
     tol = _default_zero_tol(pot, R)
-    tolerances = {"zero_tol": tol, "delta_axis": delta, "residual_tol": 1e-6}
+    tolerances = {"zero_tol": tol, "delta_axis": delta, "residual_tol": _RESIDUAL_TOL}
     cutoff = ell_cutoff(pot, R, delta_axis=delta)
-    ells = list(range(cutoff + 1))
-    results: dict[int, list] = {}
-    nthreads = threads or 1
-    if nthreads > 1 and len(ells) > 1:
-        with ProcessPoolExecutor(max_workers=nthreads) as pool:
-            futs = {ell: pool.submit(_channel_zeros, ell, pot, R, delta, tol)
-                    for ell in ells}
-            for ell in ells:
-                results[ell] = futs[ell].result()
-    else:
-        for ell in ells:
-            results[ell] = _channel_zeros(ell, pot, R, delta, tol)
+    ells = range(cutoff + 1)
+    results = map_ordered(_channel_zeros, [(ell, pot, R, delta, tol) for ell in ells],
+                          threads or 1)
 
     resonances: list[Resonance] = []
-    for ell in ells:
-        zs = [(z, m) for z, m in results[ell] if abs(z) <= R and z.imag < -delta / 2]
+    for ell, zeros in zip(ells, results):
+        zs = [(z, m) for z, m in zeros if abs(z) <= R and z.imag < -delta / 2]
         if not zs:
             continue
         lams = np.array([z for z, _ in zs])
         residuals = np.abs(channel_condition(ell, pot, lams))
         for (z, m), res in zip(zs, residuals):
+            if not res < _RESIDUAL_TOL:
+                raise NumericalError(
+                    f"channel {ell}: residual |W_ell(lambda)| = {res:.3g} at "
+                    f"lambda = {z:.12g} is not below {_RESIDUAL_TOL:g}")
             for _ in range(m):  # order-m zeros enter as m coincident poles
                 resonances.append(Resonance(lam=z, ell=ell,
                                             multiplicity=2 * ell + 1,

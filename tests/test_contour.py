@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resonance_atlas import contour as ct
 from resonance_atlas.errors import BoundaryConflictError, NumericalError
@@ -104,6 +106,87 @@ def test_locate_with_zero_just_above_pinned_top_edge():
     for z, mult in got:
         assert mult == 1
         assert min(abs(z - w) for w in want) < 1e-10
+
+
+def test_cut_edge_keeps_its_log_increment():
+    f = ct._make_log_evaluator(lambda z: (z - 0.3 - 0.2j) * (z + 0.7 + 0.1j), False)
+    edge, = ct._sampled_edges(f, [(-1 - 0.5j, 1 - 0.5j)], 0.1, 0.0, "edge")
+    z = 0.123 - 0.5j
+    first, second = edge.cut(z, f(np.array([z]))[0])
+    assert first.zs[0] == edge.zs[0] and second.zs[-1] == edge.zs[-1]
+    assert first.zs[-1] == second.zs[0] == z
+    assert first.zs.size + second.zs.size == edge.zs.size + 2
+    assert abs(first.increment() + second.increment() - edge.increment()) < 1e-12
+
+
+def test_locate_with_zero_at_box_centre_jitters_the_cross(monkeypatch):
+    # the first cross starts on the zero at 0, so the split point must move
+    jitters = []
+    quadrisect = ct.ContourBox.quadrisect
+
+    def spy(self, jitter=0.0):
+        jitters.append(jitter)
+        return quadrisect(self, jitter)
+
+    monkeypatch.setattr(ct.ContourBox, "quadrisect", spy)
+    want = [0.0, 0.5 - 0.3j, -0.4 - 0.2j]
+    q = np.poly1d(np.poly(want))
+    got = ct.locate_zeros(lambda z: q(z), ct.ContourBox(-1 - 1j, 1 + 1j), tol=1e-10)
+    assert jitters[:2] == [0.0, pytest.approx(2 * (math.sqrt(2) - 1) / 16)]
+    assert len(got) == 3
+    for z, mult in got:
+        assert mult == 1
+        assert min(abs(z - w) for w in want) < 1e-10
+
+
+def test_split_rejects_children_that_do_not_sum_to_the_parent():
+    f = ct._make_log_evaluator(lambda z: (z - 0.3 - 0.2j) * (z + 0.4 - 0.3j), False)
+    box = ct.ContourBox(-1 - 1j, 1 + 1j)
+    edges = ct._box_edges(f, box, ct._spacing(box, 32), 1e-3, "box")
+    assert ct._winding(edges) == 2
+    assert [w for _, w, _ in ct._split_box(f, box, 2, edges, 0.25)] == [0, 0, 1, 1]
+    with pytest.raises(NumericalError, match="do not sum to 3"):
+        ct._split_box(f, box, 3, edges, 0.25)
+
+
+_BOX = ct.ContourBox(-1 - 1j, 1 + 1j)
+_coord = st.floats(-0.8, 0.8)
+
+
+@st.composite
+def _roots_for_box(draw):
+    """Roots in and near _BOX: scattered, clustered, close to an edge (but
+    outside the top box's guard of 1e-3 times its diameter) and on the
+    imaginary axis, which the first cross runs along."""
+    roots = [complex(draw(_coord), draw(_coord))
+             for _ in range(draw(st.integers(1, 2)))]
+    if draw(st.booleans()):
+        centre = complex(draw(_coord), draw(_coord))
+        sep = draw(st.floats(3e-3, 1e-2))
+        n = draw(st.integers(2, 3))
+        roots += [centre + sep * cmath.exp(2j * math.pi * k / n) for k in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        along, gap = draw(_coord), draw(st.floats(-3e-2, 3e-2))
+        edge = draw(st.sampled_from([-1, 1]))
+        offset = edge + math.copysign(max(abs(gap), 1e-2), gap)
+        roots.append(complex(offset, along) if draw(st.booleans())
+                     else complex(along, offset))
+    roots += [complex(0.0, draw(_coord)) for _ in range(draw(st.integers(0, 2)))]
+    return roots
+
+
+@settings(max_examples=60)
+@given(_roots_for_box())
+def test_locate_matches_companion_roots(roots):
+    if any(abs(a - b) < 1e-3 for i, a in enumerate(roots) for b in roots[:i]):
+        return
+    coeffs = np.poly(roots)
+    want = [z for z in np.roots(coeffs) if _BOX.contains(z)]
+    got = ct.locate_zeros(lambda z: np.polyval(coeffs, z), _BOX, tol=1e-8)
+    assert sum(m for _, m in got) == len(want)
+    for z, mult in got:
+        assert mult == 1
+        assert min(abs(z - w) for w in want) < 1e-7
 
 
 def test_dedup_merges_duplicates_split_by_a_distant_zero():

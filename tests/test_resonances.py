@@ -238,6 +238,21 @@ def test_channel_zeros_rejects_surplus_inside_frame(monkeypatch):
         rs._channel_zeros(0, WELL, 6.0, 1e-6, 1e-9)
 
 
+def test_find_resonances_rejects_residual_above_tolerance(monkeypatch):
+    # a zero located 1e-3 off must fail the residual_tol the set records
+    real = rs.locate_zeros
+
+    def moved(*args, **kwargs):
+        zeros = real(*args, **kwargs)
+        i = min(range(len(zeros)), key=lambda k: abs(zeros[k][0]))
+        zeros[i] = (zeros[i][0] + 1e-3, zeros[i][1])
+        return zeros
+
+    monkeypatch.setattr(rs, "locate_zeros", moved)
+    with pytest.raises(NumericalError, match=r"channel 0: residual .* not below 1e-06"):
+        rs.find_resonances(WELL, 6.0)
+
+
 def test_cutoff_monotone_in_radius():
     c1 = rs.ell_cutoff(WELL, 3.0)
     c2 = rs.ell_cutoff(WELL, 6.0)
