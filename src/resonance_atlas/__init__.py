@@ -59,19 +59,11 @@ from .resonances import (
     scattering_log_det,
 )
 from .special import (
-    CurveConstants,
-    RayPoint,
     bessel_phase,
-    build_curve_constants,
     coth_fixed_point,
     critical_curve_modulus,
     critical_curve_point,
     gamma_real,
-    ray_point,
-    sph_bessel_j,
-    sph_bessel_j_deriv,
-    sph_hankel1,
-    sph_hankel1_deriv,
 )
 
 __version__ = "0.1.0"

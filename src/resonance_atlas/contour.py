@@ -82,14 +82,10 @@ class ContourBox:
         ll, ur = self.lower_left, self.upper_right
         return [ll, complex(ur.real, ll.imag), ur, complex(ll.real, ur.imag)]
 
-    def expanded(self, margin: float, ceiling: float | None = None) -> "ContourBox":
-        """Grow outward by margin; a ceiling caps the top edge (used when the
-        integrand is only trustworthy below some line)."""
+    def expanded(self, margin: float) -> "ContourBox":
+        """Grow outward by margin."""
         m = complex(margin, margin)
-        ur = self.upper_right + m
-        if ceiling is not None:
-            ur = complex(ur.real, min(ur.imag, ceiling))
-        return ContourBox(self.lower_left - m, ur, depth=self.depth)
+        return ContourBox(self.lower_left - m, self.upper_right + m, depth=self.depth)
 
     def quadrisect(self, jitter: float = 0.0):
         """Split into four children; jitter shifts the split point."""
@@ -342,8 +338,10 @@ def _winding_with_perturbation(eval_w, box: ContourBox, samples: int,
     """Winding of a box, expanding it slightly on boundary conflicts.
 
     Returns (winding, effective_box, edges).  Expansion never loses interior
-    zeros; it may capture a zero just outside, which deduplication
-    downstream removes.  A ceiling keeps the expanded top edge below a line
+    zeros; it may capture a zero just outside the requested box.  The
+    effective box's winding counts that zero, so ``locate_zeros``, which
+    keeps exactly the zeros inside the effective box, returns it too.  A
+    ceiling keeps the expanded top edge below a line
     the caller must not cross; guard_dist overrides the default minimum
     zero-to-contour distance of 1e-3 times the diameter (large sweep
     contours legitimately pass close to zeros they enclose).
@@ -378,7 +376,6 @@ def _winding_with_perturbation(eval_w, box: ContourBox, samples: int,
 
 def locate_zeros(f, box: ContourBox, tol: float, *,
                  log_form: bool = False, samples: int = 32,
-                 residual_tol: float | None = None,
                  ceiling: float | None = None,
                  guard_dist: float | None = None):
     """All zeros of f inside the box, as (location, multiplicity) pairs.
@@ -388,6 +385,12 @@ def locate_zeros(f, box: ContourBox, tol: float, *,
     and reads multiplicities off the winding of a small circle around each
     accepted zero.  Clusters tighter than ``tol`` are reported as one zero
     with the aggregate multiplicity at the cluster's winding centroid.
+
+    The result is exact: it holds the distinct zeros that lie inside the top
+    box actually wound (the box after any perturbation by
+    ``_winding_with_perturbation``, which may have grown it slightly), and
+    their multiplicities sum to that box's winding; otherwise
+    NumericalError names both numbers and the box.
 
     Box boundaries are sampled edges of log f.  ``samples`` sets the initial
     sampling of the top box's boundary and, through its spacing (perimeter
@@ -412,7 +415,7 @@ def locate_zeros(f, box: ContourBox, tol: float, *,
                 f"negative winding {w} over box at {b.center:.6g}: the "
                 "integrand has a pole inside (not holomorphic)")
         if w == 1 or b.diameter < tol:
-            z = _resolve_single_box(eval_w, b, w, tol, residual_tol, edges)
+            z = _resolve_single_box(eval_w, b, w, tol, edges)
             if z is not None:
                 found.append(z)
                 continue
@@ -422,11 +425,17 @@ def locate_zeros(f, box: ContourBox, tol: float, *,
                     f"could not resolve zero in box around {b.center:.6g}")
         stack.extend(_split_box(eval_w, b, w, edges, spacing, guard_dist))
 
-    return _dedup_zeros(found, tol)
+    # a cluster's centroid may land just outside the box that found it
+    zeros = [(z, m) for z, m in _dedup_zeros(found, tol) if top_box.contains(z)]
+    count = sum(m for _, m in zeros)
+    if count != top_w:
+        raise NumericalError(
+            f"located {count} zeros inside the box {top_box.lower_left:.6g}.."
+            f"{top_box.upper_right:.6g} but its winding is {top_w}")
+    return zeros
 
 
-def _resolve_single_box(eval_w, b: ContourBox, w: int, tol, residual_tol,
-                        edges):
+def _resolve_single_box(eval_w, b: ContourBox, w: int, tol, edges):
     """Newton (w == 1) or centroid (cluster) resolution inside one box.
 
     The first moment over the box's edges seeds Newton: for a winding-1 box
@@ -448,7 +457,7 @@ def _resolve_single_box(eval_w, b: ContourBox, w: int, tol, residual_tol,
             # neighbouring zero outside, which belongs to another box
             if b.contains(z):
                 mult = _circle_winding(eval_w, z, _mult_radius(z, tol), what)
-                if mult >= 1 and _residual_ok(eval_w, z, residual_tol):
+                if mult >= 1:
                     return z, mult
         if b.diameter >= tol:
             return None
@@ -463,22 +472,11 @@ def _resolve_single_box(eval_w, b: ContourBox, w: int, tol, residual_tol,
     mult = _circle_winding(eval_w, z, _mult_radius(z, tol), what)
     if mult < 1:
         mult = w
-    if not _residual_ok(eval_w, z, residual_tol):
-        raise NumericalError(f"residual check failed for zero near {z:.6g}")
     return z, mult
 
 
 def _mult_radius(z: complex, tol: float) -> float:
     return max(2.0 * tol, 1e-9 * max(abs(z), 1.0))
-
-
-def _residual_ok(eval_w, z: complex, residual_tol) -> bool:
-    if residual_tol is None:
-        return True
-    w = eval_w(np.array([z]))[0]
-    if not np.isfinite(w):          # log(0): the point is an exact zero
-        return True
-    return math.exp(min(w.real, 700.0)) < residual_tol
 
 
 def _split_box(eval_w, b: ContourBox, w: int, edges, spacing: float,

@@ -355,30 +355,21 @@ def channel_matcher_log(ell: int, pot: RadialStepPotential, kind: int = 1):
 # Search geometry
 # ---------------------------------------------------------------------------
 
-def _frame_winding(ell: int, pot: RadialStepPotential, R: float,
-                   delta_axis: float, zero_tol: float):
-    """Winding of channel ell's matcher around its search frame.
+def _search_frame(pot: RadialStepPotential, R: float, delta_axis: float) -> ContourBox:
+    """The box every channel's zeros are sought in.
 
-    The frame covers the lower half disk |lambda| <= R from just below the
-    real axis (Im lambda = -delta_axis), reaching at least one step
+    It covers the lower half disk |lambda| <= R from just below the real axis
+    (Im lambda = -delta_axis), reaching at least one step
     min(1, R a / 16) / a beyond it, with width and height whole steps.  Its
     left edge carries an irrational-ratio offset so that it does not
-    coincide with a symmetry axis of the zero set.  Returns (winding, frame):
-    the frame actually wound, which boundary conflicts may have grown
-    slightly.
+    coincide with a symmetry axis of the zero set.
     """
-    a = pot.a
-    step = min(1.0, R * a / 16.0) / a
+    step = min(1.0, R * pot.a / 16.0) / pot.a
     x0 = -(R + step) + _IRR / 2.0 * step
     nx = int(math.ceil(((R + step) - x0) / step))
     ny = int(math.ceil((R + step - delta_axis) / step))
-    frame = ContourBox(complex(x0, -delta_axis - ny * step),
-                       complex(x0 + nx * step, -delta_axis))
-    total, frame, _ = _winding_with_perturbation(
-        channel_matcher_log(ell, pot), frame, _frame_samples(pot, R), zero_tol,
-        f"channel {ell} frame", -0.5 * delta_axis,
-        guard_dist=_frame_guard(delta_axis, zero_tol))
-    return total, frame
+    return ContourBox(complex(x0, -delta_axis - ny * step),
+                      complex(x0 + nx * step, -delta_axis))
 
 
 def _frame_samples(pot: RadialStepPotential, R: float) -> int:
@@ -393,29 +384,29 @@ def _frame_guard(delta_axis: float, zero_tol: float) -> float:
     return max(0.4 * delta_axis, 4.0 * zero_tol)
 
 
+def _frame_winding(ell: int, pot: RadialStepPotential, R: float,
+                   delta_axis: float, zero_tol: float) -> int:
+    """Winding of channel ell's matcher around its search frame (grown
+    slightly if the frame runs into a zero)."""
+    winding, _, _ = _winding_with_perturbation(
+        channel_matcher_log(ell, pot), _search_frame(pot, R, delta_axis),
+        _frame_samples(pot, R), zero_tol, f"channel {ell} frame", -0.5 * delta_axis,
+        guard_dist=_frame_guard(delta_axis, zero_tol))
+    return winding
+
+
 def _channel_zeros(ell: int, pot: RadialStepPotential, R: float,
                    delta_axis: float, zero_tol: float):
-    """All zeros (with multiplicity) of the channel matcher in its frame.
-
-    One quadtree over the frame that the frame winding settled on locates
-    them; the located count must equal that winding.
-    """
-    total, frame = _frame_winding(ell, pot, R, delta_axis, zero_tol)
-    if total == 0:
-        return []
-    zeros = locate_zeros(channel_matcher_log(ell, pot), frame, zero_tol,
-                         log_form=True, samples=_frame_samples(pot, R),
-                         ceiling=-0.5 * delta_axis,
-                         guard_dist=_frame_guard(delta_axis, zero_tol))
-    # a cluster's centroid may land just outside the box that found it
-    zeros = [(z, m) for z, m in zeros if frame.contains(z)]
-    count = sum(m for _, m in zeros)
-    if count != total:
-        raise NumericalError(
-            f"channel {ell}: located {count} zeros inside the frame "
-            f"{frame.lower_left:.6g}..{frame.upper_right:.6g} but its winding "
-            f"is {total}")
-    return zeros
+    """All zeros (with multiplicity) of the channel matcher in its search
+    frame, from one quadtree whose located zeros must add up to the frame's
+    winding exactly (``locate_zeros``)."""
+    try:
+        return locate_zeros(
+            channel_matcher_log(ell, pot), _search_frame(pot, R, delta_axis), zero_tol,
+            log_form=True, samples=_frame_samples(pot, R), ceiling=-0.5 * delta_axis,
+            guard_dist=_frame_guard(delta_axis, zero_tol))
+    except NumericalError as exc:
+        raise NumericalError(f"channel {ell}: {exc}") from exc
 
 
 def _default_zero_tol(pot: RadialStepPotential, R: float) -> float:
@@ -440,7 +431,7 @@ def ell_cutoff(pot: RadialStepPotential, R: float, *,
 
     def empty(l: int) -> bool:
         if l not in cache:
-            cache[l] = _frame_winding(l, pot, R, delta, tol)[0] == 0
+            cache[l] = _frame_winding(l, pot, R, delta, tol) == 0
         return cache[l]
 
     if all(empty(l) for l in (guess + 1, guess + 2, guess + 3)):

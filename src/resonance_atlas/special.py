@@ -6,42 +6,33 @@ Contents:
   asymptotics, continuous on the open upper half plane together with (0, 1].
 * ``coth_fixed_point`` / ``critical_curve_point`` / ``critical_curve_modulus``
   -- the curve separating the sign regions of ``Re bessel_phase``.
-* spherical Bessel ``j_l`` and Hankel ``h_l^(1)``, ``h_l^(2)`` with
-  derivatives for complex arguments and integer orders, backed by scipy's
-  AMOS routines with a recurrence fallback where the scaled AMOS forms
-  overflow.  Log-scaled pair evaluators are exposed for internal use so that
-  downstream code can work with exponentially large magnitudes safely.
+* ``sph_j_pair_log`` / ``sph_h_pair_log`` -- log-scaled pairs
+  (f_(l-1), f_l) of the spherical Bessel ``j_l`` and Hankel ``h_l^(1)``,
+  ``h_l^(2)`` for complex arguments and integer orders, backed by scipy's
+  AMOS routines with a series or recurrence fallback where the scaled AMOS
+  forms underflow or overflow.  They are the evaluators the resonance
+  solver's channel matcher calls, and they keep magnitudes that span
+  hundreds of decades representable.
 * ``gamma_real`` -- Gamma at positive integer and half-integer arguments.
 
-All functions are pure; the curve-constant table is built once and read-only.
+All functions are pure.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy import special as _ss
 from scipy.optimize import brentq
 
-from .errors import EvaluationOverflowError
-
 __all__ = [
     "bessel_phase",
     "coth_fixed_point",
     "critical_curve_point",
     "critical_curve_modulus",
-    "CurveConstants",
-    "build_curve_constants",
-    "RayPoint",
-    "ray_point",
-    "sph_bessel_j",
-    "sph_bessel_j_deriv",
-    "sph_hankel1",
-    "sph_hankel1_deriv",
     "gamma_real",
 ]
 
@@ -161,63 +152,11 @@ def critical_curve_modulus(theta: float) -> float:
     return math.sqrt(2.0 * s / math.sinh(2.0 * s))
 
 
-@dataclass(frozen=True)
-class CurveConstants:
-    """Sampled critical curve: the coth fixed point plus a modulus table."""
-
-    s0: float
-    thetas: np.ndarray  # strictly increasing grid in (0, pi)
-    moduli: np.ndarray  # |z0(theta)| on that grid
-
-    def modulus(self, theta: float) -> float:
-        """Linear interpolation in the table (tests use the exact solver)."""
-        return float(np.interp(theta, self.thetas, self.moduli))
-
-
-def build_curve_constants(n: int = 181) -> CurveConstants:
-    """Build the curve table on n interior angles, asserting monotonicity.
-
-    The inversion of theta -> parameter relies on the curve argument being
-    monotone in the parameter; that is checked here on a fine grid and a
-    failure aborts loudly rather than producing a silently wrong table.
-    """
-    s0 = coth_fixed_point()
-    s_grid = np.linspace(1e-6, s0 * (1 - 1e-9), 2001)
-    args = np.array([_curve_arg_plus(float(s)) for s in s_grid])
-    if not np.all(np.diff(args) > 0):
-        bad = int(np.argmin(np.diff(args)))
-        raise RuntimeError(
-            "critical-curve argument is not monotone in the parameter near "
-            f"s={s_grid[bad]:.6g}; table construction aborted"
-        )
-    thetas = np.linspace(math.pi / (n + 1), math.pi * (1 - 1 / (n + 1)), n)
-    moduli = np.array([critical_curve_modulus(float(t)) for t in thetas])
-    return CurveConstants(s0=s0, thetas=thetas, moduli=moduli)
-
-
-@dataclass(frozen=True)
-class RayPoint:
-    """Phase-function value at t*exp(i*theta), t > 0, theta in (0, pi)."""
-
-    t: float
-    theta: float
-    rho_value: complex
-
-
-def ray_point(t: float, theta: float) -> RayPoint:
-    if t <= 0.0:
-        raise ValueError("radius must be positive")
-    if not 0.0 < theta < math.pi:
-        raise ValueError("angle must lie in (0, pi)")
-    z = t * cmath.exp(1j * theta)
-    return RayPoint(t=t, theta=theta, rho_value=bessel_phase(z))
-
-
 # ---------------------------------------------------------------------------
 # Spherical Bessel and Hankel functions
 # ---------------------------------------------------------------------------
 #
-# Public evaluators go through scipy's AMOS routines (uniform asymptotics,
+# The pair evaluators go through scipy's AMOS routines (uniform asymptotics,
 # ~1e-13 relative over order <= 200 and |z| <= 1e3).  Naive up/down
 # recurrences lose all digits once |Im z| is large because the two solutions
 # swap dominant/recessive roles along the order axis, so they are kept only
@@ -234,94 +173,8 @@ def _log_double_factorial(n: int) -> float:
     return math.lgamma(2 * k + 1) - k * math.log(2.0) - math.lgamma(k + 1)
 
 
-def _check_order(ell):
-    if ell < 0 or int(ell) != ell:
-        raise ValueError(f"order must be a nonnegative integer; got {ell}")
-    return int(ell)
-
-
-def _as_complex_array(z):
-    arr = np.asarray(z, dtype=complex)
-    scalar = arr.shape == ()
-    return np.atleast_1d(arr.ravel() if arr.ndim else arr), scalar, arr.shape
-
-
 def _sph_factor(z):
     return np.sqrt(np.pi / (2.0 * z))
-
-
-def _raise_if_bad(values, what):
-    if not np.all(np.isfinite(values)):
-        raise EvaluationOverflowError(
-            f"{what} exceeds double range for at least one argument; "
-            "work with the log-scaled internal evaluators instead")
-    return values
-
-
-def sph_bessel_j(ell: int, z):
-    """Spherical Bessel j_ell(z) for complex scalar or array argument."""
-    ell = _check_order(ell)
-    arr, scalar, shape = _as_complex_array(z)
-    out = np.empty_like(arr)
-    zero = arr == 0
-    if np.any(zero):
-        out[zero] = 1.0 if ell == 0 else 0.0
-    nz = ~zero
-    if np.any(nz):
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            out[nz] = _sph_factor(arr[nz]) * _ss.jv(ell + 0.5, arr[nz])
-        _raise_if_bad(out[nz], f"j_{ell}")
-    return complex(out[0]) if scalar else out.reshape(shape)
-
-
-def sph_bessel_j_deriv(ell: int, z):
-    """j_ell'(z) via the pair identity j_ell' = j_(ell-1) - ((ell+1)/z) j_ell."""
-    ell = _check_order(ell)
-    arr, scalar, shape = _as_complex_array(z)
-    out = np.empty_like(arr)
-    zero = arr == 0
-    if np.any(zero):
-        out[zero] = (1.0 / 3.0) if ell == 1 else 0.0
-    nz = ~zero
-    if np.any(nz):
-        zz = arr[nz]
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            fac = _sph_factor(zz)
-            jm1 = fac * _ss.jv(ell - 0.5, zz)
-            jl = fac * _ss.jv(ell + 0.5, zz)
-            out[nz] = jm1 - (ell + 1) / zz * jl
-        _raise_if_bad(out[nz], f"j_{ell}'")
-    return complex(out[0]) if scalar else out.reshape(shape)
-
-
-def _hankel_raw(order_half: float, zz):
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        return _sph_factor(zz) * _ss.hankel1(order_half, zz)
-
-
-def _sph_hankel(ell: int, z, deriv: bool):
-    ell = _check_order(ell)
-    arr, scalar, shape = _as_complex_array(z)
-    if np.any(arr == 0):
-        raise ValueError("Hankel functions require z != 0")
-    if deriv:
-        hm1 = _hankel_raw(ell - 0.5, arr)
-        hl = _hankel_raw(ell + 0.5, arr)
-        out = hm1 - (ell + 1) / arr * hl
-    else:
-        out = _hankel_raw(ell + 0.5, arr)
-    name = f"h^(1)_{ell}" + ("'" if deriv else "")
-    _raise_if_bad(out, name)
-    return complex(out[0]) if scalar else out.reshape(shape)
-
-
-def sph_hankel1(ell: int, z):
-    """Outgoing spherical Hankel h_ell^(1)(z), z != 0."""
-    return _sph_hankel(ell, z, False)
-
-
-def sph_hankel1_deriv(ell: int, z):
-    return _sph_hankel(ell, z, True)
 
 
 # -- log-scaled pair evaluators (internal API) ------------------------------

@@ -53,13 +53,13 @@ def test_winding_additive_under_subdivision():
 
 
 def test_locate_double_zero():
-    got = ct.locate_zeros(lambda z: (z - (1 - 1j)) ** 2,
-                          ct.ContourBox(0 - 2j, 2 + 0j), tol=1e-9,
-                          residual_tol=1e-8)
+    f = lambda z: (z - (1 - 1j)) ** 2
+    got = ct.locate_zeros(f, ct.ContourBox(0 - 2j, 2 + 0j), tol=1e-9)
     assert len(got) == 1
     z, mult = got[0]
     assert mult == 2
     assert abs(z - (1 - 1j)) < 1e-9
+    assert abs(f(z)) < 1e-8
 
 
 def test_locate_constructed_roots():
@@ -85,6 +85,31 @@ def test_locate_rejects_poles():
     with pytest.raises(NumericalError):
         ct.locate_zeros(lambda z: 1.0 / (z - 0.2 + 0.1j),
                         ct.ContourBox(-1 - 1j, 1 + 1j), tol=1e-9)
+
+
+@pytest.mark.parametrize("change, located", [
+    (lambda zeros: zeros + [(zeros[0][0] + 1e-3, 1)], 5),
+    (lambda zeros: zeros[1:], 3),
+], ids=["surplus", "missing"])
+def test_locate_requires_zeros_to_match_the_winding(monkeypatch, change, located):
+    real = ct._dedup_zeros
+    monkeypatch.setattr(ct, "_dedup_zeros", lambda found, tol: change(real(found, tol)))
+    q = np.poly1d(np.poly([0.5 + 0.5j, -0.52 + 0.25j, 0.8 - 0.6j, -0.7 - 0.4j]))
+    with pytest.raises(NumericalError,
+                       match=rf"^located {located} zeros inside the box .* winding is 4$"):
+        ct.locate_zeros(lambda z: q(z), ct.ContourBox(-1.2 - 1.2j, 1.2 + 1.2j), tol=1e-10)
+
+
+def test_locate_keeps_only_zeros_inside_the_box_it_wound(monkeypatch):
+    # a zero located outside the top box (a cluster centroid may land there)
+    # is dropped rather than counted against the winding
+    real = ct._dedup_zeros
+    monkeypatch.setattr(ct, "_dedup_zeros",
+                        lambda found, tol: real(found, tol) + [(1.5 + 0j, 1)])
+    q = np.poly1d(np.poly([0.5 + 0.5j, -0.52 + 0.25j]))
+    got = ct.locate_zeros(lambda z: q(z), ct.ContourBox(-1.2 - 1.2j, 1.2 + 1.2j), tol=1e-10)
+    assert sorted(m for _, m in got) == [1, 1]
+    assert all(abs(z) < 1 for z, _ in got)
 
 
 def test_locate_free_channel_is_empty():

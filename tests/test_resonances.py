@@ -4,14 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import spherical_jn, spherical_yn
+
+from resonance_atlas import contour as ct
 from resonance_atlas import resonances as rs
 from resonance_atlas.errors import NumericalError
-from resonance_atlas.special import (
-    sph_bessel_j,
-    sph_bessel_j_deriv,
-    sph_hankel1,
-    sph_hankel1_deriv,
-)
 
 WELL = rs.RadialStepPotential(a=1.0, v0=-20.0)
 
@@ -44,9 +41,13 @@ def test_channel_condition_branch_invariance():
     for ell in [0, 1, 2, 5]:
         k = cmath.sqrt(lam * lam - WELL.v0)
 
+        def h1(z, derivative=False):
+            return (spherical_jn(ell, z, derivative)
+                    + 1j * spherical_yn(ell, z, derivative))
+
         def w_of(kk):
-            return (kk * sph_bessel_j_deriv(ell, kk * a) * sph_hankel1(ell, lam * a)
-                    - lam * sph_bessel_j(ell, kk * a) * sph_hankel1_deriv(ell, lam * a))
+            return (kk * spherical_jn(ell, kk * a, True) * h1(lam * a)
+                    - lam * spherical_jn(ell, kk * a) * h1(lam * a, True))
 
         ratio = w_of(-k) / w_of(k)
         assert abs(ratio - (-1) ** ell) < 1e-10
@@ -129,7 +130,7 @@ def test_free_frame_windings_vanish(R):
     tol = rs._default_zero_tol(free, R)
     last = int(math.ceil(1.5 * R * free.a)) + 13
     for ell in range(last + 1):
-        assert rs._frame_winding(ell, free, R, 1e-6, tol)[0] == 0, ell
+        assert rs._frame_winding(ell, free, R, 1e-6, tol) == 0, ell
 
 
 def test_free_well_solves_at_r40():
@@ -148,8 +149,7 @@ def test_matcher_matches_mpmath_on_frame_bottom(v0, ell, kind):
     # points in the upper half plane, where scattering_log_det evaluates it.
     mp = pytest.importorskip("mpmath")
     pot = rs.RadialStepPotential(a=1.0, v0=v0)
-    _, frame = rs._frame_winding(ell, pot, 40.0, 1e-6,
-                                 rs._default_zero_tol(pot, 40.0))
+    frame = rs._search_frame(pot, 40.0, 1e-6)
     lams = (frame.lower_left.real + frame.width * np.linspace(0.03, 0.97, 7)
             + 1j * frame.lower_left.imag)
     if kind == 2:
@@ -222,20 +222,35 @@ def test_sorted_by_modulus(small_set):
 def test_cutoff_verified_empty(small_set):
     cut = small_set.ell_max
     for ell in (cut + 1, cut + 2, cut + 3):
-        assert rs._frame_winding(ell, WELL, 6.0, 1e-6, 1e-9)[0] == 0
+        assert rs._frame_winding(ell, WELL, 6.0, 1e-6, 1e-9) == 0
 
 
 def test_channel_zeros_rejects_surplus_inside_frame(monkeypatch):
-    # a zero more than the frame winding must not pass silently
-    real = rs.locate_zeros
+    # a zero more than the frame winding must not pass silently, and the
+    # locator's message must name the channel
+    real = ct._dedup_zeros
 
-    def surplus(*args, **kwargs):
-        zeros = real(*args, **kwargs)
+    def surplus(found, tol):
+        zeros = real(found, tol)
         return zeros + [(zeros[0][0] + 1e-3, 1)]
 
-    monkeypatch.setattr(rs, "locate_zeros", surplus)
-    with pytest.raises(NumericalError, match="channel 0: located 5 zeros.*winding is 4"):
+    monkeypatch.setattr(ct, "_dedup_zeros", surplus)
+    with pytest.raises(NumericalError, match="^channel 0: located 5 zeros.*winding is 4"):
         rs._channel_zeros(0, WELL, 6.0, 1e-6, 1e-9)
+
+
+def test_channel_zeros_winds_its_frame_once(monkeypatch):
+    calls = []
+    real = ct._winding_with_perturbation
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ct, "_winding_with_perturbation", counted)
+    monkeypatch.setattr(rs, "_winding_with_perturbation", counted)
+    assert len(rs._channel_zeros(0, WELL, 6.0, 1e-6, 1e-9)) == 4
+    assert len(calls) == 1
 
 
 def test_find_resonances_rejects_residual_above_tolerance(monkeypatch):

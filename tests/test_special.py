@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import spherical_jn, spherical_yn
+
 from resonance_atlas import special as sp
-from resonance_atlas.errors import EvaluationOverflowError
 
 
 def test_phase_at_branch_point():
@@ -101,107 +102,87 @@ def test_curve_modulus_values():
         sp.critical_curve_modulus(math.pi)
 
 
-def test_curve_constants_table():
-    table = sp.build_curve_constants(61)
-    s0 = sp.coth_fixed_point()
-    lo = math.sqrt(s0 * s0 - 1.0)
-    assert np.all(table.moduli > lo - 1e-9)
-    assert np.all(table.moduli < 1.0 + 1e-9)
-    assert np.max(np.abs(table.moduli - table.moduli[::-1])) < 1e-10
+# --- spherical Bessel / Hankel pairs -----------------------------------------
+#
+# The pair evaluators return (f_(ell-1), f_ell, s) with value f * exp(s); the
+# tests compare log values, whose difference (phase wrapped) is the relative
+# error.
+
+def _log_j(ell, z):
+    jm1, jl, s = sp.sph_j_pair_log(ell, np.array([complex(z)]))
+    return complex(np.log(jm1[0]) + s[0]), complex(np.log(jl[0]) + s[0])
 
 
-def test_ray_point():
-    rp = sp.ray_point(2.0, 1.3)
-    assert rp.rho_value == sp.bessel_phase(2.0 * cmath.exp(1.3j))
-    with pytest.raises(ValueError):
-        sp.ray_point(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        sp.ray_point(1.0, 3.5)
+def _log_h(ell, z):
+    hm1, hl, s = sp.sph_h_pair_log(ell, np.array([complex(z)]), kind=1)
+    return complex(np.log(hm1[0]) + s[0]), complex(np.log(hl[0]) + s[0])
 
 
-# --- spherical Bessel / Hankel ---------------------------------------------
+def _log_err(got, ref):
+    d = complex(got) - complex(ref)
+    return abs(complex(d.real, (d.imag + math.pi) % (2 * math.pi) - math.pi))
+
 
 def test_bessel_closed_forms():
-    assert abs(sp.sph_bessel_j(0, 1.0) - math.sin(1.0)) < 1e-14
-    assert abs(sp.sph_hankel1(0, 1j) - (-math.exp(-1.0))) < 1e-14
     z = 0.7 - 0.3j
-    assert abs(sp.sph_hankel1(0, z) - (-1j * np.exp(1j * z) / z)) < 1e-13
-    assert abs(sp.sph_bessel_j(1, z) - (np.sin(z) / z ** 2 - np.cos(z) / z)) < 1e-13
-
-
-def test_bessel_at_origin():
-    assert sp.sph_bessel_j(0, 0.0) == 1.0
-    assert sp.sph_bessel_j(3, 0.0) == 0.0
-    assert sp.sph_bessel_j_deriv(1, 0.0) == pytest.approx(1.0 / 3.0)
-    with pytest.raises(ValueError):
-        sp.sph_hankel1(0, 0.0)
-
-
-def test_bessel_order_validation():
-    with pytest.raises(ValueError):
-        sp.sph_bessel_j(-1, 1.0)
+    assert _log_err(_log_j(0, 1.0)[1], cmath.log(math.sin(1.0))) < 1e-14
+    assert _log_err(_log_h(0, 1j)[1], cmath.log(-math.exp(-1.0))) < 1e-14
+    assert _log_err(_log_h(0, z)[1], cmath.log(-1j * cmath.exp(1j * z) / z)) < 5e-14
+    assert _log_err(_log_j(1, z)[1],
+                    cmath.log(cmath.sin(z) / z ** 2 - cmath.cos(z) / z)) < 1e-13
+    # the pairs' lower members: j_0 = sin z / z and h_0 = -i e^{iz} / z
+    assert _log_err(_log_j(1, z)[0], cmath.log(cmath.sin(z) / z)) < 1e-13
+    assert _log_err(_log_h(1, z)[0], cmath.log(-1j * cmath.exp(1j * z) / z)) < 1e-13
 
 
 def test_wronskian_identity():
-    # j h1' - j' h1 = i / z^2
+    # j h1' - j' h1 = i / z^2; with f' = f_(ell-1) - ((ell+1)/z) f_ell the
+    # left side is j_ell h_(ell-1) - j_(ell-1) h_ell
     rng = np.random.default_rng(3)
     for ell in [0, 1, 2, 5, 11, 23, 37, 50]:
         z = complex(rng.uniform(-20, 20), rng.uniform(-8, 8))
         if abs(z) < 0.5:
             z += 2.0
-        w = (sp.sph_bessel_j(ell, z) * sp.sph_hankel1_deriv(ell, z)
-             - sp.sph_bessel_j_deriv(ell, z) * sp.sph_hankel1(ell, z))
-        target = 1j / z ** 2
-        assert abs(w - target) / abs(target) < 1e-8
+        jm1, jl, sj = sp.sph_j_pair_log(ell, np.array([z]))
+        hm1, hl, sh = sp.sph_h_pair_log(ell, np.array([z]), kind=1)
+        w = complex(np.log(jl[0] * hm1[0] - jm1[0] * hl[0]) + sj[0] + sh[0])
+        assert _log_err(w, cmath.log(1j / z ** 2)) < 1e-8
 
 
 def test_bessel_parity():
     rng = np.random.default_rng(5)
     for ell in [0, 1, 2, 7, 16]:
         z = complex(rng.uniform(0.5, 10), rng.uniform(-3, 3))
-        lhs = sp.sph_bessel_j(ell, -z)
-        rhs = (-1) ** ell * sp.sph_bessel_j(ell, z)
-        assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
+        # j_ell(-z) = (-1)^ell j_ell(z)
+        assert _log_err(_log_j(ell, -z)[1], _log_j(ell, z)[1] + 1j * math.pi * ell) < 1e-12
 
 
 def test_bessel_accuracy_against_mpmath():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
 
-    def ref_j(ell, z):
+    def ref(fn, order, z):
         z = mp.mpc(z)
-        return complex(mp.sqrt(mp.pi / (2 * z)) * mp.besselj(ell + mp.mpf(1) / 2, z))
+        return complex(mp.log(mp.sqrt(mp.pi / (2 * z)) * fn(order + mp.mpf(1) / 2, z)))
 
-    def ref_h(ell, z):
-        z = mp.mpc(z)
-        return complex(mp.sqrt(mp.pi / (2 * z)) * mp.hankel1(ell + mp.mpf(1) / 2, z))
-
+    # in log form no value is out of range, so every point of the grid counts
     for ell in [0, 3, 20, 100, 200]:
         for z in [2.0 + 0.1j, 30 - 10j, 200 + 5j, 990 + 20j, 5 - 2j]:
-            jr = ref_j(ell, z)
-            if abs(jr) > 1e-290:
-                assert abs(sp.sph_bessel_j(ell, z) - jr) / abs(jr) < 1e-10
-            hr = ref_h(ell, z)
-            if 1e-290 < abs(hr) < 1e290:
-                assert abs(sp.sph_hankel1(ell, z) - hr) / abs(hr) < 1e-10
-
-
-def test_hankel_overflow_reported():
-    # order growth at tiny argument exceeds double range and must raise
-    with pytest.raises(EvaluationOverflowError):
-        sp.sph_hankel1(60, 1e-5)
-    with pytest.raises(EvaluationOverflowError):
-        sp.sph_bessel_j(0, 800j)  # e^{|Im z|} overflows
+            for order, got_j, got_h in zip((ell - 1, ell), _log_j(ell, z), _log_h(ell, z)):
+                assert _log_err(got_j, ref(mp.besselj, order, z)) < 1e-10
+                assert _log_err(got_h, ref(mp.hankel1, order, z)) < 1e-10
 
 
 def test_log_pair_matches_plain_values():
+    # scipy's spherical_jn / spherical_yn are an independent implementation
     z = np.array([0.5 - 2j, 3 + 1j, -4 - 0.5j])
     jm1, jl, s = sp.sph_j_pair_log(3, z)
-    plain = sp.sph_bessel_j(3, z)
-    assert np.allclose(jl * np.exp(s), plain, rtol=1e-12)
     hm1, hl, sh = sp.sph_h_pair_log(3, z, kind=1)
-    plainh = sp.sph_hankel1(3, z)
-    assert np.allclose(hl * np.exp(sh), plainh, rtol=1e-12)
+    for order, j, h in ((2, jm1, hm1), (3, jl, hl)):
+        plain_j = spherical_jn(order, z)
+        plain_h = plain_j + 1j * spherical_yn(order, z)
+        assert max(map(_log_err, np.log(j) + s, np.log(plain_j))) < 1e-12
+        assert max(map(_log_err, np.log(h) + sh, np.log(plain_h))) < 1e-12
 
 
 def test_log_pair_survives_extreme_magnitudes():
