@@ -82,11 +82,6 @@ class ContourBox:
         ll, ur = self.lower_left, self.upper_right
         return [ll, complex(ur.real, ll.imag), ur, complex(ll.real, ur.imag)]
 
-    def expanded(self, margin: float) -> "ContourBox":
-        """Grow outward by margin."""
-        m = complex(margin, margin)
-        return ContourBox(self.lower_left - m, self.upper_right + m, depth=self.depth)
-
     def quadrisect(self, jitter: float = 0.0):
         """Split into four children; jitter shifts the split point."""
         c = self.center + complex(jitter, jitter)
@@ -284,19 +279,19 @@ def _newton_polish(eval_w, z0: complex, mult: int, tol: float, bound_check):
     (z_b - z*)/(z_a - z*), which solves for z* directly; for analytic f this
     converges superlinearly and, unlike derivative stencils, keeps working
     arbitrarily close to the zero (no stencil ever straddles it).  Returns
-    (z, last_step) or None on failure.
+    the zero, or None on failure.
     """
     scale = max(abs(z0), 1.0)
     za = z0
     values = eval_w(np.array([za]))
     wa = complex(values[0])
     if not np.isfinite(values[0]):
-        return za, 0.0  # landed on an exact zero of f
+        return za  # landed on an exact zero of f
     zb = z0 + 1e-5 * scale * complex(0.6, 0.8)
     values = eval_w(np.array([zb]))
     wb = complex(values[0])
     if not np.isfinite(values[0]):
-        return zb, 0.0
+        return zb
     step = math.inf
     for _ in range(60):
         dw = wb - wa
@@ -314,21 +309,10 @@ def _newton_polish(eval_w, z0: complex, mult: int, tol: float, bound_check):
         values = eval_w(np.array([zb]))
         wb = complex(values[0])
         if not np.isfinite(values[0]):
-            return zb, 0.0
+            return zb
         if step < 1e-14 * max(abs(z_new), 1.0):
-            return zb, step
-    return (zb, step) if step < tol else None
-
-
-def _circle_winding(eval_w, center: complex, radius: float, what: str) -> int:
-    def gamma(ts):
-        return center + radius * np.exp(2j * math.pi * ts)
-
-    ts = np.linspace(0.0, 1.0, 17)
-    zs = gamma(ts)
-    zs, ws = _refine(gamma, eval_w, ts, zs, eval_w(zs), what)
-    _check_guard(zs, ws, radius * 1e-6, what)
-    return round(float(np.sum(_wrap_phase(np.diff(ws.imag)))) / _TWO_PI)
+            return zb
+    return zb if step < tol else None
 
 
 def _winding_with_perturbation(eval_w, box: ContourBox, samples: int,
@@ -380,17 +364,23 @@ def locate_zeros(f, box: ContourBox, tol: float, *,
                  guard_dist: float | None = None):
     """All zeros of f inside the box, as (location, multiplicity) pairs.
 
-    Quadrisects recursively until sub-boxes carry winding <= 1 or shrink
-    below ``tol`` in diameter, refines isolated zeros by Newton iteration,
-    and reads multiplicities off the winding of a small circle around each
-    accepted zero.  Clusters tighter than ``tol`` are reported as one zero
-    with the aggregate multiplicity at the cluster's winding centroid.
+    Quadrisects recursively down to leaf boxes: boxes of winding 1 or of
+    diameter below ``tol``.  By the argument principle a leaf's winding w
+    counts its zeros with multiplicity, so w is the multiplicity of the
+    leaf's zero: a winding-1 leaf holds one simple zero, and a leaf below
+    ``tol`` holds a cluster that is reported as one zero of multiplicity w.
+    The zero's location is the secant iterate for multiplicity w seeded by
+    the first moment of the leaf's edges, accepted only inside the leaf's
+    closed box; otherwise a leaf of diameter ``tol`` or more splits again,
+    and a smaller one reports the seed, the cluster's winding centroid.
 
-    The result is exact: it holds the distinct zeros that lie inside the top
-    box actually wound (the box after any perturbation by
-    ``_winding_with_perturbation``, which may have grown it slightly), and
-    their multiplicities sum to that box's winding; otherwise
-    NumericalError names both numbers and the box.
+    No two leaves report the same zero: leaves do not overlap, an accepted
+    location lies inside its own leaf, and the guard checks keep every zero
+    off the edges the leaves share.  The result is exact: it holds the
+    zeros that lie inside the top box actually wound (the box after any
+    perturbation by ``_winding_with_perturbation``, which may have grown it
+    slightly), sorted by (real, imag), and their multiplicities sum to that
+    box's winding; otherwise NumericalError names both numbers and the box.
 
     Box boundaries are sampled edges of log f.  ``samples`` sets the initial
     sampling of the top box's boundary and, through its spacing (perimeter
@@ -415,68 +405,48 @@ def locate_zeros(f, box: ContourBox, tol: float, *,
                 f"negative winding {w} over box at {b.center:.6g}: the "
                 "integrand has a pole inside (not holomorphic)")
         if w == 1 or b.diameter < tol:
-            z = _resolve_single_box(eval_w, b, w, tol, edges)
+            z = _leaf_zero(eval_w, b, w, tol, edges)
             if z is not None:
-                found.append(z)
+                found.append((z, w))
                 continue
-            # Newton failed: keep quadrisecting toward the cluster limit
-            if b.diameter < tol:
-                raise NumericalError(
-                    f"could not resolve zero in box around {b.center:.6g}")
         stack.extend(_split_box(eval_w, b, w, edges, spacing, guard_dist))
-
-    # a cluster's centroid may land just outside the box that found it
-    zeros = [(z, m) for z, m in _dedup_zeros(found, tol) if top_box.contains(z)]
-    count = sum(m for _, m in zeros)
-    if count != top_w:
-        raise NumericalError(
-            f"located {count} zeros inside the box {top_box.lower_left:.6g}.."
-            f"{top_box.upper_right:.6g} but its winding is {top_w}")
-    return zeros
+    return _zeros_inside(found, top_box, top_w)
 
 
-def _resolve_single_box(eval_w, b: ContourBox, w: int, tol, edges):
-    """Newton (w == 1) or centroid (cluster) resolution inside one box.
+def _leaf_zero(eval_w, b: ContourBox, w: int, tol: float, edges):
+    """The zero of multiplicity w in leaf box b, or None if b must split.
 
-    The first moment over the box's edges seeds Newton: for a winding-1 box
-    the moment *is* the zero up to quadrature error, so the iteration
-    converges in a couple of steps and does not wander off to a neighbouring
-    zero.
+    The first moment over the box's edges seeds the secant iteration: for a
+    winding-1 box the moment *is* the zero up to quadrature error, so the
+    iteration converges in a couple of steps and does not wander off to a
+    neighbouring zero.
     """
-    what = f"multiplicity circle at box {b.center:.6g}"
-    if w == 1:
-        seed = b.center
-        m1 = _moment(edges, 1)
-        if b.contains(m1, pad=0.25 * b.diameter):
-            seed = m1
-        res = _newton_polish(eval_w, seed, 1, tol,
-                             lambda z: b.contains(z, pad=0.75 * b.diameter))
-        if res is not None:
-            z, _ = res
-            # accept only zeros strictly inside: Newton may slide to a
-            # neighbouring zero outside, which belongs to another box
-            if b.contains(z):
-                mult = _circle_winding(eval_w, z, _mult_radius(z, tol), what)
-                if mult >= 1:
-                    return z, mult
-        if b.diameter >= tol:
-            return None
-    # cluster (or stubborn) case: winding centroid plus multiplicity circle
-    cluster = b.expanded(0.25 * tol)
-    z = _moment(_box_edges(eval_w, cluster, _spacing(cluster, 64), 0.0,
-                           f"cluster box at {b.center:.6g}"), max(w, 1))
-    res = _newton_polish(eval_w, z, max(w, 1), tol,
-                         lambda zz: b.contains(zz, pad=b.diameter))
-    if res is not None and b.contains(res[0], pad=0.25 * b.diameter):
-        z = res[0]
-    mult = _circle_winding(eval_w, z, _mult_radius(z, tol), what)
-    if mult < 1:
-        mult = w
-    return z, mult
+    seed = b.center
+    m1 = _moment(edges, w)
+    if b.contains(m1, pad=0.25 * b.diameter):
+        seed = m1
+    z = _newton_polish(eval_w, seed, w, tol,
+                       lambda z: b.contains(z, pad=0.75 * b.diameter))
+    # accept only zeros inside: the iteration may slide to a neighbouring
+    # zero outside, which belongs to another box
+    if z is not None and b.contains(z):
+        return z
+    return None if b.diameter >= tol else seed
 
 
-def _mult_radius(z: complex, tol: float) -> float:
-    return max(2.0 * tol, 1e-9 * max(abs(z), 1.0))
+def _zeros_inside(found, box: ContourBox, winding: int):
+    """The located zeros that lie inside the box, sorted by (real, imag);
+    their multiplicities must sum to the box's winding.  A cluster's
+    centroid, the one location not confined to its leaf, may lie just
+    outside the top box."""
+    zeros = sorted(((z, m) for z, m in found if box.contains(z)),
+                   key=lambda p: (p[0].real, p[0].imag))
+    count = sum(m for _, m in zeros)
+    if count != winding:
+        raise NumericalError(
+            f"located {count} zeros inside the box {box.lower_left:.6g}.."
+            f"{box.upper_right:.6g} but its winding is {winding}")
+    return zeros
 
 
 def _split_box(eval_w, b: ContourBox, w: int, edges, spacing: float,
@@ -516,30 +486,6 @@ def _split_box(eval_w, b: ContourBox, w: int, edges, spacing: float,
             return list(zip(children, windings, loops))
         problem = f"its children's windings {windings} do not sum to {w}"
     raise NumericalError(f"could not split box at {b.center:.6g}: {problem}")
-
-
-def _dedup_zeros(found, tol):
-    """Merge zeros closer than tol / 2, keeping the larger multiplicity.
-
-    Each zero is compared with every kept zero whose real part lies within
-    the merge distance, not only the last one kept: a zero far away in the
-    imaginary direction may sort between two duplicates.
-    """
-    eps = 0.5 * tol
-    found.sort(key=lambda p: (p[0].real, p[0].imag))
-    out: list[tuple[complex, int]] = []
-    for z, m in found:
-        for i in range(len(out) - 1, -1, -1):
-            zp, mp = out[i]
-            if z.real - zp.real > eps:
-                out.append((z, m))
-                break
-            if abs(z - zp) < eps:
-                out[i] = (zp, max(mp, m))
-                break
-        else:
-            out.append((z, m))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ Contents:
   (f_(l-1), f_l) of the spherical Bessel ``j_l`` and Hankel ``h_l^(1)``,
   ``h_l^(2)`` for complex arguments and integer orders, backed by scipy's
   AMOS routines with a series or recurrence fallback where the scaled AMOS
-  forms underflow or overflow.  They are the evaluators the resonance
+  forms underflow or overflow, and a NumericalError where the scaled Hankel
+  form is a false zero.  They are the evaluators the resonance
   solver's channel matcher calls, and they keep magnitudes that span
   hundreds of decades representable.
 * ``gamma_real`` -- Gamma at positive integer and half-integer arguments.
@@ -27,6 +28,8 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as _ss
 from scipy.optimize import brentq
+
+from .errors import NumericalError
 
 __all__ = [
     "bessel_phase",
@@ -232,7 +235,10 @@ def _j_pair_series_log(ell: int, z: np.ndarray):
 
 
 def sph_h_pair_log(ell: int, z: np.ndarray, kind: int = 1):
-    """Scaled (h_(ell-1), h_ell) pair for Hankel of the given kind."""
+    """Scaled (h_(ell-1), h_ell) pair for Hankel of the given kind.
+
+    Raises NumericalError where AMOS returns an exact 0 (a scaled-Hankel
+    false zero)."""
     z = np.asarray(z, dtype=complex)
     if np.any(z == 0):
         raise ValueError("Hankel functions require z != 0")
@@ -258,6 +264,14 @@ def sph_h_pair_log(ell: int, z: np.ndarray, kind: int = 1):
         # the Hankel function dominates at every step.
         bm1, bl, bs = _h_pair_recurrence_log(ell, z[bad], kind)
         hm1[bad], hl[bad], s[bad] = bm1, bl, bs
+    zero = (hm1 == 0) | (hl == 0)
+    if np.any(zero):
+        # scipy's scaled AMOS form can return an exact 0 at large order in
+        # the lower half plane where the true value is far from 0 (order
+        # 110.5 at z = -60.79-35.09i, where hankel1 is -1.4e8+7.7e7i)
+        raise NumericalError(
+            f"scaled-Hankel false zero: AMOS returned exactly 0 for the order "
+            f"{ell} Hankel pair (kind {kind}) at z = {complex(z[zero][0]):.12g}")
     return hm1, hl, s
 
 

@@ -92,8 +92,9 @@ def test_locate_rejects_poles():
     (lambda zeros: zeros[1:], 3),
 ], ids=["surplus", "missing"])
 def test_locate_requires_zeros_to_match_the_winding(monkeypatch, change, located):
-    real = ct._dedup_zeros
-    monkeypatch.setattr(ct, "_dedup_zeros", lambda found, tol: change(real(found, tol)))
+    real = ct._zeros_inside
+    monkeypatch.setattr(ct, "_zeros_inside",
+                        lambda found, box, winding: real(change(found), box, winding))
     q = np.poly1d(np.poly([0.5 + 0.5j, -0.52 + 0.25j, 0.8 - 0.6j, -0.7 - 0.4j]))
     with pytest.raises(NumericalError,
                        match=rf"^located {located} zeros inside the box .* winding is 4$"):
@@ -103,9 +104,9 @@ def test_locate_requires_zeros_to_match_the_winding(monkeypatch, change, located
 def test_locate_keeps_only_zeros_inside_the_box_it_wound(monkeypatch):
     # a zero located outside the top box (a cluster centroid may land there)
     # is dropped rather than counted against the winding
-    real = ct._dedup_zeros
-    monkeypatch.setattr(ct, "_dedup_zeros",
-                        lambda found, tol: real(found, tol) + [(1.5 + 0j, 1)])
+    real = ct._zeros_inside
+    monkeypatch.setattr(ct, "_zeros_inside", lambda found, box, winding: real(
+        found + [(1.5 + 0j, 1)], box, winding))
     q = np.poly1d(np.poly([0.5 + 0.5j, -0.52 + 0.25j]))
     got = ct.locate_zeros(lambda z: q(z), ct.ContourBox(-1.2 - 1.2j, 1.2 + 1.2j), tol=1e-10)
     assert sorted(m for _, m in got) == [1, 1]
@@ -214,10 +215,18 @@ def test_locate_matches_companion_roots(roots):
         assert min(abs(z - w) for w in want) < 1e-7
 
 
-def test_dedup_merges_duplicates_split_by_a_distant_zero():
-    # 1e-13+5j sorts between the two duplicates by real part
-    got = ct._dedup_zeros([(0j, 1), (2e-13 + 1e-13j, 1), (1e-13 + 5j, 1)], 1e-9)
-    assert sorted(z.imag for z, _ in got) == [0.0, 5.0]
+@pytest.mark.parametrize("gap", [0.6, 1.0, 1.9])
+def test_locate_separates_simple_zeros_closer_than_two_tol(gap):
+    # each zero's multiplicity is its leaf box's winding; a circle of radius
+    # 2 tol around either zero would enclose both and count 2 for each
+    tol = 1e-9
+    want = [0.3 + 0.2j, 0.3 + 0.2j + gap * tol * cmath.exp(0.7j)]
+    got = ct.locate_zeros(lambda z: (z - want[0]) * (z - want[1]),
+                          ct.ContourBox(-1 - 1j, 1 + 1j), tol=tol)
+    assert [m for _, m in got] == [1, 1]
+    assert sorted(min(range(2), key=lambda i: abs(z - want[i])) for z, _ in got) == [0, 1]
+    for z, _ in got:
+        assert min(abs(z - w) for w in want) < tol
 
 
 # --- Jensen-type identities -------------------------------------------------

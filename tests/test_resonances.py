@@ -8,7 +8,7 @@ from scipy.special import spherical_jn, spherical_yn
 
 from resonance_atlas import contour as ct
 from resonance_atlas import resonances as rs
-from resonance_atlas.errors import NumericalError
+from resonance_atlas.errors import BoundaryConflictError, NumericalError
 
 WELL = rs.RadialStepPotential(a=1.0, v0=-20.0)
 
@@ -200,11 +200,10 @@ def test_resonances_lower_half_and_multiplicity(small_set):
 
 def test_located_zeros_have_unit_circle_winding(small_set):
     # each located resonance is a simple zero of the channel matcher
-    from resonance_atlas.contour import _circle_winding, _make_log_evaluator
     for r in small_set.resonances[:6]:
-        ev = _make_log_evaluator(rs.channel_matcher_log(r.ell, WELL), True)
-        w = _circle_winding(ev, r.lam, 1e-6, "resonance circle")
-        assert w == 1
+        box = ct.ContourBox(r.lam - (1e-6 + 1e-6j), r.lam + (1e-6 + 1e-6j))
+        assert ct.winding_count(rs.channel_matcher_log(r.ell, WELL), box,
+                                log_form=True) == 1
 
 
 def test_reflection_symmetry(small_set):
@@ -228,13 +227,12 @@ def test_cutoff_verified_empty(small_set):
 def test_channel_zeros_rejects_surplus_inside_frame(monkeypatch):
     # a zero more than the frame winding must not pass silently, and the
     # locator's message must name the channel
-    real = ct._dedup_zeros
+    real = ct._zeros_inside
 
-    def surplus(found, tol):
-        zeros = real(found, tol)
-        return zeros + [(zeros[0][0] + 1e-3, 1)]
+    def surplus(found, box, winding):
+        return real(found + [(found[0][0] + 1e-3, 1)], box, winding)
 
-    monkeypatch.setattr(ct, "_dedup_zeros", surplus)
+    monkeypatch.setattr(ct, "_zeros_inside", surplus)
     with pytest.raises(NumericalError, match="^channel 0: located 5 zeros.*winding is 4"):
         rs._channel_zeros(0, WELL, 6.0, 1e-6, 1e-9)
 
@@ -332,3 +330,16 @@ def test_scattering_growth_bounded_by_density():
         lam = r * cmath.exp(1j * theta)
         val = rs.scattering_log_det(WELL, lam) / r ** 3
         assert val <= angular_density_d3_closed(theta) + 0.05
+
+
+def test_reference_well_past_r43_solves_or_names_the_false_zero():
+    # scipy's scaled Hankel routine returns false zeros at the orders and
+    # arguments this solve needs; that must surface as the typed error that
+    # names them, never as a boundary conflict on a channel frame
+    try:
+        rset = rs.find_resonances(WELL, 44.0)
+    except NumericalError as exc:
+        assert not isinstance(exc, BoundaryConflictError)
+        assert "scaled-Hankel false zero" in str(exc)
+    else:
+        assert rset.resonances

@@ -1,0 +1,30 @@
+import importlib.util
+import json
+from pathlib import Path
+
+from resonance_atlas.resonances import RadialStepPotential
+
+_spec = importlib.util.spec_from_file_location(
+    "solve_sets", Path(__file__).resolve().parents[1] / "tools" / "solve_sets.py")
+solve_sets = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(solve_sets)
+
+
+def test_all_sets_are_the_46_named_solves():
+    names = [name for name, _, _ in solve_sets.all_sets()]
+    assert len(names) == len(set(names)) == 46
+
+
+def test_dump_compares_equal_to_itself_and_different_when_moved(tmp_path, capsys):
+    dumped = tmp_path / "a.json"
+    solve_sets.dump(dumped, [("v0=-20 R=3", RadialStepPotential(1.0, -20.0), 3.0)])
+    assert solve_sets.main(["compare", str(dumped), str(dumped)]) == 0
+    assert capsys.readouterr().out == "identical  v0=-20 R=3\n"
+
+    doc = json.loads(dumped.read_text())
+    assert doc["v0=-20 R=3"]["resonances"]
+    doc["v0=-20 R=3"]["resonances"][0][1] += 1e-12
+    moved = tmp_path / "b.json"
+    moved.write_text(json.dumps(doc))
+    assert solve_sets.main(["compare", str(dumped), str(moved)]) == 1
+    assert capsys.readouterr().out == "different  v0=-20 R=3\n"

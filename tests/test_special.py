@@ -7,6 +7,7 @@ import pytest
 from scipy.special import spherical_jn, spherical_yn
 
 from resonance_atlas import special as sp
+from resonance_atlas.errors import BoundaryConflictError, NumericalError
 
 
 def test_phase_at_branch_point():
@@ -194,6 +195,17 @@ def test_log_pair_survives_extreme_magnitudes():
         ref = mp.log(mp.sqrt(mp.pi / (2 * mp.mpc(z)))
                      * mp.hankel1(ell + mp.mpf(1) / 2, mp.mpc(z)))
         assert abs(mine.real - float(ref.real)) < 1e-10 * max(1, abs(mine.real))
+
+
+def test_hankel_pair_rejects_scaled_hankel_false_zero():
+    # scipy's hankel1e returns an exact 0 here; the true log h_110 is
+    # about 17.00-2.33i
+    z = -60.79 - 35.09j
+    with pytest.raises(NumericalError,
+                       match=r"scaled-Hankel false zero.* order 110 .*-60\.79-35\.09j"
+                       ) as info:
+        sp.sph_h_pair_log(110, np.array([1.0 - 1.0j, z]))
+    assert not isinstance(info.value, BoundaryConflictError)
 
 
 def test_gamma_real():

@@ -1,0 +1,98 @@
+"""Solve a fixed list of 46 resonance sets and compare two such dumps exactly.
+
+A change to the solver that should not change its output is checked by
+dumping the sets before and after and comparing the dumps:
+
+    PYTHONPATH=src python tools/solve_sets.py dump after.json
+    PYTHONPATH=../parent/src python tools/solve_sets.py dump before.json
+    PYTHONPATH=src python tools/solve_sets.py compare before.json after.json
+
+``dump`` writes, per set, ``ell_max`` and every (ell, Re lambda, Im lambda,
+multiplicity, residual), with floats written by ``repr`` so they read back
+exactly.  ``compare`` prints ``identical`` or ``different`` per set and exits
+with status 1 when any set differs or is missing from either file.
+
+The 46 sets: the a = 1, v0 = -20 reference well at R = 40; the 21 members of
+the acceptance family (v0 = -20 to -12+3i, 5 x 5 bump grid) at r = 25;
+v0 = -20 at R = 6 and 8; v0 = -5 at R = 30; v0 = -1e-12 at R = 20; the free
+well at R = 12 and 40; and the 9 members of the 3 x 3 family grid at r = 6
+with their conj(v0) re-solves.  The whole dump runs in one process and
+takes about 90 s on a 2-core Xeon VM.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+
+from resonance_atlas.counting import FamilyExperiment
+from resonance_atlas.resonances import RadialStepPotential, find_resonances
+
+REFERENCE = RadialStepPotential(1.0, -20.0)
+FAMILY_END = RadialStepPotential(1.0, complex(-12.0, 3.0))
+
+
+def _family(r: float, n: int) -> list[RadialStepPotential]:
+    exp = FamilyExperiment.on_bump_grid(REFERENCE, FAMILY_END, r=r, n=n,
+                                        bump_radius=0.5)
+    return [exp.potential_at(exp.zs[i]) for i in exp.active_indices()]
+
+
+def all_sets() -> list[tuple[str, RadialStepPotential, float]]:
+    """(name, potential, search radius) of the 46 sets."""
+    sets = [("reference R=40", REFERENCE, 40.0)]
+    sets += [(f"family r=25 v0={complex(p.v0)!r}", p, 25.0) for p in _family(25.0, 5)]
+    sets += [("v0=-20 R=6", REFERENCE, 6.0), ("v0=-20 R=8", REFERENCE, 8.0),
+             ("v0=-5 R=30", RadialStepPotential(1.0, -5.0), 30.0),
+             ("v0=-1e-12 R=20", RadialStepPotential(1.0, -1e-12), 20.0),
+             ("free R=12", RadialStepPotential(1.0, 0.0), 12.0),
+             ("free R=40", RadialStepPotential(1.0, 0.0), 40.0)]
+    for p in _family(6.0, 3):
+        conj = RadialStepPotential(p.a, p.v0.conjugate())
+        sets += [(f"complex_family r=6 v0={complex(p.v0)!r}", p, 6.0),
+                 (f"complex_family r=6 v0={complex(conj.v0)!r} (conj)", conj, 6.0)]
+    return sets
+
+
+def solve(pot: RadialStepPotential, R: float) -> dict:
+    rset = find_resonances(pot, R)
+    return {"ell_max": rset.ell_max,
+            "resonances": [[r.ell, r.lam.real, r.lam.imag, r.multiplicity, r.residual]
+                           for r in rset.resonances]}
+
+
+def dump(path, sets=None) -> None:
+    doc = {name: solve(pot, R) for name, pot, R in (sets or all_sets())}
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=1)
+        f.write("\n")
+
+
+def compare(path_a, path_b) -> int:
+    """Print identical/different per set; 1 if any set differs, else 0."""
+    with open(path_a) as f:
+        a = json.load(f)
+    with open(path_b) as f:
+        b = json.load(f)
+    status = 0
+    for name in list(a) + [n for n in b if n not in a]:
+        same = name in a and name in b and a[name] == b[name]
+        print(f"{'identical' if same else 'different'}  {name}")
+        status |= not same
+    return status
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) == 2 and args[0] == "dump":
+        dump(args[1])
+        return 0
+    if len(args) == 3 and args[0] == "compare":
+        return compare(args[1], args[2])
+    print("usage: solve_sets.py dump OUT.json | compare A.json B.json",
+          file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())
