@@ -5,7 +5,7 @@ sampled closed paths.  A step is rejected and refined whenever the phase
 jumps by more than pi/2 between adjacent samples, which makes missing a full
 turn impossible for analytic integrands: sneaking past a zero would force a
 near-pi step on the neighbouring intervals first.  A minimum-modulus guard
-converts "zero on the contour" into a typed error so callers can perturb.
+turns "zero on the contour" into a typed error; the locator then moves it.
 A box boundary is four such sampled edges, so the zero-finding quadtree
 samples only the cross through each split point: the children inherit the
 halves of their parent's edges.
@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_IRR = math.sqrt(2.0) - 1.0
+_MOVES = 7  # a contour that runs into a zero is moved at most this often
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +52,6 @@ class ContourBox:
 
     lower_left: complex
     upper_right: complex
-    winding: int | None = None
     depth: int = 0
 
     def __post_init__(self):
@@ -100,15 +101,14 @@ class ContourBox:
 # ---------------------------------------------------------------------------
 
 def _make_log_evaluator(f, log_form: bool):
-    """Wrap f into a vectorized z-array -> log f(z) evaluator."""
+    """Wrap f, which maps an array of points to an array of the same shape,
+    into a z-array -> log f(z) evaluator."""
 
     def evaluate(zs: np.ndarray) -> np.ndarray:
-        try:
-            vals = np.asarray(f(zs), dtype=complex)
-            if vals.shape != zs.shape:
-                raise TypeError
-        except TypeError:
-            vals = np.array([complex(f(complex(z))) for z in zs])
+        vals = np.asarray(f(zs), dtype=complex)
+        if vals.shape != zs.shape:
+            raise TypeError("f must map an array of points to an array of "
+                            f"the same shape; got shape {vals.shape} for {zs.shape}")
         if log_form:
             return vals
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -252,20 +252,17 @@ def _moment(edges, n_zeros: int) -> complex:
     return sum(e.moment() for e in edges) / (2j * math.pi * n_zeros)
 
 
-def winding_count(f, box: ContourBox, samples: int = 32, *,
-                  log_form: bool = False, guard: float = 1e-3) -> int:
+def winding_count(f, box: ContourBox, *, log_form: bool = False) -> int:
     """Number of zeros of f inside the box, counted with multiplicity.
 
-    f must be holomorphic on a neighbourhood of the closed box with no zero
-    within ``guard * diameter`` of the boundary; a suspected boundary zero
-    raises BoundaryConflictError.  ``samples`` sets the initial sampling of
-    the whole boundary loop.
+    f maps an array of points to an array of the same shape (of log f with
+    ``log_form``), holomorphic near the closed box with no zero within 1e-3
+    times the diameter of the boundary; a suspected boundary zero raises
+    BoundaryConflictError.  The loop is first sampled at 32 points.
     """
-    eval_w = _make_log_evaluator(f, log_form)
-    box.winding = _winding(_box_edges(
-        eval_w, box, _spacing(box, samples), guard * box.diameter,
-        f"winding over {box.lower_left}..{box.upper_right}"))
-    return box.winding
+    return _winding(_box_edges(
+        _make_log_evaluator(f, log_form), box, _spacing(box, 32),
+        1e-3 * box.diameter, f"winding over {box.lower_left}..{box.upper_right}"))
 
 
 # ---------------------------------------------------------------------------
@@ -315,59 +312,56 @@ def _newton_polish(eval_w, z0: complex, mult: int, tol: float, bound_check):
     return zb if step < tol else None
 
 
-def _winding_with_perturbation(eval_w, box: ContourBox, samples: int,
-                               tol: float, what: str,
-                               ceiling: float | None = None,
-                               guard_dist: float | None = None):
-    """Winding of a box, expanding it slightly on boundary conflicts.
-
-    Returns (winding, effective_box, edges).  Expansion never loses interior
-    zeros; it may capture a zero just outside the requested box.  The
-    effective box's winding counts that zero, so ``locate_zeros``, which
-    keeps exactly the zeros inside the effective box, returns it too.  A
-    ceiling keeps the expanded top edge below a line
-    the caller must not cross; guard_dist overrides the default minimum
-    zero-to-contour distance of 1e-3 times the diameter (large sweep
-    contours legitimately pass close to zeros they enclose).
-    """
-    margin0 = max(tol, 2e-3 * box.diameter)
-    last = None
-    for attempt in range(8):
-        if attempt == 0:
-            eff = box
-        else:
-            # expand outward and shift a little so retries do not keep
-            # marching toward the same external zero
-            m = margin0 * attempt * (math.sqrt(2) - 1.0)
-            shift = complex(m / 3.0 * ((attempt % 3) - 1),
-                            -m / 5.0 * (attempt % 2))
-            ll = box.lower_left - complex(m, m) + shift
-            ur = box.upper_right + complex(m, m) + shift
-            if ceiling is not None:
-                ur = complex(ur.real, min(ur.imag, ceiling))
-            eff = ContourBox(ll, ur, depth=box.depth)
+def _moved(what: str, attempt):
+    """attempt(k) for the first move k = 0, 1, ..., _MOVES of the contour that
+    raises no BoundaryConflictError; move k shifts it by k (sqrt 2 - 1) steps."""
+    for k in range(_MOVES + 1):
         try:
-            edges = _box_edges(
-                eval_w, eff, _spacing(eff, samples),
-                guard_dist if guard_dist is not None else 1e-3 * eff.diameter,
-                what)
-            return _winding(edges), eff, edges
+            return attempt(k)
         except BoundaryConflictError as exc:
             last = exc
     raise BoundaryConflictError(
-        f"{what}: persistent boundary conflicts after perturbation") from last
+        f"{what}: boundary conflicts persist after {_MOVES} moves; last: {last}") from last
+
+
+def _winding_with_perturbation(eval_w, box: ContourBox, samples: int, what: str,
+                               ceiling: float = math.inf,
+                               guard_dist: float | None = None):
+    """Winding of a box, grown on boundary conflicts.
+
+    Returns (winding, effective_box, edges).  Move k (``_moved``) grows the
+    box on every side by k (sqrt 2 - 1) times 2e-3 of its diameter, with its
+    top edge clamped at ``ceiling``, a line the caller must not cross.
+    Growth never loses interior zeros; it may capture a zero just outside
+    the requested box.  The effective box's winding counts that zero, so
+    ``locate_zeros``, which keeps exactly the zeros inside the effective
+    box, returns it too.  guard_dist overrides the default minimum
+    zero-to-contour distance of 1e-3 times the diameter (large sweep
+    contours legitimately pass close to zeros they enclose).
+    """
+    def attempt(k):
+        m = complex(1.0, 1.0) * (2e-3 * box.diameter * k * _IRR)
+        ur = box.upper_right + m
+        eff = ContourBox(box.lower_left - m, complex(ur.real, min(ur.imag, ceiling)),
+                         depth=box.depth)
+        guard = guard_dist if guard_dist is not None else 1e-3 * eff.diameter
+        edges = _box_edges(eval_w, eff, _spacing(eff, samples), guard, what)
+        return _winding(edges), eff, edges
+
+    return _moved(what, attempt)
 
 
 def locate_zeros(f, box: ContourBox, tol: float, *,
                  log_form: bool = False, samples: int = 32,
-                 ceiling: float | None = None,
+                 ceiling: float = math.inf,
                  guard_dist: float | None = None):
     """All zeros of f inside the box, as (location, multiplicity) pairs.
 
-    Quadrisects recursively down to leaf boxes: boxes of winding 1 or of
-    diameter below ``tol``.  By the argument principle a leaf's winding w
-    counts its zeros with multiplicity, so w is the multiplicity of the
-    leaf's zero: a winding-1 leaf holds one simple zero, and a leaf below
+    f maps an array of points to an array of the same shape (of log f with
+    ``log_form``).  Quadrisects recursively down to leaf boxes: boxes of
+    winding 1 or of diameter below ``tol``.  By the argument principle a
+    leaf's winding w counts its zeros with multiplicity, so w is the
+    multiplicity of the leaf's zero: a winding-1 leaf holds one simple zero, and a leaf below
     ``tol`` holds a cluster that is reported as one zero of multiplicity w.
     The zero's location is the secant iterate for multiplicity w seeded by
     the first moment of the leaf's edges, accepted only inside the leaf's
@@ -393,7 +387,7 @@ def locate_zeros(f, box: ContourBox, tol: float, *,
     eval_w = _make_log_evaluator(f, log_form)
     found: list[tuple[complex, int]] = []
     top_w, top_box, top_edges = _winding_with_perturbation(
-        eval_w, box, samples, tol, "locate_zeros top box", ceiling, guard_dist)
+        eval_w, box, samples, "locate_zeros top box", ceiling, guard_dist)
     spacing = _spacing(top_box, samples)
     stack = [(top_box, top_w, top_edges)]
     while stack:
@@ -456,36 +450,35 @@ def _split_box(eval_w, b: ContourBox, w: int, edges, spacing: float,
     Only the cross through the split point is sampled, at ``spacing``; the
     children inherit the halves of b's edges, which have passed their
     refinement and guard checks already, so only the cross can run into a
-    zero, and then the split point is jittered.  Cutting an outer edge
-    inserts one sample, whose two phase steps replace one trusted step; a
-    wrong wrap there is the only way the children's windings can fail to
-    sum to w, so that sum is checked, and a failing split jittered as well.
+    zero.  Cutting an outer edge inserts one sample, whose two phase steps
+    replace one trusted step; a wrong wrap there is the only way the
+    children's windings can fail to sum to w, so that sum is checked too.
+    Either conflict moves the split point (``_moved``) by k (sqrt 2 - 1)
+    sixteenths of b's width along the diagonal.
     """
     if b.depth > 60:
         raise NumericalError(f"subdivision depth exhausted at {b.center:.6g}")
     guard = guard_dist if guard_dist is not None else 0.5e-3 * b.diameter
-    problem = None
-    for attempt in range(5):
-        children = b.quadrisect(b.width * (math.sqrt(2) - 1.0) / 16.0 * attempt)
+    what = f"cross of box at {b.center:.6g}"
+
+    def attempt(k):
+        children = b.quadrisect(b.width * _IRR / 16.0 * k)
         c = children[0].upper_right
         ends = [children[1].lower_left, children[1].upper_right,
                 children[2].upper_right, children[2].lower_left]
-        try:
-            arms = _sampled_edges(eval_w, [(c, e) for e in ends], spacing, guard,
-                                  f"cross of box at {b.center:.6g}")
-        except BoundaryConflictError as exc:
-            problem = exc
-            continue
+        arms = _sampled_edges(eval_w, [(c, e) for e in ends], spacing, guard, what)
         ab, ar, at, al = arms
         (b1, b2), (r1, r2), (t1, t2), (l1, l2) = [
             edge.cut(arm.zs[-1], arm.ws[-1]) for edge, arm in zip(edges, arms)]
         loops = [(b1, ab.reversed(), al, l2), (b2, r1, ar.reversed(), ab),
                  (al.reversed(), at, t2, l1), (ar, r2, t1, at.reversed())]
         windings = [_winding(loop) for loop in loops]
-        if sum(windings) == w:
-            return list(zip(children, windings, loops))
-        problem = f"its children's windings {windings} do not sum to {w}"
-    raise NumericalError(f"could not split box at {b.center:.6g}: {problem}")
+        if sum(windings) != w:
+            raise BoundaryConflictError(
+                f"its children's windings {windings} do not sum to {w}")
+        return list(zip(children, windings, loops))
+
+    return _moved(what, attempt)
 
 
 # ---------------------------------------------------------------------------
@@ -546,12 +539,12 @@ class JensenTestCase:
         return acc
 
 
-def jensen_residual(tc: JensenTestCase, r: float, quad_tol: float = 1e-10) -> float:
+def jensen_residual(tc: JensenTestCase, r: float) -> float:
     """Residual of the half-plane Jensen-type identity at radius r.
 
     Left side: sum of ln(r/|a|) over zeros with |a| <= r (closed form).
     Right side: (1/2pi) Im int_0^r (1/t) int_{-t}^{t} f'/f ds dt plus
-    (1/2pi) int_0^pi ln|f(r e^{i theta})| d theta, both by quadrature.
+    (1/2pi) int_0^pi ln|f(r e^{i theta})| d theta, both by quadrature to 1e-10.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
@@ -566,14 +559,14 @@ def jensen_residual(tc: JensenTestCase, r: float, quad_tol: float = 1e-10) -> fl
         inner = tc.ray_log_increment(t, 0.0) - tc.ray_log_increment(t, math.pi)
         return inner.imag / t
 
-    term1 = _quad(real_axis_term, 0.0, r, quad_tol, "jensen real-axis term") / _TWO_PI
+    term1 = _quad(real_axis_term, 0.0, r, "jensen real-axis term") / _TWO_PI
     term2 = _quad(lambda th: tc.log_abs(r * cmath.exp(1j * th)), 0.0, math.pi,
-                  quad_tol, "jensen arc term") / _TWO_PI
+                  "jensen arc term") / _TWO_PI
     return abs(lhs - (term1 + term2))
 
 
-def sector_jensen_residual(tc: JensenTestCase, r: float, phi: float, theta: float,
-                           quad_tol: float = 1e-10) -> float:
+def sector_jensen_residual(tc: JensenTestCase, r: float, phi: float,
+                           theta: float) -> float:
     """Residual of the sector zero-counting identity at radius r.
 
     The three right-hand terms: the theta-derivative of the logarithmic means
@@ -605,10 +598,10 @@ def sector_jensen_residual(tc: JensenTestCase, r: float, phi: float, theta: floa
             return 0.0
         return tc.ray_log_increment(t, phi).imag / t
 
-    term1 = _quad(dtheta_term, 0.0, r, quad_tol, "sector d/dtheta term") / _TWO_PI
-    term2 = _quad(argvar_term, 0.0, r, quad_tol, "sector ray term") / _TWO_PI
+    term1 = _quad(dtheta_term, 0.0, r, "sector d/dtheta term") / _TWO_PI
+    term2 = _quad(argvar_term, 0.0, r, "sector ray term") / _TWO_PI
     term3 = _quad(lambda om: tc.log_abs(r * cmath.exp(1j * om)), phi, theta,
-                  quad_tol, "sector arc term") / _TWO_PI
+                  "sector arc term") / _TWO_PI
     return abs(lhs - (term1 + term2 + term3))
 
 
@@ -653,8 +646,8 @@ def jensen_suite(cases: int = 20, seed: int = 20260809):
             randomized)
 
 
-def _quad(fn, a, b, tol, what):
-    value, err, info, *rest = quad(fn, a, b, epsabs=tol, epsrel=tol,
+def _quad(fn, a, b, what):
+    value, err, info, *rest = quad(fn, a, b, epsabs=1e-10, epsrel=1e-10,
                                    limit=300, full_output=1)
     if rest:
         raise QuadratureError(f"{what}: {rest[0].strip()}",

@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import (
-    DEFAULT_QUAD,
-    QuadratureSpec,
-    near_axis_coefficient,
-    sector_density,
-    weyl_constant,
-)
+from .density import near_axis_coefficient, sector_density, weyl_constant
 from .resonances import (
     RadialStepPotential,
     ResonanceSet,
@@ -127,17 +121,15 @@ def integrated_count(rset: ResonanceSet, r: float) -> float:
 # Predictions
 # ---------------------------------------------------------------------------
 
-def predict_total(d: int, a: float, r: float,
-                  spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def predict_total(d: int, a: float, r: float) -> float:
     """Leading term of the full lower-half-plane count: c_d (a r)^d."""
-    return weyl_constant(d, spec) * (a * r) ** d
+    return weyl_constant(d) * (a * r) ** d
 
 
 _ANGLE_EPS = 1e-12
 
 
-def predict_sector(d: int, a: float, q: SectorQuery,
-                   spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def predict_sector(d: int, a: float, q: SectorQuery) -> float:
     """Leading term of the sector count for the given query.
 
     Interior sectors use the sector density over (2 pi d); sectors touching
@@ -154,12 +146,12 @@ def predict_sector(d: int, a: float, q: SectorQuery,
     at_pi = phi < _ANGLE_EPS
     at_2pi = theta > math.pi - _ANGLE_EPS
     if at_pi and at_2pi:
-        return weyl_constant(d, spec) * scale
+        return weyl_constant(d) * scale
     if at_pi:
-        return near_axis_coefficient(d, theta, spec) * scale
+        return near_axis_coefficient(d, theta) * scale
     if at_2pi:
-        return near_axis_coefficient(d, math.pi - phi, spec) * scale
-    return sector_density(d, phi, theta, spec) / (2.0 * math.pi * d) * scale
+        return near_axis_coefficient(d, math.pi - phi) * scale
+    return sector_density(d, phi, theta) / (2.0 * math.pi * d) * scale
 
 
 def fit_power_law(rs, values):
@@ -178,8 +170,7 @@ def fit_power_law(rs, values):
     return float(slope), float(math.exp(intercept))
 
 
-def compare_counts(rset: ResonanceSet, queries, r_grid,
-                   spec: QuadratureSpec = DEFAULT_QUAD) -> list[CountReport]:
+def compare_counts(rset: ResonanceSet, queries, r_grid) -> list[CountReport]:
     """Per-query reports with ratios, power-law fits, and bound flags."""
     d = 3
     a = rset.potential.a
@@ -187,10 +178,10 @@ def compare_counts(rset: ResonanceSet, queries, r_grid,
     if r_grid and r_grid[-1] > rset.search_radius * (1 + 1e-12):
         raise ValueError("r grid exceeds the search radius")
     reports = []
-    cd = weyl_constant(d, spec)
+    cd = weyl_constant(d)
     for q in queries:
         empirical = count_sector(rset, q)
-        predicted = predict_sector(d, a, q, spec)
+        predicted = predict_sector(d, a, q)
         ratio = empirical / predicted if predicted > 0 else math.nan
         series = [count_sector(rset, SectorQuery(r, q.phi, q.theta))
                   for r in r_grid]
@@ -329,8 +320,7 @@ def family_average(exp: FamilyExperiment, q: SectorQuery) -> float:
     return total
 
 
-def family_prediction(exp: FamilyExperiment, q: SectorQuery,
-                      spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def family_prediction(exp: FamilyExperiment, q: SectorQuery) -> float:
     """The averaged-count leading term: sector coefficient times psi mass."""
     mass = float(np.dot(exp.weights, exp.psi))
-    return predict_sector(3, exp.base.a, q, spec) * mass
+    return predict_sector(3, exp.base.a, q) * mass

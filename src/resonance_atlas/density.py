@@ -259,27 +259,25 @@ def weyl_constant_2d(d: int, abs_tol: float = 5e-7) -> float:
     return coeff * 2.0 * total  # doubled for x < 0
 
 
-def _density_integral(d: int, lo: float, hi: float, spec: QuadratureSpec) -> float:
+def _density_integral(d: int, lo: float, hi: float) -> float:
     """integral of the angular density over [lo, hi] inside [0, pi]."""
-    return _quad_checked(lambda th: angular_density(d, th, spec), lo, hi, spec,
+    return _quad_checked(lambda th: angular_density(d, th), lo, hi, DEFAULT_QUAD,
                          f"density integral over [{lo:.6g}, {hi:.6g}]",
                          abs_tol=1e-9)
 
 
-def sector_density(d: int, phi: float, theta: float,
-                   spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def sector_density(d: int, phi: float, theta: float) -> float:
     """h'(theta) - h'(phi) + d^2 * integral of h over [phi, theta]."""
     _check_dimension(d)
     if not 0.0 < phi < theta < math.pi:
         raise ValueError(
             f"sector angles must satisfy 0 < phi < theta < pi; got ({phi}, {theta})")
-    return (angular_density_deriv(d, theta, spec)
-            - angular_density_deriv(d, phi, spec)
-            + d * d * _density_integral(d, phi, theta, spec))
+    return (angular_density_deriv(d, theta)
+            - angular_density_deriv(d, phi)
+            + d * d * _density_integral(d, phi, theta))
 
 
-def near_axis_coefficient(d: int, theta: float,
-                          spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def near_axis_coefficient(d: int, theta: float) -> float:
     """(1/(2 pi d)) * [h'(theta) + d^2 * integral of h over (0, theta)].
 
     Multiplied by (a r)^d this is the leading count of resonances in the
@@ -288,8 +286,8 @@ def near_axis_coefficient(d: int, theta: float,
     _check_dimension(d)
     if not 0.0 < theta < math.pi:
         raise ValueError(f"angle must lie in (0, pi); got {theta}")
-    bracket = (angular_density_deriv(d, theta, spec)
-               + d * d * _density_integral(d, 0.0, theta, spec))
+    bracket = (angular_density_deriv(d, theta)
+               + d * d * _density_integral(d, 0.0, theta))
     return bracket / (2.0 * math.pi * d)
 
 

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contour import ContourBox, _winding_with_perturbation, locate_zeros
+from .contour import _IRR, ContourBox, _winding_with_perturbation, locate_zeros
 from .errors import EvaluationOverflowError, NumericalError
 from .special import _log_double_factorial, sph_h_pair_log, sph_j_pair_log
 
@@ -71,7 +71,6 @@ __all__ = [
     "scattering_log_det",
 ]
 
-_IRR = math.sqrt(2.0) - 1.0
 # The direct Wronskian is trusted while its condition number stays below
 # this (about 1e-11 relative error); beyond it the potential series is used.
 _DIRECT_COND_MAX = 1e5
@@ -386,11 +385,11 @@ def _frame_guard(delta_axis: float, zero_tol: float) -> float:
 
 def _frame_winding(ell: int, pot: RadialStepPotential, R: float,
                    delta_axis: float, zero_tol: float) -> int:
-    """Winding of channel ell's matcher around its search frame (grown
-    slightly if the frame runs into a zero)."""
+    """Winding of channel ell's matcher around its search frame (grown up
+    to the real axis if the frame runs into a zero)."""
     winding, _, _ = _winding_with_perturbation(
         channel_matcher_log(ell, pot), _search_frame(pot, R, delta_axis),
-        _frame_samples(pot, R), zero_tol, f"channel {ell} frame", -0.5 * delta_axis,
+        _frame_samples(pot, R), f"channel {ell} frame", 0.0,
         guard_dist=_frame_guard(delta_axis, zero_tol))
     return winding
 
@@ -403,18 +402,21 @@ def _channel_zeros(ell: int, pot: RadialStepPotential, R: float,
     try:
         return locate_zeros(
             channel_matcher_log(ell, pot), _search_frame(pot, R, delta_axis), zero_tol,
-            log_form=True, samples=_frame_samples(pot, R), ceiling=-0.5 * delta_axis,
+            log_form=True, samples=_frame_samples(pot, R), ceiling=0.0,
             guard_dist=_frame_guard(delta_axis, zero_tol))
     except NumericalError as exc:
         raise NumericalError(f"channel {ell}: {exc}") from exc
+
+
+def _delta_axis(pot: RadialStepPotential) -> float:
+    return 1e-6 / pot.a
 
 
 def _default_zero_tol(pot: RadialStepPotential, R: float) -> float:
     return 1e-9 * max(1.0, R * pot.a) / pot.a
 
 
-def ell_cutoff(pot: RadialStepPotential, R: float, *,
-               delta_axis: float | None = None) -> int:
+def ell_cutoff(pot: RadialStepPotential, R: float) -> int:
     """Smallest L with empty channels L+1, L+2, L+3 over the search frame.
 
     Starts from the generous guess ceil(1.5 R a + 2 sqrt(|v0|) a) + 10 and
@@ -423,7 +425,7 @@ def ell_cutoff(pot: RadialStepPotential, R: float, *,
     if R <= 0:
         raise ValueError("search radius must be positive")
     a = pot.a
-    delta = delta_axis if delta_axis is not None else 1e-6 / a
+    delta = _delta_axis(pot)
     tol = _default_zero_tol(pot, R)
     guess = int(math.ceil(1.5 * R * a + 2.0 * math.sqrt(abs(pot.v0)) * a)) + 10
 
@@ -461,9 +463,12 @@ def map_ordered(fn, arg_tuples, workers: int) -> list:
 
 
 def find_resonances(pot: RadialStepPotential, R: float, *,
-                    threads: int | None = None,
-                    delta_axis: float | None = None) -> ResonanceSet:
-    """Locate all resonances with |lambda| <= R, Im lambda < 0.
+                    threads: int | None = None) -> ResonanceSet:
+    """Locate all resonances with |lambda| <= R, Im lambda < -delta_axis.
+
+    The search frame's top edge is at -delta_axis = -1e-6 / a and rises to
+    the real axis only when the frame runs into a zero; the set does not
+    depend on that while the frame guard stays below delta_axis / 2 (R a < 125).
 
     Channels are independent work units and may be solved in separate
     processes; the merged set is identical for any thread count.  A located
@@ -472,18 +477,17 @@ def find_resonances(pot: RadialStepPotential, R: float, *,
     """
     if R <= 0:
         raise ValueError("search radius must be positive")
-    a = pot.a
-    delta = delta_axis if delta_axis is not None else 1e-6 / a
+    delta = _delta_axis(pot)
     tol = _default_zero_tol(pot, R)
     tolerances = {"zero_tol": tol, "delta_axis": delta, "residual_tol": _RESIDUAL_TOL}
-    cutoff = ell_cutoff(pot, R, delta_axis=delta)
+    cutoff = ell_cutoff(pot, R)
     ells = range(cutoff + 1)
     results = map_ordered(_channel_zeros, [(ell, pot, R, delta, tol) for ell in ells],
                           threads or 1)
 
     resonances: list[Resonance] = []
     for ell, zeros in zip(ells, results):
-        zs = [(z, m) for z, m in zeros if abs(z) <= R and z.imag < -delta / 2]
+        zs = [(z, m) for z, m in zeros if abs(z) <= R and z.imag < -delta]
         if not zs:
             continue
         lams = np.array([z for z, _ in zs])
@@ -505,17 +509,15 @@ def find_resonances(pot: RadialStepPotential, R: float, *,
 # Scattering determinant
 # ---------------------------------------------------------------------------
 
-def scattering_log_det(pot: RadialStepPotential, lam: complex,
-                       ell_limit: int | None = None,
-                       rel_tol: float = 1e-10,
-                       pole_guard: float = 1e-12) -> float:
+def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
     """ln |det S_V(lambda)| for Im lambda >= 0, by channel summation.
 
     Each channel contributes (2 ell + 1) ln |S_ell| with
     S_ell = -W_ell^(2) / W_ell (the incoming-wave Wronskian over the outgoing
     one); the normalizing factors of the matcher cancel in the ratio.
-    Summation stops once ten consecutive channels contribute less than
-    rel_tol of the running total (only after ell has passed |lambda| a).
+    Summation stops once ten consecutive channels contribute less than 1e-10
+    of the running total (only after ell has passed |lambda| a); a sum that
+    has not settled by ell = 2000 raises NumericalError.
     """
     lam = complex(lam)
     if lam == 0:
@@ -530,24 +532,20 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex,
     arr = np.array([lam, lam * (1.0 + 1e-4), lam * (1.0 - 1e-4)])
     total = 0.0
     quiet = 0
-    lmax = ell_limit if ell_limit is not None else 2000
-    for ell in range(lmax + 1):
+    for ell in range(2001):
         w1 = channel_matcher_log(ell, pot, kind=1)(arr)
         w2 = channel_matcher_log(ell, pot, kind=2)(np.array([lam]))[0]
         if not (np.all(np.isfinite(w1)) and np.isfinite(w2)):
             raise NumericalError(f"channel {ell}: matcher not finite at {lam}")
-        if w1[0].real - max(w1[1].real, w1[2].real) < math.log(pole_guard):
+        if w1[0].real - max(w1[1].real, w1[2].real) < math.log(1e-12):
             raise NumericalError(
                 f"channel {ell}: |W_ell| vanishes at lambda={lam} (S-matrix pole)")
         term = (2 * ell + 1) * (w2.real - w1[0].real)
         total += term
-        if ell_limit is None:
-            if ell > abs(lam) * pot.a and abs(term) < rel_tol * max(abs(total), 1.0):
-                quiet += 1
-                if quiet >= 10:
-                    return total
-            else:
-                quiet = 0
-    if ell_limit is None:
-        raise NumericalError(f"channel sum did not settle by ell = {lmax}")
-    return total
+        if ell > abs(lam) * pot.a and abs(term) < 1e-10 * max(abs(total), 1.0):
+            quiet += 1
+            if quiet >= 10:
+                return total
+        else:
+            quiet = 0
+    raise NumericalError("channel sum did not settle by ell = 2000")

@@ -18,7 +18,6 @@ def test_box_validation():
 def test_winding_double_zero():
     box = ct.ContourBox(0 - 2j, 2 + 0j)
     assert ct.winding_count(lambda z: (z - (1 - 1j)) ** 2, box) == 2
-    assert box.winding == 2
 
 
 def test_winding_nonvanishing():
@@ -40,6 +39,11 @@ def test_winding_boundary_zero_conflict():
     box = ct.ContourBox(-1 - 1j, 1 + 1j)
     with pytest.raises(BoundaryConflictError):
         ct.winding_count(lambda z: z - 1.0, box)  # zero on the edge
+
+
+def test_winding_rejects_f_that_does_not_map_arrays():
+    with pytest.raises(TypeError, match="array of the same shape"):
+        ct.winding_count(lambda z: 1.0, ct.ContourBox(-1 - 1j, 1 + 1j))
 
 
 def test_winding_additive_under_subdivision():
@@ -132,6 +136,24 @@ def test_locate_with_zero_just_above_pinned_top_edge():
     for z, mult in got:
         assert mult == 1
         assert min(abs(z - w) for w in want) < 1e-10
+
+
+@pytest.mark.parametrize("on_edge", [-1 + 0.3j, 0.4 + 1j, 1 + 1j],
+                         ids=["left edge", "top edge", "corner"])
+def test_locate_grows_the_top_box_off_a_zero_on_its_boundary(on_edge):
+    want = [on_edge, 0.2 + 0.1j, -0.3 - 0.5j]
+    q = np.poly1d(np.poly(want))
+    got = ct.locate_zeros(lambda z: q(z), ct.ContourBox(-1 - 1j, 1 + 1j), tol=1e-10)
+    assert [m for _, m in got] == [1, 1, 1]
+    for w in want:
+        assert min(abs(z - w) for z, _ in got) < 1e-10
+
+
+def test_locate_gives_up_after_the_last_move_of_the_top_box():
+    with pytest.raises(BoundaryConflictError,
+                       match=rf"^locate_zeros top box: .* after {ct._MOVES} moves"):
+        ct.locate_zeros(lambda z: np.full(z.shape, np.nan),
+                        ct.ContourBox(-1 - 1j, 1 + 1j), tol=1e-10)
 
 
 def test_cut_edge_keeps_its_log_increment():

@@ -251,6 +251,20 @@ def test_channel_zeros_winds_its_frame_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_frame_rises_to_the_axis_past_a_resonance_near_its_top_edge():
+    # the l = 2 pair near +-0.058 - 7.5e-7i is within the frame guard of both
+    # the frame's top edge at -1e-6 and the line -5e-7: the grown frame must
+    # reach the real axis, and zeros above -1e-6 stay unreported
+    out = rs.find_resonances(rs.RadialStepPotential(1.0, -20.1851), 2.0)
+    assert all(r.lam.imag < -1e-6 for r in out.resonances)
+    # a pair just below the excluded band is still reported
+    out = rs.find_resonances(rs.RadialStepPotential(1.0, -20.18), 2.0)
+    for want in (-0.0802 - 2.75e-6j, 0.0802 - 2.75e-6j):
+        assert any(abs(r.lam.real - want.real) < 1e-4
+                   and abs(r.lam.imag - want.imag) < 1e-8
+                   for r in out.resonances if r.ell == 2)
+
+
 def test_find_resonances_rejects_residual_above_tolerance(monkeypatch):
     # a zero located 1e-3 off must fail the residual_tol the set records
     real = rs.locate_zeros
