@@ -123,6 +123,28 @@ def angular_density_tail_bound(d: int, radius: float) -> float:
     return 8.0 / math.factorial(d - 2) * radius ** (1 - d) / (d - 1)
 
 
+def _radial_integral(d: int, theta: float, spec: QuadratureSpec, what: str, f) -> float:
+    """(4/(d-2)!) times the integral of f(t e^{i theta}) / t^(d+1) dt from
+    the critical curve |z0(theta)| to the truncation radius, in x = ln t."""
+    t0 = critical_curve_modulus(theta)
+    T = max(spec.radius_for(d), 4.0 * t0)
+    eith = cmath.exp(1j * theta)
+
+    def integrand(x):
+        return f(math.exp(x) * eith) * math.exp(-d * x)
+
+    fact = math.factorial(d - 2)
+    raw = _quad_checked(integrand, math.log(t0), math.log(T), spec,
+                        f"{what}(d={d}, theta={theta:.6g})",
+                        abs_tol=spec.abs_tol * fact / 4.0 * 0.45)
+    return 4.0 / fact * raw
+
+
+def _minus_re_phase(z: complex) -> float:
+    v = -bessel_phase(z).real
+    return 0.0 if v < 0.0 else v  # roundoff just outside the curve
+
+
 def angular_density(d: int, theta: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
     """The angular density at theta in [0, pi]; exactly 0 at the endpoints."""
     _check_dimension(d)
@@ -130,22 +152,7 @@ def angular_density(d: int, theta: float, spec: QuadratureSpec = DEFAULT_QUAD) -
         raise ValueError(f"angle must lie in [0, pi]; got {theta}")
     if theta == 0.0 or theta == math.pi:
         return 0.0
-    t0 = critical_curve_modulus(theta)
-    T = max(spec.radius_for(d), 4.0 * t0)
-    eith = cmath.exp(1j * theta)
-
-    def integrand(x):
-        t = math.exp(x)
-        v = -bessel_phase(t * eith).real
-        if v < 0.0:  # roundoff just outside the curve
-            v = 0.0
-        return v * math.exp(-d * x)
-
-    fact = math.factorial(d - 2)
-    raw = _quad_checked(integrand, math.log(t0), math.log(T), spec,
-                        f"angular_density(d={d}, theta={theta:.6g})",
-                        abs_tol=spec.abs_tol * fact / 4.0 * 0.45)
-    return 4.0 / fact * raw
+    return _radial_integral(d, theta, spec, "angular_density", _minus_re_phase)
 
 
 def angular_density_d3_closed(theta: float) -> float:
@@ -162,6 +169,10 @@ def angular_density_d3_closed(theta: float) -> float:
     return 4.0 / 9.0 * (math.sin(3.0 * theta) + (w ** 3).real / m ** 3)
 
 
+def _dtheta_minus_re_phase(z: complex) -> float:
+    return (1j * (cmath.sqrt(1.0 - z) * cmath.sqrt(1.0 + z))).real
+
+
 def angular_density_deriv(d: int, theta: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
     """d/dtheta of the angular density, for theta strictly inside (0, pi).
 
@@ -172,21 +183,8 @@ def angular_density_deriv(d: int, theta: float, spec: QuadratureSpec = DEFAULT_Q
     _check_dimension(d)
     if not 0.0 < theta < math.pi:
         raise ValueError(f"angle must lie in (0, pi); got {theta}")
-    t0 = critical_curve_modulus(theta)
-    T = max(spec.radius_for(d), 4.0 * t0)
-    eith = cmath.exp(1j * theta)
-
-    def integrand(x):
-        t = math.exp(x)
-        z = t * eith
-        w = cmath.sqrt(1.0 - z) * cmath.sqrt(1.0 + z)
-        return (1j * w).real * math.exp(-d * x)
-
-    fact = math.factorial(d - 2)
-    raw = _quad_checked(integrand, math.log(t0), math.log(T), spec,
-                        f"angular_density_deriv(d={d}, theta={theta:.6g})",
-                        abs_tol=spec.abs_tol * fact / 4.0 * 0.45)
-    return 4.0 / fact * raw
+    return _radial_integral(d, theta, spec, "angular_density_deriv",
+                            _dtheta_minus_re_phase)
 
 
 def angular_density_deriv_at_zero(d: int) -> float:

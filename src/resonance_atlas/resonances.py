@@ -56,7 +56,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contour import _IRR, ContourBox, _winding_with_perturbation, locate_zeros
+from .contour import _IRR, ContourBox, locate_zeros
+# not called here; kept importable because perfbench/tracing.py wraps it by name
+from .contour import _winding_with_perturbation  # noqa: F401
 from .errors import EvaluationOverflowError, NumericalError
 from .special import _log_double_factorial, sph_h_pair_log, sph_j_pair_log
 
@@ -354,7 +356,15 @@ def channel_matcher_log(ell: int, pot: RadialStepPotential, kind: int = 1):
 # Search geometry
 # ---------------------------------------------------------------------------
 
-def _search_frame(pot: RadialStepPotential, R: float, delta_axis: float) -> ContourBox:
+def _delta_axis(pot: RadialStepPotential) -> float:
+    return 1e-6 / pot.a
+
+
+def _default_zero_tol(pot: RadialStepPotential, R: float) -> float:
+    return 1e-9 * max(1.0, R * pot.a) / pot.a
+
+
+def _search_frame(pot: RadialStepPotential, R: float) -> ContourBox:
     """The box every channel's zeros are sought in.
 
     It covers the lower half disk |lambda| <= R from just below the real axis
@@ -363,6 +373,7 @@ def _search_frame(pot: RadialStepPotential, R: float, delta_axis: float) -> Cont
     left edge carries an irrational-ratio offset so that it does not
     coincide with a symmetry axis of the zero set.
     """
+    delta_axis = _delta_axis(pot)
     step = min(1.0, R * pot.a / 16.0) / pot.a
     x0 = -(R + step) + _IRR / 2.0 * step
     nx = int(math.ceil(((R + step) - x0) / step))
@@ -379,76 +390,26 @@ def _frame_samples(pot: RadialStepPotential, R: float) -> int:
     return max(96, int(10 * R * pot.a))
 
 
-def _frame_guard(delta_axis: float, zero_tol: float) -> float:
-    return max(0.4 * delta_axis, 4.0 * zero_tol)
+def _frame_guard(pot: RadialStepPotential, R: float) -> float:
+    return max(0.4 * _delta_axis(pot), 4.0 * _default_zero_tol(pot, R))
 
 
-def _frame_winding(ell: int, pot: RadialStepPotential, R: float,
-                   delta_axis: float, zero_tol: float) -> int:
-    """Winding of channel ell's matcher around its search frame (grown up
-    to the real axis if the frame runs into a zero)."""
-    winding, _, _ = _winding_with_perturbation(
-        channel_matcher_log(ell, pot), _search_frame(pot, R, delta_axis),
-        _frame_samples(pot, R), f"channel {ell} frame", 0.0,
-        guard_dist=_frame_guard(delta_axis, zero_tol))
-    return winding
-
-
-def _channel_zeros(ell: int, pot: RadialStepPotential, R: float,
-                   delta_axis: float, zero_tol: float):
+def _channel_zeros(ell: int, pot: RadialStepPotential, R: float):
     """All zeros (with multiplicity) of the channel matcher in its search
     frame, from one quadtree whose located zeros must add up to the frame's
     winding exactly (``locate_zeros``)."""
     try:
         return locate_zeros(
-            channel_matcher_log(ell, pot), _search_frame(pot, R, delta_axis), zero_tol,
-            log_form=True, samples=_frame_samples(pot, R), ceiling=0.0,
-            guard_dist=_frame_guard(delta_axis, zero_tol))
+            channel_matcher_log(ell, pot), _search_frame(pot, R),
+            _default_zero_tol(pot, R), log_form=True, samples=_frame_samples(pot, R),
+            ceiling=0.0, guard_dist=_frame_guard(pot, R))
     except NumericalError as exc:
         raise NumericalError(f"channel {ell}: {exc}") from exc
 
 
-def _delta_axis(pot: RadialStepPotential) -> float:
-    return 1e-6 / pot.a
-
-
-def _default_zero_tol(pot: RadialStepPotential, R: float) -> float:
-    return 1e-9 * max(1.0, R * pot.a) / pot.a
-
-
-def ell_cutoff(pot: RadialStepPotential, R: float) -> int:
-    """Smallest L with empty channels L+1, L+2, L+3 over the search frame.
-
-    Starts from the generous guess ceil(1.5 R a + 2 sqrt(|v0|) a) + 10 and
-    walks down (or, if needed, up; giving up 50 channels above the guess).
-    """
-    if R <= 0:
-        raise ValueError("search radius must be positive")
-    a = pot.a
-    delta = _delta_axis(pot)
-    tol = _default_zero_tol(pot, R)
-    guess = int(math.ceil(1.5 * R * a + 2.0 * math.sqrt(abs(pot.v0)) * a)) + 10
-
-    cache: dict[int, bool] = {}
-
-    def empty(l: int) -> bool:
-        if l not in cache:
-            cache[l] = _frame_winding(l, pot, R, delta, tol) == 0
-        return cache[l]
-
-    if all(empty(l) for l in (guess + 1, guess + 2, guess + 3)):
-        L = guess
-        while L >= 0 and empty(L):
-            L -= 1
-        return max(L, 0)
-    L = guess + 1
-    while L <= guess + 50:
-        if all(empty(l) for l in (L + 1, L + 2, L + 3)):
-            return L
-        L += 1
-    raise NumericalError(
-        f"channels remain nonempty {50} orders past the cutoff guess {guess}; "
-        "suspected parameter pathology")
+def _cutoff_guess(pot: RadialStepPotential, R: float) -> int:
+    """A generous guess at the highest nonempty channel."""
+    return int(math.ceil(1.5 * R * pot.a + 2.0 * math.sqrt(abs(pot.v0)) * pot.a)) + 10
 
 
 def map_ordered(fn, arg_tuples, workers: int) -> list:
@@ -462,6 +423,39 @@ def map_ordered(fn, arg_tuples, workers: int) -> list:
         return list(pool.map(fn, *zip(*arg_tuples)))
 
 
+def _solve_channels(pot: RadialStepPotential, R: float, workers: int):
+    """The frame zeros of every channel up to the cutoff, indexed by channel,
+    and the cutoff: the highest channel with a frame zero (0 if none has one).
+
+    Channels guess + 3 down to 0 are solved in one pass, highest first, so a
+    failing high channel fails first.  While any of the top three channels
+    is nonempty, one more channel is solved above them, up to 50 channels
+    past the guess.
+    """
+    if R <= 0:
+        raise ValueError("search radius must be positive")
+    guess = _cutoff_guess(pot, R)
+    top_down = [(ell, pot, R) for ell in range(guess + 3, -1, -1)]
+    zeros = map_ordered(_channel_zeros, top_down, workers)[::-1]
+    while any(zeros[-3:]):
+        if len(zeros) > guess + 53:
+            raise NumericalError(
+                f"channels remain nonempty 50 orders past the cutoff guess {guess}; "
+                "suspected parameter pathology")
+        zeros.append(_channel_zeros(len(zeros), pot, R))
+    return zeros, max((ell for ell, found in enumerate(zeros) if found), default=0)
+
+
+def ell_cutoff(pot: RadialStepPotential, R: float) -> int:
+    """The highest channel with a zero in its search frame, or 0 if no
+    channel has one: the ``ell_max`` of ``find_resonances``.
+
+    The three channels above it are solved and empty.  Solves every channel
+    (``_solve_channels``), so it costs as much as ``find_resonances``.
+    """
+    return _solve_channels(pot, R, 1)[1]
+
+
 def find_resonances(pot: RadialStepPotential, R: float, *,
                     threads: int | None = None) -> ResonanceSet:
     """Locate all resonances with |lambda| <= R, Im lambda < -delta_axis.
@@ -471,22 +465,19 @@ def find_resonances(pot: RadialStepPotential, R: float, *,
     depend on that while the frame guard stays below delta_axis / 2 (R a < 125).
 
     Channels are independent work units and may be solved in separate
-    processes; the merged set is identical for any thread count.  A located
-    resonance whose residual |W_ell(lambda)| is not below the recorded
-    ``residual_tol`` raises NumericalError naming the channel.
+    processes (``_solve_channels``); the merged set is identical for any
+    thread count.  ``ell_max`` is the highest channel with a zero in its
+    search frame.  A located resonance whose residual |W_ell(lambda)| is
+    not below the recorded ``residual_tol`` raises NumericalError naming
+    the channel.
     """
-    if R <= 0:
-        raise ValueError("search radius must be positive")
+    results, cutoff = _solve_channels(pot, R, threads or 1)
     delta = _delta_axis(pot)
-    tol = _default_zero_tol(pot, R)
-    tolerances = {"zero_tol": tol, "delta_axis": delta, "residual_tol": _RESIDUAL_TOL}
-    cutoff = ell_cutoff(pot, R)
-    ells = range(cutoff + 1)
-    results = map_ordered(_channel_zeros, [(ell, pot, R, delta, tol) for ell in ells],
-                          threads or 1)
+    tolerances = {"zero_tol": _default_zero_tol(pot, R), "delta_axis": delta,
+                  "residual_tol": _RESIDUAL_TOL}
 
     resonances: list[Resonance] = []
-    for ell, zeros in zip(ells, results):
+    for ell, zeros in enumerate(results):
         zs = [(z, m) for z, m in zeros if abs(z) <= R and z.imag < -delta]
         if not zs:
             continue

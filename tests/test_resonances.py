@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,19 @@ WELL = rs.RadialStepPotential(a=1.0, v0=-20.0)
 @pytest.fixture(scope="module")
 def small_set():
     return rs.find_resonances(WELL, 6.0)
+
+
+def _count_frame_windings(monkeypatch):
+    calls = []
+    real = ct._winding_with_perturbation
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ct, "_winding_with_perturbation", counted)
+    monkeypatch.setattr(rs, "_winding_with_perturbation", counted)
+    return calls
 
 
 def test_potential_validation():
@@ -125,18 +139,20 @@ def test_free_potential_has_no_resonances():
 @pytest.mark.parametrize("R", [20.0, 30.0])
 def test_free_frame_windings_vanish(R):
     # the free well has no resonances: every channel the cutoff search can
-    # visit must wind 0 times around its search frame
+    # visit must wind 0 times around its search frame, so it holds no zero
     free = rs.RadialStepPotential(a=1.0, v0=0.0)
-    tol = rs._default_zero_tol(free, R)
     last = int(math.ceil(1.5 * R * free.a)) + 13
     for ell in range(last + 1):
-        assert rs._frame_winding(ell, free, R, 1e-6, tol) == 0, ell
+        assert rs._channel_zeros(ell, free, R) == [], ell
 
 
-def test_free_well_solves_at_r40():
+def test_free_well_solves_at_r40(monkeypatch):
+    # channels 0..73 (the cutoff guess 70 plus three) are each wound once
+    calls = _count_frame_windings(monkeypatch)
     out = rs.find_resonances(rs.RadialStepPotential(a=1.0, v0=0.0), 40.0)
     assert out.resonances == []
     assert out.ell_max == 0
+    assert len(calls) == 74
 
 
 @pytest.mark.parametrize("kind", [1, 2])
@@ -149,7 +165,7 @@ def test_matcher_matches_mpmath_on_frame_bottom(v0, ell, kind):
     # points in the upper half plane, where scattering_log_det evaluates it.
     mp = pytest.importorskip("mpmath")
     pot = rs.RadialStepPotential(a=1.0, v0=v0)
-    frame = rs._search_frame(pot, 40.0, 1e-6)
+    frame = rs._search_frame(pot, 40.0)
     lams = (frame.lower_left.real + frame.width * np.linspace(0.03, 0.97, 7)
             + 1j * frame.lower_left.imag)
     if kind == 2:
@@ -221,7 +237,7 @@ def test_sorted_by_modulus(small_set):
 def test_cutoff_verified_empty(small_set):
     cut = small_set.ell_max
     for ell in (cut + 1, cut + 2, cut + 3):
-        assert rs._frame_winding(ell, WELL, 6.0, 1e-6, 1e-9) == 0
+        assert rs._channel_zeros(ell, WELL, 6.0) == []
 
 
 def test_channel_zeros_rejects_surplus_inside_frame(monkeypatch):
@@ -234,20 +250,12 @@ def test_channel_zeros_rejects_surplus_inside_frame(monkeypatch):
 
     monkeypatch.setattr(ct, "_zeros_inside", surplus)
     with pytest.raises(NumericalError, match="^channel 0: located 5 zeros.*winding is 4"):
-        rs._channel_zeros(0, WELL, 6.0, 1e-6, 1e-9)
+        rs._channel_zeros(0, WELL, 6.0)
 
 
 def test_channel_zeros_winds_its_frame_once(monkeypatch):
-    calls = []
-    real = ct._winding_with_perturbation
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(ct, "_winding_with_perturbation", counted)
-    monkeypatch.setattr(rs, "_winding_with_perturbation", counted)
-    assert len(rs._channel_zeros(0, WELL, 6.0, 1e-6, 1e-9)) == 4
+    calls = _count_frame_windings(monkeypatch)
+    assert len(rs._channel_zeros(0, WELL, 6.0)) == 4
     assert len(calls) == 1
 
 
@@ -271,8 +279,9 @@ def test_find_resonances_rejects_residual_above_tolerance(monkeypatch):
 
     def moved(*args, **kwargs):
         zeros = real(*args, **kwargs)
-        i = min(range(len(zeros)), key=lambda k: abs(zeros[k][0]))
-        zeros[i] = (zeros[i][0] + 1e-3, zeros[i][1])
+        if zeros:  # the channels above the cutoff are solved too, and empty
+            i = min(range(len(zeros)), key=lambda k: abs(zeros[k][0]))
+            zeros[i] = (zeros[i][0] + 1e-3, zeros[i][1])
         return zeros
 
     monkeypatch.setattr(rs, "locate_zeros", moved)
@@ -349,11 +358,59 @@ def test_scattering_growth_bounded_by_density():
 def test_reference_well_past_r43_solves_or_names_the_false_zero():
     # scipy's scaled Hankel routine returns false zeros at the orders and
     # arguments this solve needs; that must surface as the typed error that
-    # names them, never as a boundary conflict on a channel frame
-    try:
-        rset = rs.find_resonances(WELL, 44.0)
-    except NumericalError as exc:
-        assert not isinstance(exc, BoundaryConflictError)
-        assert "scaled-Hankel false zero" in str(exc)
-    else:
-        assert rset.resonances
+    # names them and their channel, never as a boundary conflict on a
+    # channel frame, in one process or on a pool
+    for threads in (1, 2):
+        try:
+            rset = rs.find_resonances(WELL, 44.0, threads=threads)
+        except NumericalError as exc:
+            assert not isinstance(exc, BoundaryConflictError)
+            assert re.match(r"^channel \d+: scaled-Hankel false zero", str(exc)), str(exc)
+        else:
+            assert rset.resonances
+
+
+def test_solve_winds_each_channel_frame_once(monkeypatch):
+    # channels 0..31 (the cutoff guess 28 plus three) are each wound once
+    calls = _count_frame_windings(monkeypatch)
+    assert rs.find_resonances(WELL, 6.0).ell_max == 9
+    assert len(calls) == 32
+
+
+def test_cutoff_extends_upward_past_a_low_guess(monkeypatch, small_set):
+    # channels 4..6 hold frame zeros: the pass adds channels one at a time
+    # until the top three (10..12) are empty
+    monkeypatch.setattr(rs, "_cutoff_guess", lambda pot, R: 3)
+    out = rs.find_resonances(WELL, 6.0)
+    assert out.ell_max == 9
+    assert ([(r.ell, r.lam, r.residual) for r in out.resonances]
+            == [(r.ell, r.lam, r.residual) for r in small_set.resonances])
+
+
+def test_cutoff_gives_up_50_channels_past_the_guess(monkeypatch):
+    # every channel holds a zero: the pass solves the guess 28 plus three
+    # down to 0, then one channel at a time up to 28 + 53
+    solved = []
+
+    def one_zero(ell, pot, R):
+        solved.append(ell)
+        return [(-1j, 1)]
+
+    monkeypatch.setattr(rs, "_channel_zeros", one_zero)
+    with pytest.raises(NumericalError,
+                       match="channels remain nonempty 50 orders past the cutoff guess 28"):
+        rs.find_resonances(WELL, 6.0)
+    assert solved == list(range(31, -1, -1)) + list(range(32, 82))
+
+
+def test_conjugate_well_mirrors_the_resonances():
+    # conj(V) has the resonances -conj(lambda) of V, channel by channel
+    pot = rs.RadialStepPotential(1.0, complex(-16.0, 1.5))
+    out = rs.find_resonances(pot, 4.0)
+    conj = rs.find_resonances(rs.RadialStepPotential(1.0, pot.v0.conjugate()), 4.0)
+    assert out.resonances and len(conj.resonances) == len(out.resonances)
+    for mine, theirs in ((out, conj), (conj, out)):
+        for r in mine.resonances:
+            mirror = -r.lam.conjugate()
+            assert min((abs(mirror - s.lam) for s in theirs.resonances
+                        if s.ell == r.ell), default=math.inf) < 1e-8, (r.ell, r.lam)
