@@ -307,14 +307,16 @@ def _cmd_family(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    del parser
-    from .acceptance import run_acceptance
+    from .acceptance import CRITERIA, run_acceptance
 
     threads = _resolve(args, "threads", _default_threads())
     only_text = _resolve(args, "only", None)
     only = None
     if only_text:
         only = {int(x) for x in str(only_text).split(",") if x.strip()}
+        unknown = sorted(only - set(range(1, len(CRITERIA) + 1)))
+        if unknown:
+            parser.error(f"--only: no criterion {unknown}; the criteria are 1-{len(CRITERIA)}")
     results = run_acceptance(threads=threads, only=only)
     return 0 if all(r.passed for r in results) else NUMERICAL_ERROR
 

@@ -278,16 +278,12 @@ def _newton_polish(eval_w, z0: complex, mult: int, tol: float, bound_check):
     arbitrarily close to the zero (no stencil ever straddles it).  Returns
     the zero, or None on failure.
     """
-    scale = max(abs(z0), 1.0)
     za = z0
-    values = eval_w(np.array([za]))
-    wa = complex(values[0])
-    if not np.isfinite(values[0]):
+    zb = z0 + 1e-5 * max(abs(z0), 1.0) * complex(0.6, 0.8)
+    wa, wb = (complex(v) for v in eval_w(np.array([za, zb])))
+    if not cmath.isfinite(wa):
         return za  # landed on an exact zero of f
-    zb = z0 + 1e-5 * scale * complex(0.6, 0.8)
-    values = eval_w(np.array([zb]))
-    wb = complex(values[0])
-    if not np.isfinite(values[0]):
+    if not cmath.isfinite(wb):
         return zb
     step = math.inf
     for _ in range(60):

@@ -60,7 +60,7 @@ from .contour import _IRR, ContourBox, locate_zeros
 # not called here; kept importable because perfbench/tracing.py wraps it by name
 from .contour import _winding_with_perturbation  # noqa: F401
 from .errors import EvaluationOverflowError, NumericalError
-from .special import _log_double_factorial, sph_h_pair_log, sph_j_pair_log
+from .special import _log_double_factorial, sph_h_pair_log, sph_j_pair_log, sph_j_series
 
 __all__ = [
     "RadialStepPotential",
@@ -89,8 +89,10 @@ class RadialStepPotential:
     v0: complex
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("potential radius must be positive")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ValueError(f"potential radius a must be positive and finite; got {self.a}")
+        if not cmath.isfinite(self.v0):
+            raise ValueError(f"potential depth v0 must be finite; got {self.v0}")
 
     @property
     def is_free(self) -> bool:
@@ -214,25 +216,8 @@ def channel_condition(ell: int, pot: RadialStepPotential, lam):
     return complex(out[0]) if scalar else out.reshape(np.shape(lam))
 
 
-def _shat_series_pair(ell: int, u: np.ndarray):
-    """S(u) and S'(u) for S(u) = sum c_m u^m, c_0 = 1,
-    c_{m+1} = -c_m / (2 (m+1)(2 ell + 2 m + 3))."""
-    s = np.ones_like(u)
-    ds = np.zeros_like(u)
-    c = np.ones_like(u)  # c_m u^m
-    for m in range(80):
-        c_next = c * (-0.5) / ((m + 1) * (2 * ell + 2 * m + 3))  # c_{m+1} u^m
-        ds = ds + (m + 1) * c_next
-        c = c_next * u                                            # c_{m+1} u^{m+1}
-        s = s + c
-        if np.all(np.abs(c) <= 1e-19 * np.abs(s)):
-            break
-    return s, ds
-
-
 def _potential_series_log(ell: int, a: float, v0: complex, z: np.ndarray,
-                          hm1: np.ndarray, hl: np.ndarray, sh: np.ndarray,
-                          kind: int):
+                          hm1: np.ndarray, hl: np.ndarray, sh: np.ndarray):
     """log of the bracket of the integral identity (module docstring), summed
     as the multiplication-theorem series, and a mask of the points where the
     series settled within ``_SERIES_MAX_TERMS`` terms.
@@ -241,9 +226,8 @@ def _potential_series_log(ell: int, a: float, v0: complex, z: np.ndarray,
     like (|v0| a^2 / (2 |z|))^n / n!, so the sum is free of cancellation
     wherever the direct formula is flagged (|v0| small against |lambda|^2).
     """
-    # n = 0: z^2 (j_(ell-1) h_ell - j_ell h_(ell-1)) is -i for the outgoing
-    # Hankel function and +i for the incoming one
-    logs = [np.full(z.shape, complex(0.0, -math.pi / 2 if kind == 1 else math.pi / 2))]
+    # n = 0: z^2 (j_(ell-1) h_ell - j_ell h_(ell-1)) is -i
+    logs = [np.full(z.shape, complex(0.0, -math.pi / 2))]
     settled = np.ones(z.shape, dtype=bool)
     if v0 != 0:
         log_c = cmath.log(v0 * a * a / 2.0)
@@ -294,9 +278,17 @@ def channel_matcher_log(ell: int, pot: RadialStepPotential, kind: int = 1):
 
     with the integral summed in closed form as the multiplication-theorem
     series.  The free well's value -i (2 ell + 1)!! a^(ell-1) is then exact.
+
+    ``kind=2`` gives the incoming matcher (h_ell^(2) for h_ell^(1)) as
+    lambda -> conj(g_ell[conj v0](conj lambda)), g_ell[v] being the outgoing
+    matcher of depth v.  This is exact: h_ell^(2)(z) = conj(h_ell^(1)(conj z))
+    since spherical Hankel functions are finite sums in e^(+-iz)/z with no
+    branch cut, j_ell(k a)/k^ell and k j_ell'(k a)/k^ell are power series in
+    k^2 = lambda^2 - v0 with real coefficients, and so is the normalisation
+    (2 ell + 1)!! (lambda a)^(ell+1) in lambda.
     """
     a = pot.a
-    v0 = pot.v0
+    v0 = pot.v0.conjugate() if kind == 2 else pot.v0
     lndd = _log_double_factorial(2 * ell + 1)
 
     def evaluate(lam: np.ndarray) -> np.ndarray:
@@ -305,13 +297,13 @@ def channel_matcher_log(ell: int, pot: RadialStepPotential, kind: int = 1):
         k = np.sqrt(k2)
         la = lam * a
         pole_kill = (ell + 1) * np.log(la)
-        hm1, hl, sh = sph_h_pair_log(ell, la, kind=kind)
+        hm1, hl, sh = sph_h_pair_log(ell, la)
         hp = hm1 - (ell + 1) / la * hl
         out = np.empty_like(lam)
         small = np.abs(k) * a < 0.5
         if np.any(small):
             u = k2[small] * (a * a)
-            s, ds = _shat_series_pair(ell, u)
+            s, ds = sph_j_series(ell, u)
             A = 2.0 * a ** (ell + 1) * k2[small] * ds
             if ell > 0:
                 A = A + ell * a ** (ell - 1) * s
@@ -344,12 +336,12 @@ def channel_matcher_log(ell: int, pot: RadialStepPotential, kind: int = 1):
             if np.any(flagged):
                 lost = big[flagged]
                 series, settled = _potential_series_log(
-                    ell, a, v0, la[lost], hm1[lost], hl[lost], sh[lost], kind)
+                    ell, a, v0, la[lost], hm1[lost], hl[lost], sh[lost])
                 out[lost[settled]] = (series[settled] + lndd
                                       + (ell - 1) * math.log(a))
         return out
 
-    return evaluate
+    return (lambda lam: np.conj(evaluate(np.conj(lam)))) if kind == 2 else evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +424,8 @@ def _solve_channels(pot: RadialStepPotential, R: float, workers: int):
     is nonempty, one more channel is solved above them, up to 50 channels
     past the guess.
     """
-    if R <= 0:
-        raise ValueError("search radius must be positive")
+    if not (math.isfinite(R) and R > 0):
+        raise ValueError(f"search radius R must be positive and finite; got {R}")
     guess = _cutoff_guess(pot, R)
     top_down = [(ell, pot, R) for ell in range(guess + 3, -1, -1)]
     zeros = map_ordered(_channel_zeros, top_down, workers)[::-1]
@@ -505,7 +497,10 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
 
     Each channel contributes (2 ell + 1) ln |S_ell| with
     S_ell = -W_ell^(2) / W_ell (the incoming-wave Wronskian over the outgoing
-    one); the normalizing factors of the matcher cancel in the ratio.
+    one); the normalizing factors of the matcher cancel in the ratio.  The
+    incoming matcher is the outgoing one of the conjugate well at
+    conj(lambda), conjugated (``channel_matcher_log``, kind 2), so for a
+    real well on the real axis |S_ell| = 1 and each term is 0 up to rounding.
     Summation stops once ten consecutive channels contribute less than 1e-10
     of the running total (only after ell has passed |lambda| a); a sum that
     has not settled by ell = 2000 raises NumericalError.
@@ -524,7 +519,7 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
     total = 0.0
     quiet = 0
     for ell in range(2001):
-        w1 = channel_matcher_log(ell, pot, kind=1)(arr)
+        w1 = channel_matcher_log(ell, pot)(arr)
         w2 = channel_matcher_log(ell, pot, kind=2)(np.array([lam]))[0]
         if not (np.all(np.isfinite(w1)) and np.isfinite(w2)):
             raise NumericalError(f"channel {ell}: matcher not finite at {lam}")

@@ -7,13 +7,17 @@ Contents:
 * ``coth_fixed_point`` / ``critical_curve_point`` / ``critical_curve_modulus``
   -- the curve separating the sign regions of ``Re bessel_phase``.
 * ``sph_j_pair_log`` / ``sph_h_pair_log`` -- log-scaled pairs
-  (f_(l-1), f_l) of the spherical Bessel ``j_l`` and Hankel ``h_l^(1)``,
-  ``h_l^(2)`` for complex arguments and integer orders, backed by scipy's
+  (f_(l-1), f_l) of the spherical Bessel ``j_l`` and the outgoing Hankel
+  ``h_l^(1)`` for complex arguments and integer orders, backed by scipy's
   AMOS routines with a series or recurrence fallback where the scaled AMOS
   forms underflow or overflow, and a NumericalError where the scaled Hankel
   form is a false zero.  They are the evaluators the resonance
   solver's channel matcher calls, and they keep magnitudes that span
-  hundreds of decades representable.
+  hundreds of decades representable.  The incoming ``h_l^(2)`` is not
+  evaluated: it is conj(h_l^(1)(conj z)), and the matcher takes it that way.
+* ``sph_j_series`` -- the one power series S_l(u) of j_l, with
+  j_l(z) = z^l S_l(z^2) / (2l+1)!!, and its derivative S_l'(u); the j pair's
+  small-argument fallback and the matcher's small-|k| branch both use it.
 * ``gamma_real`` -- Gamma at positive integer and half-integer arguments.
 
 All functions are pure.
@@ -207,24 +211,32 @@ def sph_j_pair_log(ell: int, z: np.ndarray):
     return jm1, jl, s
 
 
+def sph_j_series(ell: int, u: np.ndarray):
+    """S_ell(u) and S_ell'(u), where j_ell(z) = z^ell S_ell(z^2) / (2 ell + 1)!!
+    for ell >= -1 (S_(-1)(z^2) = cos z): S_ell(u) = sum c_m u^m, c_0 = 1,
+    c_(m+1) = -c_m / (2 (m+1) (2 ell + 2 m + 3)).  Free of cancellation
+    while |u| is small against the order."""
+    s = np.ones_like(u)
+    ds = np.zeros_like(u)
+    c = np.ones_like(u)  # c_m u^m
+    for m in range(80):
+        c_next = c * (-0.5) / ((m + 1) * (2 * ell + 2 * m + 3))  # c_{m+1} u^m
+        ds = ds + (m + 1) * c_next
+        c = c_next * u                                            # c_{m+1} u^{m+1}
+        s = s + c
+        if np.all(np.abs(c) <= 1e-19 * np.abs(s)):
+            break
+    return s, ds
+
+
 def _j_pair_series_log(ell: int, z: np.ndarray):
     """Power-series pair for |z| << ell, in mantissa/log form."""
     logz = np.log(z)
+    u = z * z
 
     def one(l):
-        if l < 0:
-            # j_(-1) = cos(z)/z
-            return np.cos(z) / z, np.zeros(z.shape)
-        acc = np.ones_like(z)
-        term = np.ones_like(z)
-        w = -0.5 * z * z
-        for m in range(60):
-            term = term * w / ((m + 1) * (2 * l + 2 * m + 3))
-            acc += term
-            if np.all(np.abs(term) <= 1e-18 * np.abs(acc)):
-                break
         lg = l * logz - _log_double_factorial(2 * l + 1)
-        return acc * np.exp(1j * lg.imag), lg.real
+        return sph_j_series(l, u)[0] * np.exp(1j * lg.imag), lg.real
 
     vm1, sm1 = one(ell - 1)
     vl, sl = one(ell)
@@ -234,8 +246,8 @@ def _j_pair_series_log(ell: int, z: np.ndarray):
         return vm1 * np.exp(sm1 - s), vl * np.exp(sl - s), s
 
 
-def sph_h_pair_log(ell: int, z: np.ndarray, kind: int = 1):
-    """Scaled (h_(ell-1), h_ell) pair for Hankel of the given kind.
+def sph_h_pair_log(ell: int, z: np.ndarray):
+    """Scaled (h_(ell-1), h_ell) pair of the outgoing Hankel function h^(1).
 
     Raises NumericalError where AMOS returns an exact 0 (a scaled-Hankel
     false zero)."""
@@ -243,18 +255,11 @@ def sph_h_pair_log(ell: int, z: np.ndarray, kind: int = 1):
     if np.any(z == 0):
         raise ValueError("Hankel functions require z != 0")
     fac = _sph_factor(z)
-    if kind == 1:
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
-            hm1 = fac * _ss.hankel1e(ell - 0.5, z)
-            hl = fac * _ss.hankel1e(ell + 0.5, z)
-        s = (1j * z).real.astype(float)            # hankel1e removes exp(iz)
-        phase = np.exp(1j * (1j * z).imag)
-    else:
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
-            hm1 = fac * _ss.hankel2e(ell - 0.5, z)
-            hl = fac * _ss.hankel2e(ell + 0.5, z)
-        s = (-1j * z).real.astype(float)
-        phase = np.exp(1j * (-1j * z).imag)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
+        hm1 = fac * _ss.hankel1e(ell - 0.5, z)
+        hl = fac * _ss.hankel1e(ell + 0.5, z)
+    s = (1j * z).real.astype(float)            # hankel1e removes exp(iz)
+    phase = np.exp(1j * (1j * z).imag)
     hm1 = hm1 * phase
     hl = hl * phase
     bad = ~(np.isfinite(hm1) & np.isfinite(hl))
@@ -262,7 +267,7 @@ def sph_h_pair_log(ell: int, z: np.ndarray, kind: int = 1):
         # |z| << ell: the scaled AMOS form overflows although the log-scaled
         # value is fine; upward recurrence is stable in this regime because
         # the Hankel function dominates at every step.
-        bm1, bl, bs = _h_pair_recurrence_log(ell, z[bad], kind)
+        bm1, bl, bs = _h_pair_recurrence_log(ell, z[bad])
         hm1[bad], hl[bad], s[bad] = bm1, bl, bs
     zero = (hm1 == 0) | (hl == 0)
     if np.any(zero):
@@ -271,16 +276,15 @@ def sph_h_pair_log(ell: int, z: np.ndarray, kind: int = 1):
         # 110.5 at z = -60.79-35.09i, where hankel1 is -1.4e8+7.7e7i)
         raise NumericalError(
             f"scaled-Hankel false zero: AMOS returned exactly 0 for the order "
-            f"{ell} Hankel pair (kind {kind}) at z = {complex(z[zero][0]):.12g}")
+            f"{ell} Hankel pair at z = {complex(z[zero][0]):.12g}")
     return hm1, hl, s
 
 
-def _h_pair_recurrence_log(ell: int, z: np.ndarray, kind: int):
-    sgn = 1j if kind == 1 else -1j
-    log_scale = (sgn * z).real.astype(float).copy()
-    phase = np.exp(1j * (sgn * z).imag)
+def _h_pair_recurrence_log(ell: int, z: np.ndarray):
+    log_scale = (1j * z).real.astype(float).copy()
+    phase = np.exp(1j * (1j * z).imag)
     hm1 = phase / z
-    hl = (-sgn) * phase / z
+    hl = -1j * phase / z
     for n in range(0, ell):
         hm1, hl = hl, (2 * n + 1) / z * hl - hm1
         big = np.abs(hl) > _RESCALE

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -82,6 +83,25 @@ def test_thread_count_independence(tmp_path):
     assert run_cli(base + ["--threads", "1", "--out", str(one)]) == 0
     assert run_cli(base + ["--threads", "2", "--out", str(two)]) == 0
     assert one.read_bytes() == two.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--radius", "inf"], ["--radius", "nan"], ["--a", "nan", "--radius", "5"],
+    ["--a", "inf", "--radius", "5"], ["--v0-re", "nan", "--radius", "5"]])
+def test_resonances_rejects_non_finite_inputs(tmp_path, capsys, argv):
+    out = tmp_path / "x.json"
+    assert run_cli(["resonances", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"search radius R|radius a|depth v0", err), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("only, named", [("99", "[99]"), ("0,12", "[0, 12]")])
+def test_verify_rejects_unknown_criteria(capsys, only, named):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["verify", "--only", only])
+    assert err.value.code == 2
+    assert f"no criterion {named};" in capsys.readouterr().err
 
 
 def test_config_file_defaults_and_override(tmp_path):

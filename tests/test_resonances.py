@@ -37,6 +37,20 @@ def test_potential_validation():
         rs.RadialStepPotential(a=-1.0, v0=-5.0)
 
 
+@pytest.mark.parametrize("a, v0, name", [
+    (math.nan, -5.0, "radius a"), (math.inf, -5.0, "radius a"),
+    (1.0, complex(math.nan, 0.0), "depth v0"), (1.0, complex(-5.0, math.inf), "depth v0")])
+def test_potential_rejects_non_finite_parameters(a, v0, name):
+    with pytest.raises(ValueError, match=name):
+        rs.RadialStepPotential(a=a, v0=v0)
+
+
+@pytest.mark.parametrize("R", [math.inf, math.nan])
+def test_solve_rejects_non_finite_radius(R):
+    with pytest.raises(ValueError, match="search radius R"):
+        rs.find_resonances(WELL, R)
+
+
 def test_free_channel_condition_is_wronskian():
     pot = rs.RadialStepPotential(a=1.0, v0=0.0)
     for ell in [0, 1, 4]:
@@ -156,7 +170,7 @@ def test_free_well_solves_at_r40(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", [1, 2])
-@pytest.mark.parametrize("v0", [0.0, -1e-12, -0.1])
+@pytest.mark.parametrize("v0", [0.0, -1e-12, -0.1, complex(-0.1, 0.05)])
 @pytest.mark.parametrize("ell", [0, 5])
 def test_matcher_matches_mpmath_on_frame_bottom(v0, ell, kind):
     # deep in the lower half plane the direct Wronskian cancels to noise for
@@ -176,7 +190,7 @@ def test_matcher_matches_mpmath_on_frame_bottom(v0, ell, kind):
     with mp.workdps(50):
         for lam, g in zip(lams, got):
             z = mp.mpc(lam.real, lam.imag)
-            k = mp.sqrt(z * z - mp.mpf(v0))
+            k = mp.sqrt(z * z - mp.mpc(v0))
 
             def sj(n, x):
                 return mp.sqrt(mp.pi / (2 * x)) * mp.besselj(n + 0.5, x)
@@ -339,6 +353,16 @@ def test_scattering_log_det_antisymmetry():
     for lam in [3.0, 7.5, 18.0]:
         s = rs.scattering_log_det(WELL, lam) + rs.scattering_log_det(WELL, -lam)
         assert abs(s) < 1e-8
+
+
+@pytest.mark.parametrize("v0", [-20.0, 3.0])
+def test_scattering_log_det_vanishes_on_the_real_axis(v0):
+    # a real well is unitary there: the incoming matcher is the conjugate of
+    # the outgoing one, so every channel's ln|S_ell| is 0 up to rounding
+    pot = rs.RadialStepPotential(2.0, v0)
+    for x in (0.3, 3.0, 7.5, 18.0, 35.0):
+        for lam in (x, -x):
+            assert abs(rs.scattering_log_det(pot, lam)) <= 1e-15
 
 
 def test_scattering_log_det_rejects_lower_half():

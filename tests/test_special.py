@@ -115,7 +115,7 @@ def _log_j(ell, z):
 
 
 def _log_h(ell, z):
-    hm1, hl, s = sp.sph_h_pair_log(ell, np.array([complex(z)]), kind=1)
+    hm1, hl, s = sp.sph_h_pair_log(ell, np.array([complex(z)]))
     return complex(np.log(hm1[0]) + s[0]), complex(np.log(hl[0]) + s[0])
 
 
@@ -145,7 +145,7 @@ def test_wronskian_identity():
         if abs(z) < 0.5:
             z += 2.0
         jm1, jl, sj = sp.sph_j_pair_log(ell, np.array([z]))
-        hm1, hl, sh = sp.sph_h_pair_log(ell, np.array([z]), kind=1)
+        hm1, hl, sh = sp.sph_h_pair_log(ell, np.array([z]))
         w = complex(np.log(jl[0] * hm1[0] - jm1[0] * hl[0]) + sj[0] + sh[0])
         assert _log_err(w, cmath.log(1j / z ** 2)) < 1e-8
 
@@ -174,11 +174,26 @@ def test_bessel_accuracy_against_mpmath():
                 assert _log_err(got_h, ref(mp.hankel1, order, z)) < 1e-10
 
 
+def test_j_series_closed_forms():
+    # j_ell(z) = z^ell S_ell(z^2) / (2 ell + 1)!!: S_(-1)(z^2) = cos z and
+    # S_0(z^2) = sin z / z; term by term, S_ell' = -S_(ell+1) / (2 (2 ell + 3))
+    z = np.array([0.7 - 0.3j, 2.5 + 1.2j, -1.1 - 2.0j, 0.05 + 0.01j])
+    u = z * z
+    s_m1, _ = sp.sph_j_series(-1, u)
+    s_0, _ = sp.sph_j_series(0, u)
+    assert np.max(np.abs(s_m1 - np.cos(z))) < 1e-14
+    assert np.max(np.abs(s_0 - np.sin(z) / z)) < 1e-14
+    for ell in (-1, 0, 1, 4):
+        _, ds = sp.sph_j_series(ell, u)
+        s_next, _ = sp.sph_j_series(ell + 1, u)
+        assert np.max(np.abs(ds + s_next / (2 * (2 * ell + 3)))) < 1e-14
+
+
 def test_log_pair_matches_plain_values():
     # scipy's spherical_jn / spherical_yn are an independent implementation
     z = np.array([0.5 - 2j, 3 + 1j, -4 - 0.5j])
     jm1, jl, s = sp.sph_j_pair_log(3, z)
-    hm1, hl, sh = sp.sph_h_pair_log(3, z, kind=1)
+    hm1, hl, sh = sp.sph_h_pair_log(3, z)
     for order, j, h in ((2, jm1, hm1), (3, jl, hl)):
         plain_j = spherical_jn(order, z)
         plain_h = plain_j + 1j * spherical_yn(order, z)
@@ -190,7 +205,7 @@ def test_log_pair_survives_extreme_magnitudes():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 60
     for ell, z in [(60, 1e-5 + 0j), (200, 3.0 + 0j), (100, 0.5 - 0.2j)]:
-        hm1, hl, s = sp.sph_h_pair_log(ell, np.array([z]), kind=1)
+        hm1, hl, s = sp.sph_h_pair_log(ell, np.array([z]))
         mine = complex(np.log(hl[0]) + s[0])
         ref = mp.log(mp.sqrt(mp.pi / (2 * mp.mpc(z)))
                      * mp.hankel1(ell + mp.mpf(1) / 2, mp.mpc(z)))
