@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import argparse
 import ast
-import json
+import functools
+import inspect
 import math
 import operator
 import os
@@ -70,6 +71,26 @@ def _parse_sector(text: str):
     return _parse_angle(parts[0]), _parse_angle(parts[1])
 
 
+def _comma_separated(cast):
+    """Argument type: a non-empty comma-separated list of ``cast`` values."""
+    def parse(text: str) -> list:
+        values = [cast(x) for x in text.split(",") if x.strip()]
+        if not values:
+            raise ValueError(text)
+        return values
+    parse.__name__ = f"comma-separated {cast.__name__}"  # argparse's error names it
+    return parse
+
+
+class _Repeatable(argparse.Action):
+    """Repeatable option whose flags replace its default list (config: 'a; b')."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        got = getattr(namespace, self.dest)  # the default itself until a flag
+        setattr(namespace, self.dest,
+                [value] if got is self.default else got + [value])
+
+
 def _read_config(path: str) -> dict:
     values: dict[str, str] = {}
     with open(path) as f:
@@ -84,41 +105,24 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Fill unset argument slots from the config file, if one was given."""
-    if not getattr(args, "config", None):
-        return
+def _set_config_defaults(parser: argparse.ArgumentParser, args) -> None:
+    """Make each ``--config`` key that names an option of ``args.command`` its
+    default, parsed as that option's flag; one file serves every command."""
     try:
         raw = _read_config(args.config)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
-    casts = {
-        "d": int, "grid": int, "threads": int, "grid_n": int, "cases": int,
-        "seed": int,
-        "a": float, "v0_re": float, "v0_im": float, "v1_re": float,
-        "v1_im": float, "radius": float, "r": float, "bump_radius": float,
-        "abs_tol": float, "rel_tol": float,
-        "out": str, "format": str, "infile": str,
-        "r_grid": str, "sector": None,
-    }
-    for key, text in raw.items():
-        if not hasattr(args, key):
-            continue
-        if getattr(args, key) is not None:
-            continue  # flags override config
-        cast = casts.get(key, str)
-        if key == "sector":
-            setattr(args, key, [_parse_sector(s) for s in text.split(";") if s.strip()])
-        elif cast is not None:
-            try:
-                setattr(args, key, cast(text))
-            except ValueError:
-                parser.error(f"config value for {key} is not a valid {cast.__name__}")
-
-
-def _resolve(args, name, default):
-    v = getattr(args, name, None)
-    return default if v is None else v
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[args.command]
+    options = {a.dest: a for a in sub._actions if a.option_strings and a.nargs != 0}
+    keys = [key for key in raw if key in options]
+    tokens = []
+    for key in keys:
+        items = ([s for s in raw[key].split(";") if s.strip()]
+                 if isinstance(options[key], _Repeatable) else [raw[key]])
+        tokens += [f"{options[key].option_strings[0]}={item.strip()}" for item in items]
+    given = sub.parse_args(tokens)
+    sub.set_defaults(**{key: getattr(given, key) for key in keys})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,122 +131,111 @@ def build_parser() -> argparse.ArgumentParser:
         description="Resonance densities, step-well resonances, and counting checks")
     parser.add_argument("--config", help="key = value config file")
     sub = parser.add_subparsers(dest="command", required=True)
+    threads = _default_threads()
 
     p = sub.add_parser("density", help="emit an angular-density table")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--grid", type=int, default=None, help="number of theta rows")
-    p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default=None)
+    p.set_defaults(run=_cmd_density)
+    p.add_argument("--d", type=int, default=3)
+    p.add_argument("--grid", type=int, default=181, help="number of theta rows")
+    p.add_argument("--abs-tol", type=float, default=1e-9)
+    p.add_argument("--rel-tol", type=float, default=1e-9)
+    p.add_argument("--out")
+    p.add_argument("--format", choices=["csv", "json"])
 
     p = sub.add_parser("resonances", help="solve a step potential")
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--v0-re", dest="v0_re", type=float, default=None)
-    p.add_argument("--v0-im", dest="v0_im", type=float, default=None)
-    p.add_argument("--radius", type=float, default=None, help="search radius R")
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default=None)
+    p.set_defaults(run=_cmd_resonances)
+    p.add_argument("--a", type=float, default=1.0)
+    p.add_argument("--v0-re", type=float, default=0.0)
+    p.add_argument("--v0-im", type=float, default=0.0)
+    p.add_argument("--radius", type=float, help="search radius R")
+    p.add_argument("--threads", type=int, default=threads)
+    p.add_argument("--out")
+    p.add_argument("--format", choices=["csv", "json"])
 
     p = sub.add_parser("count", help="counting report from a resonance file")
-    p.add_argument("--in", dest="infile", default=None, help="resonance JSON file")
-    p.add_argument("--r-grid", dest="r_grid", default=None,
+    p.set_defaults(run=_cmd_count)
+    p.add_argument("--in", dest="infile", help="resonance JSON file")
+    p.add_argument("--r-grid", type=_comma_separated(float),
                    help="comma-separated radii")
-    p.add_argument("--sector", action="append", type=_parse_sector, default=None,
+    p.add_argument("--sector", action=_Repeatable, type=_parse_sector,
+                   default=[(math.pi, 2.0 * math.pi)],
                    help="PHI:THETA (radians; pi expressions ok); repeatable")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default=None)
+    p.add_argument("--out")
+    p.add_argument("--format", choices=["csv", "json"])
 
+    suite = inspect.signature(jensen_suite).parameters
     p = sub.add_parser("jensen", help="run the Jensen-identity residual suite")
-    p.add_argument("--cases", type=int, default=None, help="randomized cases")
-    p.add_argument("--seed", type=int, default=None)
+    p.set_defaults(run=_cmd_jensen)
+    p.add_argument("--cases", type=int, default=suite["cases"].default,
+                   help="randomized cases")
+    p.add_argument("--seed", type=int, default=suite["seed"].default)
 
     p = sub.add_parser("family", help="averaged counting over a potential family")
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--v0-re", dest="v0_re", type=float, default=None)
-    p.add_argument("--v0-im", dest="v0_im", type=float, default=None)
-    p.add_argument("--v1-re", dest="v1_re", type=float, default=None)
-    p.add_argument("--v1-im", dest="v1_im", type=float, default=None)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--grid-n", dest="grid_n", type=int, default=None)
-    p.add_argument("--bump-radius", dest="bump_radius", type=float, default=None)
-    p.add_argument("--sector", action="append", type=_parse_sector, default=None)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--out", default=None)
+    p.set_defaults(run=_cmd_family)
+    p.add_argument("--a", type=float, default=1.0)
+    p.add_argument("--v0-re", type=float, default=-20.0)
+    p.add_argument("--v0-im", type=float, default=0.0)
+    p.add_argument("--v1-re", type=float, default=-12.0)
+    p.add_argument("--v1-im", type=float, default=3.0)
+    p.add_argument("--r", type=float)
+    p.add_argument("--grid-n", type=int, default=5)
+    p.add_argument("--bump-radius", type=float, default=0.5)
+    p.add_argument("--sector", action=_Repeatable, type=_parse_sector,
+                   default=[(math.pi, 2.0 * math.pi), (math.pi, 1.5 * math.pi)])
+    p.add_argument("--threads", type=int, default=threads)
+    p.add_argument("--out")
 
     p = sub.add_parser("verify", help="run the acceptance suite")
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--only", default=None,
+    p.set_defaults(run=_cmd_verify)
+    p.add_argument("--threads", type=int, default=threads)
+    p.add_argument("--only", type=_comma_separated(int),
                    help="comma-separated criterion numbers to run")
     return parser
 
 
+def _write(args, to_csv, to_json) -> None:
+    """Write --out as --format, by default json for a .json name, else csv."""
+    fmt = args.format or ("json" if args.out.endswith(".json") else "csv")
+    (to_json if fmt == "json" else to_csv)(args.out)
+
+
 def _cmd_density(args, parser) -> int:
-    d = _resolve(args, "d", 3)
-    if d < 3 or d % 2 == 0:
-        parser.error(f"--d must be an odd integer >= 3, got {d}")
-    n = _resolve(args, "grid", 181)
-    out = _resolve(args, "out", None)
-    if out is None:
+    if args.d < 3 or args.d % 2 == 0:
+        parser.error(f"--d must be an odd integer >= 3, got {args.d}")
+    if args.out is None:
         parser.error("density requires --out")
-    fmt = _resolve(args, "format", "json" if str(out).endswith(".json") else "csv")
-    spec = density.QuadratureSpec(abs_tol=_resolve(args, "abs_tol", 1e-9),
-                                  rel_tol=_resolve(args, "rel_tol", 1e-9))
-    table = density.build_density_table(d, n, spec)
-    if fmt == "csv":
-        table.to_csv(out)
-    else:
-        table.to_json(out)
-    print(f"wrote {n} rows (d={d}, c_d={table.c_d:.12g}) to {out}")
+    spec = density.QuadratureSpec(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
+    table = density.build_density_table(args.d, args.grid, spec)
+    _write(args, table.to_csv, table.to_json)
+    print(f"wrote {args.grid} rows (d={args.d}, c_d={table.c_d:.12g}) to {args.out}")
     return 0
 
 
 def _cmd_resonances(args, parser) -> int:
-    a = _resolve(args, "a", 1.0)
-    v0 = complex(_resolve(args, "v0_re", 0.0), _resolve(args, "v0_im", 0.0))
-    radius = _resolve(args, "radius", None)
-    if radius is None or radius <= 0:
+    if args.radius is None or args.radius <= 0:
         parser.error("resonances requires a positive --radius")
-    out = _resolve(args, "out", None)
-    if out is None:
+    if args.out is None:
         parser.error("resonances requires --out")
-    fmt = _resolve(args, "format", "json" if str(out).endswith(".json") else "csv")
-    threads = _resolve(args, "threads", _default_threads())
-    pot = resonances.RadialStepPotential(a=a, v0=v0)
-    rset = resonances.find_resonances(pot, radius, threads=threads)
-    if fmt == "csv":
-        rset.to_csv(out)
-    else:
-        rset.to_json(out)
+    pot = resonances.RadialStepPotential(a=args.a, v0=complex(args.v0_re, args.v0_im))
+    rset = resonances.find_resonances(pot, args.radius, threads=args.threads)
+    _write(args, rset.to_csv, rset.to_json)
     print(f"found {len(rset.resonances)} resonances (ell_max={rset.ell_max}) "
-          f"in |lambda| <= {radius}; wrote {out}")
+          f"in |lambda| <= {args.radius}; wrote {args.out}")
     return 0
 
 
 def _cmd_count(args, parser) -> int:
-    infile = _resolve(args, "infile", None)
-    if infile is None:
+    if args.infile is None:
         parser.error("count requires --in (a resonance JSON file)")
-    rset = resonances.ResonanceSet.from_json(infile)
-    grid_text = _resolve(args, "r_grid", None)
-    if grid_text:
-        r_grid = [float(x) for x in str(grid_text).split(",") if x.strip()]
-    else:
-        top = rset.search_radius
-        r_grid = list(np.linspace(top / 4.0, top, 7))
-    sectors = _resolve(args, "sector", None) or [(math.pi, 2.0 * math.pi)]
+    rset = resonances.ResonanceSet.from_json(args.infile)
+    top = rset.search_radius
+    r_grid = args.r_grid or list(np.linspace(top / 4.0, top, 7))
     queries = [counting.SectorQuery(max(r_grid), phi, theta)
-               for (phi, theta) in sectors]
+               for (phi, theta) in args.sector]
     reports = counting.compare_counts(rset, queries, r_grid)
-    out = _resolve(args, "out", None)
-    fmt = _resolve(args, "format",
-                   "json" if out and str(out).endswith(".json") else "csv")
-    if out:
-        if fmt == "json":
-            counting.reports_to_json(reports, out)
-        else:
-            counting.reports_to_csv(reports, out)
+    if args.out:
+        _write(args, functools.partial(counting.reports_to_csv, reports),
+               functools.partial(counting.reports_to_json, reports))
     for rep in reports:
         fit = ("" if rep.fit is None
                else f" fit: r^{rep.fit[0]:.3f} x {rep.fit[1]:.4g}")
@@ -252,11 +245,8 @@ def _cmd_count(args, parser) -> int:
     return 0
 
 
-def _cmd_jensen(args, parser) -> int:
-    del parser
-    given = {key: getattr(args, key) for key in ("cases", "seed")
-             if getattr(args, key) is not None}
-    listed, sectors, randomized = jensen_suite(**given)
+def _cmd_jensen(args, _parser) -> int:
+    listed, sectors, randomized = jensen_suite(args.cases, args.seed)
     failures = 0
     for name, res, lhs in listed:
         ok = res < 1e-6
@@ -276,67 +266,46 @@ def _cmd_jensen(args, parser) -> int:
 
 
 def _cmd_family(args, parser) -> int:
-    a = _resolve(args, "a", 1.0)
-    v0 = complex(_resolve(args, "v0_re", -20.0), _resolve(args, "v0_im", 0.0))
-    v1 = complex(_resolve(args, "v1_re", -12.0), _resolve(args, "v1_im", 3.0))
-    r = _resolve(args, "r", None)
-    if r is None or r <= 0:
+    if args.r is None or args.r <= 0:
         parser.error("family requires a positive --r")
-    n = _resolve(args, "grid_n", 5)
-    b = _resolve(args, "bump_radius", 0.5)
-    threads = _resolve(args, "threads", _default_threads())
-    sectors = _resolve(args, "sector", None) or [
-        (math.pi, 2.0 * math.pi), (math.pi, 1.5 * math.pi)]
     exp = counting.FamilyExperiment.on_bump_grid(
-        resonances.RadialStepPotential(a=a, v0=v0),
-        resonances.RadialStepPotential(a=a, v0=v1), r=r, n=n, bump_radius=b)
+        resonances.RadialStepPotential(a=args.a, v0=complex(args.v0_re, args.v0_im)),
+        resonances.RadialStepPotential(a=args.a, v0=complex(args.v1_re, args.v1_im)),
+        r=args.r, n=args.grid_n, bump_radius=args.bump_radius)
     print(f"solving {len(exp.active_indices())} of {exp.zs.size} members "
-          f"(threads={threads})...")
-    exp.solve(threads=threads)
-    queries = [counting.SectorQuery(r, phi, theta) for (phi, theta) in sectors]
+          f"(threads={args.threads})...")
+    exp.solve(threads=args.threads)
+    queries = [counting.SectorQuery(args.r, phi, theta) for (phi, theta) in args.sector]
     for q in queries:
         avg = counting.family_average(exp, q)
         pred = counting.family_prediction(exp, q)
         print(f"sector ({q.phi:.4f}, {q.theta:.4f}): average={avg:.4f} "
               f"prediction={pred:.4f} ratio={avg / pred:.4f}")
-    out = _resolve(args, "out", None)
-    if out:
-        exp.to_json(out, sector_queries=queries)
-        print(f"wrote {out}")
+    if args.out:
+        exp.to_json(args.out, sector_queries=queries)
+        print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_verify(args, parser) -> int:
     from .acceptance import CRITERIA, run_acceptance
 
-    threads = _resolve(args, "threads", _default_threads())
-    only_text = _resolve(args, "only", None)
-    only = None
-    if only_text:
-        only = {int(x) for x in str(only_text).split(",") if x.strip()}
-        unknown = sorted(only - set(range(1, len(CRITERIA) + 1)))
+    if args.only:
+        unknown = sorted(set(args.only) - set(range(1, len(CRITERIA) + 1)))
         if unknown:
             parser.error(f"--only: no criterion {unknown}; the criteria are 1-{len(CRITERIA)}")
-    results = run_acceptance(threads=threads, only=only)
+    results = run_acceptance(threads=args.threads, only=args.only)
     return 0 if all(r.passed for r in results) else NUMERICAL_ERROR
-
-
-_COMMANDS = {
-    "density": _cmd_density,
-    "resonances": _cmd_resonances,
-    "count": _cmd_count,
-    "jensen": _cmd_jensen,
-    "family": _cmd_family,
-    "verify": _cmd_verify,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_config(args, parser)
+    if args.config:
+        _set_config_defaults(parser, args)
+        args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, parser)
+        return args.run(args, parser)
     except (QuadratureError, NumericalError) as exc:
         print(f"numerical failure in {args.command}: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR

@@ -624,6 +624,8 @@ def jensen_suite(cases: int = 20, seed: int = 20260809):
         ("two zeros, sector (pi/8, 5pi/12), r=4",
          JensenTestCase.make([lam, z2], [-lam, -z2]), 4.0, math.pi / 8, 5 * math.pi / 12),
     ]
+    if cases < 0:
+        raise ValueError(f"cases must be non-negative, got {cases}")
     rng = np.random.default_rng(seed)
     randomized = []
     for _ in range(cases):

@@ -50,8 +50,8 @@ class SectorQuery:
     theta: float
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError("query radius must be positive")
+        if not 0 < self.r < math.inf:
+            raise ValueError(f"query radius r must be positive and finite, got {self.r}")
         if not (math.pi <= self.phi <= self.theta <= 2.0 * math.pi + 1e-15):
             raise ValueError(
                 "sector angles must satisfy pi <= phi <= theta <= 2*pi "
@@ -82,20 +82,23 @@ class CountReport:
         return doc
 
 
+def _check_radius(rset: ResonanceSet, r: float) -> None:
+    """Counts are known only for 0 < r <= the search radius: never extrapolate."""
+    if not 0 < r <= rset.search_radius * (1 + 1e-12):
+        raise ValueError(
+            f"count radius {r} must be positive, finite and within the search "
+            f"radius {rset.search_radius}; never extrapolate")
+
+
 def count_norm(rset: ResonanceSet, r: float) -> int:
     """Multiplicity-weighted number of resonances with |lambda| <= r."""
-    if r > rset.search_radius * (1 + 1e-12):
-        raise ValueError(
-            f"count radius {r} exceeds search radius {rset.search_radius}; "
-            "never extrapolate")
+    _check_radius(rset, r)
     return sum(res.multiplicity for res in rset.resonances if abs(res.lam) <= r)
 
 
 def count_sector(rset: ResonanceSet, q: SectorQuery) -> int:
     """Multiplicity-weighted count in the closed sector (boundary inclusive)."""
-    if q.r > rset.search_radius * (1 + 1e-12):
-        raise ValueError(
-            f"query radius {q.r} exceeds search radius {rset.search_radius}")
+    _check_radius(rset, q.r)
     total = 0
     for res in rset.resonances:
         if abs(res.lam) <= q.r and q.phi <= arg_lower(res.lam) <= q.theta:
@@ -110,9 +113,7 @@ def integrated_count(rset: ResonanceSet, r: float) -> float:
     function; step potentials have no pole at the origin, so no subtraction
     is needed.
     """
-    if r > rset.search_radius * (1 + 1e-12):
-        raise ValueError(
-            f"radius {r} exceeds search radius {rset.search_radius}")
+    _check_radius(rset, r)
     return sum(res.multiplicity * math.log(r / abs(res.lam))
                for res in rset.resonances if abs(res.lam) <= r)
 
@@ -175,8 +176,6 @@ def compare_counts(rset: ResonanceSet, queries, r_grid) -> list[CountReport]:
     d = 3
     a = rset.potential.a
     r_grid = sorted(float(r) for r in r_grid)
-    if r_grid and r_grid[-1] > rset.search_radius * (1 + 1e-12):
-        raise ValueError("r grid exceeds the search radius")
     reports = []
     cd = weyl_constant(d)
     for q in queries:
@@ -248,13 +247,17 @@ class FamilyExperiment:
     def __post_init__(self):
         if self.base.a != self.other.a:
             raise ValueError("family endpoints must share the support radius")
-        if np.any(self.psi < 0) or float(np.dot(self.weights, self.psi)) <= 0:
+        if np.any(self.psi < 0) or not float(np.dot(self.weights, self.psi)) > 0:
             raise ValueError("weights require psi >= 0 with positive total mass")
 
     @classmethod
     def on_bump_grid(cls, base: RadialStepPotential, other: RadialStepPotential,
                      r: float, n: int = 5, bump_radius: float = 0.5) -> "FamilyExperiment":
         """Midpoint rule with n x n nodes on [-b, b]^2, b = bump_radius."""
+        if n < 1:
+            raise ValueError(f"grid size n must be at least 1, got {n}")
+        if not 0 < bump_radius < math.inf:
+            raise ValueError(f"bump_radius must be positive and finite, got {bump_radius}")
         b = bump_radius
         step = 2.0 * b / n
         mids = -b + step * (np.arange(n) + 0.5)

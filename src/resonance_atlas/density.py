@@ -64,8 +64,9 @@ class QuadratureSpec:
     max_subdivisions: int = 200
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("quadrature tolerances must be positive")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ValueError("quadrature tolerances must be positive and finite, got "
+                             f"abs_tol={self.abs_tol}, rel_tol={self.rel_tol}")
         if self.truncation_radius is not None and self.truncation_radius <= 1.0:
             raise ValueError("truncation radius must exceed 1")
         if self.max_subdivisions < 10:

@@ -2,8 +2,10 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -185,3 +187,92 @@ def test_verify_reports_raising_criterion_and_continues(monkeypatch, capsys):
             "BoundaryConflictError: channel 7 frame: persistent conflicts") in out
     assert "PASS criterion 2" in out
     assert "PASS criterion 3" in out
+
+
+@pytest.fixture(scope="module")
+def set_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sets") / "set.json"
+    assert run_cli(["resonances", "--v0-re", "-20", "--radius", "3",
+                    "--out", str(path)]) == 0
+    return path
+
+
+def test_config_value_meets_its_flag_choices(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = xml\ngrid = 5\n")
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as err:
+        run_cli(["--config", str(cfg), "density", "--out", str(out)])
+    assert err.value.code == 2
+    assert "argument --format: invalid choice: 'xml'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sector_flag_replaces_config_sectors(tmp_path, set_file):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sector = pi:1.25*pi\n")
+    out = tmp_path / "c.json"
+    assert run_cli(["--config", str(cfg), "count", "--in", str(set_file),
+                    "--r-grid", "2,3", "--sector", "pi:2*pi", "--out", str(out)]) == 0
+    reports = json.loads(out.read_text())
+    assert [(rep["query"]["phi"], rep["query"]["theta"]) for rep in reports] == [
+        (math.pi, 2 * math.pi)]
+
+    cfg.write_text("sector = pi:1.25*pi; pi:2*pi\nr-grid = 2,3\nno_such_option = 1\n")
+    assert run_cli(["--config", str(cfg), "count", "--in", str(set_file),
+                    "--out", str(out)]) == 0
+    reports = json.loads(out.read_text())
+    assert [rep["query"]["theta"] for rep in reports] == [1.25 * math.pi, 2 * math.pi]
+    assert reports[0]["query"]["r"] == 3.0
+
+
+@pytest.mark.parametrize("base, flags, config, named", [
+    (["family", "--r", "2"], ["--bump-radius", "nan"], "bump-radius = nan", "bump_radius"),
+    (["family", "--r", "2"], ["--bump-radius", "0"], "bump_radius = 0", "bump_radius"),
+    (["family", "--r", "2"], ["--bump-radius", "-0.5", "--grid-n", "3"],
+     "bump_radius = -0.5\ngrid_n = 3", "bump_radius"),
+    (["family", "--r", "2"], ["--grid-n", "0"], "grid-n = 0", "grid size n"),
+    (["density", "--grid", "5", "--out", "{out}"], ["--abs-tol", "nan"],
+     "abs_tol = nan", "abs_tol"),
+    (["count", "--in", "{set}"], ["--r-grid", "nan"], "r_grid = nan", "query radius r"),
+    (["count", "--in", "{set}"], ["--r-grid", "2,nan"], "r_grid = 2,nan", "query radius r"),
+    (["jensen"], ["--cases", "-1"], "cases = -1", "cases")])
+def test_invalid_value_is_a_usage_error_as_flag_or_config(
+        tmp_path, capsys, set_file, base, flags, config, named):
+    out = tmp_path / "t.csv"
+    base = [arg.format(out=out, set=set_file) for arg in base]
+    assert run_cli(base + flags) == 2
+    assert named in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config + "\n")
+    assert run_cli(["--config", str(cfg), *base]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["verify", "--only", "x"], ["verify", "--only", ","]])
+def test_verify_rejects_non_numeric_only(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        run_cli(argv)
+    assert err.value.code == 2
+    assert "argument --only:" in capsys.readouterr().err
+
+
+def test_readme_cli_block_parses():
+    from resonance_atlas.cli import build_parser
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("resonance-atlas ")]
+    assert len(lines) == 7
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        assert args.command == shlex.split(line)[1]
+
+
+@pytest.mark.parametrize("command", [
+    "density", "resonances", "count", "jensen", "family", "verify"])
+def test_command_help_exits_zero(command, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli([command, "--help"])
+    assert err.value.code == 0
+    assert f"usage: resonance-atlas {command}" in capsys.readouterr().out

@@ -299,6 +299,11 @@ def test_jensen_randomized_family():
     assert worst < 1e-6
 
 
+def test_jensen_suite_rejects_negative_cases():
+    with pytest.raises(ValueError, match="cases"):
+        ct.jensen_suite(cases=-1)
+
+
 def test_jensen_rejects_circle_hit():
     tc = ct.JensenTestCase.make([1j], [-1j])
     with pytest.raises(ValueError):

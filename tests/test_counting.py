@@ -44,6 +44,23 @@ def test_count_norm_never_extrapolates():
         ct.count_norm(hand, 6.0)
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf, 0.0, -1.0, 6.0])
+def test_counts_share_one_radius_guard(r):
+    hand = make_set([(-0.5 - 1j, 0)], radius=5.0)
+    for count in (ct.count_norm, ct.integrated_count):
+        with pytest.raises(ValueError, match="count radius"):
+            count(hand, r)
+    if 0 < r < math.inf:
+        with pytest.raises(ValueError, match="count radius"):
+            ct.count_sector(hand, ct.SectorQuery(r, PI, 2 * PI))
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, 0.0, -1.0])
+def test_sector_query_rejects_radius_that_is_not_positive_and_finite(r):
+    with pytest.raises(ValueError, match="query radius r"):
+        ct.SectorQuery(r, PI, 2 * PI)
+
+
 def test_count_sector_full_equals_norm():
     hand = make_set([(-0.5 - 1j, 0), (2 - 1j, 1), (1j * -3, 2)])
     q = ct.SectorQuery(5.0, PI, 2 * PI)
@@ -234,6 +251,27 @@ def test_family_radius_mismatch_rejected():
         ct.FamilyExperiment.on_bump_grid(
             RadialStepPotential(a=1.0, v0=-20.0),
             RadialStepPotential(a=2.0, v0=-12.0), r=5.0)
+
+
+@pytest.mark.parametrize("kwargs, named", [
+    ({"n": 0}, "grid size n"), ({"bump_radius": math.nan}, "bump_radius"),
+    ({"bump_radius": math.inf}, "bump_radius"), ({"bump_radius": 0.0}, "bump_radius"),
+    ({"bump_radius": -0.5, "n": 3}, "bump_radius")])
+def test_family_rejects_a_bad_bump_grid(kwargs, named):
+    with pytest.raises(ValueError, match=named):
+        ct.FamilyExperiment.on_bump_grid(
+            RadialStepPotential(a=1.0, v0=-20.0),
+            RadialStepPotential(a=1.0, v0=-12.0), r=5.0, **kwargs)
+
+
+def test_family_rejects_nan_psi_mass():
+    exp = ct.FamilyExperiment.on_bump_grid(
+        RadialStepPotential(a=1.0, v0=-20.0), RadialStepPotential(a=1.0, v0=-12.0),
+        r=5.0, n=3)
+    with pytest.raises(ValueError, match="positive total mass"):
+        ct.FamilyExperiment(base=exp.base, other=exp.other, zs=exp.zs,
+                            weights=exp.weights, psi=np.full(exp.zs.size, math.nan),
+                            r=exp.r)
 
 
 def test_family_prediction_uses_psi_mass():

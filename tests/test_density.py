@@ -141,6 +141,11 @@ def test_quadrature_spec_validation():
         QuadratureSpec(abs_tol=-1.0)
     with pytest.raises(ValueError):
         QuadratureSpec(truncation_radius=0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="abs_tol"):
+            QuadratureSpec(abs_tol=bad)
+        with pytest.raises(ValueError, match="rel_tol"):
+            QuadratureSpec(rel_tol=bad)
 
 
 def test_quadrature_failure_carries_estimate():
