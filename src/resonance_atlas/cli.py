@@ -71,6 +71,18 @@ def _parse_sector(text: str):
     return _parse_angle(parts[0]), _parse_angle(parts[1])
 
 
+def _radius(text: str) -> float:
+    """A query radius: a positive finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"query radius r must be positive and finite, got {text.strip()!r}")
+    return value
+
+
 def _comma_separated(cast):
     """Argument type: a non-empty comma-separated list of ``cast`` values."""
     def parse(text: str) -> list:
@@ -78,7 +90,7 @@ def _comma_separated(cast):
         if not values:
             raise ValueError(text)
         return values
-    parse.__name__ = f"comma-separated {cast.__name__}"  # argparse's error names it
+    parse.__name__ = f"comma-separated {cast.__name__.lstrip('_')}"  # argparse's error names it
     return parse
 
 
@@ -155,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="counting report from a resonance file")
     p.set_defaults(run=_cmd_count)
     p.add_argument("--in", dest="infile", help="resonance JSON file")
-    p.add_argument("--r-grid", type=_comma_separated(float),
+    p.add_argument("--r-grid", type=_comma_separated(_radius),
                    help="comma-separated radii")
     p.add_argument("--sector", action=_Repeatable, type=_parse_sector,
                    default=[(math.pi, 2.0 * math.pi)],
@@ -272,10 +284,10 @@ def _cmd_family(args, parser) -> int:
         resonances.RadialStepPotential(a=args.a, v0=complex(args.v0_re, args.v0_im)),
         resonances.RadialStepPotential(a=args.a, v0=complex(args.v1_re, args.v1_im)),
         r=args.r, n=args.grid_n, bump_radius=args.bump_radius)
+    queries = [counting.SectorQuery(args.r, phi, theta) for (phi, theta) in args.sector]
     print(f"solving {len(exp.active_indices())} of {exp.zs.size} members "
           f"(threads={args.threads})...")
     exp.solve(threads=args.threads)
-    queries = [counting.SectorQuery(args.r, phi, theta) for (phi, theta) in args.sector]
     for q in queries:
         avg = counting.family_average(exp, q)
         pred = counting.family_prediction(exp, q)

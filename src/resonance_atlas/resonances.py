@@ -60,7 +60,8 @@ from .contour import _IRR, ContourBox, locate_zeros
 # not called here; kept importable because perfbench/tracing.py wraps it by name
 from .contour import _winding_with_perturbation  # noqa: F401
 from .errors import EvaluationOverflowError, NumericalError
-from .special import _log_double_factorial, sph_h_pair_log, sph_j_pair_log, sph_j_series
+from .special import (_at, _log_double_factorial, _per_order, sph_h_pair_log, sph_j_pair_log,
+                      sph_j_series)
 
 __all__ = [
     "RadialStepPotential",
@@ -216,7 +217,16 @@ def channel_condition(ell: int, pot: RadialStepPotential, lam):
     return complex(out[0]) if scalar else out.reshape(np.shape(lam))
 
 
-def _potential_series_log(ell: int, a: float, v0: complex, z: np.ndarray,
+def _log_sum_exp(terms: np.ndarray) -> np.ndarray:
+    """log sum_n exp(terms[n]), column by column, scaled by the largest."""
+    top = terms.real.max(axis=0)
+    with np.errstate(under="ignore", invalid="ignore"):
+        total = np.exp(terms - top).sum(axis=0)
+    with np.errstate(divide="ignore"):
+        return np.log(total) + top
+
+
+def _potential_series_log(ell, a: float, v0: complex, z: np.ndarray,
                           hm1: np.ndarray, hl: np.ndarray, sh: np.ndarray):
     """log of the bracket of the integral identity (module docstring), summed
     as the multiplication-theorem series, and a mask of the points where the
@@ -225,15 +235,24 @@ def _potential_series_log(ell: int, a: float, v0: complex, z: np.ndarray,
     (hm1, hl, sh) is the scaled Hankel pair at z = lambda a.  The terms shrink
     like (|v0| a^2 / (2 |z|))^n / n!, so the sum is free of cancellation
     wherever the direct formula is flagged (|v0| small against |lambda|^2).
+    With an order array, the points of one order stop together and sum
+    their own terms as an array of their own, as a call with that order
+    alone would.
     """
     # n = 0: z^2 (j_(ell-1) h_ell - j_ell h_(ell-1)) is -i
     logs = [np.full(z.shape, complex(0.0, -math.pi / 2))]
     settled = np.ones(z.shape, dtype=bool)
+    per_order = isinstance(ell, np.ndarray)
+    if per_order:
+        orders, index = np.unique(ell, return_inverse=True)
+    stopped = False  # points of an order array whose order has settled
+    extra = 0        # terms computed after the point's order stopped
     if v0 != 0:
         log_c = cmath.log(v0 * a * a / 2.0)
         peak = np.zeros(z.shape)
         log_z = np.log(z)
         for n in range(1, _SERIES_MAX_TERMS + 1):
+            extra = extra + stopped
             jm1, jn, sj = sph_j_pair_log(ell + n, z)
             with np.errstate(divide="ignore", invalid="ignore"):
                 term = (n * log_c - math.lgamma(n + 1) + (2 - n) * log_z
@@ -241,18 +260,31 @@ def _potential_series_log(ell: int, a: float, v0: complex, z: np.ndarray,
             logs.append(term)
             peak = np.fmax(peak, term.real)
             settled = term.real < peak - 40.0  # below 4e-18 of the largest term
-            if n >= 2 and np.all(settled):
-                break
+            if n >= 2:
+                if per_order:  # an order stops once all its points have settled
+                    unsettled = np.bincount(index, ~settled, orders.size) > 0
+                    stopped = stopped | ~unsettled[index]
+                if (stopped if per_order else settled).all():
+                    break
+    settled = settled | stopped
     terms = np.array(logs)
-    top = terms.real.max(axis=0)
-    with np.errstate(under="ignore", invalid="ignore"):
-        total = np.exp(terms - top).sum(axis=0)
-    with np.errstate(divide="ignore"):
-        return np.log(total) + top, settled
+    if not per_order:
+        return _log_sum_exp(terms), settled
+    out = np.empty(z.shape, dtype=complex)
+    used = len(logs) - np.broadcast_to(extra, z.shape)
+    for i in range(orders.size):
+        rows = np.flatnonzero(index == i)
+        out[rows] = _log_sum_exp(np.ascontiguousarray(terms[:used[rows[0]], rows]))
+    return out, settled
 
 
-def channel_matcher_log(ell: int, pot: RadialStepPotential, kind: int = 1):
+def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
     """Vectorized lambda-array -> log g_ell(lambda) evaluator (log form).
+
+    ``ell`` is an int order, or an integer array of orders of the shape of
+    the lambda arrays the evaluator is given, one order per point.  Each
+    point of an array call gets, bit for bit, the value that an int call
+    with its order gives on the points of that order.
 
     g_ell = (2 ell + 1)!! (lambda a)^(ell+1) W_ell / k^ell is an entire
     function of lambda: the k^ell quotient removes the removable branch
@@ -289,7 +321,7 @@ def channel_matcher_log(ell: int, pot: RadialStepPotential, kind: int = 1):
     """
     a = pot.a
     v0 = pot.v0.conjugate() if kind == 2 else pot.v0
-    lndd = _log_double_factorial(2 * ell + 1)
+    lndd = _per_order(lambda n: _log_double_factorial(2 * n + 1), ell)
 
     def evaluate(lam: np.ndarray) -> np.ndarray:
         lam = np.asarray(lam, dtype=complex)
@@ -302,20 +334,21 @@ def channel_matcher_log(ell: int, pot: RadialStepPotential, kind: int = 1):
         out = np.empty_like(lam)
         small = np.abs(k) * a < 0.5
         if np.any(small):
+            es = _at(ell, small)
             u = k2[small] * (a * a)
-            s, ds = sph_j_series(ell, u)
-            A = 2.0 * a ** (ell + 1) * k2[small] * ds
-            if ell > 0:
-                A = A + ell * a ** (ell - 1) * s
-            B = lam[small] * a ** ell * s
+            s, ds = sph_j_series(es, u)
+            A = _per_order(lambda n: 2.0 * a ** (n + 1), es) * k2[small] * ds
+            A = np.where(es > 0, A + _per_order(lambda n: n * a ** (n - 1), es) * s, A)
+            B = lam[small] * _per_order(lambda n: a ** n, es) * s
             g = A * hl[small] - B * hp[small]
             with np.errstate(divide="ignore", invalid="ignore"):
                 out[small] = np.log(g) + sh[small] + pole_kill[small]
         big = np.flatnonzero(~small)
         if big.size:
+            eb = _at(ell, big)
             kb = k[big]
-            jm1, jl, sj = sph_j_pair_log(ell, kb * a)
-            jp = jm1 - (ell + 1) / (kb * a) * jl
+            jm1, jl, sj = sph_j_pair_log(eb, kb * a)
+            jp = jm1 - (eb + 1) / (kb * a) * jl
             p1 = kb * jp * hl[big]
             p2 = lam[big] * jl * hp[big]
             wt = p1 - p2
@@ -323,8 +356,8 @@ def channel_matcher_log(ell: int, pot: RadialStepPotential, kind: int = 1):
             absk = np.abs(kb)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                              under="ignore"):
-                out[big] = (np.log(wt) + sj + sh[big] + lndd
-                            - ell * np.log(kb) + pole_kill[big])
+                out[big] = (np.log(wt) + sj + sh[big] + _at(lndd, big)
+                            - eb * np.log(kb) + pole_kill[big])
                 # expected |W| (in the pair scaling): the free Wronskian plus
                 # the leading v0 part (k - lambda) j h, with k - lambda =
                 # -v0 / (k + lambda); unlike |wt| it does not dip at zeros
@@ -336,9 +369,10 @@ def channel_matcher_log(ell: int, pot: RadialStepPotential, kind: int = 1):
             if np.any(flagged):
                 lost = big[flagged]
                 series, settled = _potential_series_log(
-                    ell, a, v0, la[lost], hm1[lost], hl[lost], sh[lost])
-                out[lost[settled]] = (series[settled] + lndd
-                                      + (ell - 1) * math.log(a))
+                    _at(ell, lost), a, v0, la[lost], hm1[lost], hl[lost], sh[lost])
+                kept = lost[settled]
+                out[kept] = (series[settled] + _at(lndd, kept)
+                             + (_at(ell, kept) - 1) * math.log(a))
         return out
 
     return (lambda lam: np.conj(evaluate(np.conj(lam)))) if kind == 2 else evaluate
@@ -504,6 +538,21 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
     Summation stops once ten consecutive channels contribute less than 1e-10
     of the running total (only after ell has passed |lambda| a); a sum that
     has not settled by ell = 2000 raises NumericalError.
+
+    Channels are evaluated in blocks: one outgoing matcher call on the three
+    pole-test points of every channel of the block and one incoming call,
+    with the block's orders as an array.  The first block is channels
+    0 .. floor(|lambda| a) + 10, since no sum stops earlier; each later block
+    is the 10 - q channels that the stopping rule still needs after q quiet
+    channels.  The checks and the stopping rule then run channel by channel
+    in order, so the sum evaluates exactly the channels, and adds exactly the
+    terms, of a one-channel-at-a-time sum.
+
+    Domain, measured at a = 1, v0 = -20 on the rays arg lambda = k pi / 32:
+    the sum raises NumericalError (a scaled-Hankel false zero of the
+    incoming matcher; order 86 at arg lambda = pi/8) at |lambda| a = 60 for
+    arg lambda in {pi/8, 5 pi/32, 27 pi/32, 7 pi/8}, and on no ray for
+    |lambda| a <= 56.
     """
     lam = complex(lam)
     if lam == 0:
@@ -518,20 +567,24 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
     arr = np.array([lam, lam * (1.0 + 1e-4), lam * (1.0 - 1e-4)])
     total = 0.0
     quiet = 0
-    for ell in range(2001):
-        w1 = channel_matcher_log(ell, pot)(arr)
-        w2 = channel_matcher_log(ell, pot, kind=2)(np.array([lam]))[0]
-        if not (np.all(np.isfinite(w1)) and np.isfinite(w2)):
-            raise NumericalError(f"channel {ell}: matcher not finite at {lam}")
-        if w1[0].real - max(w1[1].real, w1[2].real) < math.log(1e-12):
-            raise NumericalError(
-                f"channel {ell}: |W_ell| vanishes at lambda={lam} (S-matrix pole)")
-        term = (2 * ell + 1) * (w2.real - w1[0].real)
-        total += term
-        if ell > abs(lam) * pot.a and abs(term) < 1e-10 * max(abs(total), 1.0):
-            quiet += 1
-            if quiet >= 10:
-                return total
-        else:
-            quiet = 0
+    first, last = 0, min(math.floor(abs(lam) * pot.a) + 10, 2000)
+    while first <= last:
+        orders = np.arange(first, last + 1)
+        w1 = channel_matcher_log(orders.repeat(3), pot)(np.tile(arr, orders.size))
+        w2 = channel_matcher_log(orders, pot, kind=2)(np.full(orders.size, lam))
+        for ell, w1_ell, w2_ell in zip(orders.tolist(), w1.reshape(-1, 3), w2):
+            if not (np.all(np.isfinite(w1_ell)) and np.isfinite(w2_ell)):
+                raise NumericalError(f"channel {ell}: matcher not finite at {lam}")
+            if w1_ell[0].real - max(w1_ell[1].real, w1_ell[2].real) < math.log(1e-12):
+                raise NumericalError(
+                    f"channel {ell}: |W_ell| vanishes at lambda={lam} (S-matrix pole)")
+            term = (2 * ell + 1) * (w2_ell.real - w1_ell[0].real)
+            total += term
+            if ell > abs(lam) * pot.a and abs(term) < 1e-10 * max(abs(total), 1.0):
+                quiet += 1
+                if quiet >= 10:
+                    return total
+            else:
+                quiet = 0
+        first, last = last + 1, min(last + 10 - quiet, 2000)
     raise NumericalError("channel sum did not settle by ell = 2000")

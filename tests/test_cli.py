@@ -16,6 +16,15 @@ def run_cli(args):
     return main(args)
 
 
+def exit_status(args):
+    """The status the command exits with: main's return value, or the code
+    of argparse's exit on a parse error."""
+    try:
+        return run_cli(args)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_density_csv(tmp_path, capsys):
     out = tmp_path / "h3.csv"
     code = run_cli(["density", "--d", "3", "--grid", "21", "--out", str(out)])
@@ -241,13 +250,36 @@ def test_invalid_value_is_a_usage_error_as_flag_or_config(
         tmp_path, capsys, set_file, base, flags, config, named):
     out = tmp_path / "t.csv"
     base = [arg.format(out=out, set=set_file) for arg in base]
-    assert run_cli(base + flags) == 2
+    assert exit_status(base + flags) == 2
     assert named in capsys.readouterr().err
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config + "\n")
-    assert run_cli(["--config", str(cfg), *base]) == 2
+    assert exit_status(["--config", str(cfg), *base]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["nan", "2,nan", "0", "2,-1", "inf"])
+def test_count_rejects_bad_radius_when_parsing(tmp_path, capsys, set_file, grid):
+    # the error names the option, as argparse does for --only and --format
+    argv = ["count", "--in", str(set_file)]
+    with pytest.raises(SystemExit) as err:
+        run_cli(argv + ["--r-grid", grid])
+    assert err.value.code == 2
+    assert "argument --r-grid: query radius r" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"r-grid = {grid}\n")
+    with pytest.raises(SystemExit) as err:
+        run_cli(["--config", str(cfg), *argv])
+    assert err.value.code == 2
+    assert "argument --r-grid: query radius r" in capsys.readouterr().err
+
+
+def test_family_rejects_sector_before_solving(capsys):
+    assert run_cli(["family", "--r", "6", "--grid-n", "2", "--sector", "0:pi"]) == 2
+    captured = capsys.readouterr()
+    assert "solving" not in captured.out
+    assert "sector angles" in captured.err
 
 
 @pytest.mark.parametrize("argv", [["verify", "--only", "x"], ["verify", "--only", ","]])

@@ -9,6 +9,7 @@ from scipy.special import spherical_jn, spherical_yn
 
 from resonance_atlas import contour as ct
 from resonance_atlas import resonances as rs
+from resonance_atlas import special
 from resonance_atlas.errors import BoundaryConflictError, NumericalError
 
 WELL = rs.RadialStepPotential(a=1.0, v0=-20.0)
@@ -377,6 +378,148 @@ def test_scattering_growth_bounded_by_density():
         lam = r * cmath.exp(1j * theta)
         val = rs.scattering_log_det(WELL, lam) / r ** 3
         assert val <= angular_density_d3_closed(theta) + 0.05
+
+
+def _det_points(r, radii, n_angles, reals):
+    """The ln|det S| points of the benchmark workloads: n_angles rays in the
+    upper half plane at each radius, and +-x on the real axis."""
+    upper = [rho * cmath.exp(1j * math.pi * k / (n_angles + 1))
+             for rho in radii for k in range(1, n_angles + 1)]
+    return upper + [complex(s * x, 0.0) for x in reals for s in (1, -1)]
+
+
+# the solve workloads' points, and the asymptotics workload's (r = 40)
+SOLVE_DET_POINTS = _det_points(20.0, (5.0, 10.0, 15.0, 20.0), 5, (3.0, 7.5, 18.0))
+ASYMPTOTICS_DET_POINTS = _det_points(40.0, (10.0, 20.0, 30.0, 40.0), 7,
+                                     (2.5, 5.0, 10.0, 20.0, 35.0))
+
+
+def _det_channel_by_channel(pot, lam):
+    """ln|det S| and its last channel, summed with one int-order matcher call
+    per channel and kind, with the checks and stopping rule of
+    scattering_log_det."""
+    arr = np.array([lam, lam * (1.0 + 1e-4), lam * (1.0 - 1e-4)])
+    total, quiet = 0.0, 0
+    for ell in range(2001):
+        w1 = rs.channel_matcher_log(ell, pot)(arr)
+        w2 = rs.channel_matcher_log(ell, pot, kind=2)(np.array([lam]))[0]
+        assert np.all(np.isfinite(w1)) and np.isfinite(w2)
+        assert w1[0].real - max(w1[1].real, w1[2].real) >= math.log(1e-12)
+        term = (2 * ell + 1) * (w2.real - w1[0].real)
+        total += term
+        if ell > abs(lam) * pot.a and abs(term) < 1e-10 * max(abs(total), 1.0):
+            quiet += 1
+            if quiet >= 10:
+                return total, ell
+        else:
+            quiet = 0
+    raise AssertionError(f"channel sum at {lam} did not settle")
+
+
+@pytest.mark.parametrize("pot, points", [
+    (WELL, ASYMPTOTICS_DET_POINTS), (WELL, SOLVE_DET_POINTS),
+    (rs.RadialStepPotential(1.0, -1e-12), SOLVE_DET_POINTS),
+    (rs.RadialStepPotential(1.0, complex(-16.0, 1.5)), SOLVE_DET_POINTS),
+    (rs.RadialStepPotential(2.0, -20.0), SOLVE_DET_POINTS)],
+    ids=["asymptotics", "solve", "weak", "complex", "a=2"])
+def test_scattering_log_det_equals_channel_by_channel_sum(monkeypatch, pot, points):
+    # blocks of channels evaluate exactly the channels 0..stop of the
+    # one-channel-at-a-time sum, and add exactly its terms
+    expected = [_det_channel_by_channel(pot, lam) for lam in points]
+    orders = {1: [], 2: []}
+    real = rs.channel_matcher_log
+
+    def recorded(ell, pot, kind=1):
+        orders[kind].append(np.atleast_1d(ell))
+        return real(ell, pot, kind)
+
+    monkeypatch.setattr(rs, "channel_matcher_log", recorded)
+    for lam, (value, stop) in zip(points, expected):
+        orders[1].clear()
+        orders[2].clear()
+        got = rs.scattering_log_det(pot, lam)
+        assert got == value, lam
+        if lam.imag == 0 and pot.v0.imag == 0:
+            assert got == 0.0
+        assert np.array_equal(np.concatenate(orders[2]), np.arange(stop + 1))
+        assert np.array_equal(np.concatenate(orders[1]), np.arange(stop + 1).repeat(3))
+        assert len(orders[2]) < stop + 1  # fewer calls than channels
+
+
+@pytest.mark.parametrize("theta", [math.pi / 8, 7 * math.pi / 8])
+def test_scattering_log_det_raises_past_its_domain(theta):
+    # the incoming matcher meets a scaled-Hankel false zero at order 86
+    with pytest.raises(NumericalError, match="order 86"):
+        rs.scattering_log_det(WELL, 60.0 * cmath.exp(1j * theta))
+
+
+def _matcher_by_order(pot, ells, lams, kind=1):
+    """The array-order matcher's values, and the int-order matcher's values
+    on the points of each order."""
+    ells, lams = np.asarray(ells), np.asarray(lams, dtype=complex)
+    got = rs.channel_matcher_log(ells, pot, kind)(lams)
+    want = np.empty_like(got)
+    for ell in np.unique(ells):
+        at = ells == ell
+        want[at] = rs.channel_matcher_log(int(ell), pot, kind)(lams[at])
+    return got, want
+
+
+def _same_bits(got, want):
+    return np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_array_order_matcher_small_k_branch():
+    lams = 1j * math.sqrt(20.0) + np.array([1e-3, -2e-3j, 0.01 + 0.005j, 0.02j, 3.0])
+    assert np.sum(np.abs(np.sqrt(lams ** 2 + 20.0)) < 0.5) == 4
+    got, want = _matcher_by_order(WELL, np.repeat([0, 1, 3, 12], 5), np.tile(lams, 4))
+    assert np.all(np.isfinite(got)) and _same_bits(got, want)
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+@pytest.mark.parametrize("v0, ells, lams", [
+    (-1e-12, np.repeat([0, 2, 5], 6),
+     np.tile([-30 - 25j, 10 - 30j, 5 - 40j, -3 - 20j, 20 - 15j, 1 - 10j], 3)),
+    # orders whose value changes in its last bit when its points sum as
+    # part of a larger array (order 10) or sum more terms (order 7)
+    (-0.1, np.array([10, 0, 11, 7, 3, 3]),
+     np.array([-12.710026498282136 - 31.77968675891116j,
+               -33.14806662851005 - 19.845079021380126j,
+               34.256881836829564 - 10.19095797597192j,
+               -34.366353907664255 - 42.933138131671j, 18.85 - 29.27j, 5 - 35j]))],
+    ids=["weak", "v0=-0.1"])
+def test_array_order_matcher_potential_series(monkeypatch, v0, ells, lams, kind):
+    calls = []
+    real = rs._potential_series_log
+    monkeypatch.setattr(rs, "_potential_series_log",
+                        lambda ell, *args: calls.append(ell) or real(ell, *args))
+    lams = np.asarray(lams) if kind == 1 else np.conj(lams)
+    got, want = _matcher_by_order(rs.RadialStepPotential(1.0, v0), ells, lams, kind)
+    assert np.all(np.isfinite(got)) and _same_bits(got, want)
+    assert np.size(calls[0]) == len(lams)  # one array call summed every series
+
+
+def test_array_order_matcher_hankel_recurrence(monkeypatch):
+    # at |z| = 0.5 the scaled AMOS Hankel overflows from order 150 on, not
+    # at order 60; one array call runs the recurrence to each point's order
+    calls = []
+    real = special._h_pair_recurrence_log
+    monkeypatch.setattr(special, "_h_pair_recurrence_log",
+                        lambda ell, z: calls.append(ell) or real(ell, z))
+    lams = 0.5 * np.exp(1j * np.linspace(-3.0, 3.0, 7))
+    got, want = _matcher_by_order(WELL, np.repeat([0, 60, 150, 200], 7), np.tile(lams, 4))
+    assert np.all(np.isfinite(got)) and _same_bits(got, want)
+    assert sorted(set(calls[0].tolist())) == [150, 200]
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_array_order_matcher_complex_well(kind):
+    pot = rs.RadialStepPotential(1.0, complex(-16.0, 1.5))
+    lams = np.array([3 + 4j, -7 + 1j, 15 + 10j, 0.5 + 0.2j, 25 + 0.1j])
+    if kind == 1:
+        lams = lams.conj()
+    got, want = _matcher_by_order(pot, np.repeat([0, 1, 10, 30], 5), np.tile(lams, 4), kind)
+    assert np.all(np.isfinite(got)) and _same_bits(got, want)
 
 
 def test_reference_well_past_r43_solves_or_names_the_false_zero():
