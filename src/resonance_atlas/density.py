@@ -230,6 +230,8 @@ def weyl_constant_2d(d: int, abs_tol: float = 5e-7) -> float:
     2 (T^(1-d)/(d-1))(1+1/T) to the double integral.
     """
     _check_dimension(d)
+    if not 0 < abs_tol < math.inf:
+        raise ValueError(f"abs_tol must be positive and finite, got {abs_tol}")
     from scipy.integrate import dblquad
 
     fact = math.factorial(d - 2)

@@ -4,6 +4,8 @@ Contents:
 
 * ``bessel_phase`` -- the phase function from uniform Bessel-function
   asymptotics, continuous on the open upper half plane together with (0, 1].
+  Scalar input stays in cmath: the density quadratures call it once per
+  point, about 1e5 times per constant.
 * ``coth_fixed_point`` / ``critical_curve_point`` / ``critical_curve_modulus``
   -- the curve separating the sign regions of ``Re bessel_phase``.
 * ``sph_j_pair_log`` / ``sph_h_pair_log`` -- log-scaled pairs
@@ -43,6 +45,8 @@ __all__ = [
     "gamma_real",
 ]
 
+_EPS = math.ulp(1.0)
+_PHASE_DOMAIN = "bessel_phase is defined for Im z > 0 or real z in (0, 1]; got %r"
 # Rescale threshold for the fallback recurrences.
 _RESCALE = 1e250
 _LOG_RESCALE = math.log(_RESCALE)
@@ -68,25 +72,31 @@ def bessel_phase(z):
     plane together with the real interval (0, 1]; elsewhere the branch
     prescription is ambiguous and a ValueError is raised.
 
+    A scalar (a Python or numpy complex, float or int, or a 0-d array) is
+    checked and evaluated in cmath and returned as a Python complex: the
+    density quadratures call this once per point, about 1e5 times per
+    constant, and numpy's per-call cost would be most of the work.
+
     On (0, 1] all branches are principal, and the continuation to the upper
     half plane is realized by principal branches as well: writing
     z = sech(sigma + i*tau) with sigma > 0, -pi < tau < 0 one finds
     (1 + w)/z = exp(sigma + i*tau), whose argument stays inside (-pi, 0), so
     the principal logarithm never jumps.
     """
-    arr = np.asarray(z, dtype=complex)
-    bad = ~((arr.imag > 0.0) | ((arr.imag == 0.0) & (arr.real > 0.0) & (arr.real <= 1.0)))
-    if np.any(bad):
-        raise ValueError(
-            "bessel_phase is defined for Im z > 0 or real z in (0, 1]; got %r"
-            % (arr[bad].flat[0] if arr.shape else complex(arr),)
-        )
-    if arr.shape == ():
-        zz = complex(arr)
-        w = cmath.sqrt(1.0 - zz) * cmath.sqrt(1.0 + zz)
-        return cmath.log((1.0 + w) / zz) - w
-    w = _branch_sqrt_one_minus_z2(arr)
-    return np.log((1.0 + w) / arr) - w
+    if not isinstance(z, (complex, float, int)):
+        arr = np.asarray(z, dtype=complex)
+        if arr.shape:
+            bad = ~((arr.imag > 0.0) | ((arr.imag == 0.0) & (arr.real > 0.0) & (arr.real <= 1.0)))
+            if np.any(bad):
+                raise ValueError(_PHASE_DOMAIN % (arr[bad].flat[0],))
+            w = _branch_sqrt_one_minus_z2(arr)
+            return np.log((1.0 + w) / arr) - w
+        z = arr
+    z = complex(z)
+    if not (z.imag > 0.0 or (z.imag == 0.0 and 0.0 < z.real <= 1.0)):
+        raise ValueError(_PHASE_DOMAIN % (z,))
+    w = cmath.sqrt(1.0 - z) * cmath.sqrt(1.0 + z)
+    return cmath.log((1.0 + w) / z) - w
 
 
 @lru_cache(maxsize=1)
@@ -121,7 +131,7 @@ def critical_curve_point(s: float, sign: int = +1) -> complex:
         raise ValueError(f"curve parameter must lie in (0, s0~{s0:.6f}]; got {s}")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    if abs(s - s0) <= 4.0 * np.finfo(float).eps * s0:
+    if abs(s - s0) <= 4.0 * _EPS * s0:
         # The real radicand vanishes identically at the fixed point; evaluating
         # it in doubles would leave an O(sqrt(eps)) residue.
         re2 = 0.0

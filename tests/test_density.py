@@ -87,6 +87,12 @@ def test_weyl_constant_2d_agreement():
     assert abs(dn.weyl_constant(3) - dn.weyl_constant_2d(3)) < 1e-5
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_weyl_constant_2d_rejects_bad_abs_tol(bad):
+    with pytest.raises(ValueError, match="abs_tol"):
+        dn.weyl_constant_2d(3, abs_tol=bad)
+
+
 def test_tail_bound_controls_truncation():
     for T in [30.0, 50.0]:
         h_T = dn.angular_density(3, 1.0, QuadratureSpec(truncation_radius=T))

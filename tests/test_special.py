@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scipy.special import spherical_jn, spherical_yn
 
@@ -26,6 +27,43 @@ def test_phase_domain_errors():
     for bad in [0.0, -0.5, 1.5, 2 - 1j, -3j]:
         with pytest.raises(ValueError):
             sp.bessel_phase(bad)
+
+
+# Seeded points of the domain: the open upper half plane and (0, 1], as
+# Python and numpy scalars.
+_upper = st.builds(complex, st.floats(-50.0, 50.0), st.floats(1e-300, 50.0))
+_unit = st.floats(0.0, 1.0, exclude_min=True)
+_scalars = st.one_of(st.just(1), _upper, _upper.map(np.complex128),
+                     _unit, _unit.map(np.float64), _unit.map(np.complex128))
+
+
+def _bits(v):
+    return v.real.hex(), v.imag.hex()
+
+
+def _phase_via_0d_array(z):
+    # the evaluation a scalar got before it had a path of its own: converted
+    # through a 0-d complex array, then the cmath expression
+    z = complex(np.asarray(z, dtype=complex))
+    w = cmath.sqrt(1.0 - z) * cmath.sqrt(1.0 + z)
+    return cmath.log((1.0 + w) / z) - w
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_scalars)
+def test_phase_scalar_matches_0d_bit_for_bit(z):
+    got = sp.bessel_phase(z)
+    assert type(got) is complex
+    assert _bits(got) == _bits(complex(sp.bessel_phase(np.asarray(z))))
+    assert _bits(got) == _bits(_phase_via_0d_array(z))
+
+
+@pytest.mark.parametrize("bad", [0, 0j, -0.5, 1.5, 1 - 1e-300j, math.nan,
+                                 complex(0.5, math.nan)])
+def test_phase_scalar_and_0d_reject_alike(bad):
+    for z in (bad, np.asarray(bad), np.asarray([bad])):
+        with pytest.raises(ValueError, match="bessel_phase is defined"):
+            sp.bessel_phase(z)
 
 
 def test_phase_vanishes_on_critical_curve():
