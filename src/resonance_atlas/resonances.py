@@ -217,15 +217,6 @@ def channel_condition(ell: int, pot: RadialStepPotential, lam):
     return complex(out[0]) if scalar else out.reshape(np.shape(lam))
 
 
-def _log_sum_exp(terms: np.ndarray) -> np.ndarray:
-    """log sum_n exp(terms[n]), column by column, scaled by the largest."""
-    top = terms.real.max(axis=0)
-    with np.errstate(under="ignore", invalid="ignore"):
-        total = np.exp(terms - top).sum(axis=0)
-    with np.errstate(divide="ignore"):
-        return np.log(total) + top
-
-
 def _potential_series_log(ell, a: float, v0: complex, z: np.ndarray,
                           hm1: np.ndarray, hl: np.ndarray, sh: np.ndarray):
     """log of the bracket of the integral identity (module docstring), summed
@@ -235,47 +226,40 @@ def _potential_series_log(ell, a: float, v0: complex, z: np.ndarray,
     (hm1, hl, sh) is the scaled Hankel pair at z = lambda a.  The terms shrink
     like (|v0| a^2 / (2 |z|))^n / n!, so the sum is free of cancellation
     wherever the direct formula is flagged (|v0| small against |lambda|^2).
-    With an order array, the points of one order stop together and sum
-    their own terms as an array of their own, as a call with that order
-    alone would.
+    Each point stops at its own first settled term (n >= 2) and adds its
+    terms one by one in order, so its value depends neither on the other
+    points of the call nor on their orders.
     """
     # n = 0: z^2 (j_(ell-1) h_ell - j_ell h_(ell-1)) is -i
     logs = [np.full(z.shape, complex(0.0, -math.pi / 2))]
-    settled = np.ones(z.shape, dtype=bool)
-    per_order = isinstance(ell, np.ndarray)
-    if per_order:
-        orders, index = np.unique(ell, return_inverse=True)
-    stopped = False  # points of an order array whose order has settled
-    extra = 0        # terms computed after the point's order stopped
+    last = np.zeros(z.shape, dtype=int)  # index of each point's last term
+    settled = np.full(z.shape, v0 == 0)
     if v0 != 0:
         log_c = cmath.log(v0 * a * a / 2.0)
         peak = np.zeros(z.shape)
         log_z = np.log(z)
         for n in range(1, _SERIES_MAX_TERMS + 1):
-            extra = extra + stopped
             jm1, jn, sj = sph_j_pair_log(ell + n, z)
             with np.errstate(divide="ignore", invalid="ignore"):
                 term = (n * log_c - math.lgamma(n + 1) + (2 - n) * log_z
                         + np.log(jm1 * hl - jn * hm1) + sj + sh)
             logs.append(term)
+            last[~settled] = n
             peak = np.fmax(peak, term.real)
-            settled = term.real < peak - 40.0  # below 4e-18 of the largest term
             if n >= 2:
-                if per_order:  # an order stops once all its points have settled
-                    unsettled = np.bincount(index, ~settled, orders.size) > 0
-                    stopped = stopped | ~unsettled[index]
-                if (stopped if per_order else settled).all():
+                settled |= term.real < peak - 40.0  # below 4e-18 of the largest term
+                if settled.all():
                     break
-    settled = settled | stopped
     terms = np.array(logs)
-    if not per_order:
-        return _log_sum_exp(terms), settled
-    out = np.empty(z.shape, dtype=complex)
-    used = len(logs) - np.broadcast_to(extra, z.shape)
-    for i in range(orders.size):
-        rows = np.flatnonzero(index == i)
-        out[rows] = _log_sum_exp(np.ascontiguousarray(terms[:used[rows[0]], rows]))
-    return out, settled
+    used = np.arange(len(logs))[:, None] <= last
+    top = np.where(used, terms.real, -np.inf).max(axis=0)
+    with np.errstate(under="ignore", invalid="ignore"):
+        parts = np.exp(terms - top)
+    total = parts[0]
+    for part, use in zip(parts[1:], used[1:]):
+        np.add(total, part, out=total, where=use)
+    with np.errstate(divide="ignore"):
+        return np.log(total) + top, settled
 
 
 def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):

@@ -522,6 +522,38 @@ def test_array_order_matcher_complex_well(kind):
     assert np.all(np.isfinite(got)) and _same_bits(got, want)
 
 
+@pytest.fixture(scope="module")
+def weak_resonances():
+    weak = rs.find_resonances(rs.RadialStepPotential(1.0, -1e-12), 20.0)
+    return np.array([r.lam for r in weak.resonances])
+
+
+@pytest.mark.parametrize("v0", [-20.0, -0.1, -1e-12, complex(-16.0, 1.5)])
+def test_matcher_value_does_not_depend_on_the_call_layout(v0, weak_resonances):
+    # a point's value is the same, bit for bit, in one call over many
+    # points, in a call of its own and in a call with an order array:
+    # points deep in the lower half plane (potential series for weak
+    # wells), within 0.3 of +-sqrt(v0) (small-|k| series) and next to the
+    # resonances of v0 = -1e-12 at R = 20
+    rng = np.random.default_rng(1313)
+    pot = rs.RadialStepPotential(1.0, v0)
+    deep = rng.uniform(-40.0, 40.0, 100) + 1j * rng.uniform(-45.0, -5.0, 100)
+    near_root = np.concatenate([
+        c + 0.3 * np.sqrt(rng.uniform(size=20)) * np.exp(2j * np.pi * rng.uniform(size=20))
+        for c in (cmath.sqrt(v0), -cmath.sqrt(v0))])
+    near_weak = np.repeat(weak_resonances, 2) + 0.01 * (
+        rng.normal(size=2 * weak_resonances.size) + 1j * rng.normal(size=2 * weak_resonances.size))
+    lams = np.concatenate([deep, near_root, near_weak])
+    ells = [0, 3, 10, 40]
+    many = [rs.channel_matcher_log(ell, pot)(lams) for ell in ells]
+    for ell, got in zip(ells, many):
+        alone = np.concatenate([rs.channel_matcher_log(ell, pot)(lams[i:i + 1])
+                                for i in range(lams.size)])
+        assert np.all(np.isfinite(got)) and _same_bits(got, alone), ell
+    by_array = rs.channel_matcher_log(np.repeat(ells, lams.size), pot)(np.tile(lams, len(ells)))
+    assert _same_bits(by_array, np.concatenate(many))
+
+
 def test_reference_well_past_r43_solves_or_names_the_false_zero():
     # scipy's scaled Hankel routine returns false zeros at the orders and
     # arguments this solve needs; that must surface as the typed error that
