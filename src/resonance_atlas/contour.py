@@ -10,6 +10,15 @@ A box boundary is four such sampled edges, so the zero-finding quadtree
 samples only the cross through each split point: the children inherit the
 halves of their parent's edges.
 
+The quadtree descends level by level, since its boxes are independent
+(Delves & Lyness, Math. Comp. 21, 1967): one call samples the arms of every
+cross of a level, and one call per refinement round takes the midpoints of
+all their rejected intervals.  The leaves are polished together once the
+descent has no box left to split, by one secant iteration with one call per
+step over the seeds still active; a leaf whose iterate fails splits and
+descends again.  So a channel's solve makes a few calls per level instead of
+a few per box and per leaf.
+
 Functions are evaluated either directly or in "log form": a log-form
 callable returns log f(z) (any branch per point); only phase differences and
 log-magnitude differences are consumed, so the branch never matters.  Log
@@ -130,54 +139,80 @@ def _steps(ws: np.ndarray) -> np.ndarray:
     return np.diff(ws.real) + 1j * _wrap_phase(np.diff(ws.imag))
 
 
-def _refine(gamma, eval_w, ts, zs, ws, what: str, max_new: int = 200000):
-    """Insert midpoints of gamma(t) until all phase steps are trustworthy.
+def _refine(eval_w, segments, ts, zs, ws, whats, max_new: int = 200000):
+    """Insert midpoints into the samples of each segment (z0, z1) until all
+    its phase steps are trustworthy; each round evaluates the new midpoints
+    of every segment in one call.
 
     Rejects an interval when its wrapped phase step exceeds pi/2, and
     also when the full complex log-step of the interval *or a neighbour*
     is large: a zero of multiplicity m straddled symmetrically by one
     interval can carry a true phase step near 2 pi (invisible after
     wrapping), but its neighbours then necessarily see the approach to
-    the zero as a large log-magnitude swing.  Returns the refined (zs, ws).
+    the zero as a large log-magnitude swing.  ts, zs and ws hold each
+    segment's parameters, points and log values; each segment has a budget
+    of ``max_new`` midpoints.  Returns, per segment, its refined (zs, ws) or
+    the BoundaryConflictError that rejects it, named by its ``whats`` entry.
     """
-    budget = max_new
-    while True:
-        if not np.all(np.isfinite(ws)):
-            raise BoundaryConflictError(
-                f"{what}: non-finite (or exactly zero) value on the contour")
-        dphi = _wrap_phase(np.diff(ws.imag))
-        steep = np.abs(np.diff(ws.real) + 1j * dphi) > 1.5
-        bad = np.abs(dphi) > math.pi / 2.0
-        bad |= steep
-        bad[1:] |= steep[:-1]
-        bad[:-1] |= steep[1:]
-        if not np.any(bad):
-            return zs, ws
-        if np.min(np.diff(ts)[bad]) < 1e-12:
-            raise BoundaryConflictError(
-                f"{what}: phase step will not settle under refinement "
-                "(zero on or almost on the contour)")
-        mids = 0.5 * (ts[:-1][bad] + ts[1:][bad])
-        budget -= mids.size
-        if budget < 0:
-            raise NumericalError(f"{what}: refinement budget exhausted")
-        mz = gamma(mids)
-        order = np.searchsorted(ts, mids)
-        ts = np.insert(ts, order, mids)
-        zs = np.insert(zs, order, mz)
-        ws = np.insert(ws, order, eval_w(mz))
+    out = [None] * len(segments)
+    budget = [max_new] * len(segments)
+    pending = range(len(segments))
+    while pending:
+        new = []  # (segment, midpoint parameters, midpoints)
+        for i in pending:
+            if not np.all(np.isfinite(ws[i])):
+                out[i] = BoundaryConflictError(
+                    f"{whats[i]}: non-finite (or exactly zero) value on the contour")
+                continue
+            dphi = _wrap_phase(np.diff(ws[i].imag))
+            steep = np.abs(np.diff(ws[i].real) + 1j * dphi) > 1.5
+            bad = np.abs(dphi) > math.pi / 2.0
+            bad |= steep
+            bad[1:] |= steep[:-1]
+            bad[:-1] |= steep[1:]
+            if not np.any(bad):
+                out[i] = (zs[i], ws[i])
+                continue
+            t = ts[i]
+            if np.min(np.diff(t)[bad]) < 1e-12:
+                out[i] = BoundaryConflictError(
+                    f"{whats[i]}: phase step will not settle under refinement "
+                    "(zero on or almost on the contour)")
+                continue
+            mids = 0.5 * (t[:-1][bad] + t[1:][bad])
+            budget[i] -= mids.size
+            if budget[i] < 0:
+                raise NumericalError(f"{whats[i]}: refinement budget exhausted")
+            z0, z1 = segments[i]
+            new.append((i, mids, z0 + mids * (z1 - z0)))
+        if new:
+            values = _pieces(eval_w(np.concatenate([mz for _, _, mz in new])),
+                            [mz for _, _, mz in new])
+            for (i, mids, mz), mw in zip(new, values):
+                order = np.searchsorted(ts[i], mids)
+                ts[i] = np.insert(ts[i], order, mids)
+                zs[i] = np.insert(zs[i], order, mz)
+                ws[i] = np.insert(ws[i], order, mw)
+        pending = [i for i, _, _ in new]
+    return out
 
 
-def _check_guard(zs, ws, guard_dist: float, what: str) -> None:
-    """Raise when the smallest |f/f'| estimate along the samples, from
-    finite differences, falls below guard_dist."""
+def _pieces(values: np.ndarray, parts) -> list[np.ndarray]:
+    """values cut into consecutive pieces of the sizes of the arrays parts."""
+    return np.split(values, np.cumsum([p.size for p in parts[:-1]]))
+
+
+def _guard_conflict(zs, ws, guard_dist: float, what: str):
+    """The BoundaryConflictError for samples whose smallest |f/f'| estimate,
+    from finite differences, falls below guard_dist; otherwise None."""
     dz = np.abs(np.diff(zs))
     dw = np.abs(_steps(ws))
     mask = dw > 1e-9
     if np.any(mask) and np.min(dz[mask] / dw[mask]) < guard_dist:
-        raise BoundaryConflictError(
+        return BoundaryConflictError(
             f"{what}: a zero lies within {guard_dist:.3g} of the contour; "
             "perturb the box and retry")
+    return None
 
 
 @dataclass(frozen=True)
@@ -209,29 +244,37 @@ class _Edge:
                 _Edge(np.insert(self.zs[i:], 0, z), np.insert(self.ws[i:], 0, w)))
 
 
-def _sampled_edges(eval_w, segments, spacing: float, guard_dist: float,
-                   what: str) -> list[_Edge]:
+def _sampled_edges(eval_w, segments, spacing: float, guards, whats) -> list:
     """Edges along the segments (z0, z1), first sampled at most ``spacing``
     apart in at least 8 intervals (all of them in one evaluation), then
-    refined, then checked against the guard distance."""
+    refined together (``_refine``), then checked against their guard
+    distances.  Returns, per segment, its _Edge or the BoundaryConflictError
+    that rejects it, named by its ``whats`` entry."""
     ts = [np.linspace(0.0, 1.0, max(8, math.ceil(abs(z1 - z0) / spacing)) + 1)
           for z0, z1 in segments]
     zs = [z0 + t * (z1 - z0) for (z0, z1), t in zip(segments, ts)]
-    ws = np.split(eval_w(np.concatenate(zs)), np.cumsum([t.size for t in ts[:-1]]))
+    ws = _pieces(eval_w(np.concatenate(zs)), zs)
     edges = []
-    for (z0, z1), t, z, w in zip(segments, ts, zs, ws):
-        z, w = _refine(lambda s: z0 + s * (z1 - z0), eval_w, t, z, w, what)
-        _check_guard(z, w, guard_dist, what)
-        edges.append(_Edge(z, w))
+    for refined, guard, what in zip(_refine(eval_w, segments, ts, zs, ws, whats),
+                                    guards, whats):
+        if not isinstance(refined, BoundaryConflictError):
+            refined = _guard_conflict(*refined, guard, what) or _Edge(*refined)
+        edges.append(refined)
     return edges
 
 
+def _first_conflict(edges):
+    """The first BoundaryConflictError among sampled edges, or None."""
+    return next((e for e in edges if isinstance(e, BoundaryConflictError)), None)
+
+
 def _box_edges(eval_w, box: ContourBox, spacing: float, guard_dist: float,
-               what: str) -> list[_Edge]:
-    """The box's bottom, right, top and left edges, counterclockwise."""
+               what: str) -> list:
+    """The box's bottom, right, top and left edges, counterclockwise, as
+    ``_sampled_edges`` gives them."""
     cs = box.corners()
     return _sampled_edges(eval_w, list(zip(cs, cs[1:] + cs[:1])), spacing,
-                          guard_dist, what)
+                          [guard_dist] * 4, [what] * 4)
 
 
 def _spacing(box: ContourBox, samples: int) -> float:
@@ -260,64 +303,104 @@ def winding_count(f, box: ContourBox, *, log_form: bool = False) -> int:
     times the diameter of the boundary; a suspected boundary zero raises
     BoundaryConflictError.  The loop is first sampled at 32 points.
     """
-    return _winding(_box_edges(
-        _make_log_evaluator(f, log_form), box, _spacing(box, 32),
-        1e-3 * box.diameter, f"winding over {box.lower_left}..{box.upper_right}"))
+    edges = _box_edges(_make_log_evaluator(f, log_form), box, _spacing(box, 32),
+                       1e-3 * box.diameter,
+                       f"winding over {box.lower_left}..{box.upper_right}")
+    conflict = _first_conflict(edges)
+    if conflict is not None:
+        raise conflict
+    return _winding(edges)
 
 
 # ---------------------------------------------------------------------------
 # Zero localization
 # ---------------------------------------------------------------------------
 
-def _newton_polish(eval_w, z0: complex, mult: int, tol: float, bound_check):
-    """Secant iteration on log f, exact for an isolated power (z - z*)^mult.
+def _newton_polish(eval_w, seeds, mults, tol: float, bound_checks):
+    """Secant iterations on log f, one per seed, each exact for an isolated
+    power (z - z*)^mult.
 
     From two iterates, rho = exp((log f_b - log f_a)/mult) equals
     (z_b - z*)/(z_a - z*), which solves for z* directly; for analytic f this
     converges superlinearly and, unlike derivative stencils, keeps working
-    arbitrarily close to the zero (no stencil ever straddles it).  Returns
-    the zero, or None on failure.
+    arbitrarily close to the zero (no stencil ever straddles it).  The
+    iterations run together: one call evaluates every seed's first two
+    points, and one call per step the new iterates of the seeds still
+    active.  Each seed's arithmetic is its own, so its iterates do not
+    depend on the other seeds.  Returns, per seed, the zero, or None where
+    the iteration failed or left ``bound_checks``.
     """
-    za = z0
-    zb = z0 + 1e-5 * max(abs(z0), 1.0) * complex(0.6, 0.8)
-    wa, wb = (complex(v) for v in eval_w(np.array([za, zb])))
-    if not cmath.isfinite(wa):
-        return za  # landed on an exact zero of f
-    if not cmath.isfinite(wb):
-        return zb
-    step = math.inf
+    n = len(seeds)
+    if not n:
+        return []
+    out = [None] * n
+    za = list(seeds)
+    zb = [z0 + 1e-5 * max(abs(z0), 1.0) * complex(0.6, 0.8) for z0 in seeds]
+    values = eval_w(np.array(za + zb)).tolist()
+    wa, wb = values[:n], values[n:]
+    step = [math.inf] * n
+    active = []
+    for i in range(n):
+        if not cmath.isfinite(wa[i]):
+            out[i] = za[i]  # landed on an exact zero of f
+        elif not cmath.isfinite(wb[i]):
+            out[i] = zb[i]
+        else:
+            active.append(i)
     for _ in range(60):
-        dw = wb - wa
-        dw = complex(dw.real, _wrap1(dw.imag)) / mult
-        rho = cmath.exp(dw)
-        denom = 1.0 - rho
-        if denom == 0:
-            return None
-        z_new = (zb - rho * za) / denom
-        step = abs(z_new - zb)
-        if not bound_check(z_new):
-            return None
-        za, wa = zb, wb
-        zb = z_new
-        values = eval_w(np.array([zb]))
-        wb = complex(values[0])
-        if not np.isfinite(values[0]):
-            return zb
-        if step < 1e-14 * max(abs(z_new), 1.0):
-            return zb
-    return zb if step < tol else None
+        moved = []
+        for i in active:
+            dw = wb[i] - wa[i]
+            dw = complex(dw.real, _wrap1(dw.imag)) / mults[i]
+            rho = cmath.exp(dw)
+            denom = 1.0 - rho
+            if denom == 0:
+                continue
+            z_new = (zb[i] - rho * za[i]) / denom
+            step[i] = abs(z_new - zb[i])
+            if not bound_checks[i](z_new):
+                continue
+            za[i], wa[i] = zb[i], wb[i]
+            zb[i] = z_new
+            moved.append(i)
+        active = []
+        if moved:
+            for i, w in zip(moved, eval_w(np.array([zb[i] for i in moved])).tolist()):
+                wb[i] = w
+                if not cmath.isfinite(w) or step[i] < 1e-14 * max(abs(zb[i]), 1.0):
+                    out[i] = zb[i]
+                else:
+                    active.append(i)
+        if not active:
+            break
+    for i in active:
+        out[i] = zb[i] if step[i] < tol else None
+    return out
 
 
-def _moved(what: str, attempt):
-    """attempt(k) for the first move k = 0, 1, ..., _MOVES of the contour that
-    raises no BoundaryConflictError; move k shifts it by k (sqrt 2 - 1) steps."""
+def _moved(whats, attempt):
+    """Each item's result under its first move k = 0, 1, ..., _MOVES of its
+    contour that meets no boundary conflict; move k shifts it by
+    k (sqrt 2 - 1) steps.
+
+    attempt(items, k) gives, for each listed item (an index into ``whats``),
+    its result under move k or the BoundaryConflictError that rejects it.
+    The items are tried together, and only the conflicting ones move on,
+    each by the rule alone; the first item still in conflict after the last
+    move raises, named by its ``whats`` entry.
+    """
+    results = [None] * len(whats)
+    pending = list(range(len(whats)))
     for k in range(_MOVES + 1):
-        try:
-            return attempt(k)
-        except BoundaryConflictError as exc:
-            last = exc
+        for i, r in zip(pending, attempt(pending, k)):
+            results[i] = r
+        pending = [i for i in pending if isinstance(results[i], BoundaryConflictError)]
+        if not pending:
+            return results
+    last = results[pending[0]]
     raise BoundaryConflictError(
-        f"{what}: boundary conflicts persist after {_MOVES} moves; last: {last}") from last
+        f"{whats[pending[0]]}: boundary conflicts persist after {_MOVES} moves; "
+        f"last: {last}") from last
 
 
 def _winding_with_perturbation(eval_w, box: ContourBox, samples: int, what: str,
@@ -335,16 +418,16 @@ def _winding_with_perturbation(eval_w, box: ContourBox, samples: int, what: str,
     zero-to-contour distance of 1e-3 times the diameter (large sweep
     contours legitimately pass close to zeros they enclose).
     """
-    def attempt(k):
+    def attempt(_, k):
         m = complex(1.0, 1.0) * (2e-3 * box.diameter * k * _IRR)
         ur = box.upper_right + m
         eff = ContourBox(box.lower_left - m, complex(ur.real, min(ur.imag, ceiling)),
                          depth=box.depth)
         guard = guard_dist if guard_dist is not None else 1e-3 * eff.diameter
         edges = _box_edges(eval_w, eff, _spacing(eff, samples), guard, what)
-        return _winding(edges), eff, edges
+        return [_first_conflict(edges) or (_winding(edges), eff, edges)]
 
-    return _moved(what, attempt)
+    return _moved([what], attempt)[0]
 
 
 def locate_zeros(f, box: ContourBox, tol: float, *,
@@ -354,7 +437,7 @@ def locate_zeros(f, box: ContourBox, tol: float, *,
     """All zeros of f inside the box, as (location, multiplicity) pairs.
 
     f maps an array of points to an array of the same shape (of log f with
-    ``log_form``).  Quadrisects recursively down to leaf boxes: boxes of
+    ``log_form``).  Quadrisects level by level down to leaf boxes: boxes of
     winding 1 or of diameter below ``tol``.  By the argument principle a
     leaf's winding w counts its zeros with multiplicity, so w is the
     multiplicity of the leaf's zero: a winding-1 leaf holds one simple zero, and a leaf below
@@ -379,49 +462,67 @@ def locate_zeros(f, box: ContourBox, tol: float, *,
     minimum zero-to-contour distance of the top box and of every cross
     (default 1e-3 times the top box's diameter, and 1e-3 times a child's
     diameter for a cross).
+
+    The boxes of one level are independent, so the quadtree descends level
+    by level: the crosses of all the boxes a level splits are sampled in one
+    call of f and refined in one call per round (``_split_boxes``).  Leaves
+    wait until no box is left to split; then one secant iteration polishes
+    them all, with one call for their first two points and one per step
+    over the seeds still active (``_leaf_zeros``).  A leaf whose iterate
+    fails splits, and its children descend the same way.  Every check of a
+    box-by-box descent applies per segment, box or seed, and a conflicting
+    cross moves on its own.  Where f's value at a point does not depend on
+    the other points of its call (the resonance matcher's does not, bit for
+    bit), the zeros are exactly those of a box-by-box descent.
     """
     eval_w = _make_log_evaluator(f, log_form)
     found: list[tuple[complex, int]] = []
     top_w, top_box, top_edges = _winding_with_perturbation(
         eval_w, box, samples, "locate_zeros top box", ceiling, guard_dist)
     spacing = _spacing(top_box, samples)
-    stack = [(top_box, top_w, top_edges)]
-    while stack:
-        b, w, edges = stack.pop()
-        if w == 0:
-            continue
-        if w < 0:
-            raise NumericalError(
-                f"negative winding {w} over box at {b.center:.6g}: the "
-                "integrand has a pole inside (not holomorphic)")
-        if w == 1 or b.diameter < tol:
-            z = _leaf_zero(eval_w, b, w, tol, edges)
-            if z is not None:
-                found.append((z, w))
-                continue
-        stack.extend(_split_box(eval_w, b, w, edges, spacing, guard_dist))
+    level, leaves = [(top_box, top_w, top_edges)], []
+    while level or leaves:
+        if level:
+            for b, w, _ in level:
+                if w < 0:
+                    raise NumericalError(
+                        f"negative winding {w} over box at {b.center:.6g}: the "
+                        "integrand has a pole inside (not holomorphic)")
+            level = [x for x in level if x[1] > 0]
+            split = [x for x in level if x[1] > 1 and x[0].diameter >= tol]
+            leaves += [x for x in level if x[1] == 1 or x[0].diameter < tol]
+        else:  # the descent is done: polish its leaves, split the failures
+            zeros = _leaf_zeros(eval_w, leaves, tol)
+            found += [(z, w) for (_, w, _), z in zip(leaves, zeros) if z is not None]
+            split = [x for x, z in zip(leaves, zeros) if z is None]
+            leaves = []
+        level = [child for children in _split_boxes(eval_w, split, spacing, guard_dist)
+                 for child in children]
     return _zeros_inside(found, top_box, top_w)
 
 
-def _leaf_zero(eval_w, b: ContourBox, w: int, tol: float, edges):
-    """The zero of multiplicity w in leaf box b, or None if b must split.
+def _leaf_zeros(eval_w, leaves, tol: float):
+    """The zero of multiplicity w in each leaf (box, w, edges), or None
+    where the box must split.
 
-    The first moment over the box's edges seeds the secant iteration: for a
+    The first moment over a box's edges seeds its secant iteration: for a
     winding-1 box the moment *is* the zero up to quadrature error, so the
     iteration converges in a couple of steps and does not wander off to a
-    neighbouring zero.
+    neighbouring zero.  A box's iteration must stay within three quarters
+    of its diameter of it.
     """
-    seed = b.center
-    m1 = _moment(edges, w)
-    if b.contains(m1, pad=0.25 * b.diameter):
-        seed = m1
-    z = _newton_polish(eval_w, seed, w, tol,
-                       lambda z: b.contains(z, pad=0.75 * b.diameter))
+    seeds = []
+    for b, w, edges in leaves:
+        m1 = _moment(edges, w)
+        seeds.append(m1 if b.contains(m1, pad=0.25 * b.diameter) else b.center)
+    zs = _newton_polish(eval_w, seeds, [w for _, w, _ in leaves], tol,
+                        [lambda z, b=b: b.contains(z, pad=0.75 * b.diameter)
+                         for b, _, _ in leaves])
     # accept only zeros inside: the iteration may slide to a neighbouring
     # zero outside, which belongs to another box
-    if z is not None and b.contains(z):
-        return z
-    return None if b.diameter >= tol else seed
+    return [z if z is not None and b.contains(z) else
+            None if b.diameter >= tol else seed
+            for (b, _, _), seed, z in zip(leaves, seeds, zs)]
 
 
 def _zeros_inside(found, box: ContourBox, winding: int):
@@ -439,42 +540,65 @@ def _zeros_inside(found, box: ContourBox, winding: int):
     return zeros
 
 
-def _split_box(eval_w, b: ContourBox, w: int, edges, spacing: float,
-               guard_dist: float | None = None):
-    """Quadrisect b into (child, winding, edges) triples.
+def _split_boxes(eval_w, boxes, spacing: float, guard_dist: float | None = None):
+    """Quadrisect each (box, winding, edges) of ``boxes`` into its
+    (child, winding, edges) triples.
 
-    Only the cross through the split point is sampled, at ``spacing``; the
-    children inherit the halves of b's edges, which have passed their
-    refinement and guard checks already, so only the cross can run into a
-    zero.  Cutting an outer edge inserts one sample, whose two phase steps
-    replace one trusted step; a wrong wrap there is the only way the
+    Only the cross through a box's split point is sampled, at ``spacing``;
+    the children inherit the halves of the box's edges, which have passed
+    their refinement and guard checks already, so only the cross can run
+    into a zero.  Cutting an outer edge inserts one sample, whose two phase
+    steps replace one trusted step; a wrong wrap there is the only way the
     children's windings can fail to sum to w, so that sum is checked too.
-    Either conflict moves the split point (``_moved``) by k (sqrt 2 - 1)
-    sixteenths of b's width along the diagonal.
+    Either conflict moves that box's split point (``_moved``) by
+    k (sqrt 2 - 1) sixteenths of its width along the diagonal.  The arms of
+    all the crosses of one move are sampled and refined together
+    (``_sampled_edges``).
     """
-    if b.depth > 60:
-        raise NumericalError(f"subdivision depth exhausted at {b.center:.6g}")
-    guard = guard_dist if guard_dist is not None else 0.5e-3 * b.diameter
-    what = f"cross of box at {b.center:.6g}"
+    if not boxes:
+        return []
+    for b, _, _ in boxes:
+        if b.depth > 60:
+            raise NumericalError(f"subdivision depth exhausted at {b.center:.6g}")
+    whats = [f"cross of box at {b.center:.6g}" for b, _, _ in boxes]
 
-    def attempt(k):
-        children = b.quadrisect(b.width * _IRR / 16.0 * k)
-        c = children[0].upper_right
-        ends = [children[1].lower_left, children[1].upper_right,
-                children[2].upper_right, children[2].lower_left]
-        arms = _sampled_edges(eval_w, [(c, e) for e in ends], spacing, guard, what)
-        ab, ar, at, al = arms
-        (b1, b2), (r1, r2), (t1, t2), (l1, l2) = [
-            edge.cut(arm.zs[-1], arm.ws[-1]) for edge, arm in zip(edges, arms)]
-        loops = [(b1, ab.reversed(), al, l2), (b2, r1, ar.reversed(), ab),
-                 (al.reversed(), at, t2, l1), (ar, r2, t1, at.reversed())]
-        windings = [_winding(loop) for loop in loops]
-        if sum(windings) != w:
-            raise BoundaryConflictError(
-                f"its children's windings {windings} do not sum to {w}")
-        return list(zip(children, windings, loops))
+    def attempt(items, k):
+        crosses, segments, guards = [], [], []
+        for i in items:
+            b = boxes[i][0]
+            children = b.quadrisect(b.width * _IRR / 16.0 * k)
+            c = children[0].upper_right
+            ends = [children[1].lower_left, children[1].upper_right,
+                    children[2].upper_right, children[2].lower_left]
+            crosses.append(children)
+            segments += [(c, e) for e in ends]
+            guards += [guard_dist if guard_dist is not None else 0.5e-3 * b.diameter] * 4
+        arms = _sampled_edges(eval_w, segments, spacing, guards,
+                              [whats[i] for i in items for _ in range(4)])
+        return [_children(boxes[i], children, arms[4 * j:4 * j + 4])
+                for j, (i, children) in enumerate(zip(items, crosses))]
 
-    return _moved(what, attempt)
+    return _moved(whats, attempt)
+
+
+def _children(box, children, arms):
+    """The (child, winding, edges) triples of box = (b, w, edges) split by
+    the cross of the four sampled ``arms``, or the BoundaryConflictError
+    that rejects the cross."""
+    _, w, edges = box
+    conflict = _first_conflict(arms)
+    if conflict is not None:
+        return conflict
+    ab, ar, at, al = arms
+    (b1, b2), (r1, r2), (t1, t2), (l1, l2) = [
+        edge.cut(arm.zs[-1], arm.ws[-1]) for edge, arm in zip(edges, arms)]
+    loops = [(b1, ab.reversed(), al, l2), (b2, r1, ar.reversed(), ab),
+             (al.reversed(), at, t2, l1), (ar, r2, t1, at.reversed())]
+    windings = [_winding(loop) for loop in loops]
+    if sum(windings) != w:
+        return BoundaryConflictError(
+            f"its children's windings {windings} do not sum to {w}")
+    return list(zip(children, windings, loops))
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,8 @@ def test_locate_gives_up_after_the_last_move_of_the_top_box():
 
 def test_cut_edge_keeps_its_log_increment():
     f = ct._make_log_evaluator(lambda z: (z - 0.3 - 0.2j) * (z + 0.7 + 0.1j), False)
-    edge, = ct._sampled_edges(f, [(-1 - 0.5j, 1 - 0.5j)], 0.1, 0.0, "edge")
+    edge, = ct._sampled_edges(f, [(-1 - 0.5j, 1 - 0.5j)], 0.1, [0.0], ["edge"])
+    assert isinstance(edge, ct._Edge)
     z = 0.123 - 0.5j
     first, second = edge.cut(z, f(np.array([z]))[0])
     assert first.zs[0] == edge.zs[0] and second.zs[-1] == edge.zs[-1]
@@ -187,14 +188,81 @@ def test_locate_with_zero_at_box_centre_jitters_the_cross(monkeypatch):
         assert min(abs(z - w) for w in want) < 1e-10
 
 
+def _spy_quadrisect(monkeypatch):
+    """The (lower left, upper right, jitter) of every quadrisect call."""
+    calls = []
+    quadrisect = ct.ContourBox.quadrisect
+
+    def spy(self, jitter=0.0):
+        calls.append((self.lower_left, self.upper_right, jitter))
+        return quadrisect(self, jitter)
+
+    monkeypatch.setattr(ct.ContourBox, "quadrisect", spy)
+    return calls
+
+
+def test_zero_on_one_split_point_of_a_level_moves_only_that_cross(monkeypatch):
+    # level 1 splits the boxes (-1-1j, 0) and (0, 1+1j) together; the zero
+    # at 0.5+0.5j sits on the second one's split point, so that cross alone
+    # moves, by one step
+    calls = _spy_quadrisect(monkeypatch)
+    want = [0.5 + 0.5j, 0.2 + 0.8j, -0.3 - 0.6j, -0.7 - 0.2j, 0.6 - 0.4j]
+    q = np.poly1d(np.poly(want))
+    got = ct.locate_zeros(lambda z: q(z), ct.ContourBox(-1 - 1j, 1 + 1j), tol=1e-10)
+    assert calls[:3] == [(-1 - 1j, 1 + 1j, 0.0), (-1 - 1j, 0j, 0.0), (0j, 1 + 1j, 0.0)]
+    assert [c for c in calls if c[2] != 0.0] == [
+        (0j, 1 + 1j, pytest.approx((math.sqrt(2) - 1) / 16))]
+    assert len(got) == len(want)
+    for z, mult in got:
+        assert mult == 1
+        assert min(abs(z - w) for w in want) < 1e-10
+
+
+def test_leaf_whose_secant_leaves_its_box_splits_while_its_batch_converges(monkeypatch):
+    # four winding-1 leaves are polished in one batch; the seed of the leaf
+    # (0, 1+1j) is moved next to the zero just left of it, so its secant
+    # converges outside the leaf: that leaf alone splits, and its child
+    # reports the zero
+    calls = _spy_quadrisect(monkeypatch)
+    batches = []
+    polish = ct._newton_polish
+
+    def spy_polish(eval_w, seeds, *args):
+        batches.append(len(seeds))
+        return polish(eval_w, seeds, *args)
+
+    moment = ct._moment
+    moved = []
+
+    def bad_seed(edges, n):
+        m = moment(edges, n)
+        if not moved and abs(m - want[0]) < 0.05:
+            moved.append(m)
+            return 0.02 + 0.45j
+        return m
+
+    monkeypatch.setattr(ct, "_newton_polish", spy_polish)
+    monkeypatch.setattr(ct, "_moment", bad_seed)
+    want = [0.45 + 0.45j, -0.05 + 0.45j, -0.5 - 0.5j, 0.5 - 0.5j]
+    q = np.poly1d(np.poly(want))
+    got = ct.locate_zeros(lambda z: q(z), ct.ContourBox(-1 - 1j, 1 + 1j), tol=1e-10)
+    assert len(moved) == 1
+    assert batches == [4, 1]
+    assert [c[:2] for c in calls] == [(-1 - 1j, 1 + 1j), (0j, 1 + 1j)]
+    assert [m for _, m in got] == [1, 1, 1, 1]
+    for w in want:
+        assert min(abs(z - w) for z, _ in got) < 1e-10
+
+
 def test_split_rejects_children_that_do_not_sum_to_the_parent():
     f = ct._make_log_evaluator(lambda z: (z - 0.3 - 0.2j) * (z + 0.4 - 0.3j), False)
     box = ct.ContourBox(-1 - 1j, 1 + 1j)
     edges = ct._box_edges(f, box, ct._spacing(box, 32), 1e-3, "box")
     assert ct._winding(edges) == 2
-    assert [w for _, w, _ in ct._split_box(f, box, 2, edges, 0.25)] == [0, 0, 1, 1]
+    children, = ct._split_boxes(f, [(box, 2, edges)], 0.25)
+    assert [w for _, w, _ in children] == [0, 0, 1, 1]
     with pytest.raises(NumericalError, match="do not sum to 3"):
-        ct._split_box(f, box, 3, edges, 0.25)
+        ct._split_boxes(f, [(box, 2, edges), (box, 3, edges)], 0.25)
 
 
 _BOX = ct.ContourBox(-1 - 1j, 1 + 1j)

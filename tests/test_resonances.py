@@ -576,6 +576,24 @@ def test_solve_winds_each_channel_frame_once(monkeypatch):
     assert len(calls) == 32
 
 
+def test_solve_batches_the_matcher_calls_of_its_quadtrees(monkeypatch):
+    # each channel's quadtree evaluates the crosses of a level, a refinement
+    # round or a secant step over all its leaves in one call: the R = 8
+    # solve makes at most 300 calls (681 one box or leaf at a time) for at
+    # most the 6,989 points of the box-by-box descent
+    sizes = []
+    real = rs.channel_matcher_log
+
+    def counted(ell, pot, kind=1):
+        evaluate = real(ell, pot, kind)
+        return lambda lam: sizes.append(np.size(lam)) or evaluate(lam)
+
+    monkeypatch.setattr(rs, "channel_matcher_log", counted)
+    assert len(rs.find_resonances(WELL, 8.0).resonances) == 56
+    assert len(sizes) <= 300
+    assert sum(sizes) <= 6989
+
+
 def test_cutoff_extends_upward_past_a_low_guess(monkeypatch, small_set):
     # channels 4..6 hold frame zeros: the pass adds channels one at a time
     # until the top three (10..12) are empty
