@@ -187,7 +187,7 @@ def _refine(eval_w, segments, ts, zs, ws, whats, max_new: int = 200000):
             new.append((i, mids, z0 + mids * (z1 - z0)))
         if new:
             values = _pieces(eval_w(np.concatenate([mz for _, _, mz in new])),
-                            [mz for _, _, mz in new])
+                             [mz for _, _, mz in new])
             for (i, mids, mz), mw in zip(new, values):
                 order = np.searchsorted(ts[i], mids)
                 ts[i] = np.insert(ts[i], order, mids)
@@ -385,9 +385,9 @@ def _moved(whats, attempt):
 
     attempt(items, k) gives, for each listed item (an index into ``whats``),
     its result under move k or the BoundaryConflictError that rejects it.
-    The items are tried together, and only the conflicting ones move on,
-    each by the rule alone; the first item still in conflict after the last
-    move raises, named by its ``whats`` entry.
+    The items are tried together and only the conflicting ones move on, so
+    an item's moves do not depend on the others; the first item still in
+    conflict after the last move raises, named by its ``whats`` entry.
     """
     results = [None] * len(whats)
     pending = list(range(len(whats)))

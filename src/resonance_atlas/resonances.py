@@ -266,9 +266,10 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
     """Vectorized lambda-array -> log g_ell(lambda) evaluator (log form).
 
     ``ell`` is an int order, or an integer array of orders of the shape of
-    the lambda arrays the evaluator is given, one order per point.  Each
-    point of an array call gets, bit for bit, the value that an int call
-    with its order gives on the points of that order.
+    the lambda arrays the evaluator is given, one order per point.  A
+    point's value does not depend, bit for bit, on the other points of its
+    call or on their orders: an array call gives each point the value of an
+    int call with its order, on that point alone or among any others.
 
     g_ell = (2 ell + 1)!! (lambda a)^(ell+1) W_ell / k^ell is an entire
     function of lambda: the k^ell quotient removes the removable branch

@@ -541,8 +541,9 @@ def test_matcher_value_does_not_depend_on_the_call_layout(v0, weak_resonances):
     near_root = np.concatenate([
         c + 0.3 * np.sqrt(rng.uniform(size=20)) * np.exp(2j * np.pi * rng.uniform(size=20))
         for c in (cmath.sqrt(v0), -cmath.sqrt(v0))])
-    near_weak = np.repeat(weak_resonances, 2) + 0.01 * (
-        rng.normal(size=2 * weak_resonances.size) + 1j * rng.normal(size=2 * weak_resonances.size))
+    n = 2 * weak_resonances.size
+    near_weak = (np.repeat(weak_resonances, 2)
+                 + 0.01 * (rng.normal(size=n) + 1j * rng.normal(size=n)))
     lams = np.concatenate([deep, near_root, near_weak])
     ells = [0, 3, 10, 40]
     many = [rs.channel_matcher_log(ell, pot)(lams) for ell in ells]
@@ -550,7 +551,8 @@ def test_matcher_value_does_not_depend_on_the_call_layout(v0, weak_resonances):
         alone = np.concatenate([rs.channel_matcher_log(ell, pot)(lams[i:i + 1])
                                 for i in range(lams.size)])
         assert np.all(np.isfinite(got)) and _same_bits(got, alone), ell
-    by_array = rs.channel_matcher_log(np.repeat(ells, lams.size), pot)(np.tile(lams, len(ells)))
+    by_array = rs.channel_matcher_log(np.repeat(ells, lams.size), pot)(
+        np.tile(lams, len(ells)))
     assert _same_bits(by_array, np.concatenate(many))
 
 

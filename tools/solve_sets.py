@@ -17,7 +17,7 @@ the acceptance family (v0 = -20 to -12+3i, 5 x 5 bump grid) at r = 25;
 v0 = -20 at R = 6 and 8; v0 = -5 at R = 30; v0 = -1e-12 at R = 20; the free
 well at R = 12 and 40; and the 9 members of the 3 x 3 family grid at r = 6
 with their conj(v0) re-solves.  The whole dump runs in one process and
-takes about 90 s on a 2-core Xeon VM.
+takes about 55 s on a 2-core Xeon VM.
 """
 
 from __future__ import annotations
