@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import counting as ct
 from . import density as dn
@@ -99,7 +98,7 @@ def criterion_2(ctx: AcceptanceContext) -> CriterionResult:
             "symmetry": float(np.max(np.abs(table.h - table.h[::-1]))),
             "h'(pi/2)": abs(table.h_prime[40]),
         }
-        table.validate(tol=1e-8)
+        table.validate()
         return errs
 
     errs, secs = _timed(work)
@@ -119,8 +118,8 @@ def criterion_3(ctx: AcceptanceContext) -> CriterionResult:
         near = abs(dn.angular_density_deriv(3, 1e-3) - 4.0 / 3.0)
         forms = {}
         for d in (3, 5, 7):
-            integral = quad(lambda t: math.sqrt(t * t - 1.0) * t ** (-(d + 1)),
-                            1.0, np.inf, epsabs=1e-12, epsrel=1e-12)[0]
+            integral = dn._integrate(lambda t: math.sqrt(t * t - 1.0) * t ** (-(d + 1)),
+                                     1.0, np.inf, f"integral form (d={d})", 1e-12, 1e-12)
             forms[d] = abs(4.0 / math.factorial(d - 2) * integral
                            - dn.angular_density_deriv_at_zero(d))
         return near, forms
@@ -363,7 +362,7 @@ CRITERIA = [
 ]
 
 
-def run_acceptance(threads: int = 1, only=None, printer=print):
+def run_acceptance(threads: int = 1, only=None):
     """Run the acceptance criteria in order; returns the result list.
 
     A criterion that raises a NumericalError is recorded as a failure naming
@@ -384,5 +383,5 @@ def run_acceptance(threads: int = 1, only=None, printer=print):
                                      time.perf_counter() - t0)
         results.append(result)
         status = "PASS" if result.passed else "FAIL"
-        printer(f"{status} criterion {result.index} ({result.name}): {result.detail}")
+        print(f"{status} criterion {result.index} ({result.name}): {result.detail}")
     return results

@@ -33,9 +33,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import BoundaryConflictError, NumericalError, QuadratureError
+from .density import _integrate
+from .errors import BoundaryConflictError, NumericalError
 
 __all__ = [
     "ContourBox",
@@ -47,8 +47,11 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# absolute and relative tolerance of the Jensen verifiers' quadratures
+_JENSEN_TOL = 1e-10
 _IRR = math.sqrt(2.0) - 1.0
 _MOVES = 7  # a contour that runs into a zero is moved at most this often
+_REFINE_BUDGET = 200000  # midpoints one segment may gain under refinement
 
 
 # ---------------------------------------------------------------------------
@@ -130,16 +133,12 @@ def _wrap_phase(d: np.ndarray) -> np.ndarray:
     return (d + math.pi) % _TWO_PI - math.pi
 
 
-def _wrap1(x: float) -> float:
-    return (x + math.pi) % _TWO_PI - math.pi
-
-
 def _steps(ws: np.ndarray) -> np.ndarray:
     """Log increments between adjacent samples, with wrapped phase steps."""
     return np.diff(ws.real) + 1j * _wrap_phase(np.diff(ws.imag))
 
 
-def _refine(eval_w, segments, ts, zs, ws, whats, max_new: int = 200000):
+def _refine(eval_w, segments, ts, zs, ws, whats):
     """Insert midpoints into the samples of each segment (z0, z1) until all
     its phase steps are trustworthy; each round evaluates the new midpoints
     of every segment in one call.
@@ -151,11 +150,11 @@ def _refine(eval_w, segments, ts, zs, ws, whats, max_new: int = 200000):
     wrapping), but its neighbours then necessarily see the approach to
     the zero as a large log-magnitude swing.  ts, zs and ws hold each
     segment's parameters, points and log values; each segment has a budget
-    of ``max_new`` midpoints.  Returns, per segment, its refined (zs, ws) or
+    of ``_REFINE_BUDGET`` midpoints.  Returns, per segment, its refined (zs, ws) or
     the BoundaryConflictError that rejects it, named by its ``whats`` entry.
     """
     out = [None] * len(segments)
-    budget = [max_new] * len(segments)
+    budget = [_REFINE_BUDGET] * len(segments)
     pending = range(len(segments))
     while pending:
         new = []  # (segment, midpoint parameters, midpoints)
@@ -351,7 +350,7 @@ def _newton_polish(eval_w, seeds, mults, tol: float, bound_checks):
         moved = []
         for i in active:
             dw = wb[i] - wa[i]
-            dw = complex(dw.real, _wrap1(dw.imag)) / mults[i]
+            dw = complex(dw.real, _wrap_phase(dw.imag)) / mults[i]
             rho = cmath.exp(dw)
             denom = 1.0 - rho
             if denom == 0:
@@ -679,9 +678,10 @@ def jensen_residual(tc: JensenTestCase, r: float) -> float:
         inner = tc.ray_log_increment(t, 0.0) - tc.ray_log_increment(t, math.pi)
         return inner.imag / t
 
-    term1 = _quad(real_axis_term, 0.0, r, "jensen real-axis term") / _TWO_PI
-    term2 = _quad(lambda th: tc.log_abs(r * cmath.exp(1j * th)), 0.0, math.pi,
-                  "jensen arc term") / _TWO_PI
+    term1 = _integrate(real_axis_term, 0.0, r, "jensen real-axis term",
+                       _JENSEN_TOL, _JENSEN_TOL) / _TWO_PI
+    term2 = _integrate(lambda th: tc.log_abs(r * cmath.exp(1j * th)), 0.0, math.pi,
+                       "jensen arc term", _JENSEN_TOL, _JENSEN_TOL) / _TWO_PI
     return abs(lhs - (term1 + term2))
 
 
@@ -718,10 +718,12 @@ def sector_jensen_residual(tc: JensenTestCase, r: float, phi: float,
             return 0.0
         return tc.ray_log_increment(t, phi).imag / t
 
-    term1 = _quad(dtheta_term, 0.0, r, "sector d/dtheta term") / _TWO_PI
-    term2 = _quad(argvar_term, 0.0, r, "sector ray term") / _TWO_PI
-    term3 = _quad(lambda om: tc.log_abs(r * cmath.exp(1j * om)), phi, theta,
-                  "sector arc term") / _TWO_PI
+    term1 = _integrate(dtheta_term, 0.0, r, "sector d/dtheta term",
+                       _JENSEN_TOL, _JENSEN_TOL) / _TWO_PI
+    term2 = _integrate(argvar_term, 0.0, r, "sector ray term",
+                       _JENSEN_TOL, _JENSEN_TOL) / _TWO_PI
+    term3 = _integrate(lambda om: tc.log_abs(r * cmath.exp(1j * om)), phi, theta,
+                       "sector arc term", _JENSEN_TOL, _JENSEN_TOL) / _TWO_PI
     return abs(lhs - (term1 + term2 + term3))
 
 
@@ -766,12 +768,3 @@ def jensen_suite(cases: int = 20, seed: int = 20260809):
             [(name, sector_jensen_residual(tc, r, phi, theta))
              for name, tc, r, phi, theta in sectors],
             randomized)
-
-
-def _quad(fn, a, b, what):
-    value, err, info, *rest = quad(fn, a, b, epsabs=1e-10, epsrel=1e-10,
-                                   limit=300, full_output=1)
-    if rest:
-        raise QuadratureError(f"{what}: {rest[0].strip()}",
-                              estimate=value, achieved_error=err)
-    return value

@@ -30,7 +30,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
@@ -56,45 +56,30 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and truncation controls for the density quadratures."""
+    """Tolerances of the density quadratures; the truncation radius of the
+    radial integrals follows from ``abs_tol`` and the tail bound."""
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
-    truncation_radius: float | None = None  # None: derive from abs_tol
-    max_subdivisions: int = 200
 
     def __post_init__(self):
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
             raise ValueError("quadrature tolerances must be positive and finite, got "
                              f"abs_tol={self.abs_tol}, rel_tol={self.rel_tol}")
-        if self.truncation_radius is not None and self.truncation_radius <= 1.0:
-            raise ValueError("truncation radius must exceed 1")
-        if self.max_subdivisions < 10:
-            raise ValueError("max_subdivisions must be at least 10")
 
     def radius_for(self, d: int) -> float:
-        if self.truncation_radius is not None:
-            return self.truncation_radius
         # (8/(d-2)!) T^(1-d)/(d-1) <= abs_tol/10
         fact = math.factorial(d - 2)
         return (80.0 / (fact * (d - 1) * self.abs_tol)) ** (1.0 / (d - 1))
 
     def to_dict(self):
-        return {
-            "abs_tol": self.abs_tol,
-            "rel_tol": self.rel_tol,
-            "truncation_radius": self.truncation_radius,
-            "max_subdivisions": self.max_subdivisions,
-        }
+        return {"abs_tol": self.abs_tol, "rel_tol": self.rel_tol}
 
     @classmethod
     def from_dict(cls, doc):
-        return cls(
-            abs_tol=doc["abs_tol"],
-            rel_tol=doc["rel_tol"],
-            truncation_radius=doc.get("truncation_radius"),
-            max_subdivisions=doc["max_subdivisions"],
-        )
+        # tables written with the former truncation_radius and
+        # max_subdivisions keys load too; those keys are ignored
+        return cls(abs_tol=doc["abs_tol"], rel_tol=doc["rel_tol"])
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -106,15 +91,19 @@ def _check_dimension(d: int) -> int:
     return int(d)
 
 
-def _quad_checked(fn, a, b, spec: QuadratureSpec, what: str, abs_tol=None):
-    tol = spec.abs_tol if abs_tol is None else abs_tol
-    value, err, info, *rest = quad(
-        fn, a, b, epsabs=tol, epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions, full_output=1)
+# the one subdivision limit of every adaptive quadrature in the package
+_QUAD_LIMIT = 200
+
+
+def _integrate(fn, a, b, what: str, abs_tol: float, rel_tol: float) -> float:
+    """scipy's adaptive quad of fn over [a, b] (b may be inf); raises
+    QuadratureError, with the estimate and its error, if it does not
+    converge to the tolerances."""
+    value, err, info, *rest = quad(fn, a, b, epsabs=abs_tol, epsrel=rel_tol,
+                                   limit=_QUAD_LIMIT, full_output=1)
     if rest:
-        raise QuadratureError(
-            f"{what}: quadrature failed to converge ({rest[0].strip()})",
-            estimate=value, achieved_error=err)
+        raise QuadratureError(f"{what}: quadrature failed to converge ({rest[0].strip()})",
+                              estimate=value, achieved_error=err)
     return value
 
 
@@ -135,9 +124,9 @@ def _radial_integral(d: int, theta: float, spec: QuadratureSpec, what: str, f) -
         return f(math.exp(x) * eith) * math.exp(-d * x)
 
     fact = math.factorial(d - 2)
-    raw = _quad_checked(integrand, math.log(t0), math.log(T), spec,
-                        f"{what}(d={d}, theta={theta:.6g})",
-                        abs_tol=spec.abs_tol * fact / 4.0 * 0.45)
+    raw = _integrate(integrand, math.log(t0), math.log(T),
+                     f"{what}(d={d}, theta={theta:.6g})",
+                     spec.abs_tol * fact / 4.0 * 0.45, spec.rel_tol)
     return 4.0 / fact * raw
 
 
@@ -212,9 +201,8 @@ def weyl_constant(d: int, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
     key = (d, spec)
     if key in _cd_cache:
         return _cd_cache[key]
-    value = _quad_checked(lambda th: angular_density(d, th, spec),
-                          0.0, math.pi / 2.0, spec,
-                          f"weyl_constant(d={d})", abs_tol=1e-8)
+    value = _integrate(lambda th: angular_density(d, th, spec), 0.0, math.pi / 2.0,
+                       f"weyl_constant(d={d})", 1e-8, spec.rel_tol)
     out = d / (2.0 * math.pi) * 2.0 * value
     _cd_cache[key] = out
     return out
@@ -262,9 +250,9 @@ def weyl_constant_2d(d: int, abs_tol: float = 5e-7) -> float:
 
 def _density_integral(d: int, lo: float, hi: float) -> float:
     """integral of the angular density over [lo, hi] inside [0, pi]."""
-    return _quad_checked(lambda th: angular_density(d, th), lo, hi, DEFAULT_QUAD,
-                         f"density integral over [{lo:.6g}, {hi:.6g}]",
-                         abs_tol=1e-9)
+    return _integrate(lambda th: angular_density(d, th), lo, hi,
+                      f"density integral over [{lo:.6g}, {hi:.6g}]",
+                      1e-9, DEFAULT_QUAD.rel_tol)
 
 
 def sector_density(d: int, phi: float, theta: float) -> float:
@@ -296,6 +284,10 @@ def near_axis_coefficient(d: int, theta: float) -> float:
 # Density tables
 # ---------------------------------------------------------------------------
 
+# slack of the nonnegativity and symmetry checks of DensityTable.validate
+_TABLE_TOL = 1e-8
+
+
 @dataclass
 class DensityTable:
     """Sampled angular density and derivative on a theta grid."""
@@ -307,8 +299,8 @@ class DensityTable:
     c_d: float
     quad: QuadratureSpec = field(default_factory=QuadratureSpec)
 
-    def validate(self, tol: float = 1e-8) -> None:
-        """Raise if table invariants do not hold."""
+    def validate(self) -> None:
+        """Raise if table invariants do not hold, to ``_TABLE_TOL``."""
         th = self.thetas
         if not np.all(np.diff(th) > 0):
             raise ValueError("theta grid must be strictly increasing")
@@ -316,15 +308,15 @@ class DensityTable:
             raise ValueError("h(0) must be exactly 0")
         if th[-1] == math.pi and self.h[-1] != 0.0:
             raise ValueError("h(pi) must be exactly 0")
-        if np.any(self.h < -tol):
+        if np.any(self.h < -_TABLE_TOL):
             raise ValueError("density must be nonnegative")
         # symmetry about pi/2 wherever the grid has mirror pairs
         mirrored = math.pi - th[::-1]
         if np.allclose(mirrored, th, atol=1e-12):
-            if np.max(np.abs(self.h - self.h[::-1])) > tol:
+            if np.max(np.abs(self.h - self.h[::-1])) > _TABLE_TOL:
                 raise ValueError("density table violates symmetry about pi/2")
             mid_err = np.abs(self.h_prime + self.h_prime[::-1])
-            if np.max(mid_err) > 10 * tol:
+            if np.max(mid_err) > 10 * _TABLE_TOL:
                 raise ValueError("derivative table violates antisymmetry about pi/2")
 
     def to_csv(self, path) -> None:

@@ -220,21 +220,21 @@ def channel_condition(ell: int, pot: RadialStepPotential, lam):
 def _potential_series_log(ell, a: float, v0: complex, z: np.ndarray,
                           hm1: np.ndarray, hl: np.ndarray, sh: np.ndarray):
     """log of the bracket of the integral identity (module docstring), summed
-    as the multiplication-theorem series, and a mask of the points where the
-    series settled within ``_SERIES_MAX_TERMS`` terms.
+    as the multiplication-theorem series.
 
     (hm1, hl, sh) is the scaled Hankel pair at z = lambda a.  The terms shrink
     like (|v0| a^2 / (2 |z|))^n / n!, so the sum is free of cancellation
     wherever the direct formula is flagged (|v0| small against |lambda|^2).
     Each point stops at its own first settled term (n >= 2) and adds its
     terms one by one in order, so its value depends neither on the other
-    points of the call nor on their orders.
+    points of the call nor on their orders.  A point whose series has not
+    settled within ``_SERIES_MAX_TERMS`` terms raises NumericalError.
     """
     # n = 0: z^2 (j_(ell-1) h_ell - j_ell h_(ell-1)) is -i
     logs = [np.full(z.shape, complex(0.0, -math.pi / 2))]
     last = np.zeros(z.shape, dtype=int)  # index of each point's last term
-    settled = np.full(z.shape, v0 == 0)
     if v0 != 0:
+        settled = np.zeros(z.shape, dtype=bool)
         log_c = cmath.log(v0 * a * a / 2.0)
         peak = np.zeros(z.shape)
         log_z = np.log(z)
@@ -250,6 +250,11 @@ def _potential_series_log(ell, a: float, v0: complex, z: np.ndarray,
                 settled |= term.real < peak - 40.0  # below 4e-18 of the largest term
                 if settled.all():
                     break
+        else:
+            i = np.flatnonzero(~settled)[0]
+            raise NumericalError(
+                f"potential series of order {int(_at(ell, i))} at lambda = "
+                f"{complex(z[i] / a)} has not settled in {_SERIES_MAX_TERMS} terms")
     terms = np.array(logs)
     used = np.arange(len(logs))[:, None] <= last
     top = np.where(used, terms.real, -np.inf).max(axis=0)
@@ -259,7 +264,7 @@ def _potential_series_log(ell, a: float, v0: complex, z: np.ndarray,
     for part, use in zip(parts[1:], used[1:]):
         np.add(total, part, out=total, where=use)
     with np.errstate(divide="ignore"):
-        return np.log(total) + top, settled
+        return np.log(total) + top
 
 
 def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
@@ -353,11 +358,9 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
             flagged = ~(cond <= _DIRECT_COND_MAX)
             if np.any(flagged):
                 lost = big[flagged]
-                series, settled = _potential_series_log(
-                    _at(ell, lost), a, v0, la[lost], hm1[lost], hl[lost], sh[lost])
-                kept = lost[settled]
-                out[kept] = (series[settled] + _at(lndd, kept)
-                             + (_at(ell, kept) - 1) * math.log(a))
+                out[lost] = (_potential_series_log(_at(ell, lost), a, v0, la[lost],
+                                                   hm1[lost], hl[lost], sh[lost])
+                             + _at(lndd, lost) + (_at(ell, lost) - 1) * math.log(a))
         return out
 
     return (lambda lam: np.conj(evaluate(np.conj(lam)))) if kind == 2 else evaluate

@@ -367,6 +367,21 @@ def test_jensen_randomized_family():
     assert worst < 1e-6
 
 
+def test_jensen_quadrature_failure_carries_estimate(monkeypatch):
+    from scipy.integrate import quad
+
+    from resonance_atlas import density as dn
+    from resonance_atlas.errors import QuadratureError
+
+    tc = ct.JensenTestCase.make([1j], [-1j])
+    arc = quad(lambda th: tc.log_abs(2.0 * cmath.exp(1j * th)), 0.0, math.pi)[0]
+    monkeypatch.setattr(dn, "_QUAD_LIMIT", 2)
+    with pytest.raises(QuadratureError, match="jensen arc term") as err:
+        ct.jensen_residual(tc, 2.0)
+    assert err.value.estimate == pytest.approx(arc, abs=1e-6)
+    assert err.value.achieved_error is not None
+
+
 def test_jensen_suite_rejects_negative_cases():
     with pytest.raises(ValueError, match="cases"):
         ct.jensen_suite(cases=-1)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy.integrate import quad
 
 from resonance_atlas import density as dn
 from resonance_atlas.density import QuadratureSpec
+from resonance_atlas.special import bessel_phase
 
 # frozen after first computation; guards against silent regressions
 C3_GOLDEN = 1.889806225643697
@@ -94,10 +96,13 @@ def test_weyl_constant_2d_rejects_bad_abs_tol(bad):
 
 
 def test_tail_bound_controls_truncation():
-    for T in [30.0, 50.0]:
-        h_T = dn.angular_density(3, 1.0, QuadratureSpec(truncation_radius=T))
-        h_2T = dn.angular_density(3, 1.0, QuadratureSpec(truncation_radius=2 * T))
-        assert abs(h_T - h_2T) <= dn.angular_density_tail_bound(3, T)
+    # the part of the angular density's radial integral beyond T
+    for theta in [0.4, 1.0, math.pi / 2]:
+        e = complex(math.cos(theta), math.sin(theta))
+        for T in [30.0, 50.0]:
+            tail = 4.0 * quad(lambda t: max(-bessel_phase(t * e).real, 0.0) / t ** 4,
+                              T, np.inf, epsabs=1e-14, epsrel=1e-10)[0]
+            assert 0.0 < tail <= dn.angular_density_tail_bound(3, T)
 
 
 def test_sector_density_telescoping():
@@ -145,8 +150,6 @@ def test_near_axis_coefficient_at_midpoint():
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(truncation_radius=0.5)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="abs_tol"):
             QuadratureSpec(abs_tol=bad)
@@ -156,7 +159,7 @@ def test_quadrature_spec_validation():
 
 def test_quadrature_failure_carries_estimate():
     from resonance_atlas.errors import QuadratureError
-    starved = QuadratureSpec(abs_tol=1e-16, rel_tol=1e-16, max_subdivisions=10)
+    starved = QuadratureSpec(abs_tol=1e-16, rel_tol=1e-16)
     with pytest.raises(QuadratureError) as err:
         dn.angular_density(3, 1.0, starved)
     assert err.value.estimate == pytest.approx(0.4266579, abs=1e-4)
@@ -165,7 +168,7 @@ def test_quadrature_failure_carries_estimate():
 
 def test_density_table_build_and_invariants(tmp_path):
     table = dn.build_density_table(3, 21)
-    table.validate(tol=1e-8)
+    table.validate()
     assert table.h[0] == 0.0 and table.h[-1] == 0.0
     assert table.h_prime[0] == pytest.approx(4.0 / 3.0)
     assert np.all(table.h >= -1e-12)
@@ -182,4 +185,16 @@ def test_density_table_build_and_invariants(tmp_path):
     assert back.d == 3
     assert np.allclose(back.h, table.h, atol=0)
     assert back.c_d == table.c_d
-    back.validate(tol=1e-8)
+    back.validate()
+
+
+def test_density_table_json_keeps_two_tolerances(tmp_path):
+    table = dn.build_density_table(3, 5, QuadratureSpec(1e-6, 1e-7))
+    path = tmp_path / "t.json"
+    table.to_json(path)
+    doc = json.loads(path.read_text())
+    assert doc["quad"] == {"abs_tol": 1e-6, "rel_tol": 1e-7}
+    # a table written with the former four-key spec still loads
+    doc["quad"].update(truncation_radius=None, max_subdivisions=200)
+    path.write_text(json.dumps(doc))
+    assert dn.DensityTable.from_json(path).quad == QuadratureSpec(1e-6, 1e-7)

@@ -499,6 +499,15 @@ def test_array_order_matcher_potential_series(monkeypatch, v0, ells, lams, kind)
     assert np.size(calls[0]) == len(lams)  # one array call summed every series
 
 
+def test_unsettled_potential_series_raises(monkeypatch):
+    # 5 - 35j is flagged for v0 = -0.1, and its series needs more than 2 terms
+    monkeypatch.setattr(rs, "_SERIES_MAX_TERMS", 2)
+    evaluate = rs.channel_matcher_log(np.array([0, 3]), rs.RadialStepPotential(1.0, -0.1))
+    with pytest.raises(NumericalError,
+                       match=re.escape("order 3 at lambda = (5-35j) has not settled in 2")):
+        evaluate(np.array([1 - 1j, 5 - 35j]))
+
+
 def test_array_order_matcher_hankel_recurrence(monkeypatch):
     # at |z| = 0.5 the scaled AMOS Hankel overflows from order 150 on, not
     # at order 60; one array call runs the recurrence to each point's order

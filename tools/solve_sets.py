@@ -16,16 +16,27 @@ The 46 sets: the a = 1, v0 = -20 reference well at R = 40; the 21 members of
 the acceptance family (v0 = -20 to -12+3i, 5 x 5 bump grid) at r = 25;
 v0 = -20 at R = 6 and 8; v0 = -5 at R = 30; v0 = -1e-12 at R = 20; the free
 well at R = 12 and 40; and the 9 members of the 3 x 3 family grid at r = 6
-with their conj(v0) re-solves.  The whole dump runs in one process and
-takes about 55 s on a 2-core Xeon VM.
+with their conj(v0) re-solves.
+
+The dump also writes one ``density`` entry, so that a change to the
+density quadratures is checked the same way: ``weyl_constant`` for d = 3
+and 5, ``weyl_constant_2d(3)`` at its default and at a 1e-3 tolerance, the
+rows and ``c_d`` of a 181-row d = 3 table and of a 21-row one at 1e-6
+tolerances, the predicted counts of the five r = 40 sectors of the
+``asymptotics`` bench workload, two sector and near-axis coefficients,
+and the ``jensen_suite`` residuals.  The whole dump runs in one process
+and takes about 26 s on a 2-core Xeon VM.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 
-from resonance_atlas.counting import FamilyExperiment
+from resonance_atlas import density as dn
+from resonance_atlas.contour import jensen_suite
+from resonance_atlas.counting import FamilyExperiment, SectorQuery, predict_sector
 from resonance_atlas.resonances import RadialStepPotential, find_resonances
 
 REFERENCE = RadialStepPotential(1.0, -20.0)
@@ -61,8 +72,35 @@ def solve(pot: RadialStepPotential, R: float) -> dict:
                            for r in rset.resonances]}
 
 
+def _table(table: dn.DensityTable) -> dict:
+    return {"c_d": table.c_d,
+            "rows": [[float(t), float(h), float(hp)]
+                     for t, h, hp in zip(table.thetas, table.h, table.h_prime)]}
+
+
+def density_entry() -> dict:
+    """The density layer's quadrature results, as listed in the module docstring."""
+    pi = math.pi
+    edges = [pi, pi + pi / 8, pi + 3 * pi / 8, pi + 5 * pi / 8, pi + 7 * pi / 8, 2 * pi]
+    listed, sectors, randomized = jensen_suite()
+    return {
+        "weyl_constant": [dn.weyl_constant(3), dn.weyl_constant(5)],
+        "weyl_constant_2d": [dn.weyl_constant_2d(3), dn.weyl_constant_2d(3, abs_tol=1e-3)],
+        "table_181": _table(dn.build_density_table(3, 181)),
+        "table_21": _table(dn.build_density_table(3, 21, dn.QuadratureSpec(1e-6, 1e-6))),
+        "sectors": [predict_sector(3, 1.0, SectorQuery(40.0, lo, hi))
+                    for lo, hi in zip(edges, edges[1:])],
+        "near_axis_coefficient": dn.near_axis_coefficient(3, 0.9),
+        "sector_density": dn.sector_density(5, 0.3, 0.9),
+        "jensen": [[res for _, res, *_ in listed + sectors], randomized],
+    }
+
+
 def dump(path, sets=None) -> None:
+    """Write the given sets, or the 46 sets and the density entry."""
     doc = {name: solve(pot, R) for name, pot, R in (sets or all_sets())}
+    if sets is None:
+        doc["density"] = density_entry()
     with open(path, "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
