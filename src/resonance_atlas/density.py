@@ -22,7 +22,9 @@ radius T chosen so that the analytic bound
     tail(T) <= (8/(d-2)!) * T^(1-d) / (d-1)
 
 stays below a tenth of the absolute tolerance (the bound uses
--Re rho(t e^{i theta}) <= 2 t for t >= 2).
+-Re rho(t e^{i theta}) <= 2 t for t >= 2).  The two-dimensional
+cross-check nests the same checked quadrature in log1p-mapped Cartesian
+axes, from the support's edge (see weyl_constant_2d).
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
-from .errors import QuadratureError
+from .errors import NumericalError, QuadratureError
 from .special import bessel_phase, critical_curve_modulus, gamma_real
 
 __all__ = [
@@ -214,37 +217,44 @@ def weyl_constant_2d(d: int, abs_tol: float = 5e-7) -> float:
     (2d / (pi (d-2)!)) * integral over the upper half plane of
     [-Re rho]_+(z) / |z|^(d+2) dx dy, evaluated in Cartesian coordinates as
     an independent cross-check of the one-dimensional form.  The integrand
-    is even in x, and the region |z| > T contributes at most about
-    2 (T^(1-d)/(d-1))(1+1/T) to the double integral.
+    is even in x; the region |z| > T contributes at most about
+    2 (T^(1-d)/(d-1))(1+1/T) to the double integral, abs_tol/2 to c_d.
+
+    Outer over x on [0, 1] and [1, T] (the support's edge meets the real
+    axis at x = 1), inner over y from the edge y_c(x) to |z| = T, both in
+    u = log1p(.); y_c is 0 for x >= 1, else the sign change of -Re rho(x+iy)
+    on (0, 1] (brentq).  The quadratures share the other abs_tol/2: with
+    tol = abs_tol/(4 coeff) on the quarter plane, 3 tol/8 per outer piece and
+    tol/(4 ln(1+T)(1+x)) per inner integral, whose errors times the outer's
+    Jacobian 1+x sum to at most tol/4 over a u-range of length ln(1+T).
     """
     _check_dimension(d)
     if not 0 < abs_tol < math.inf:
         raise ValueError(f"abs_tol must be positive and finite, got {abs_tol}")
-    from scipy.integrate import dblquad
-
-    fact = math.factorial(d - 2)
-    coeff = 2.0 * d / (math.pi * fact)
+    coeff = 2.0 * d / (math.pi * math.factorial(d - 2))
     T = (8.0 / (d - 1) * coeff / abs_tol) ** (1.0 / (d - 1))
-    inner_min = 0.60  # the critical curve keeps |z0| above ~0.6627
+    tol, uT = abs_tol / coeff / 4.0, math.log1p(T)
+    what = f"weyl_constant_2d(d={d}, abs_tol={abs_tol:g})"
 
-    def integrand(y, x):
-        if y <= 0.0:
-            return 0.0
-        r2 = x * x + y * y
-        if r2 <= inner_min * inner_min or r2 >= T * T:
-            return 0.0
-        v = -bessel_phase(complex(x, y)).real
-        if v <= 0.0:
-            return 0.0
-        return v / r2 ** (0.5 * (d + 2))
+    def edge(y, x):
+        return -bessel_phase(complex(x, y)).real
 
-    total = 0.0
-    # split the x-range so the adaptive rule resolves the curved support edge
-    for (xa, xb) in [(0.0, 1.2), (1.2, 8.0), (8.0, T)]:
-        part, err = dblquad(integrand, xa, xb,
-                            lambda x: 0.0, lambda x: math.sqrt(max(T * T - x * x, 0.0)),
-                            epsabs=abs_tol / coeff / 4.0, epsrel=1e-7)
-        total += part
+    def over_y(u):
+        x = math.expm1(u)
+        if x < 1.0 and not edge(0.0, x) < 0.0 < edge(1.0, x):
+            raise NumericalError(f"{what}: no support edge on y in (0, 1] at x = {x!r}")
+        y_c = brentq(edge, 0.0, 1.0, args=(x,)) if x < 1.0 else 0.0
+        v_lo, v_hi = math.log1p(y_c), math.log1p(math.sqrt(max(T * T - x * x, 0.0)))
+
+        def integrand(v):
+            y = math.expm1(v)
+            return _minus_re_phase(complex(x, y)) * (1.0 + y) / (x * x + y * y) ** (0.5 * d + 1)
+
+        return (1.0 + x) * _integrate(integrand, v_lo, v_hi, f"{what} inner at x = {x:.6g}",
+                                      tol / (4.0 * uT * (1.0 + x)), 0.0)
+
+    total = sum(_integrate(over_y, ua, ub, f"{what} outer from u = {ua:.4g}", 3 * tol / 8, 0.0)
+                for ua, ub in [(0.0, math.log(2.0)), (math.log(2.0), uT)])
     return coeff * 2.0 * total  # doubled for x < 0
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,46 @@ def test_weyl_constant_positive_and_frozen():
 
 def test_weyl_constant_2d_agreement():
     assert abs(dn.weyl_constant(3) - dn.weyl_constant_2d(3)) < 1e-5
+
+
+def test_weyl_constant_2d_converges_at_tight_tolerance():
+    # dblquad once returned 1.90465 here, with 1,906 IntegrationWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c2 = dn.weyl_constant_2d(3, 1e-8)
+    assert abs(c2 - dn.weyl_constant(3)) < 1e-7
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_weyl_constant_2d_agreement_higher_dimensions(d):
+    assert abs(dn.weyl_constant(d) - dn.weyl_constant_2d(d)) < 1e-6
+
+
+def test_weyl_constant_2d_reports_unconverged_quadrature(monkeypatch):
+    from resonance_atlas.errors import QuadratureError
+    monkeypatch.setattr(dn, "_QUAD_LIMIT", 1)
+    with pytest.raises(QuadratureError, match="weyl_constant_2d"):
+        dn.weyl_constant_2d(3)
+
+
+def test_weyl_constant_2d_names_x_without_support_edge(monkeypatch):
+    from resonance_atlas.errors import NumericalError
+    monkeypatch.setattr(dn, "bessel_phase", lambda z: complex(1.0, 0.0))
+    with pytest.raises(NumericalError, match=r"weyl_constant_2d.*at x = 0\."):
+        dn.weyl_constant_2d(3)
+
+
+def test_weyl_constant_2d_phase_calls_bounded(monkeypatch):
+    # counted work, independent of the machine: 168,870 calls under dblquad
+    calls = [0]
+
+    def counted(z):
+        calls[0] += 1
+        return bessel_phase(z)
+
+    monkeypatch.setattr(dn, "bessel_phase", counted)
+    dn.weyl_constant_2d(3)
+    assert 0 < calls[0] <= 50_000
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])

@@ -28,3 +28,20 @@ def test_dump_compares_equal_to_itself_and_different_when_moved(tmp_path, capsys
     moved.write_text(json.dumps(doc))
     assert solve_sets.main(["compare", str(dumped), str(moved)]) == 1
     assert capsys.readouterr().out == "different  v0=-20 R=3\n"
+
+
+def test_compare_names_the_differing_density_keys(tmp_path, capsys):
+    entry = {"weyl_constant": [1.0, 2.0], "weyl_constant_2d": [3.0, 4.0]}
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"free R=1": {"ell_max": 0}, "density": entry}))
+    b.write_text(json.dumps({"free R=1": {"ell_max": 0}, "density": entry}))
+    assert solve_sets.main(["compare", str(a), str(b)]) == 0
+    assert capsys.readouterr().out == "identical  free R=1\nidentical  density\n"
+
+    b.write_text(json.dumps({"free R=1": {"ell_max": 0},
+                             "density": dict(entry, weyl_constant_2d=[3.0, 4.5])}))
+    assert solve_sets.main(["compare", str(a), str(b)]) == 1
+    assert capsys.readouterr().out == ("identical  free R=1\n"
+                                       "different  density\n"
+                                       "identical  density.weyl_constant\n"
+                                       "different  density.weyl_constant_2d\n")

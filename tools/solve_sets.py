@@ -10,7 +10,10 @@ dumping the sets before and after and comparing the dumps:
 ``dump`` writes, per set, ``ell_max`` and every (ell, Re lambda, Im lambda,
 multiplicity, residual), with floats written by ``repr`` so they read back
 exactly.  ``compare`` prints ``identical`` or ``different`` per set and exits
-with status 1 when any set differs or is missing from either file.
+with status 1 when any set differs or is missing from either file.  When the
+``density`` entry differs, it is followed by one ``identical`` or
+``different  density.<key>`` line per key of the entry, so a change that
+should move one density result shows which ones moved.
 
 The 46 sets: the a = 1, v0 = -20 reference well at R = 40; the 21 members of
 the acceptance family (v0 = -20 to -12+3i, 5 x 5 bump grid) at r = 25;
@@ -25,7 +28,7 @@ rows and ``c_d`` of a 181-row d = 3 table and of a 21-row one at 1e-6
 tolerances, the predicted counts of the five r = 40 sectors of the
 ``asymptotics`` bench workload, two sector and near-axis coefficients,
 and the ``jensen_suite`` residuals.  The whole dump runs in one process
-and takes about 26 s on a 2-core Xeon VM.
+and takes about 50 s on a 2-core Xeon VM.
 """
 
 from __future__ import annotations
@@ -106,18 +109,26 @@ def dump(path, sets=None) -> None:
         f.write("\n")
 
 
+def _compare_entries(a: dict, b: dict, prefix: str = "") -> bool:
+    """Print identical/different per key of either dict, and per key of a
+    differing ``density`` entry; True if every key is identical."""
+    all_same = True
+    for key in list(a) + [k for k in b if k not in a]:
+        same = key in a and key in b and a[key] == b[key]
+        print(f"{'identical' if same else 'different'}  {prefix}{key}")
+        if not same and key == "density" and key in a and key in b:
+            _compare_entries(a[key], b[key], "density.")
+        all_same &= same
+    return all_same
+
+
 def compare(path_a, path_b) -> int:
     """Print identical/different per set; 1 if any set differs, else 0."""
     with open(path_a) as f:
         a = json.load(f)
     with open(path_b) as f:
         b = json.load(f)
-    status = 0
-    for name in list(a) + [n for n in b if n not in a]:
-        same = name in a and name in b and a[name] == b[name]
-        print(f"{'identical' if same else 'different'}  {name}")
-        status |= not same
-    return status
+    return 0 if _compare_entries(a, b) else 1
 
 
 def main(argv=None) -> int:
