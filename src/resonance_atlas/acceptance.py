@@ -232,12 +232,11 @@ def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
 
     def work():
         rset = ctx.reference_set()
-        c3 = dn.weyl_constant(3)
         grid = [10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0]
         counts = [ct.count_norm(rset, r) for r in grid]
-        ratios = [n / (c3 * r ** 3) for n, r in zip(counts, grid)]
+        ratios = [n / ct.predict_total(3, 1.0, r) for n, r in zip(counts, grid)]
         fit = ct.fit_power_law(grid, counts)
-        upper_ok = all(3.0 * ct.integrated_count(rset, r) <= c3 * r ** 3 * 1.1
+        upper_ok = all(3.0 * ct.integrated_count(rset, r) <= ct.predict_total(3, 1.0, r) * 1.1
                        for r in grid if r >= 20.0)
         return grid, ratios, fit, upper_ok
 

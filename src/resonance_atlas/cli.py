@@ -21,7 +21,7 @@ import numpy as np
 
 from . import counting, density, resonances
 from .contour import jensen_suite
-from .errors import NumericalError, QuadratureError
+from .errors import NumericalError
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
@@ -318,7 +318,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     try:
         return args.run(args, parser)
-    except (QuadratureError, NumericalError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure in {args.command}: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
     except ValueError as exc:

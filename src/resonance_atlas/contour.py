@@ -1,4 +1,4 @@
-"""Argument-principle zero counting and Jensen-type identity verifiers.
+"""Argument-principle zero counting and the Jensen-type identity verifier.
 
 Winding numbers are accumulated from phase increments along adaptively
 sampled closed paths.  A step is rejected and refined whenever the phase
@@ -24,13 +24,16 @@ callable returns log f(z) (any branch per point); only phase differences and
 log-magnitude differences are consumed, so the branch never matters.  Log
 form lets the resonance solver count windings of channel functions whose
 magnitudes span hundreds of decades.
+
+One verifier checks the Jensen-type sector identity on rational functions;
+the half plane is its widest sector (0, pi).  Every term reads one ray log.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +50,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-# absolute and relative tolerance of the Jensen verifiers' quadratures
+# absolute and relative tolerance of the Jensen verifier's quadratures
 _JENSEN_TOL = 1e-10
 _IRR = math.sqrt(2.0) - 1.0
 _MOVES = 7  # a contour that runs into a zero is moved at most this often
@@ -606,12 +609,11 @@ def _children(box, children, arms):
 
 @dataclass(frozen=True)
 class JensenTestCase:
-    """Rational function with zeros in the open upper half plane, poles in
-    the open lower half plane, scaled so that |f(0)| = 1."""
+    """Rational f = prod(z - a) / prod(z - p), zeros a in the open upper half
+    plane, poles p in the open lower; read as log(f(z) / f(0)), unnormalised."""
 
     zeros: tuple
     poles: tuple
-    scale: float = field(default=1.0)
 
     @classmethod
     def make(cls, zeros, poles) -> "JensenTestCase":
@@ -625,25 +627,11 @@ class JensenTestCase:
                 raise ValueError(f"pole {p} is not in the open lower half plane")
         if set(zeros) & set(poles):
             raise ValueError("zero and pole lists must be disjoint")
-        log_scale = sum(math.log(abs(p)) for p in poles) - sum(
-            math.log(abs(z)) for z in zeros)
-        return cls(zeros=zeros, poles=poles, scale=math.exp(log_scale))
-
-    def value(self, z):
-        out = np.full(np.shape(z) or (1,), self.scale, dtype=complex)
-        zz = np.atleast_1d(np.asarray(z, dtype=complex))
-        for a in self.zeros:
-            out = out * (zz - a)
-        for p in self.poles:
-            out = out / (zz - p)
-        return out if np.shape(z) else complex(out[0])
-
-    def log_abs(self, z) -> float:
-        v = self.value(z)
-        return float(np.log(np.abs(v)))
+        return cls(zeros=zeros, poles=poles)
 
     def ray_log_increment(self, t: float, angle: float) -> complex:
-        """Continuous log f(t e^{i angle}) - log f(0) along the ray.
+        """Continuous log f(t e^{i angle}) - log f(0) along the ray; its real
+        part is ln|f(t e^{i angle}) / f(0)| on every branch.
 
         Each factor contributes Log((t e^{i angle} - a)/(-a)) with the
         principal branch, which is exact for straight paths because a segment
@@ -659,43 +647,33 @@ class JensenTestCase:
 
 
 def jensen_residual(tc: JensenTestCase, r: float) -> float:
-    """Residual of the half-plane Jensen-type identity at radius r.
-
-    Left side: sum of ln(r/|a|) over zeros with |a| <= r (closed form).
-    Right side: (1/2pi) Im int_0^r (1/t) int_{-t}^{t} f'/f ds dt plus
-    (1/2pi) int_0^pi ln|f(r e^{i theta})| d theta, both by quadrature to 1e-10.
-    """
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    for a in tc.zeros + tc.poles:
-        if abs(abs(a) - r) < 1e-12:
-            raise ValueError(f"zero/pole {a} sits on the circle |z| = r; perturb r")
-    lhs = sum(math.log(r / abs(a)) for a in tc.zeros if abs(a) <= r)
-
-    def real_axis_term(t):
-        if t == 0.0:
-            return 0.0
-        inner = tc.ray_log_increment(t, 0.0) - tc.ray_log_increment(t, math.pi)
-        return inner.imag / t
-
-    term1 = _integrate(real_axis_term, 0.0, r, "jensen real-axis term",
-                       _JENSEN_TOL, _JENSEN_TOL) / _TWO_PI
-    term2 = _integrate(lambda th: tc.log_abs(r * cmath.exp(1j * th)), 0.0, math.pi,
-                       "jensen arc term", _JENSEN_TOL, _JENSEN_TOL) / _TWO_PI
-    return abs(lhs - (term1 + term2))
+    """Residual of the half-plane Jensen-type identity at radius r: the
+    sector identity over (0, pi), whose two ray terms add up to the argument
+    variation along the real axis."""
+    return sector_jensen_residual(tc, r, 0.0, math.pi)
 
 
 def sector_jensen_residual(tc: JensenTestCase, r: float, phi: float,
                            theta: float) -> float:
-    """Residual of the sector zero-counting identity at radius r.
+    """Residual of the sector zero-counting identity at radius r for
+    0 <= phi < theta <= pi.
 
-    The three right-hand terms: the theta-derivative of the logarithmic means
-    J^t (differentiated under the integral), the argument variation along the
-    ray at angle phi, and the angular log-magnitude integral from phi to
-    theta.
+    Left side: sum of ln(r/|a|) over the zeros with |a| <= r and
+    phi < arg a < theta.  The three right-hand terms, by quadrature to 1e-10
+    of L(t, w) = ``ray_log_increment(t, w)``: the theta-derivative of the
+    logarithmic means J^t, the argument variation along the ray at angle phi,
+    and the integral of Re L(r, w) = ln|f(r e^{iw}) / f(0)| from phi to theta.
+    Raises ValueError for r <= 0, a zero or pole on |z| = r, a zero within
+    1e-12 rad of a boundary ray (at phi = 0 and theta = pi: of the real
+    axis) and a pole in the closed sector.
     """
-    if not 0.0 < phi < theta < math.pi:
-        raise ValueError("sector angles must satisfy 0 < phi < theta < pi")
+    if not 0.0 <= phi < theta <= math.pi:
+        raise ValueError("sector angles must satisfy 0 <= phi < theta <= pi")
+    if not r > 0:
+        raise ValueError("radius must be positive")
+    for a in tc.zeros + tc.poles:
+        if abs(abs(a) - r) < 1e-12:
+            raise ValueError(f"zero/pole {a} sits on the circle |z| = r; perturb r")
     for a in tc.zeros:
         if abs(a) <= r * (1 + 1e-12):
             ang = cmath.phase(a)
@@ -708,21 +686,14 @@ def sector_jensen_residual(tc: JensenTestCase, r: float, phi: float,
     lhs = sum(math.log(r / abs(a)) for a in tc.zeros
               if abs(a) <= r and phi < cmath.phase(a) < theta)
 
-    def dtheta_term(t):
-        if t == 0.0:
-            return 0.0
-        return (1j * tc.ray_log_increment(t, theta)).real / t
+    def ray_term(angle, sign):
+        return lambda t: sign * tc.ray_log_increment(t, angle).imag / t if t else 0.0
 
-    def argvar_term(t):
-        if t == 0.0:
-            return 0.0
-        return tc.ray_log_increment(t, phi).imag / t
-
-    term1 = _integrate(dtheta_term, 0.0, r, "sector d/dtheta term",
+    term1 = _integrate(ray_term(theta, -1.0), 0.0, r, "sector d/dtheta term",
                        _JENSEN_TOL, _JENSEN_TOL) / _TWO_PI
-    term2 = _integrate(argvar_term, 0.0, r, "sector ray term",
+    term2 = _integrate(ray_term(phi, 1.0), 0.0, r, "sector ray term",
                        _JENSEN_TOL, _JENSEN_TOL) / _TWO_PI
-    term3 = _integrate(lambda om: tc.log_abs(r * cmath.exp(1j * om)), phi, theta,
+    term3 = _integrate(lambda om: tc.ray_log_increment(r, om).real, phi, theta,
                        "sector arc term", _JENSEN_TOL, _JENSEN_TOL) / _TWO_PI
     return abs(lhs - (term1 + term2 + term3))
 

@@ -91,9 +91,9 @@ def _check_radius(rset: ResonanceSet, r: float) -> None:
 
 
 def count_norm(rset: ResonanceSet, r: float) -> int:
-    """Multiplicity-weighted number of resonances with |lambda| <= r."""
+    """Multiplicity-weighted count with |lambda| <= r: the full sector."""
     _check_radius(rset, r)
-    return sum(res.multiplicity for res in rset.resonances if abs(res.lam) <= r)
+    return count_sector(rset, SectorQuery(r, math.pi, 2.0 * math.pi))
 
 
 def count_sector(rset: ResonanceSet, q: SectorQuery) -> int:
@@ -123,8 +123,8 @@ def integrated_count(rset: ResonanceSet, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 def predict_total(d: int, a: float, r: float) -> float:
-    """Leading term of the full lower-half-plane count: c_d (a r)^d."""
-    return weyl_constant(d) * (a * r) ** d
+    """c_d (a r)^d, the full sector's prediction; r must be positive and finite."""
+    return predict_sector(d, a, SectorQuery(r, math.pi, 2.0 * math.pi))
 
 
 _ANGLE_EPS = 1e-12
@@ -177,7 +177,6 @@ def compare_counts(rset: ResonanceSet, queries, r_grid) -> list[CountReport]:
     a = rset.potential.a
     r_grid = sorted(float(r) for r in r_grid)
     reports = []
-    cd = weyl_constant(d)
     for q in queries:
         empirical = count_sector(rset, q)
         predicted = predict_sector(d, a, q)
@@ -189,7 +188,7 @@ def compare_counts(rset: ResonanceSet, queries, r_grid) -> list[CountReport]:
         if empirical == 0:
             flags.append("no resonances")
         for r in r_grid:
-            if r * a >= 20 and d * integrated_count(rset, r) > cd * (a * r) ** d * 1.1:
+            if r * a >= 20 and d * integrated_count(rset, r) > predict_total(d, a, r) * 1.1:
                 flags.append(f"stefanov_violation_at_r={r:g}")
                 break
         reports.append(CountReport(query=q, empirical=empirical,

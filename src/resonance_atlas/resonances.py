@@ -113,14 +113,15 @@ class Resonance:
 
     lam: complex
     ell: int
-    multiplicity: int
     residual: float
 
     def __post_init__(self):
         if self.lam.imag >= 0:
             raise ValueError("resonances lie strictly in the lower half plane")
-        if self.multiplicity != 2 * self.ell + 1:
-            raise ValueError("multiplicity must equal 2*ell + 1")
+
+    @property
+    def multiplicity(self) -> int:
+        return 2 * self.ell + 1
 
 
 def arg_lower(lam: complex) -> float:
@@ -165,20 +166,32 @@ class ResonanceSet:
 
     @classmethod
     def from_json(cls, path) -> "ResonanceSet":
-        with open(path) as f:
-            doc = json.load(f)
-        return cls(
-            potential=RadialStepPotential.from_dict(doc["potential"]),
-            search_radius=doc["search_radius"],
-            ell_max=doc["ell_max"],
-            tolerances=doc["tolerances"],
-            resonances=[
-                Resonance(lam=complex(r["re_lambda"], r["im_lambda"]),
-                          ell=r["ell"], multiplicity=r["multiplicity"],
-                          residual=r["residual"])
-                for r in doc["resonances"]
-            ],
-        )
+        """The set ``to_json`` wrote to path; a malformed file raises
+        ValueError naming the file and the entry."""
+        entry = "top level"
+        try:
+            with open(path) as f:
+                doc = json.load(f)
+            if not isinstance(doc, dict):
+                raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+            resonances = []
+            for i, r in enumerate(doc["resonances"]):
+                entry = f"resonance {i}"
+                res = Resonance(lam=complex(r["re_lambda"], r["im_lambda"]),
+                                ell=r["ell"], residual=r["residual"])
+                if not (isinstance(res.ell, int) and res.ell >= 0
+                        and r["multiplicity"] == res.multiplicity):
+                    raise ValueError("needs an integer ell >= 0 and multiplicity 2*ell + 1, "
+                                     f"got ell {res.ell}, multiplicity {r['multiplicity']}")
+                resonances.append(res)
+            entry = "top level"
+            return cls(potential=RadialStepPotential.from_dict(doc["potential"]),
+                       search_radius=doc["search_radius"], ell_max=doc["ell_max"],
+                       tolerances=doc["tolerances"], resonances=resonances)
+        except KeyError as exc:
+            raise ValueError(f"{path}: {entry}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {entry}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +516,7 @@ def find_resonances(pot: RadialStepPotential, R: float, *,
                     f"channel {ell}: residual |W_ell(lambda)| = {res:.3g} at "
                     f"lambda = {z:.12g} is not below {_RESIDUAL_TOL:g}")
             for _ in range(m):  # order-m zeros enter as m coincident poles
-                resonances.append(Resonance(lam=z, ell=ell,
-                                            multiplicity=2 * ell + 1,
-                                            residual=float(res)))
+                resonances.append(Resonance(lam=z, ell=ell, residual=float(res)))
     return ResonanceSet(potential=pot, search_radius=R, resonances=resonances,
                         ell_max=cutoff, tolerances=tolerances)
 

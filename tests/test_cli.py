@@ -275,6 +275,35 @@ def test_count_rejects_bad_radius_when_parsing(tmp_path, capsys, set_file, grid)
     assert "argument --r-grid: query radius r" in capsys.readouterr().err
 
 
+def _malformed(doc, case):
+    """The resonance file's document broken as ``case`` says."""
+    if case == "no tolerances":
+        del doc["tolerances"]
+    elif case == "no residual":
+        del doc["resonances"][0]["residual"]
+    elif case == "top-level list":
+        doc = doc["resonances"]
+    elif case == "fractional ell":  # with the weight 2*ell + 1 it implies
+        doc["resonances"][0].update(ell=1.5, multiplicity=4)
+    else:  # a weight other than 2*ell + 1
+        doc["resonances"][0]["multiplicity"] += 2
+    return doc
+
+
+@pytest.mark.parametrize("case, entry", [
+    ("no tolerances", "top level: missing key 'tolerances'"),
+    ("no residual", "resonance 0: missing key 'residual'"),
+    ("top-level list", "top level: expected a JSON object, got list"),
+    ("bad multiplicity", "resonance 0: needs an integer ell >= 0 and multiplicity"),
+    ("fractional ell", "resonance 0: needs an integer ell >= 0 and multiplicity"),
+])
+def test_count_rejects_malformed_resonance_file(tmp_path, capsys, set_file, case, entry):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_malformed(json.loads(set_file.read_text()), case)))
+    assert run_cli(["count", "--in", str(bad)]) == 2
+    assert f"{bad}: {entry}" in capsys.readouterr().err
+
+
 def test_family_rejects_sector_before_solving(capsys):
     assert run_cli(["family", "--r", "6", "--grid-n", "2", "--sector", "0:pi"]) == 2
     captured = capsys.readouterr()

@@ -321,10 +321,22 @@ def test_locate_separates_simple_zeros_closer_than_two_tol(gap):
 
 # --- Jensen-type identities -------------------------------------------------
 
+def _log_abs_ratio(tc, z):
+    """ln|f(z) / f(0)| of the test case, from a direct product of its factors."""
+    ratio = 1.0 + 0.0j
+    for a in tc.zeros:
+        ratio *= (z - a) / (-a)
+    for p in tc.poles:
+        ratio /= (z - p) / (-p)
+    return math.log(abs(ratio))
+
+
 def test_case_normalization_and_validation():
     tc = ct.JensenTestCase.make([1 + 2j, -0.5 + 1j], [2 - 1j])
-    z0 = tc.value(0.0)
-    assert abs(abs(z0) - 1.0) < 1e-12
+    for t in (0.3, 1.7, 4.0):
+        for om in (0.0, 0.4, math.pi / 2, 2.9):
+            got = tc.ray_log_increment(t, om).real
+            assert abs(got - _log_abs_ratio(tc, t * cmath.exp(1j * om))) < 1e-14
     with pytest.raises(ValueError):
         ct.JensenTestCase.make([1 - 1j], [])  # zero in lower half plane
     with pytest.raises(ValueError):
@@ -374,9 +386,9 @@ def test_jensen_quadrature_failure_carries_estimate(monkeypatch):
     from resonance_atlas.errors import QuadratureError
 
     tc = ct.JensenTestCase.make([1j], [-1j])
-    arc = quad(lambda th: tc.log_abs(2.0 * cmath.exp(1j * th)), 0.0, math.pi)[0]
+    arc = quad(lambda th: _log_abs_ratio(tc, 2.0 * cmath.exp(1j * th)), 0.0, math.pi)[0]
     monkeypatch.setattr(dn, "_QUAD_LIMIT", 2)
-    with pytest.raises(QuadratureError, match="jensen arc term") as err:
+    with pytest.raises(QuadratureError, match="sector arc term") as err:
         ct.jensen_residual(tc, 2.0)
     assert err.value.estimate == pytest.approx(arc, abs=1e-6)
     assert err.value.achieved_error is not None
@@ -448,3 +460,21 @@ def test_sector_jensen_names_offending_pole():
     # boundary ray through the zero: must refuse and name it
     with pytest.raises(ValueError, match="boundary"):
         ct.sector_jensen_residual(tc, 2.0, math.pi / 4, 3 * math.pi / 8)
+
+
+def test_sector_jensen_takes_the_half_plane_and_its_checks():
+    tc = ct.JensenTestCase.make([1j, -1 + 2j], [-1j, 0.5 - 1j])
+    res = ct.sector_jensen_residual(tc, 3.0, 0.0, math.pi)
+    assert res == ct.jensen_residual(tc, 3.0) and res < 1e-12
+    lam = math.sqrt(2) * cmath.exp(1j * math.pi / 4)
+    one = ct.JensenTestCase.make([lam], [-lam])
+    with pytest.raises(ValueError, match="circle"):  # zero on the arc |z| = r
+        ct.sector_jensen_residual(one, math.sqrt(2), math.pi / 8, 3 * math.pi / 8)
+    with pytest.raises(ValueError, match="0 <= phi < theta <= pi"):
+        ct.sector_jensen_residual(one, 2.0, math.pi / 8, math.pi + 0.1)
+    with pytest.raises(ValueError, match="positive"):
+        ct.sector_jensen_residual(one, 0.0, 0.0, math.pi)
+    # a zero 1e-13 rad off the real axis lies on the half plane's boundary ray
+    flat = ct.JensenTestCase.make([1 + 1e-13j], [-1j])
+    with pytest.raises(ValueError, match="boundary ray"):
+        ct.jensen_residual(flat, 2.0)

@@ -15,9 +15,7 @@ def make_set(entries, radius=10.0, a=1.0, v0=-5.0):
     return ResonanceSet(
         potential=RadialStepPotential(a=a, v0=v0),
         search_radius=radius,
-        resonances=[Resonance(lam=lam, ell=ell, multiplicity=2 * ell + 1,
-                              residual=0.0)
-                    for lam, ell in entries],
+        resonances=[Resonance(lam, ell, 0.0) for lam, ell in entries],
         ell_max=max((e for _, e in entries), default=0),
     )
 
@@ -59,6 +57,8 @@ def test_counts_share_one_radius_guard(r):
 def test_sector_query_rejects_radius_that_is_not_positive_and_finite(r):
     with pytest.raises(ValueError, match="query radius r"):
         ct.SectorQuery(r, PI, 2 * PI)
+    with pytest.raises(ValueError, match="query radius r"):
+        ct.predict_total(3, 1.0, r)
 
 
 def test_count_sector_full_equals_norm():
