@@ -63,7 +63,6 @@ from .special import (
     coth_fixed_point,
     critical_curve_modulus,
     critical_curve_point,
-    gamma_real,
 )
 
 __version__ = "0.1.0"

@@ -72,15 +72,11 @@ def _parse_sector(text: str):
 
 
 def _radius(text: str) -> float:
-    """A query radius: a positive finite float."""
+    """A count radius: a positive finite float."""
     try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"query radius r must be positive and finite, got {text.strip()!r}")
-    return value
+        return counting.check_radius(float(text))
+    except ValueError as exc:  # argparse shows an ArgumentTypeError's message
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _comma_separated(cast):

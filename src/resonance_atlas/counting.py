@@ -41,6 +41,16 @@ __all__ = [
 ]
 
 
+def check_radius(r: float, search_radius: float = math.inf) -> float:
+    """The one guard of a count or query radius: 0 < r < inf, and a count of a
+    set never reaches past its search radius.  Returns r."""
+    if not (0 < r < math.inf and r <= search_radius * (1 + 1e-12)):
+        raise ValueError(
+            f"count radius {r} must be positive, finite and within the search "
+            f"radius ({search_radius}); never extrapolate")
+    return r
+
+
 @dataclass(frozen=True)
 class SectorQuery:
     """Closed sector pi <= phi <= arg lambda <= theta <= 2 pi, |lambda| <= r."""
@@ -50,8 +60,7 @@ class SectorQuery:
     theta: float
 
     def __post_init__(self):
-        if not 0 < self.r < math.inf:
-            raise ValueError(f"query radius r must be positive and finite, got {self.r}")
+        check_radius(self.r)
         if not (math.pi <= self.phi <= self.theta <= 2.0 * math.pi + 1e-15):
             raise ValueError(
                 "sector angles must satisfy pi <= phi <= theta <= 2*pi "
@@ -82,23 +91,14 @@ class CountReport:
         return doc
 
 
-def _check_radius(rset: ResonanceSet, r: float) -> None:
-    """Counts are known only for 0 < r <= the search radius: never extrapolate."""
-    if not 0 < r <= rset.search_radius * (1 + 1e-12):
-        raise ValueError(
-            f"count radius {r} must be positive, finite and within the search "
-            f"radius {rset.search_radius}; never extrapolate")
-
-
 def count_norm(rset: ResonanceSet, r: float) -> int:
     """Multiplicity-weighted count with |lambda| <= r: the full sector."""
-    _check_radius(rset, r)
     return count_sector(rset, SectorQuery(r, math.pi, 2.0 * math.pi))
 
 
 def count_sector(rset: ResonanceSet, q: SectorQuery) -> int:
     """Multiplicity-weighted count in the closed sector (boundary inclusive)."""
-    _check_radius(rset, q.r)
+    check_radius(q.r, rset.search_radius)
     total = 0
     for res in rset.resonances:
         if abs(res.lam) <= q.r and q.phi <= arg_lower(res.lam) <= q.theta:
@@ -113,7 +113,7 @@ def integrated_count(rset: ResonanceSet, r: float) -> float:
     function; step potentials have no pole at the origin, so no subtraction
     is needed.
     """
-    _check_radius(rset, r)
+    check_radius(r, rset.search_radius)
     return sum(res.multiplicity * math.log(r / abs(res.lam))
                for res in rset.resonances if abs(res.lam) <= r)
 

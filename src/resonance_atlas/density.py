@@ -39,7 +39,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import NumericalError, QuadratureError
-from .special import bessel_phase, critical_curve_modulus, gamma_real
+from .special import bessel_phase, critical_curve_modulus
 
 __all__ = [
     "QuadratureSpec",
@@ -183,12 +183,14 @@ def angular_density_deriv(d: int, theta: float, spec: QuadratureSpec = DEFAULT_Q
 def angular_density_deriv_at_zero(d: int) -> float:
     """Limit of the density derivative as theta -> 0+, in closed form.
 
-    Equals sqrt(pi) * Gamma((d-1)/2) / ((d-2)! * Gamma(1 + d/2)); for d = 3
-    this is 4/3.
+    Equals sqrt(pi) * Gamma((d-1)/2) / ((d-2)! * Gamma(1 + d/2)), which for
+    d = 2m + 1 is the rational (m-1)! 2^(m+1) / ((d-2)! d!!); it is computed
+    in integers and rounded once, so d = 3 gives exactly 4/3.
     """
     _check_dimension(d)
-    return math.sqrt(math.pi) * gamma_real((d - 1) / 2.0) / (
-        math.factorial(d - 2) * gamma_real(1.0 + d / 2.0))
+    m = (d - 1) // 2
+    return (math.factorial(m - 1) * 2 ** (m + 1)
+            / (math.factorial(d - 2) * math.prod(range(d, 0, -2))))
 
 
 _cd_cache: dict = {}

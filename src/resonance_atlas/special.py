@@ -20,7 +20,6 @@ Contents:
 * ``sph_j_series`` -- the one power series S_l(u) of j_l, with
   j_l(z) = z^l S_l(z^2) / (2l+1)!!, and its derivative S_l'(u); the j pair's
   small-argument fallback and the matcher's small-|k| branch both use it.
-* ``gamma_real`` -- Gamma at positive integer and half-integer arguments.
 
 All functions are pure.
 """
@@ -42,7 +41,6 @@ __all__ = [
     "coth_fixed_point",
     "critical_curve_point",
     "critical_curve_modulus",
-    "gamma_real",
 ]
 
 _EPS = math.ulp(1.0)
@@ -344,30 +342,3 @@ def _h_pair_recurrence_log(ell, z: np.ndarray):
             hl[big] /= _RESCALE
             log_scale[big] += _LOG_RESCALE
     return hm1, hl, log_scale
-
-
-# ---------------------------------------------------------------------------
-# Gamma at halves
-# ---------------------------------------------------------------------------
-
-def gamma_real(x: float) -> float:
-    """Gamma(x) for positive integer or half-integer x.
-
-    Built by the recurrence Gamma(x+1) = x*Gamma(x) from Gamma(1) = 1 and
-    Gamma(1/2) = sqrt(pi); that pins the relative error near machine epsilon
-    for every argument this package needs.
-    """
-    if x <= 0.0:
-        raise ValueError(f"gamma_real requires x > 0; got {x}")
-    n2 = round(2.0 * x)
-    if abs(2.0 * x - n2) > 1e-12:
-        raise ValueError(
-            f"gamma_real supports integer and half-integer arguments only; got {x}")
-    if n2 % 2 == 0:
-        value, arg = 1.0, 1.0
-    else:
-        value, arg = math.sqrt(math.pi), 0.5
-    while arg + 0.25 < x:
-        value *= arg
-        arg += 1.0
-    return value

@@ -2,8 +2,8 @@
 
 The heavy artifacts (the reference resonance set at R = 40 and the averaged
 family at r = 25) are shared through a session-scoped context.  Each test
-prints its PASS/FAIL line via the shared runner so `pytest -v -s` shows one
-line per criterion.
+runs its criterion through ``run_criterion``, the runner ``verify`` uses, and
+prints its PASS/FAIL line so `pytest -v -s` shows one line per criterion.
 """
 
 import os
@@ -25,8 +25,8 @@ def ctx():
     return acc.AcceptanceContext(threads=_threads())
 
 
-def _run(criterion, ctx):
-    result = criterion(ctx)
+def _run(index, ctx):
+    result = acc.run_criterion(index, ctx)
     status = "PASS" if result.passed else "FAIL"
     print(f"\n{status} criterion {result.index} ({result.name}): {result.detail}")
     assert result.passed, result.detail
@@ -34,44 +34,58 @@ def _run(criterion, ctx):
 
 
 def test_criterion_01_closed_form_cross_check(ctx):
-    _run(acc.criterion_1, ctx)
+    _run(1, ctx)
 
 
 def test_criterion_02_symmetry_and_endpoints(ctx):
-    _run(acc.criterion_2, ctx)
+    _run(2, ctx)
 
 
 def test_criterion_03_derivative_at_axis(ctx):
-    _run(acc.criterion_3, ctx)
+    _run(3, ctx)
 
 
 def test_criterion_04_weyl_constant_consistency(ctx):
-    _run(acc.criterion_4, ctx)
+    _run(4, ctx)
 
 
 def test_criterion_05_jensen_identities(ctx):
-    _run(acc.criterion_5, ctx)
+    _run(5, ctx)
 
 
 def test_criterion_06_solver_soundness(ctx):
-    _run(acc.criterion_6, ctx)
+    _run(6, ctx)
 
 
 def test_criterion_07_weyl_total_count(ctx):
-    _run(acc.criterion_7, ctx)
+    _run(7, ctx)
 
 
 def test_criterion_08_sector_asymptotics(ctx):
-    _run(acc.criterion_8, ctx)
+    _run(8, ctx)
 
 
 def test_criterion_09_scattering_bound(ctx):
-    _run(acc.criterion_9, ctx)
+    _run(9, ctx)
 
 
 def test_criterion_10_family_average(ctx):
-    _run(acc.criterion_10, ctx)
+    _run(10, ctx)
 
 
 def test_criterion_11_normalization_equivalence(ctx):
-    _run(acc.criterion_11, ctx)
+    _run(11, ctx)
+
+
+def test_raising_criterion_keeps_its_name(monkeypatch):
+    from resonance_atlas.errors import NumericalError
+
+    def fail(*args, **kwargs):
+        raise NumericalError("channel 3: no convergence")
+
+    monkeypatch.setattr(acc.rs, "find_resonances", fail)
+    result = acc.run_criterion(7, acc.AcceptanceContext())
+    assert result.index == 7 and result.name == "Weyl-type total count"
+    assert not result.passed
+    assert result.detail.startswith(
+        "raised NumericalError: channel 3: no convergence")

@@ -184,11 +184,11 @@ def test_verify_reports_raising_criterion_and_continues(monkeypatch, capsys):
     from resonance_atlas.errors import BoundaryConflictError
 
     def broken(ctx):
-        """Broken criterion: always raises."""
         raise BoundaryConflictError("channel 7 frame: persistent conflicts")
 
     monkeypatch.setattr(acceptance, "CRITERIA",
-                        [broken, acceptance.criterion_2, acceptance.criterion_3])
+                        [("Broken criterion: always raises", broken, None),
+                         *acceptance.CRITERIA[1:3]])
     code = run_cli(["verify", "--threads", "1"])
     out = capsys.readouterr().out
     assert code == 3
@@ -243,8 +243,8 @@ def test_sector_flag_replaces_config_sectors(tmp_path, set_file):
     (["family", "--r", "2"], ["--grid-n", "0"], "grid-n = 0", "grid size n"),
     (["density", "--grid", "5", "--out", "{out}"], ["--abs-tol", "nan"],
      "abs_tol = nan", "abs_tol"),
-    (["count", "--in", "{set}"], ["--r-grid", "nan"], "r_grid = nan", "query radius r"),
-    (["count", "--in", "{set}"], ["--r-grid", "2,nan"], "r_grid = 2,nan", "query radius r"),
+    (["count", "--in", "{set}"], ["--r-grid", "nan"], "r_grid = nan", "count radius"),
+    (["count", "--in", "{set}"], ["--r-grid", "2,nan"], "r_grid = 2,nan", "count radius"),
     (["jensen"], ["--cases", "-1"], "cases = -1", "cases")])
 def test_invalid_value_is_a_usage_error_as_flag_or_config(
         tmp_path, capsys, set_file, base, flags, config, named):
@@ -266,13 +266,13 @@ def test_count_rejects_bad_radius_when_parsing(tmp_path, capsys, set_file, grid)
     with pytest.raises(SystemExit) as err:
         run_cli(argv + ["--r-grid", grid])
     assert err.value.code == 2
-    assert "argument --r-grid: query radius r" in capsys.readouterr().err
+    assert "argument --r-grid: count radius" in capsys.readouterr().err
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"r-grid = {grid}\n")
     with pytest.raises(SystemExit) as err:
         run_cli(["--config", str(cfg), *argv])
     assert err.value.code == 2
-    assert "argument --r-grid: query radius r" in capsys.readouterr().err
+    assert "argument --r-grid: count radius" in capsys.readouterr().err
 
 
 def _malformed(doc, case):

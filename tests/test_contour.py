@@ -341,6 +341,8 @@ def test_case_normalization_and_validation():
         ct.JensenTestCase.make([1 - 1j], [])  # zero in lower half plane
     with pytest.raises(ValueError):
         ct.JensenTestCase.make([1j], [2 + 1j])  # pole in upper half plane
+    with pytest.raises(ValueError, match="pole 2j"):  # built without make
+        ct.JensenTestCase(zeros=(1j,), poles=(2j,))
 
 
 def test_jensen_single_zero():

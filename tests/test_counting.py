@@ -8,6 +8,8 @@ from resonance_atlas import density as dn
 from resonance_atlas.resonances import RadialStepPotential, Resonance, ResonanceSet
 
 PI = math.pi
+# the one message of every rejected count or query radius
+RADIUS_GUARD = r"count radius .* must be positive, finite and within the search radius"
 
 
 def make_set(entries, radius=10.0, a=1.0, v0=-5.0):
@@ -46,18 +48,17 @@ def test_count_norm_never_extrapolates():
 def test_counts_share_one_radius_guard(r):
     hand = make_set([(-0.5 - 1j, 0)], radius=5.0)
     for count in (ct.count_norm, ct.integrated_count):
-        with pytest.raises(ValueError, match="count radius"):
+        with pytest.raises(ValueError, match=RADIUS_GUARD):
             count(hand, r)
-    if 0 < r < math.inf:
-        with pytest.raises(ValueError, match="count radius"):
-            ct.count_sector(hand, ct.SectorQuery(r, PI, 2 * PI))
+    with pytest.raises(ValueError, match=RADIUS_GUARD):
+        ct.count_sector(hand, ct.SectorQuery(r, PI, 2 * PI))
 
 
 @pytest.mark.parametrize("r", [math.nan, math.inf, 0.0, -1.0])
 def test_sector_query_rejects_radius_that_is_not_positive_and_finite(r):
-    with pytest.raises(ValueError, match="query radius r"):
+    with pytest.raises(ValueError, match=RADIUS_GUARD):
         ct.SectorQuery(r, PI, 2 * PI)
-    with pytest.raises(ValueError, match="query radius r"):
+    with pytest.raises(ValueError, match=RADIUS_GUARD):
         ct.predict_total(3, 1.0, r)
 
 

@@ -72,6 +72,16 @@ def test_derivative_at_zero_closed_forms():
     assert dn.angular_density_deriv_at_zero(5) == pytest.approx(4.0 / 45.0, abs=1e-14)
 
 
+def test_derivative_at_zero_is_the_correctly_rounded_gamma_ratio():
+    mp = pytest.importorskip("mpmath")
+    assert dn.angular_density_deriv_at_zero(3) == 4.0 / 3.0
+    with mp.workdps(50):
+        for d in range(3, 41, 2):
+            exact = (mp.sqrt(mp.pi) * mp.gamma(mp.mpf(d - 1) / 2)
+                     / (mp.factorial(d - 2) * mp.gamma(1 + mp.mpf(d) / 2)))
+            assert dn.angular_density_deriv_at_zero(d) == float(exact), d
+
+
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_derivative_at_zero_integral_form(d):
     integral = quad(lambda t: math.sqrt(t * t - 1.0) * t ** (-(d + 1)),

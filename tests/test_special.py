@@ -259,14 +259,3 @@ def test_hankel_pair_rejects_scaled_hankel_false_zero():
                        ) as info:
         sp.sph_h_pair_log(110, np.array([1.0 - 1.0j, z]))
     assert not isinstance(info.value, BoundaryConflictError)
-
-
-def test_gamma_real():
-    assert sp.gamma_real(1.0) == 1.0
-    assert sp.gamma_real(4.0) == 6.0
-    assert abs(sp.gamma_real(2.5) - 3.0 * math.sqrt(math.pi) / 4.0) < 1e-14
-    assert abs(sp.gamma_real(0.5) - math.sqrt(math.pi)) < 1e-15
-    with pytest.raises(ValueError):
-        sp.gamma_real(-1.0)
-    with pytest.raises(ValueError):
-        sp.gamma_real(1.3)
