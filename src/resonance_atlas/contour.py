@@ -12,12 +12,12 @@ halves of their parent's edges.
 
 The quadtree descends level by level, since its boxes are independent
 (Delves & Lyness, Math. Comp. 21, 1967): one call samples the arms of every
-cross of a level, and one call per refinement round takes the midpoints of
-all their rejected intervals.  The leaves are polished together once the
-descent has no box left to split, by one secant iteration with one call per
-step over the seeds still active; a leaf whose iterate fails splits and
-descends again.  So a channel's solve makes a few calls per level instead of
-a few per box and per leaf.
+cross of a level into one sample array, and each refinement round is one
+set of array operations on it and one call for the midpoints of all its
+rejected intervals.  The leaves are polished together once the descent has
+no box left to split, by one secant iteration with one call per step over
+the seeds still active; a leaf whose iterate fails splits and descends
+again.  So a channel's solve makes a few calls per level, not per box.
 
 Functions are evaluated either directly or in "log form": a log-form
 callable returns log f(z) (any branch per point); only phase differences and
@@ -141,82 +141,6 @@ def _steps(ws: np.ndarray) -> np.ndarray:
     return np.diff(ws.real) + 1j * _wrap_phase(np.diff(ws.imag))
 
 
-def _refine(eval_w, segments, ts, zs, ws, whats):
-    """Insert midpoints into the samples of each segment (z0, z1) until all
-    its phase steps are trustworthy; each round evaluates the new midpoints
-    of every segment in one call.
-
-    Rejects an interval when its wrapped phase step exceeds pi/2, and
-    also when the full complex log-step of the interval *or a neighbour*
-    is large: a zero of multiplicity m straddled symmetrically by one
-    interval can carry a true phase step near 2 pi (invisible after
-    wrapping), but its neighbours then necessarily see the approach to
-    the zero as a large log-magnitude swing.  ts, zs and ws hold each
-    segment's parameters, points and log values; each segment has a budget
-    of ``_REFINE_BUDGET`` midpoints.  Returns, per segment, its refined (zs, ws) or
-    the BoundaryConflictError that rejects it, named by its ``whats`` entry.
-    """
-    out = [None] * len(segments)
-    budget = [_REFINE_BUDGET] * len(segments)
-    pending = range(len(segments))
-    while pending:
-        new = []  # (segment, midpoint parameters, midpoints)
-        for i in pending:
-            if not np.all(np.isfinite(ws[i])):
-                out[i] = BoundaryConflictError(
-                    f"{whats[i]}: non-finite (or exactly zero) value on the contour")
-                continue
-            dphi = _wrap_phase(np.diff(ws[i].imag))
-            steep = np.abs(np.diff(ws[i].real) + 1j * dphi) > 1.5
-            bad = np.abs(dphi) > math.pi / 2.0
-            bad |= steep
-            bad[1:] |= steep[:-1]
-            bad[:-1] |= steep[1:]
-            if not np.any(bad):
-                out[i] = (zs[i], ws[i])
-                continue
-            t = ts[i]
-            if np.min(np.diff(t)[bad]) < 1e-12:
-                out[i] = BoundaryConflictError(
-                    f"{whats[i]}: phase step will not settle under refinement "
-                    "(zero on or almost on the contour)")
-                continue
-            mids = 0.5 * (t[:-1][bad] + t[1:][bad])
-            budget[i] -= mids.size
-            if budget[i] < 0:
-                raise NumericalError(f"{whats[i]}: refinement budget exhausted")
-            z0, z1 = segments[i]
-            new.append((i, mids, z0 + mids * (z1 - z0)))
-        if new:
-            values = _pieces(eval_w(np.concatenate([mz for _, _, mz in new])),
-                             [mz for _, _, mz in new])
-            for (i, mids, mz), mw in zip(new, values):
-                order = np.searchsorted(ts[i], mids)
-                ts[i] = np.insert(ts[i], order, mids)
-                zs[i] = np.insert(zs[i], order, mz)
-                ws[i] = np.insert(ws[i], order, mw)
-        pending = [i for i, _, _ in new]
-    return out
-
-
-def _pieces(values: np.ndarray, parts) -> list[np.ndarray]:
-    """values cut into consecutive pieces of the sizes of the arrays parts."""
-    return np.split(values, np.cumsum([p.size for p in parts[:-1]]))
-
-
-def _guard_conflict(zs, ws, guard_dist: float, what: str):
-    """The BoundaryConflictError for samples whose smallest |f/f'| estimate,
-    from finite differences, falls below guard_dist; otherwise None."""
-    dz = np.abs(np.diff(zs))
-    dw = np.abs(_steps(ws))
-    mask = dw > 1e-9
-    if np.any(mask) and np.min(dz[mask] / dw[mask]) < guard_dist:
-        return BoundaryConflictError(
-            f"{what}: a zero lies within {guard_dist:.3g} of the contour; "
-            "perturb the box and retry")
-    return None
-
-
 @dataclass(frozen=True)
 class _Edge:
     """Refined samples (zs, ws) of log f along the segment zs[0] -> zs[-1]."""
@@ -246,37 +170,94 @@ class _Edge:
                 _Edge(np.insert(self.zs[i:], 0, z), np.insert(self.ws[i:], 0, w)))
 
 
-def _sampled_edges(eval_w, segments, spacing: float, guards, whats) -> list:
-    """Edges along the segments (z0, z1), first sampled at most ``spacing``
-    apart in at least 8 intervals (all of them in one evaluation), then
-    refined together (``_refine``), then checked against their guard
-    distances.  Returns, per segment, its _Edge or the BoundaryConflictError
-    that rejects it, named by its ``whats`` entry."""
-    ts = [np.linspace(0.0, 1.0, max(8, math.ceil(abs(z1 - z0) / spacing)) + 1)
-          for z0, z1 in segments]
-    zs = [z0 + t * (z1 - z0) for (z0, z1), t in zip(segments, ts)]
-    ws = _pieces(eval_w(np.concatenate(zs)), zs)
-    edges = []
-    for refined, guard, what in zip(_refine(eval_w, segments, ts, zs, ws, whats),
-                                    guards, whats):
-        if not isinstance(refined, BoundaryConflictError):
-            refined = _guard_conflict(*refined, guard, what) or _Edge(*refined)
-        edges.append(refined)
-    return edges
+def _sampled_edges(eval_w, items, spacing: float) -> list:
+    """Per item (segments, guard, what), one box boundary or the four arms
+    of one cross: its _Edges in segment order, or the first
+    BoundaryConflictError among its segments, named by its ``what``.
 
+    Each segment (z0, z1) is first sampled at most ``spacing`` apart in at
+    least 8 intervals.  All the samples of a call live in one array with a
+    segment index per sample, so a refinement round is one set of array
+    operations and one evaluation of all the midpoints.  A round rejects an
+    interval when its wrapped phase step exceeds pi/2, and also when the
+    full complex log-step of the interval *or a neighbour on its segment* is
+    large: a zero of multiplicity m straddled symmetrically by one interval
+    can carry a true phase step near 2 pi (invisible after wrapping), but
+    its neighbours then see the approach to the zero as a large log-modulus
+    swing.  A segment leaves on a non-finite value or an interval that will
+    not settle, may gain ``_REFINE_BUDGET`` midpoints, and then fails its
+    item's guard where a finite-difference |f/f'| falls below the guard.
+    """
+    sizes = [len(segs) for segs, _, _ in items]
+    owner = np.repeat(np.arange(len(items)), sizes)
+    segments = [s for segs, _, _ in items for s in segs]
+    t = [np.linspace(0.0, 1.0, max(8, math.ceil(abs(z1 - z0) / spacing)) + 1)
+         for z0, z1 in segments]
+    seg = np.repeat(np.arange(len(segments)), [x.size for x in t])
+    t = np.concatenate(t)
+    z0 = np.array([z0 for z0, _ in segments], dtype=complex)
+    dz = np.array([z1 - z0 for z0, z1 in segments], dtype=complex)
+    zs = z0[seg] + t * dz[seg]
+    ws = eval_w(zs)
+    errors, live = {}, np.ones(len(segments), dtype=bool)
+    budget = np.full(len(segments), _REFINE_BUDGET)
 
-def _first_conflict(edges):
-    """The first BoundaryConflictError among sampled edges, or None."""
-    return next((e for e in edges if isinstance(e, BoundaryConflictError)), None)
+    def reject(rejected, message):
+        for i in rejected[live[rejected]].tolist():
+            errors[i] = BoundaryConflictError(f"{items[owner[i]][2]}: {message}")
+        live[rejected] = False
+
+    while True:
+        reject(np.unique(seg[~np.isfinite(ws)]),
+               "non-finite (or exactly zero) value on the contour")
+        at = seg[:-1]
+        inner = live[at] & (at == seg[1:])
+        with np.errstate(invalid="ignore"):
+            dphi = _wrap_phase(np.diff(ws.imag))
+            steep = inner & (np.abs(np.diff(ws.real) + 1j * dphi) > 1.5)
+            bad = (np.abs(dphi) > math.pi / 2.0) | steep
+        bad[1:] |= steep[:-1]
+        bad[:-1] |= steep[1:]
+        bad &= inner
+        reject(np.unique(at[bad & (np.diff(t) < 1e-12)]),
+               "phase step will not settle under refinement "
+               "(zero on or almost on the contour)")
+        bad &= live[at]
+        if not np.any(bad):
+            break
+        gained = np.bincount(at[bad], minlength=len(segments))
+        live, budget = gained > 0, budget - gained
+        if np.any(budget < 0):
+            what = items[owner[np.argmax(budget < 0)]][2]
+            raise NumericalError(f"{what}: refinement budget exhausted")
+        k = np.flatnonzero(bad)
+        mids = 0.5 * (t[k] + t[k + 1])
+        mz = z0[at[k]] + mids * dz[at[k]]
+        t, zs, ws, seg = [np.insert(a, k + 1, v) for a, v in
+                          ((t, mids), (zs, mz), (ws, eval_w(mz)), (seg, at[k]))]
+    guard = np.array([g for _, g, _ in items], dtype=float)[owner]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dw = np.abs(_steps(ws))
+        ratio = np.where((seg[:-1] == seg[1:]) & (dw > 1e-9),
+                         np.abs(np.diff(zs)) / dw, np.inf)
+    starts = np.flatnonzero(np.diff(seg, prepend=-1))
+    for i in np.flatnonzero(np.minimum.reduceat(ratio, starts) < guard).tolist():
+        errors.setdefault(i, BoundaryConflictError(
+            f"{items[owner[i]][2]}: a zero lies within {guard[i]:.3g} of the "
+            "contour; perturb the box and retry"))
+    edges = [errors.get(i) or _Edge(z, w) for i, (z, w) in
+             enumerate(zip(np.split(zs, starts[1:]), np.split(ws, starts[1:])))]
+    return [next((e for e in part if isinstance(e, BoundaryConflictError)), part)
+            for part in (edges[b - n:b] for n, b in zip(sizes, np.cumsum(sizes)))]
 
 
 def _box_edges(eval_w, box: ContourBox, spacing: float, guard_dist: float,
-               what: str) -> list:
-    """The box's bottom, right, top and left edges, counterclockwise, as
-    ``_sampled_edges`` gives them."""
+               what: str):
+    """The box's bottom, right, top and left edges, counterclockwise, or the
+    BoundaryConflictError that rejects them (``_sampled_edges``)."""
     cs = box.corners()
-    return _sampled_edges(eval_w, list(zip(cs, cs[1:] + cs[:1])), spacing,
-                          [guard_dist] * 4, [what] * 4)
+    return _sampled_edges(eval_w, [(list(zip(cs, cs[1:] + cs[:1])), guard_dist, what)],
+                          spacing)[0]
 
 
 def _spacing(box: ContourBox, samples: int) -> float:
@@ -308,9 +289,8 @@ def winding_count(f, box: ContourBox, *, log_form: bool = False) -> int:
     edges = _box_edges(_make_log_evaluator(f, log_form), box, _spacing(box, 32),
                        1e-3 * box.diameter,
                        f"winding over {box.lower_left}..{box.upper_right}")
-    conflict = _first_conflict(edges)
-    if conflict is not None:
-        raise conflict
+    if isinstance(edges, BoundaryConflictError):
+        raise edges
     return _winding(edges)
 
 
@@ -427,7 +407,8 @@ def _winding_with_perturbation(eval_w, box: ContourBox, samples: int, what: str,
                          depth=box.depth)
         guard = guard_dist if guard_dist is not None else 1e-3 * eff.diameter
         edges = _box_edges(eval_w, eff, _spacing(eff, samples), guard, what)
-        return [_first_conflict(edges) or (_winding(edges), eff, edges)]
+        return [edges if isinstance(edges, BoundaryConflictError)
+                else (_winding(edges), eff, edges)]
 
     return _moved([what], attempt)[0]
 
@@ -554,8 +535,8 @@ def _split_boxes(eval_w, boxes, spacing: float, guard_dist: float | None = None)
     children's windings can fail to sum to w, so that sum is checked too.
     Either conflict moves that box's split point (``_moved``) by
     k (sqrt 2 - 1) sixteenths of its width along the diagonal.  The arms of
-    all the crosses of one move are sampled and refined together
-    (``_sampled_edges``).
+    all the crosses of one move are sampled and refined together, one item
+    per cross (``_sampled_edges``).
     """
     if not boxes:
         return []
@@ -565,7 +546,7 @@ def _split_boxes(eval_w, boxes, spacing: float, guard_dist: float | None = None)
     whats = [f"cross of box at {b.center:.6g}" for b, _, _ in boxes]
 
     def attempt(items, k):
-        crosses, segments, guards = [], [], []
+        crosses, arms = [], []
         for i in items:
             b = boxes[i][0]
             children = b.quadrisect(b.width * _IRR / 16.0 * k)
@@ -573,12 +554,11 @@ def _split_boxes(eval_w, boxes, spacing: float, guard_dist: float | None = None)
             ends = [children[1].lower_left, children[1].upper_right,
                     children[2].upper_right, children[2].lower_left]
             crosses.append(children)
-            segments += [(c, e) for e in ends]
-            guards += [guard_dist if guard_dist is not None else 0.5e-3 * b.diameter] * 4
-        arms = _sampled_edges(eval_w, segments, spacing, guards,
-                              [whats[i] for i in items for _ in range(4)])
-        return [_children(boxes[i], children, arms[4 * j:4 * j + 4])
-                for j, (i, children) in enumerate(zip(items, crosses))]
+            arms.append(([(c, e) for e in ends],
+                         guard_dist if guard_dist is not None else 0.5e-3 * b.diameter,
+                         whats[i]))
+        return [_children(boxes[i], children, a) for i, children, a in
+                zip(items, crosses, _sampled_edges(eval_w, arms, spacing))]
 
     return _moved(whats, attempt)
 
@@ -586,11 +566,10 @@ def _split_boxes(eval_w, boxes, spacing: float, guard_dist: float | None = None)
 def _children(box, children, arms):
     """The (child, winding, edges) triples of box = (b, w, edges) split by
     the cross of the four sampled ``arms``, or the BoundaryConflictError
-    that rejects the cross."""
+    that rejects the cross (which ``arms`` may already be)."""
     _, w, edges = box
-    conflict = _first_conflict(arms)
-    if conflict is not None:
-        return conflict
+    if isinstance(arms, BoundaryConflictError):
+        return arms
     ab, ar, at, al = arms
     (b1, b2), (r1, r2), (t1, t2), (l1, l2) = [
         edge.cut(arm.zs[-1], arm.ws[-1]) for edge, arm in zip(edges, arms)]

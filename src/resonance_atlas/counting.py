@@ -172,28 +172,27 @@ def fit_power_law(rs, values):
 
 
 def compare_counts(rset: ResonanceSet, queries, r_grid) -> list[CountReport]:
-    """Per-query reports with ratios, power-law fits, and bound flags."""
+    """Per-query reports with ratios, power-law fits, and bound flags; each
+    sector's fit and the Stefanov flag (set and r-grid only) are computed once."""
     d = 3
     a = rset.potential.a
     r_grid = sorted(float(r) for r in r_grid)
-    reports = []
+    fits, stefanov, reports = {}, None, []
     for q in queries:
         empirical = count_sector(rset, q)
         predicted = predict_sector(d, a, q)
         ratio = empirical / predicted if predicted > 0 else math.nan
-        series = [count_sector(rset, SectorQuery(r, q.phi, q.theta))
-                  for r in r_grid]
-        fit = fit_power_law(r_grid, series)
-        flags = []
-        if empirical == 0:
-            flags.append("no resonances")
-        for r in r_grid:
-            if r * a >= 20 and d * integrated_count(rset, r) > predict_total(d, a, r) * 1.1:
-                flags.append(f"stefanov_violation_at_r={r:g}")
-                break
+        if (q.phi, q.theta) not in fits:
+            fits[q.phi, q.theta] = fit_power_law(
+                r_grid, [count_sector(rset, SectorQuery(r, q.phi, q.theta)) for r in r_grid])
+        if stefanov is None:
+            stefanov = next(([f"stefanov_violation_at_r={r:g}"] for r in r_grid if r * a >= 20
+                             and d * integrated_count(rset, r) > predict_total(d, a, r) * 1.1),
+                            [])
+        flags = ["no resonances"] if empirical == 0 else []
         reports.append(CountReport(query=q, empirical=empirical,
                                    predicted=predicted, ratio=ratio,
-                                   fit=fit, flags=flags))
+                                   fit=fits[q.phi, q.theta], flags=flags + stefanov))
     return reports
 
 

@@ -490,6 +490,8 @@ def find_resonances(pot: RadialStepPotential, R: float, *,
     The search frame's top edge is at -delta_axis = -1e-6 / a and rises to
     the real axis only when the frame runs into a zero; the set does not
     depend on that while the frame guard stays below delta_axis / 2 (R a < 125).
+    Past that the independence is not proved, but every channel's located
+    zeros still match the winding of the frame it wound, exactly.
 
     Channels are independent work units and may be solved in separate
     processes (``_solve_channels``); the merged set is identical for any
@@ -548,10 +550,10 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
     terms, of a one-channel-at-a-time sum.
 
     Domain, measured at a = 1, v0 = -20 on the rays arg lambda = k pi / 32:
-    the sum raises NumericalError (a scaled-Hankel false zero of the
-    incoming matcher; order 86 at arg lambda = pi/8) at |lambda| a = 60 for
-    arg lambda in {pi/8, 5 pi/32, 27 pi/32, 7 pi/8}, and on no ray for
-    |lambda| a <= 56.
+    the sum raises on no ray at |lambda| a = 56, 60 and 80.  The incoming
+    matcher meets scaled-Hankel false zeros there (order 86 at |lambda| = 60,
+    arg lambda = pi/8) and takes the unscaled Hankel form, which gives
+    r^-3 ln|det S| = 0.46350 on both pi/8 and 7 pi/8.
     """
     lam = complex(lam)
     if lam == 0:

@@ -12,8 +12,8 @@ Contents:
   (f_(l-1), f_l) of the spherical Bessel ``j_l`` and the outgoing Hankel
   ``h_l^(1)`` for complex arguments and integer orders, backed by scipy's
   AMOS routines with a series or recurrence fallback where the scaled AMOS
-  forms underflow or overflow, and a NumericalError where the scaled Hankel
-  form is a false zero.  They are the evaluators the resonance
+  forms underflow or overflow, and the unscaled Hankel form where the
+  scaled one is a false zero.  They are the evaluators the resonance
   solver's channel matcher calls, and they keep magnitudes that span
   hundreds of decades representable.  The incoming ``h_l^(2)`` is not
   evaluated: it is conj(h_l^(1)(conj z)), and the matcher takes it that way.
@@ -177,9 +177,9 @@ def critical_curve_modulus(theta: float) -> float:
 # digits to absorb the cancellation in J + iY) to 5e-14 in the upper half
 # plane and to 8e-13 in the lower one (log|h| relative, phase absolute),
 # wherever it was finite and nonzero.  In the lower half plane the scaled
-# hankel1e returns an exact 0 at large order (3 of those 127 points; 45 of
-# 300 points with order in [60, 250) and |z| in [20, 200]), and
-# ``sph_h_pair_log`` raises NumericalError there.  Naive up/down
+# hankel1e returns an exact 0 at large order (3 of those 127 points; 20 of
+# 165 seeded draws with order in [60, 250) and |z| in [20, 200]); there the
+# unscaled hankel1, rescaled, agrees with mpmath to 6e-14.  Naive up/down
 # recurrences lose all digits once |Im z| is large because the two solutions
 # swap dominant/recessive roles along the order axis, so they are kept only
 # as a *fallback* in the one regime where they are provably stable and the
@@ -294,8 +294,8 @@ def _j_pair_series_log(ell, z: np.ndarray):
 def sph_h_pair_log(ell, z: np.ndarray):
     """Scaled (h_(ell-1), h_ell) pair of the outgoing Hankel function h^(1).
 
-    Raises NumericalError where AMOS returns an exact 0 (a scaled-Hankel
-    false zero)."""
+    Where the scaled AMOS form is an exact 0 (a scaled-Hankel false zero)
+    the unscaled form is taken; NumericalError where it fails too."""
     z = np.asarray(z, dtype=complex)
     if np.any(z == 0):
         raise ValueError("Hankel functions require z != 0")
@@ -318,7 +318,16 @@ def sph_h_pair_log(ell, z: np.ndarray):
     if np.any(zero):
         # scipy's scaled AMOS form can return an exact 0 at large order in
         # the lower half plane where the true value is far from 0 (order
-        # 110.5 at z = -60.79-35.09i, where hankel1 is -1.4e8+7.7e7i)
+        # 110.5 at z = -60.79-35.09i, where hankel1 is -1.4e8+7.7e7i); the
+        # unscaled form is finite there, and is divided by its pair's larger
+        # modulus, whose log joins the scale
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            um1 = fac[zero] * _ss.hankel1(_at(ell, zero) - 0.5, z[zero])
+            ul = fac[zero] * _ss.hankel1(_at(ell, zero) + 0.5, z[zero])
+            top = np.maximum(np.abs(um1), np.abs(ul))
+            hm1[zero], hl[zero], s[zero] = um1 / top, ul / top, np.log(top)
+        zero = ~(np.isfinite(hm1) & np.isfinite(hl)) | (hm1 == 0) | (hl == 0)
+    if np.any(zero):
         first = np.flatnonzero(zero)[0]
         raise NumericalError(
             f"scaled-Hankel false zero: AMOS returned exactly 0 for the order "

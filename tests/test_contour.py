@@ -158,7 +158,7 @@ def test_locate_gives_up_after_the_last_move_of_the_top_box():
 
 def test_cut_edge_keeps_its_log_increment():
     f = ct._make_log_evaluator(lambda z: (z - 0.3 - 0.2j) * (z + 0.7 + 0.1j), False)
-    edge, = ct._sampled_edges(f, [(-1 - 0.5j, 1 - 0.5j)], 0.1, [0.0], ["edge"])
+    (edge,), = ct._sampled_edges(f, [([(-1 - 0.5j, 1 - 0.5j)], 0.0, "edge")], 0.1)
     assert isinstance(edge, ct._Edge)
     z = 0.123 - 0.5j
     first, second = edge.cut(z, f(np.array([z]))[0])
@@ -166,6 +166,48 @@ def test_cut_edge_keeps_its_log_increment():
     assert first.zs[-1] == second.zs[0] == z
     assert first.zs.size + second.zs.size == edge.zs.size + 2
     assert abs(first.increment() + second.increment() - edge.increment()) < 1e-12
+
+
+def test_an_item_samples_the_same_edges_alone_as_in_a_batch():
+    # all the segments of a call share one sample array; an item's edges,
+    # or the conflict of an item that runs through or near a zero of f, do
+    # not depend on the other items of the call
+    f = ct._make_log_evaluator(
+        lambda z: (z - 0.3 - 0.2j) * (z + 0.4 - 0.3j) ** 2 * (z - 0.6 + 0.5j), False)
+    cs = ct.ContourBox(-1 - 1j, 1 + 1j).corners()
+    arms = [(0.1 - 0.1j, e) for e in (0.1 - 1j, 1 - 0.1j, 0.1 + 1j, -1 - 0.1j)]
+    items = [(list(zip(cs, cs[1:] + cs[:1])), 1e-3, "box"),
+             ([(-1 + 0.2j, 1 + 0.2j)], 0.0, "through a simple zero"),
+             (arms, 1e-4, "cross"),
+             ([(-1 + 0.3001j, 1 + 0.3001j)], 1e-3, "near the double zero"),
+             ([(0.6 - 1j, 0.6 + 1j), (-1 + 0.3j, 1 + 0.3j)], 0.0, "through two zeros"),
+             ([(-0.9 + 0.8j, 0.9 + 0.8j)], 0.0, "segment")]
+    batch = ct._sampled_edges(f, items, 0.05)
+    assert [type(r).__name__ for r in batch] == [
+        "list", "BoundaryConflictError", "list", "BoundaryConflictError",
+        "BoundaryConflictError", "list"]
+    assert "will not settle" in str(batch[1])
+    assert "a zero lies within 0.001" in str(batch[3])
+    assert "non-finite" in str(batch[4])  # its first segment's conflict
+    for item, got in zip(items, batch):
+        alone, = ct._sampled_edges(f, [item], 0.05)
+        if isinstance(alone, BoundaryConflictError):
+            assert str(got) == str(alone) and str(got).startswith(item[2] + ": ")
+        else:
+            assert len(got) == len(alone) == len(item[0])
+            for g, a in zip(got, alone):
+                assert g.zs.tobytes() == a.zs.tobytes()
+                assert g.ws.tobytes() == a.ws.tobytes()
+
+
+def test_refinement_budget_names_the_first_item_over_it(monkeypatch):
+    monkeypatch.setattr(ct, "_REFINE_BUDGET", 4)
+    f = ct._make_log_evaluator(lambda z: (z - 0.3 - 0.2j) * (z + 0.4 - 0.3j), False)
+    items = [([(-1 + 0.8j, 1 + 0.8j)], 0.0, "far"),
+             ([(-1 + 0.21j, 1 + 0.21j)], 0.0, "near one zero"),
+             ([(-1 + 0.31j, 1 + 0.31j)], 0.0, "near the other")]
+    with pytest.raises(NumericalError, match="^near one zero: refinement budget exhausted$"):
+        ct._sampled_edges(f, items, 0.05)
 
 
 def test_locate_with_zero_at_box_centre_jitters_the_cross(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from scipy.special import spherical_jn, spherical_yn
 
 from resonance_atlas import contour as ct
+from resonance_atlas import density
 from resonance_atlas import resonances as rs
 from resonance_atlas import special
 from resonance_atlas.errors import BoundaryConflictError, NumericalError
@@ -447,10 +448,15 @@ def test_scattering_log_det_equals_channel_by_channel_sum(monkeypatch, pot, poin
 
 
 @pytest.mark.parametrize("theta", [math.pi / 8, 7 * math.pi / 8])
-def test_scattering_log_det_raises_past_its_domain(theta):
-    # the incoming matcher meets a scaled-Hankel false zero at order 86
-    with pytest.raises(NumericalError, match="order 86"):
-        rs.scattering_log_det(WELL, 60.0 * cmath.exp(1j * theta))
+def test_scattering_log_det_at_r60_mirrors_and_stays_below_h3(theta):
+    # the incoming matcher meets a scaled-Hankel false zero at order 86 here
+    # and takes the unscaled Hankel form; r^-3 ln|det S| = 0.46350 agrees on
+    # the mirror rays of a real well and stays below h_3(pi/8) = 0.610
+    got, mirror = (rs.scattering_log_det(WELL, 60.0 * cmath.exp(1j * t)) / 60.0 ** 3
+                   for t in (theta, math.pi - theta))
+    assert abs(got - mirror) < 1e-12 * abs(got)
+    assert abs(got - 0.46350) < 1e-5
+    assert got < density.angular_density_d3_closed(math.pi / 8)
 
 
 def _matcher_by_order(pot, ells, lams, kind=1):
@@ -565,19 +571,24 @@ def test_matcher_value_does_not_depend_on_the_call_layout(v0, weak_resonances):
     assert _same_bits(by_array, np.concatenate(many))
 
 
-def test_reference_well_past_r43_solves_or_names_the_false_zero():
-    # scipy's scaled Hankel routine returns false zeros at the orders and
-    # arguments this solve needs; that must surface as the typed error that
-    # names them and their channel, never as a boundary conflict on a
-    # channel frame, in one process or on a pool
-    for threads in (1, 2):
-        try:
-            rset = rs.find_resonances(WELL, 44.0, threads=threads)
-        except NumericalError as exc:
-            assert not isinstance(exc, BoundaryConflictError)
-            assert re.match(r"^channel \d+: scaled-Hankel false zero", str(exc)), str(exc)
-        else:
-            assert rset.resonances
+def test_reference_well_past_r43_solves_or_names_the_false_zero(monkeypatch):
+    # channels 86-92 of the R = 44 solve meet scipy's scaled-Hankel false
+    # zeros (channel 88 at 45.207-25.541i) and solve through the unscaled
+    # form; where that form fails too, the channel's error names the false
+    # zero, never a boundary conflict on its frame
+    hankel1, calls = special._ss.hankel1, []
+    monkeypatch.setattr(special._ss, "hankel1",
+                        lambda v, z: calls.append(z) or hankel1(v, z))
+    assert rs._channel_zeros(88, WELL, 44.0) == [] and calls
+    zeros = rs._channel_zeros(82, WELL, 44.0)
+    assert [m for _, m in zeros] == [1, 1]
+    lams = np.array([z for z, _ in zeros])
+    assert np.all(np.abs(rs.channel_condition(82, WELL, lams)) < rs._RESIDUAL_TOL)
+    assert abs(lams[0] + lams[1].conjugate()) < 1e-9  # the mirror pair
+    monkeypatch.setattr(special._ss, "hankel1", lambda v, z: np.zeros_like(z))
+    with pytest.raises(NumericalError, match=r"^channel 88: scaled-Hankel false zero") as info:
+        rs._channel_zeros(88, WELL, 44.0)
+    assert not isinstance(info.value, BoundaryConflictError)
 
 
 def test_solve_winds_each_channel_frame_once(monkeypatch):

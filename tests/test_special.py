@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scipy import special as _scipy_special
 from scipy.special import spherical_jn, spherical_yn
 
 from resonance_atlas import special as sp
@@ -250,12 +251,50 @@ def test_log_pair_survives_extreme_magnitudes():
         assert abs(mine.real - float(ref.real)) < 1e-10 * max(1, abs(mine.real))
 
 
-def test_hankel_pair_rejects_scaled_hankel_false_zero():
-    # scipy's hankel1e returns an exact 0 here; the true log h_110 is
-    # about 17.00-2.33i
+def _false_zero_error(ell, z, mp):
+    """Worst log error of sph_h_pair_log's pair against mpmath: relative in
+    log|h|, absolute in phase."""
+    hm1, hl, s = sp.sph_h_pair_log(ell, np.array([z]))
+    worst = 0.0
+    for order, h in ((ell - 1, hm1[0]), (ell, hl[0])):
+        got = complex(np.log(h) + s[0])
+        ref = complex(mp.log(mp.sqrt(mp.pi / (2 * mp.mpc(z)))
+                             * mp.hankel1(order + mp.mpf(1) / 2, mp.mpc(z))))
+        worst = max(worst, abs(got.real - ref.real) / abs(ref.real),
+                    abs((got.imag - ref.imag + math.pi) % (2 * math.pi) - math.pi))
+    return worst
+
+
+def test_hankel_pair_rejects_scaled_hankel_false_zero(monkeypatch):
+    # scipy's hankel1e returns an exact 0 here; the unscaled form gives the
+    # true log h_110 = 17.0084-2.3282i.  Only where that form fails too does
+    # the pair raise.
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
     z = -60.79 - 35.09j
+    assert _scipy_special.hankel1e(110.5, z) == 0
+    assert _false_zero_error(110, z, mp) < 1e-12
+    hm1, hl, s = sp.sph_h_pair_log(110, np.array([1.0 - 1.0j, z]))
+    assert abs(complex(np.log(hl[1]) + s[1]) - (17.0084 - 2.3282j)) < 1e-4
+    monkeypatch.setattr(sp._ss, "hankel1", lambda v, z: np.zeros_like(z))
     with pytest.raises(NumericalError,
                        match=r"scaled-Hankel false zero.* order 110 .*-60\.79-35\.09j"
                        ) as info:
         sp.sph_h_pair_log(110, np.array([1.0 - 1.0j, z]))
     assert not isinstance(info.value, BoundaryConflictError)
+
+
+def test_hankel_pair_matches_mpmath_at_scaled_false_zeros():
+    # seeded points where scipy's scaled hankel1e is an exact 0 for one
+    # order of the pair: order in [60, 250), |z| in [20, 200], lower half
+    # plane (20 of the first 165 draws)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    rng = np.random.default_rng(20261019)
+    points = []
+    while len(points) < 20:
+        ell = int(rng.integers(60, 250))
+        z = complex(cmath.rect(rng.uniform(20.0, 200.0), -rng.uniform(0.0, math.pi)))
+        if np.any(_scipy_special.hankel1e([ell - 0.5, ell + 0.5], z) == 0):
+            points.append((ell, z))
+    assert max(_false_zero_error(ell, z, mp) for ell, z in points) < 1e-12
