@@ -17,7 +17,8 @@ set of array operations on it and one call for the midpoints of all its
 rejected intervals.  The leaves are polished together once the descent has
 no box left to split, by one secant iteration with one call per step over
 the seeds still active; a leaf whose iterate fails splits and descends
-again.  So a channel's solve makes a few calls per level, not per box.
+again.  Keyed, one descent runs the quadtrees of several functions over one
+top box in lockstep, so a group of channels makes a few calls per level.
 
 Functions are evaluated either directly or in "log form": a log-form
 callable returns log f(z) (any branch per point); only phase differences and
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,11 +64,13 @@ _REFINE_BUDGET = 200000  # midpoints one segment may gain under refinement
 
 @dataclass
 class ContourBox:
-    """Axis-aligned rectangle in the complex plane."""
+    """Axis-aligned rectangle in the complex plane; ``key`` names the function
+    of a keyed ``locate_zeros`` call whose zeros it holds."""
 
     lower_left: complex
     upper_right: complex
     depth: int = 0
+    key: int = 0
 
     def __post_init__(self):
         if not (self.upper_right.real > self.lower_left.real
@@ -104,10 +107,10 @@ class ContourBox:
         ll, ur = self.lower_left, self.upper_right
         d = self.depth + 1
         return [
-            ContourBox(ll, c, depth=d),
-            ContourBox(complex(c.real, ll.imag), complex(ur.real, c.imag), depth=d),
-            ContourBox(complex(ll.real, c.imag), complex(c.real, ur.imag), depth=d),
-            ContourBox(c, ur, depth=d),
+            ContourBox(ll, c, d, self.key),
+            ContourBox(complex(c.real, ll.imag), complex(ur.real, c.imag), d, self.key),
+            ContourBox(complex(ll.real, c.imag), complex(c.real, ur.imag), d, self.key),
+            ContourBox(c, ur, d, self.key),
         ]
 
 
@@ -115,12 +118,12 @@ class ContourBox:
 # Evaluation helpers
 # ---------------------------------------------------------------------------
 
-def _make_log_evaluator(f, log_form: bool):
-    """Wrap f, which maps an array of points to an array of the same shape,
-    into a z-array -> log f(z) evaluator."""
+def _make_log_evaluator(f, log_form: bool, keyed: bool = False):
+    """Wrap f, which maps an array of points (and if ``keyed`` their keys) to
+    an array of the same shape, into a (zs, keys) -> log f(zs) evaluator."""
 
-    def evaluate(zs: np.ndarray) -> np.ndarray:
-        vals = np.asarray(f(zs), dtype=complex)
+    def evaluate(zs: np.ndarray, keys=None) -> np.ndarray:
+        vals = np.asarray(f(zs, keys) if keyed else f(zs), dtype=complex)
         if vals.shape != zs.shape:
             raise TypeError("f must map an array of points to an array of "
                             f"the same shape; got shape {vals.shape} for {zs.shape}")
@@ -170,35 +173,38 @@ class _Edge:
                 _Edge(np.insert(self.zs[i:], 0, z), np.insert(self.ws[i:], 0, w)))
 
 
-def _sampled_edges(eval_w, items, spacing: float) -> list:
+def _sampled_edges(eval_w, items, spacing, keys=0) -> list:
     """Per item (segments, guard, what), one box boundary or the four arms
     of one cross: its _Edges in segment order, or the first
     BoundaryConflictError among its segments, named by its ``what``.
 
-    Each segment (z0, z1) is first sampled at most ``spacing`` apart in at
-    least 8 intervals.  All the samples of a call live in one array with a
-    segment index per sample, so a refinement round is one set of array
-    operations and one evaluation of all the midpoints.  A round rejects an
-    interval when its wrapped phase step exceeds pi/2, and also when the
-    full complex log-step of the interval *or a neighbour on its segment* is
-    large: a zero of multiplicity m straddled symmetrically by one interval
-    can carry a true phase step near 2 pi (invisible after wrapping), but
-    its neighbours then see the approach to the zero as a large log-modulus
-    swing.  A segment leaves on a non-finite value or an interval that will
-    not settle, may gain ``_REFINE_BUDGET`` midpoints, and then fails its
-    item's guard where a finite-difference |f/f'| falls below the guard.
+    ``spacing`` and ``keys`` are one per item or one for all; an item is
+    evaluated under its key.  Each segment (z0, z1) is first sampled at most
+    its item's spacing apart in at least 8 intervals.  All the samples of a
+    call live in one array with a segment index per sample, so a refinement
+    round is one set of array operations and one evaluation of all the
+    midpoints.  A round rejects an interval when its wrapped phase step
+    exceeds pi/2, and also when the full complex log-step of the interval
+    *or a neighbour on its segment* is large: a zero of multiplicity m
+    straddled symmetrically by one interval can carry a true phase step near
+    2 pi (invisible after wrapping), but its neighbours then see the
+    approach to the zero as a large log-modulus swing.  A segment leaves on
+    a non-finite value or an interval that will not settle, may gain
+    ``_REFINE_BUDGET`` midpoints, and then fails its item's guard where a
+    finite-difference |f/f'| falls below the guard.
     """
     sizes = [len(segs) for segs, _, _ in items]
     owner = np.repeat(np.arange(len(items)), sizes)
     segments = [s for segs, _, _ in items for s in segs]
-    t = [np.linspace(0.0, 1.0, max(8, math.ceil(abs(z1 - z0) / spacing)) + 1)
-         for z0, z1 in segments]
+    key = np.broadcast_to(keys, len(items))[owner]
+    t = [np.linspace(0.0, 1.0, max(8, math.ceil(abs(z1 - z0) / h)) + 1) for (z0, z1), h
+         in zip(segments, np.broadcast_to(spacing, len(items))[owner].tolist())]
     seg = np.repeat(np.arange(len(segments)), [x.size for x in t])
     t = np.concatenate(t)
     z0 = np.array([z0 for z0, _ in segments], dtype=complex)
     dz = np.array([z1 - z0 for z0, z1 in segments], dtype=complex)
     zs = z0[seg] + t * dz[seg]
-    ws = eval_w(zs)
+    ws = eval_w(zs, key[seg])
     errors, live = {}, np.ones(len(segments), dtype=bool)
     budget = np.full(len(segments), _REFINE_BUDGET)
 
@@ -228,13 +234,14 @@ def _sampled_edges(eval_w, items, spacing: float) -> list:
         gained = np.bincount(at[bad], minlength=len(segments))
         live, budget = gained > 0, budget - gained
         if np.any(budget < 0):
-            what = items[owner[np.argmax(budget < 0)]][2]
-            raise NumericalError(f"{what}: refinement budget exhausted")
+            i = np.argmax(budget < 0)
+            raise NumericalError(f"{items[owner[i]][2]}: refinement budget exhausted",
+                                 key=int(key[i]))
         k = np.flatnonzero(bad)
         mids = 0.5 * (t[k] + t[k + 1])
         mz = z0[at[k]] + mids * dz[at[k]]
         t, zs, ws, seg = [np.insert(a, k + 1, v) for a, v in
-                          ((t, mids), (zs, mz), (ws, eval_w(mz)), (seg, at[k]))]
+                          ((t, mids), (zs, mz), (ws, eval_w(mz, key[at[k]])), (seg, at[k]))]
     guard = np.array([g for _, g, _ in items], dtype=float)[owner]
     with np.errstate(divide="ignore", invalid="ignore"):
         dw = np.abs(_steps(ws))
@@ -251,13 +258,10 @@ def _sampled_edges(eval_w, items, spacing: float) -> list:
             for part in (edges[b - n:b] for n, b in zip(sizes, np.cumsum(sizes)))]
 
 
-def _box_edges(eval_w, box: ContourBox, spacing: float, guard_dist: float,
-               what: str):
-    """The box's bottom, right, top and left edges, counterclockwise, or the
-    BoundaryConflictError that rejects them (``_sampled_edges``)."""
+def _boundary(box: ContourBox) -> list:
+    """The box's bottom, right, top and left edges, counterclockwise."""
     cs = box.corners()
-    return _sampled_edges(eval_w, [(list(zip(cs, cs[1:] + cs[:1])), guard_dist, what)],
-                          spacing)[0]
+    return list(zip(cs, cs[1:] + cs[:1]))
 
 
 def _spacing(box: ContourBox, samples: int) -> float:
@@ -286,9 +290,9 @@ def winding_count(f, box: ContourBox, *, log_form: bool = False) -> int:
     times the diameter of the boundary; a suspected boundary zero raises
     BoundaryConflictError.  The loop is first sampled at 32 points.
     """
-    edges = _box_edges(_make_log_evaluator(f, log_form), box, _spacing(box, 32),
-                       1e-3 * box.diameter,
-                       f"winding over {box.lower_left}..{box.upper_right}")
+    edges = _sampled_edges(_make_log_evaluator(f, log_form), [(
+        _boundary(box), 1e-3 * box.diameter,
+        f"winding over {box.lower_left}..{box.upper_right}")], _spacing(box, 32))[0]
     if isinstance(edges, BoundaryConflictError):
         raise edges
     return _winding(edges)
@@ -298,7 +302,7 @@ def winding_count(f, box: ContourBox, *, log_form: bool = False) -> int:
 # Zero localization
 # ---------------------------------------------------------------------------
 
-def _newton_polish(eval_w, seeds, mults, tol: float, bound_checks):
+def _newton_polish(eval_w, seeds, mults, tol: float, bound_checks, keys):
     """Secant iterations on log f, one per seed, each exact for an isolated
     power (z - z*)^mult.
 
@@ -308,9 +312,9 @@ def _newton_polish(eval_w, seeds, mults, tol: float, bound_checks):
     arbitrarily close to the zero (no stencil ever straddles it).  The
     iterations run together: one call evaluates every seed's first two
     points, and one call per step the new iterates of the seeds still
-    active.  Each seed's arithmetic is its own, so its iterates do not
-    depend on the other seeds.  Returns, per seed, the zero, or None where
-    the iteration failed or left ``bound_checks``.
+    active, each under its seed's key.  Each seed's arithmetic is its own,
+    so its iterates do not depend on the other seeds.  Returns, per seed,
+    the zero, or None where the iteration failed or left ``bound_checks``.
     """
     n = len(seeds)
     if not n:
@@ -318,7 +322,7 @@ def _newton_polish(eval_w, seeds, mults, tol: float, bound_checks):
     out = [None] * n
     za = list(seeds)
     zb = [z0 + 1e-5 * max(abs(z0), 1.0) * complex(0.6, 0.8) for z0 in seeds]
-    values = eval_w(np.array(za + zb)).tolist()
+    values = eval_w(np.array(za + zb), np.tile(keys, 2)).tolist()
     wa, wb = values[:n], values[n:]
     step = [math.inf] * n
     active = []
@@ -347,7 +351,8 @@ def _newton_polish(eval_w, seeds, mults, tol: float, bound_checks):
             moved.append(i)
         active = []
         if moved:
-            for i, w in zip(moved, eval_w(np.array([zb[i] for i in moved])).tolist()):
+            ws = eval_w(np.array([zb[i] for i in moved]), keys[moved])
+            for i, w in zip(moved, ws.tolist()):
                 wb[i] = w
                 if not cmath.isfinite(w) or step[i] < 1e-14 * max(abs(zb[i]), 1.0):
                     out[i] = zb[i]
@@ -360,7 +365,7 @@ def _newton_polish(eval_w, seeds, mults, tol: float, bound_checks):
     return out
 
 
-def _moved(whats, attempt):
+def _moved(whats, keys, attempt):
     """Each item's result under its first move k = 0, 1, ..., _MOVES of its
     contour that meets no boundary conflict; move k shifts it by
     k (sqrt 2 - 1) steps.
@@ -369,7 +374,7 @@ def _moved(whats, attempt):
     its result under move k or the BoundaryConflictError that rejects it.
     The items are tried together and only the conflicting ones move on, so
     an item's moves do not depend on the others; the first item still in
-    conflict after the last move raises, named by its ``whats`` entry.
+    conflict after the last move raises, with its ``whats`` and ``keys``.
     """
     results = [None] * len(whats)
     pending = list(range(len(whats)))
@@ -382,16 +387,17 @@ def _moved(whats, attempt):
     last = results[pending[0]]
     raise BoundaryConflictError(
         f"{whats[pending[0]]}: boundary conflicts persist after {_MOVES} moves; "
-        f"last: {last}") from last
+        f"last: {last}", key=keys[pending[0]]) from last
 
 
-def _winding_with_perturbation(eval_w, box: ContourBox, samples: int, what: str,
+def _winding_with_perturbation(eval_w, boxes, samples: int, what: str,
                                ceiling: float = math.inf,
                                guard_dist: float | None = None):
-    """Winding of a box, grown on boundary conflicts.
+    """Windings of boxes, each grown on its own boundary conflicts.
 
-    Returns (winding, effective_box, edges).  Move k (``_moved``) grows the
-    box on every side by k (sqrt 2 - 1) times 2e-3 of its diameter, with its
+    Returns one (winding, effective_box, edges) per box; the boxes are
+    sampled together, each under its key.  Move k (``_moved``) grows a box
+    on every side by k (sqrt 2 - 1) times 2e-3 of its diameter, with its
     top edge clamped at ``ceiling``, a line the caller must not cross.
     Growth never loses interior zeros; it may capture a zero just outside
     the requested box.  The effective box's winding counts that zero, so
@@ -400,35 +406,37 @@ def _winding_with_perturbation(eval_w, box: ContourBox, samples: int, what: str,
     zero-to-contour distance of 1e-3 times the diameter (large sweep
     contours legitimately pass close to zeros they enclose).
     """
-    def attempt(_, k):
-        m = complex(1.0, 1.0) * (2e-3 * box.diameter * k * _IRR)
-        ur = box.upper_right + m
-        eff = ContourBox(box.lower_left - m, complex(ur.real, min(ur.imag, ceiling)),
-                         depth=box.depth)
-        guard = guard_dist if guard_dist is not None else 1e-3 * eff.diameter
-        edges = _box_edges(eval_w, eff, _spacing(eff, samples), guard, what)
-        return [edges if isinstance(edges, BoundaryConflictError)
-                else (_winding(edges), eff, edges)]
+    def attempt(items, k):
+        effs = []
+        for b in (boxes[i] for i in items):
+            m = complex(1.0, 1.0) * (2e-3 * b.diameter * k * _IRR)
+            ur = b.upper_right + m
+            effs.append(replace(b, lower_left=b.lower_left - m,
+                                upper_right=complex(ur.real, min(ur.imag, ceiling))))
+        guards = [1e-3 * e.diameter if guard_dist is None else guard_dist for e in effs]
+        edges = _sampled_edges(eval_w, [(_boundary(e), g, what) for e, g in zip(effs, guards)],
+                               [_spacing(e, samples) for e in effs], [e.key for e in effs])
+        return [e if isinstance(e, BoundaryConflictError) else (_winding(e), eff, e)
+                for e, eff in zip(edges, effs)]
 
-    return _moved([what], attempt)[0]
+    return _moved([what] * len(boxes), [b.key for b in boxes], attempt)
 
 
 def locate_zeros(f, box: ContourBox, tol: float, *,
                  log_form: bool = False, samples: int = 32,
                  ceiling: float = math.inf,
-                 guard_dist: float | None = None):
+                 guard_dist: float | None = None, keys=None):
     """All zeros of f inside the box, as (location, multiplicity) pairs.
 
     f maps an array of points to an array of the same shape (of log f with
     ``log_form``).  Quadrisects level by level down to leaf boxes: boxes of
-    winding 1 or of diameter below ``tol``.  By the argument principle a
-    leaf's winding w counts its zeros with multiplicity, so w is the
-    multiplicity of the leaf's zero: a winding-1 leaf holds one simple zero, and a leaf below
-    ``tol`` holds a cluster that is reported as one zero of multiplicity w.
-    The zero's location is the secant iterate for multiplicity w seeded by
-    the first moment of the leaf's edges, accepted only inside the leaf's
-    closed box; otherwise a leaf of diameter ``tol`` or more splits again,
-    and a smaller one reports the seed, the cluster's winding centroid.
+    winding 1 or of diameter below ``tol``.  A leaf's winding w is the
+    multiplicity of its zero (a leaf below ``tol`` holds a cluster reported
+    as one zero of multiplicity w), located by the secant iterate for
+    multiplicity w seeded by the first moment of the leaf's edges and
+    accepted only inside the leaf's closed box; otherwise a leaf of diameter
+    ``tol`` or more splits again, and a smaller one reports the seed, the
+    cluster's winding centroid.
 
     No two leaves report the same zero: leaves do not overlap, an accepted
     location lies inside its own leaf, and the guard checks keep every zero
@@ -438,50 +446,55 @@ def locate_zeros(f, box: ContourBox, tol: float, *,
     slightly), sorted by (real, imag), and their multiplicities sum to that
     box's winding; otherwise NumericalError names both numbers and the box.
 
-    Box boundaries are sampled edges of log f.  ``samples`` sets the initial
-    sampling of the top box's boundary and, through its spacing (perimeter
-    over ``samples``), that of the cross through every split point; child
-    boxes inherit the halves of their parent's edges.  ``guard_dist`` is the
-    minimum zero-to-contour distance of the top box and of every cross
-    (default 1e-3 times the top box's diameter, and 1e-3 times a child's
-    diameter for a cross).
+    ``samples`` sets the initial sampling of the top box's boundary and,
+    through its spacing (perimeter over ``samples``), that of the cross
+    through every split point; child boxes inherit the halves of their
+    parent's edges.  ``guard_dist`` is the minimum zero-to-contour distance
+    of the top box and of every cross (default 1e-3 times the top box's
+    diameter, and 1e-3 times a child's diameter for a cross).
 
-    The boxes of one level are independent, so the quadtree descends level
-    by level: the crosses of all the boxes a level splits are sampled in one
-    call of f and refined in one call per round (``_split_boxes``).  Leaves
-    wait until no box is left to split; then one secant iteration polishes
-    them all, with one call for their first two points and one per step
-    over the seeds still active (``_leaf_zeros``).  A leaf whose iterate
-    fails splits, and its children descend the same way.  Every check of a
-    box-by-box descent applies per segment, box or seed, and a conflicting
-    cross moves on its own.  Where f's value at a point does not depend on
-    the other points of its call (the resonance matcher's does not, bit for
-    bit), the zeros are exactly those of a box-by-box descent.
+    The descent makes one call of f per level, refinement round and secant
+    step (``_split_boxes``, ``_leaf_zeros``; module docstring), and every
+    check of a box-by-box descent applies per segment, box or seed.  So
+    where f's value at a point does not depend on the other points of its
+    call (the resonance matcher's does not, bit for bit), the zeros are
+    those of a box-by-box descent.
+
+    With distinct integer ``keys``, f(zs, ks) evaluates each point of zs
+    under its own key in ks, and one function per key descends over the same
+    top box in lockstep: every box, leaf and seed carries its key, so each
+    level of all the keys is one call of f.  Each key's top box moves on its
+    own, and each key's zeros must match its own top box's winding exactly.
+    Returns each key's zeros, in key order, as a call for that key alone
+    would; a NumericalError raised for one key carries it as its ``key``.
     """
-    eval_w = _make_log_evaluator(f, log_form)
-    found: list[tuple[complex, int]] = []
-    top_w, top_box, top_edges = _winding_with_perturbation(
-        eval_w, box, samples, "locate_zeros top box", ceiling, guard_dist)
-    spacing = _spacing(top_box, samples)
-    level, leaves = [(top_box, top_w, top_edges)], []
+    eval_w = _make_log_evaluator(f, log_form, keys is not None)
+    tops = _winding_with_perturbation(
+        eval_w, [replace(box, key=k) for k in ([0] if keys is None else keys)],
+        samples, "locate_zeros top box", ceiling, guard_dist)
+    spacing = {b.key: _spacing(b, samples) for _, b, _ in tops}
+    found = []  # (zero, multiplicity, key)
+    level, leaves = [(b, w, edges) for w, b, edges in tops], []
     while level or leaves:
         if level:
             for b, w, _ in level:
                 if w < 0:
                     raise NumericalError(
                         f"negative winding {w} over box at {b.center:.6g}: the "
-                        "integrand has a pole inside (not holomorphic)")
+                        "integrand has a pole inside (not holomorphic)", key=b.key)
             level = [x for x in level if x[1] > 0]
             split = [x for x in level if x[1] > 1 and x[0].diameter >= tol]
             leaves += [x for x in level if x[1] == 1 or x[0].diameter < tol]
         else:  # the descent is done: polish its leaves, split the failures
             zeros = _leaf_zeros(eval_w, leaves, tol)
-            found += [(z, w) for (_, w, _), z in zip(leaves, zeros) if z is not None]
+            found += [(z, w, b.key) for (b, w, _), z in zip(leaves, zeros) if z is not None]
             split = [x for x, z in zip(leaves, zeros) if z is None]
             leaves = []
-        level = [child for children in _split_boxes(eval_w, split, spacing, guard_dist)
+        level = [child for children in _split_boxes(
+            eval_w, split, [spacing[b.key] for b, _, _ in split], guard_dist)
                  for child in children]
-    return _zeros_inside(found, top_box, top_w)
+    out = [_zeros_inside([x[:2] for x in found if x[2] == b.key], b, w) for w, b, _ in tops]
+    return out[0] if keys is None else out
 
 
 def _leaf_zeros(eval_w, leaves, tol: float):
@@ -500,7 +513,7 @@ def _leaf_zeros(eval_w, leaves, tol: float):
         seeds.append(m1 if b.contains(m1, pad=0.25 * b.diameter) else b.center)
     zs = _newton_polish(eval_w, seeds, [w for _, w, _ in leaves], tol,
                         [lambda z, b=b: b.contains(z, pad=0.75 * b.diameter)
-                         for b, _, _ in leaves])
+                         for b, _, _ in leaves], np.array([b.key for b, _, _ in leaves]))
     # accept only zeros inside: the iteration may slide to a neighbouring
     # zero outside, which belongs to another box
     return [z if z is not None and b.contains(z) else
@@ -519,15 +532,16 @@ def _zeros_inside(found, box: ContourBox, winding: int):
     if count != winding:
         raise NumericalError(
             f"located {count} zeros inside the box {box.lower_left:.6g}.."
-            f"{box.upper_right:.6g} but its winding is {winding}")
+            f"{box.upper_right:.6g} but its winding is {winding}", key=box.key)
     return zeros
 
 
-def _split_boxes(eval_w, boxes, spacing: float, guard_dist: float | None = None):
+def _split_boxes(eval_w, boxes, spacing, guard_dist: float | None = None):
     """Quadrisect each (box, winding, edges) of ``boxes`` into its
     (child, winding, edges) triples.
 
-    Only the cross through a box's split point is sampled, at ``spacing``;
+    Only the cross through a box's split point is sampled, under the box's
+    key and at ``spacing`` (one per box, or one for all);
     the children inherit the halves of the box's edges, which have passed
     their refinement and guard checks already, so only the cross can run
     into a zero.  Cutting an outer edge inserts one sample, whose two phase
@@ -542,8 +556,9 @@ def _split_boxes(eval_w, boxes, spacing: float, guard_dist: float | None = None)
         return []
     for b, _, _ in boxes:
         if b.depth > 60:
-            raise NumericalError(f"subdivision depth exhausted at {b.center:.6g}")
+            raise NumericalError(f"subdivision depth exhausted at {b.center:.6g}", key=b.key)
     whats = [f"cross of box at {b.center:.6g}" for b, _, _ in boxes]
+    spacing = np.broadcast_to(spacing, len(boxes))
 
     def attempt(items, k):
         crosses, arms = [], []
@@ -557,10 +572,11 @@ def _split_boxes(eval_w, boxes, spacing: float, guard_dist: float | None = None)
             arms.append(([(c, e) for e in ends],
                          guard_dist if guard_dist is not None else 0.5e-3 * b.diameter,
                          whats[i]))
-        return [_children(boxes[i], children, a) for i, children, a in
-                zip(items, crosses, _sampled_edges(eval_w, arms, spacing))]
+        return [_children(boxes[i], children, a) for i, children, a in zip(
+            items, crosses, _sampled_edges(eval_w, arms, spacing[items],
+                                           [boxes[i][0].key for i in items]))]
 
-    return _moved(whats, attempt)
+    return _moved(whats, [b.key for b, _, _ in boxes], attempt)
 
 
 def _children(box, children, arms):

@@ -6,7 +6,13 @@ numerical failures that callers may want to catch and react to.
 
 
 class NumericalError(RuntimeError):
-    """Base class for numerical failures (as opposed to bad arguments)."""
+    """Base class for numerical failures (as opposed to bad arguments);
+    ``key`` names the function, of several evaluated together, that failed:
+    a ``locate_zeros`` key or the order of an order-array call, or None."""
+
+    def __init__(self, *args, key=None):
+        super().__init__(*args)
+        self.key = key
 
 
 class QuadratureError(NumericalError):

@@ -80,6 +80,8 @@ _DIRECT_COND_MAX = 1e5
 _SERIES_MAX_TERMS = 200
 # every located resonance must satisfy |W_ell(lambda)| below this
 _RESIDUAL_TOL = 1e-6
+_MATCHER_PIECE = 8192  # points per matcher piece (``channel_matcher_log``)
+_GROUP_SAMPLES = 2048  # frame samples per group of channels (``_solve_channels``)
 
 
 @dataclass(frozen=True)
@@ -267,7 +269,8 @@ def _potential_series_log(ell, a: float, v0: complex, z: np.ndarray,
             i = np.flatnonzero(~settled)[0]
             raise NumericalError(
                 f"potential series of order {int(_at(ell, i))} at lambda = "
-                f"{complex(z[i] / a)} has not settled in {_SERIES_MAX_TERMS} terms")
+                f"{complex(z[i] / a)} has not settled in {_SERIES_MAX_TERMS} terms",
+                key=int(_at(ell, i)))
     terms = np.array(logs)
     used = np.arange(len(logs))[:, None] <= last
     top = np.where(used, terms.real, -np.inf).max(axis=0)
@@ -287,7 +290,10 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
     the lambda arrays the evaluator is given, one order per point.  A
     point's value does not depend, bit for bit, on the other points of its
     call or on their orders: an array call gives each point the value of an
-    int call with its order, on that point alone or among any others.
+    int call with its order, on that point alone or among any others, of
+    any size: calls run in pieces of ``_MATCHER_PIECE`` points, below the
+    16,384 complex values at which numpy turns a product into an in-place
+    one, whose swapped operands change an FMA complex product's bits.
 
     g_ell = (2 ell + 1)!! (lambda a)^(ell+1) W_ell / k^ell is an entire
     function of lambda: the k^ell quotient removes the removable branch
@@ -328,6 +334,10 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
 
     def evaluate(lam: np.ndarray) -> np.ndarray:
         lam = np.asarray(lam, dtype=complex)
+        cuts = [slice(i, i + _MATCHER_PIECE) for i in range(0, max(lam.size, 1), _MATCHER_PIECE)]
+        return np.concatenate([piece(lam[c], _at(ell, c), _at(lndd, c)) for c in cuts])
+
+    def piece(lam: np.ndarray, ell, lndd) -> np.ndarray:
         k2 = lam * lam - v0
         k = np.sqrt(k2)
         la = lam * a
@@ -417,21 +427,18 @@ def _frame_samples(pot: RadialStepPotential, R: float) -> int:
     return max(96, int(10 * R * pot.a))
 
 
-def _frame_guard(pot: RadialStepPotential, R: float) -> float:
-    return max(0.4 * _delta_axis(pot), 4.0 * _default_zero_tol(pot, R))
-
-
-def _channel_zeros(ell: int, pot: RadialStepPotential, R: float):
-    """All zeros (with multiplicity) of the channel matcher in its search
-    frame, from one quadtree whose located zeros must add up to the frame's
-    winding exactly (``locate_zeros``)."""
-    try:
+def _group_zeros(ells, pot: RadialStepPotential, R: float):
+    """Each channel's frame zeros (with multiplicity), for distinct channels
+    ``ells``, from one keyed ``locate_zeros`` call: each channel's zeros must
+    add up to its frame's winding exactly, and an error names its channel."""
+    tol = _default_zero_tol(pot, R)
+    try:  # the frame guard is below delta_axis / 2 while R a < 125
         return locate_zeros(
-            channel_matcher_log(ell, pot), _search_frame(pot, R),
-            _default_zero_tol(pot, R), log_form=True, samples=_frame_samples(pot, R),
-            ceiling=0.0, guard_dist=_frame_guard(pot, R))
+            lambda lam, orders: channel_matcher_log(orders, pot)(lam), _search_frame(pot, R),
+            tol, log_form=True, samples=_frame_samples(pot, R), ceiling=0.0,
+            guard_dist=max(0.4 * _delta_axis(pot), 4.0 * tol), keys=list(ells))
     except NumericalError as exc:
-        raise NumericalError(f"channel {ell}: {exc}") from exc
+        raise NumericalError(f"channel {exc.key}: {exc}") from exc
 
 
 def _cutoff_guess(pot: RadialStepPotential, R: float) -> int:
@@ -454,22 +461,29 @@ def _solve_channels(pot: RadialStepPotential, R: float, workers: int):
     """The frame zeros of every channel up to the cutoff, indexed by channel,
     and the cutoff: the highest channel with a frame zero (0 if none has one).
 
-    Channels guess + 3 down to 0 are solved in one pass, highest first, so a
-    failing high channel fails first.  While any of the top three channels
-    is nonempty, one more channel is solved above them, up to 50 channels
-    past the guess.
+    Channels guess + 3 down to 0 are dealt in turn, highest first, to groups
+    of at most ``_GROUP_SAMPLES`` frame samples, so deep low channels and
+    cheap high ones share each group.  ``map_ordered`` hands the groups
+    (``_group_zeros``) to the workers; the grouping, the sets and the error
+    raised (the first failing group's) do not depend on the worker count.
+    While any of the top three channels is nonempty, one more channel is
+    solved alone above them, up to 50 channels past the guess.
     """
     if not (math.isfinite(R) and R > 0):
         raise ValueError(f"search radius R must be positive and finite; got {R}")
     guess = _cutoff_guess(pot, R)
-    top_down = [(ell, pot, R) for ell in range(guess + 3, -1, -1)]
-    zeros = map_ordered(_channel_zeros, top_down, workers)[::-1]
+    per_group = max(1, _GROUP_SAMPLES // _frame_samples(pot, R))
+    n_groups = -(-(guess + 4) // per_group)
+    groups = [list(range(guess + 3 - i, -1, -n_groups)) for i in range(n_groups)]
+    solved = map_ordered(_group_zeros, [(g, pot, R) for g in groups], workers)
+    by_ell = {ell: z for g, found in zip(groups, solved) for ell, z in zip(g, found)}
+    zeros = [by_ell[ell] for ell in range(guess + 4)]
     while any(zeros[-3:]):
         if len(zeros) > guess + 53:
             raise NumericalError(
                 f"channels remain nonempty 50 orders past the cutoff guess {guess}; "
                 "suspected parameter pathology")
-        zeros.append(_channel_zeros(len(zeros), pot, R))
+        zeros += _group_zeros([len(zeros)], pot, R)
     return zeros, max((ell for ell, found in enumerate(zeros) if found), default=0)
 
 
@@ -493,12 +507,12 @@ def find_resonances(pot: RadialStepPotential, R: float, *,
     Past that the independence is not proved, but every channel's located
     zeros still match the winding of the frame it wound, exactly.
 
-    Channels are independent work units and may be solved in separate
-    processes (``_solve_channels``); the merged set is identical for any
-    thread count.  ``ell_max`` is the highest channel with a zero in its
-    search frame.  A located resonance whose residual |W_ell(lambda)| is
-    not below the recorded ``residual_tol`` raises NumericalError naming
-    the channel.
+    Channels are solved in fixed groups, one work unit each for the
+    ``threads`` worker processes (``_solve_channels``); the merged set, and
+    the channel a NumericalError names, are identical for any thread count.
+    ``ell_max`` is the highest channel with a zero in its search frame.  A
+    located resonance whose residual |W_ell(lambda)| is not below the
+    recorded ``residual_tol`` raises NumericalError naming the channel.
     """
     results, cutoff = _solve_channels(pot, R, threads or 1)
     delta = _delta_axis(pot)

@@ -191,7 +191,9 @@ def critical_curve_modulus(theta: float) -> float:
 # gets, bit for bit, the value of an int call with its order on the points
 # of that order: per-order constants use Python scalar arithmetic
 # (``_per_order``), and a sum that stops once all of a call's points have
-# settled stops each order's points together.
+# settled stops each order's points together.  That holds for calls of
+# fewer than 16,384 points: at 256 KiB numpy computes ``fac * jve(...)`` as
+# an in-place product with swapped operands, which FMA rounds differently.
 
 @lru_cache(maxsize=1024)
 def _log_double_factorial(n: int) -> float:
@@ -331,7 +333,8 @@ def sph_h_pair_log(ell, z: np.ndarray):
         first = np.flatnonzero(zero)[0]
         raise NumericalError(
             f"scaled-Hankel false zero: AMOS returned exactly 0 for the order "
-            f"{_at(ell, first)} Hankel pair at z = {complex(z[first]):.12g}")
+            f"{_at(ell, first)} Hankel pair at z = {complex(z[first]):.12g}",
+            key=int(_at(ell, first)))
     return hm1, hl, s
 
 

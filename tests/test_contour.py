@@ -299,7 +299,7 @@ def test_leaf_whose_secant_leaves_its_box_splits_while_its_batch_converges(monke
 def test_split_rejects_children_that_do_not_sum_to_the_parent():
     f = ct._make_log_evaluator(lambda z: (z - 0.3 - 0.2j) * (z + 0.4 - 0.3j), False)
     box = ct.ContourBox(-1 - 1j, 1 + 1j)
-    edges = ct._box_edges(f, box, ct._spacing(box, 32), 1e-3, "box")
+    edges, = ct._sampled_edges(f, [(ct._boundary(box), 1e-3, "box")], ct._spacing(box, 32))
     assert ct._winding(edges) == 2
     children, = ct._split_boxes(f, [(box, 2, edges)], 0.25)
     assert [w for _, w, _ in children] == [0, 0, 1, 1]

@@ -22,11 +22,12 @@ def small_set():
 
 
 def _count_frame_windings(monkeypatch):
+    # one entry per frame wound: a call winds the frames of a group together
     calls = []
     real = ct._winding_with_perturbation
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.extend(args[1])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ct, "_winding_with_perturbation", counted)
@@ -159,7 +160,7 @@ def test_free_frame_windings_vanish(R):
     free = rs.RadialStepPotential(a=1.0, v0=0.0)
     last = int(math.ceil(1.5 * R * free.a)) + 13
     for ell in range(last + 1):
-        assert rs._channel_zeros(ell, free, R) == [], ell
+        assert rs._group_zeros([ell], free, R) == [[]], ell
 
 
 def test_free_well_solves_at_r40(monkeypatch):
@@ -253,7 +254,7 @@ def test_sorted_by_modulus(small_set):
 def test_cutoff_verified_empty(small_set):
     cut = small_set.ell_max
     for ell in (cut + 1, cut + 2, cut + 3):
-        assert rs._channel_zeros(ell, WELL, 6.0) == []
+        assert rs._group_zeros([ell], WELL, 6.0) == [[]]
 
 
 def test_channel_zeros_rejects_surplus_inside_frame(monkeypatch):
@@ -266,12 +267,47 @@ def test_channel_zeros_rejects_surplus_inside_frame(monkeypatch):
 
     monkeypatch.setattr(ct, "_zeros_inside", surplus)
     with pytest.raises(NumericalError, match="^channel 0: located 5 zeros.*winding is 4"):
-        rs._channel_zeros(0, WELL, 6.0)
+        rs._group_zeros([0], WELL, 6.0)
+
+
+def test_surplus_zero_names_its_channel_inside_a_group(monkeypatch):
+    # channels 12 and 13 are empty and pass; channel 0's surplus zero fails
+    # the group, and the error names channel 0
+    real = ct._zeros_inside
+
+    def surplus(found, box, winding):
+        return real(found + [(found[0][0] + 1e-3, 1)] if found else found, box, winding)
+
+    monkeypatch.setattr(ct, "_zeros_inside", surplus)
+    with pytest.raises(NumericalError, match="^channel 0: located 5 zeros.*winding is 4"):
+        rs._group_zeros([13, 0, 12], WELL, 6.0)
+
+
+def test_failing_channel_named_does_not_depend_on_the_worker_count(monkeypatch):
+    # every nonempty channel (0..9) fails its surplus check: the first
+    # group, 31, 29, .., 1, fails first, at its first nonempty channel 9,
+    # in one process and on two workers alike
+    real = ct._zeros_inside
+
+    def surplus(found, box, winding):
+        return real(found + [(found[0][0] + 1e-3, 1)] if found else found, box, winding)
+
+    monkeypatch.setattr(ct, "_zeros_inside", surplus)
+    for threads in (1, 2):
+        with pytest.raises(NumericalError, match="^channel 9: located 3 zeros"):
+            rs.find_resonances(WELL, 6.0, threads=threads)
+
+
+def test_solve_does_not_depend_on_the_worker_count(small_set):
+    two = rs.find_resonances(WELL, 6.0, threads=2)
+    assert two.ell_max == small_set.ell_max
+    assert ([(r.ell, r.lam, r.residual) for r in two.resonances]
+            == [(r.ell, r.lam, r.residual) for r in small_set.resonances])
 
 
 def test_channel_zeros_winds_its_frame_once(monkeypatch):
     calls = _count_frame_windings(monkeypatch)
-    assert len(rs._channel_zeros(0, WELL, 6.0)) == 4
+    assert len(rs._group_zeros([0], WELL, 6.0)[0]) == 4
     assert len(calls) == 1
 
 
@@ -294,11 +330,12 @@ def test_find_resonances_rejects_residual_above_tolerance(monkeypatch):
     real = rs.locate_zeros
 
     def moved(*args, **kwargs):
-        zeros = real(*args, **kwargs)
-        if zeros:  # the channels above the cutoff are solved too, and empty
-            i = min(range(len(zeros)), key=lambda k: abs(zeros[k][0]))
-            zeros[i] = (zeros[i][0] + 1e-3, zeros[i][1])
-        return zeros
+        found = real(*args, **kwargs)
+        for zeros in found:  # one list per channel of the group
+            if zeros:  # the channels above the cutoff are solved too, and empty
+                i = min(range(len(zeros)), key=lambda k: abs(zeros[k][0]))
+                zeros[i] = (zeros[i][0] + 1e-3, zeros[i][1])
+        return found
 
     monkeypatch.setattr(rs, "locate_zeros", moved)
     with pytest.raises(NumericalError, match=r"channel 0: residual .* not below 1e-06"):
@@ -571,6 +608,22 @@ def test_matcher_value_does_not_depend_on_the_call_layout(v0, weak_resonances):
     assert _same_bits(by_array, np.concatenate(many))
 
 
+def test_matcher_value_does_not_depend_on_the_call_size():
+    # numpy elides temporaries of 16,384 complex values and more; a
+    # 20,000-point call gives its points the values of 1,000-point calls
+    rng = np.random.default_rng(2020)
+    lams = rng.uniform(-40.0, 40.0, 20000) + 1j * rng.uniform(-40.0, -1e-3, 20000)
+    orders = rng.integers(0, 60, 20000)
+    for v0 in (-20.0, -1e-12):
+        pot = rs.RadialStepPotential(1.0, v0)
+        for ell in (5, orders):
+            whole = rs.channel_matcher_log(ell, pot)(lams)
+            slices = [rs.channel_matcher_log(ell if np.isscalar(ell) else ell[i:i + 1000],
+                                             pot)(lams[i:i + 1000])
+                      for i in range(0, lams.size, 1000)]
+            assert _same_bits(whole, np.concatenate(slices)), (v0, np.isscalar(ell))
+
+
 def test_reference_well_past_r43_solves_or_names_the_false_zero(monkeypatch):
     # channels 86-92 of the R = 44 solve meet scipy's scaled-Hankel false
     # zeros (channel 88 at 45.207-25.541i) and solve through the unscaled
@@ -579,15 +632,19 @@ def test_reference_well_past_r43_solves_or_names_the_false_zero(monkeypatch):
     hankel1, calls = special._ss.hankel1, []
     monkeypatch.setattr(special._ss, "hankel1",
                         lambda v, z: calls.append(z) or hankel1(v, z))
-    assert rs._channel_zeros(88, WELL, 44.0) == [] and calls
-    zeros = rs._channel_zeros(82, WELL, 44.0)
+    assert rs._group_zeros([88], WELL, 44.0) == [[]] and calls
+    zeros, = rs._group_zeros([82], WELL, 44.0)
     assert [m for _, m in zeros] == [1, 1]
     lams = np.array([z for z, _ in zeros])
     assert np.all(np.abs(rs.channel_condition(82, WELL, lams)) < rs._RESIDUAL_TOL)
     assert abs(lams[0] + lams[1].conjugate()) < 1e-9  # the mirror pair
     monkeypatch.setattr(special._ss, "hankel1", lambda v, z: np.zeros_like(z))
     with pytest.raises(NumericalError, match=r"^channel 88: scaled-Hankel false zero") as info:
-        rs._channel_zeros(88, WELL, 44.0)
+        rs._group_zeros([88], WELL, 44.0)
+    assert not isinstance(info.value, BoundaryConflictError)
+    # in the solve's group of channel 88 the error still names channel 88
+    with pytest.raises(NumericalError, match=r"^channel 88: scaled-Hankel false zero") as info:
+        rs._group_zeros([88, 65, 42, 19], WELL, 44.0)
     assert not isinstance(info.value, BoundaryConflictError)
 
 
@@ -599,10 +656,11 @@ def test_solve_winds_each_channel_frame_once(monkeypatch):
 
 
 def test_solve_batches_the_matcher_calls_of_its_quadtrees(monkeypatch):
-    # each channel's quadtree evaluates the crosses of a level, a refinement
-    # round or a secant step over all its leaves in one call: the R = 8
-    # solve makes at most 300 calls (681 one box or leaf at a time) for at
-    # most the 6,989 points of the box-by-box descent
+    # the quadtrees of a group of channels evaluate the crosses of a level,
+    # a refinement round or a secant step over all their leaves in one call:
+    # the R = 8 solve, two groups, makes 64 calls (229 one channel at a time,
+    # 681 one box or leaf at a time) for the 6,989 points of the box-by-box
+    # descent
     sizes = []
     real = rs.channel_matcher_log
 
@@ -612,8 +670,8 @@ def test_solve_batches_the_matcher_calls_of_its_quadtrees(monkeypatch):
 
     monkeypatch.setattr(rs, "channel_matcher_log", counted)
     assert len(rs.find_resonances(WELL, 8.0).resonances) == 56
-    assert len(sizes) <= 300
-    assert sum(sizes) <= 6989
+    assert len(sizes) <= 70
+    assert sum(sizes) == 6989
 
 
 def test_cutoff_extends_upward_past_a_low_guess(monkeypatch, small_set):
@@ -628,18 +686,19 @@ def test_cutoff_extends_upward_past_a_low_guess(monkeypatch, small_set):
 
 def test_cutoff_gives_up_50_channels_past_the_guess(monkeypatch):
     # every channel holds a zero: the pass solves the guess 28 plus three
-    # down to 0, then one channel at a time up to 28 + 53
+    # down to 0, dealt in turn to two groups, then one channel at a time up
+    # to 28 + 53
     solved = []
 
-    def one_zero(ell, pot, R):
-        solved.append(ell)
-        return [(-1j, 1)]
+    def one_zero(ells, pot, R):
+        solved.extend(ells)
+        return [[(-1j, 1)] for _ in ells]
 
-    monkeypatch.setattr(rs, "_channel_zeros", one_zero)
+    monkeypatch.setattr(rs, "_group_zeros", one_zero)
     with pytest.raises(NumericalError,
                        match="channels remain nonempty 50 orders past the cutoff guess 28"):
         rs.find_resonances(WELL, 6.0)
-    assert solved == list(range(31, -1, -1)) + list(range(32, 82))
+    assert solved == list(range(31, -1, -2)) + list(range(30, -1, -2)) + list(range(32, 82))
 
 
 def test_conjugate_well_mirrors_the_resonances():
