@@ -187,9 +187,14 @@ class ResonanceSet:
                                      f"got ell {res.ell}, multiplicity {r['multiplicity']}")
                 resonances.append(res)
             entry = "top level"
+            radius, ell_max, tol = doc["search_radius"], doc["ell_max"], doc["tolerances"]
+            if not (type(radius) in (int, float) and 0 < radius < math.inf
+                    and type(ell_max) is int and ell_max >= 0 and isinstance(tol, dict)):
+                raise ValueError("needs a positive finite search_radius, an integer ell_max "
+                                 f">= 0 and a tolerances object, got {radius!r}, {ell_max!r} "
+                                 f"and a {type(tol).__name__}")
             return cls(potential=RadialStepPotential.from_dict(doc["potential"]),
-                       search_radius=doc["search_radius"], ell_max=doc["ell_max"],
-                       tolerances=doc["tolerances"], resonances=resonances)
+                       search_radius=radius, ell_max=ell_max, tolerances=tol, resonances=resonances)
         except KeyError as exc:
             raise ValueError(f"{path}: {entry}: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -566,7 +571,7 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
     Domain, measured at a = 1, v0 = -20 on the rays arg lambda = k pi / 32:
     the sum raises on no ray at |lambda| a = 56, 60 and 80.  The incoming
     matcher meets scaled-Hankel false zeros there (order 86 at |lambda| = 60,
-    arg lambda = pi/8) and takes the unscaled Hankel form, which gives
+    arg lambda = pi/8) and takes the Hankel fallback, which gives
     r^-3 ln|det S| = 0.46350 on both pi/8 and 7 pi/8.
     """
     lam = complex(lam)

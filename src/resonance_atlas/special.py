@@ -11,9 +11,10 @@ Contents:
 * ``sph_j_pair_log`` / ``sph_h_pair_log`` -- log-scaled pairs
   (f_(l-1), f_l) of the spherical Bessel ``j_l`` and the outgoing Hankel
   ``h_l^(1)`` for complex arguments and integer orders, backed by scipy's
-  AMOS routines with a series or recurrence fallback where the scaled AMOS
-  forms underflow or overflow, and the unscaled Hankel form where the
-  scaled one is a false zero.  They are the evaluators the resonance
+  AMOS routines.  Where the scaled j pair underflows it takes the power
+  series; where the scaled h pair overflows or is a false zero it takes its
+  one fallback, the unscaled pair at the highest usable order recurred
+  upward.  They are the evaluators the resonance
   solver's channel matcher calls, and they keep magnitudes that span
   hundreds of decades representable.  The incoming ``h_l^(2)`` is not
   evaluated: it is conj(h_l^(1)(conj z)), and the matcher takes it that way.
@@ -172,19 +173,15 @@ def critical_curve_modulus(theta: float) -> float:
 # ---------------------------------------------------------------------------
 #
 # The pair evaluators go through scipy's AMOS routines (uniform asymptotics).
-# On 240 seeded points with order < 250 and 1 <= |z| <= 200, any argument,
-# log h_ell^(1) from ``sph_h_pair_log`` agreed with mpmath (carrying enough
-# digits to absorb the cancellation in J + iY) to 5e-14 in the upper half
-# plane and to 8e-13 in the lower one (log|h| relative, phase absolute),
-# wherever it was finite and nonzero.  In the lower half plane the scaled
-# hankel1e returns an exact 0 at large order (3 of those 127 points; 20 of
-# 165 seeded draws with order in [60, 250) and |z| in [20, 200]); there the
-# unscaled hankel1, rescaled, agrees with mpmath to 6e-14.  Naive up/down
-# recurrences lose all digits once |Im z| is large because the two solutions
-# swap dominant/recessive roles along the order axis, so they are kept only
-# as a *fallback* in the one regime where they are provably stable and the
-# scaled AMOS forms overflow: |z| much smaller than the order, where the
-# Hankel magnitude grows like (2n-1)!!/|z|^(n+1) at every step.
+# The scaled Hankel pair overflows for |z| well below the order, and in the
+# lower half plane it can be an exact 0 at large order (a false zero).  There
+# the one fallback takes the unscaled pair at the highest order m <= ell where
+# it is finite and nonzero and recurs upward: at a false zero m = ell and no
+# step runs; on overflow m lies far above |z|, where h^(1) dominates and the
+# recurrence is stable (from order 0 it gains up to e^(2 |Im z|) in rounding).
+# On 68 seeded points (order <= 350, |z| in [1e-5, 200]; 36 false zeros, 16
+# overflowing, 16 plain) log h_ell^(1) matches mpmath to 6e-14 (log|h|
+# relative, phase absolute).
 #
 # Every evaluator below takes the order ``ell`` as an int or as an integer
 # array of z's shape, one order per point.  Each point of an array call
@@ -294,10 +291,9 @@ def _j_pair_series_log(ell, z: np.ndarray):
 
 
 def sph_h_pair_log(ell, z: np.ndarray):
-    """Scaled (h_(ell-1), h_ell) pair of the outgoing Hankel function h^(1).
-
-    Where the scaled AMOS form is an exact 0 (a scaled-Hankel false zero)
-    the unscaled form is taken; NumericalError where it fails too."""
+    """Scaled (h_(ell-1), h_ell) pair of the outgoing Hankel function h^(1);
+    where the scaled AMOS pair is not usable (finite and nonzero), the one
+    fallback; NumericalError where no order is usable."""
     z = np.asarray(z, dtype=complex)
     if np.any(z == 0):
         raise ValueError("Hankel functions require z != 0")
@@ -307,44 +303,43 @@ def sph_h_pair_log(ell, z: np.ndarray):
         hl = fac * _ss.hankel1e(ell + 0.5, z)
     s = (1j * z).real.astype(float)            # hankel1e removes exp(iz)
     phase = np.exp(1j * (1j * z).imag)
-    hm1 = hm1 * phase
-    hl = hl * phase
-    bad = ~(np.isfinite(hm1) & np.isfinite(hl))
+    hm1, hl = hm1 * phase, hl * phase
+    bad = ~(np.isfinite(hm1) & np.isfinite(hl)) | (hm1 == 0) | (hl == 0)
     if np.any(bad):
-        # |z| << ell: the scaled AMOS form overflows although the log-scaled
-        # value is fine; upward recurrence is stable in this regime because
-        # the Hankel function dominates at every step.
-        bm1, bl, bs = _h_pair_recurrence_log(_at(ell, bad), z[bad])
-        hm1[bad], hl[bad], s[bad] = bm1, bl, bs
-    zero = (hm1 == 0) | (hl == 0)
-    if np.any(zero):
-        # scipy's scaled AMOS form can return an exact 0 at large order in
-        # the lower half plane where the true value is far from 0 (order
-        # 110.5 at z = -60.79-35.09i, where hankel1 is -1.4e8+7.7e7i); the
-        # unscaled form is finite there, and is divided by its pair's larger
-        # modulus, whose log joins the scale
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            um1 = fac[zero] * _ss.hankel1(_at(ell, zero) - 0.5, z[zero])
-            ul = fac[zero] * _ss.hankel1(_at(ell, zero) + 0.5, z[zero])
-            top = np.maximum(np.abs(um1), np.abs(ul))
-            hm1[zero], hl[zero], s[zero] = um1 / top, ul / top, np.log(top)
-        zero = ~(np.isfinite(hm1) & np.isfinite(hl)) | (hm1 == 0) | (hl == 0)
-    if np.any(zero):
-        first = np.flatnonzero(zero)[0]
-        raise NumericalError(
-            f"scaled-Hankel false zero: AMOS returned exactly 0 for the order "
-            f"{_at(ell, first)} Hankel pair at z = {complex(z[first]):.12g}",
-            key=int(_at(ell, first)))
+        hm1[bad], hl[bad], s[bad] = _h_pair_upward_log(_at(ell, bad), z[bad], fac[bad])
     return hm1, hl, s
 
 
-def _h_pair_recurrence_log(ell, z: np.ndarray):
-    log_scale = (1j * z).real.astype(float).copy()
-    phase = np.exp(1j * (1j * z).imag)
-    hm1 = phase / z
-    hl = -1j * phase / z
-    for n in range(int(np.max(ell))):
-        live = n < ell  # points that have not reached their order
+def _h_pair_upward_log(ell, z: np.ndarray, fac: np.ndarray):
+    """The unscaled pair at the highest usable order m <= ell (by bisection,
+    m = ell first), over its larger modulus, recurred up to ell (DLMF 10.51.1)."""
+    ell = np.broadcast_to(ell, z.shape)
+    hm1, hl = np.empty_like(z), np.empty_like(z)
+
+    def usable_at(m, rows):  # stores the pair where it is usable
+        with np.errstate(invalid="ignore", over="ignore"):
+            um1 = fac[rows] * _ss.hankel1(m - 0.5, z[rows])
+            ul = fac[rows] * _ss.hankel1(m + 0.5, z[rows])
+        good = np.isfinite(um1) & np.isfinite(ul) & (um1 != 0) & (ul != 0)
+        hm1[rows[good]], hl[rows[good]] = um1[good], ul[good]
+        return good
+
+    # lo: the highest order found usable (-1: none), hi: one found unusable
+    lo = np.where(usable_at(ell, np.arange(z.size)), ell, -1)
+    hi = ell.copy()
+    while (rows := np.flatnonzero(hi - lo > 1)).size:
+        mid = (lo[rows] + hi[rows]) // 2
+        good = usable_at(mid, rows)
+        lo[rows[good]], hi[rows[~good]] = mid[good], mid[~good]
+    if np.any(lo < 0):
+        first = np.flatnonzero(lo < 0)[0]
+        raise NumericalError(f"scaled-Hankel false zero: AMOS has no usable pair at the order "
+                             f"{ell[first]} or below at z = {complex(z[first]):.12g}",
+                             key=int(ell[first]))
+    top = np.maximum(np.abs(hm1), np.abs(hl))
+    hm1, hl, log_scale = hm1 / top, hl / top, np.log(top)
+    for n in range(int(np.min(lo, initial=ell.max(), where=lo < ell)), int(ell.max())):
+        live = (lo <= n) & (n < ell)  # points between their seed and their order
         with np.errstate(over="ignore", invalid="ignore"):
             step = (2 * n + 1) / z * hl - hm1
         hm1, hl = np.where(live, hl, hm1), np.where(live, step, hl)

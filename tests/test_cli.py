@@ -275,6 +275,12 @@ def test_count_rejects_bad_radius_when_parsing(tmp_path, capsys, set_file, grid)
     assert "argument --r-grid: count radius" in capsys.readouterr().err
 
 
+_BAD_TOP_LEVEL = {"string radius": ("search_radius", "40"),
+                  "negative radius": ("search_radius", -1.25),
+                  "fractional ell_max": ("ell_max", 9.5),
+                  "tolerances list": ("tolerances", [])}
+
+
 def _malformed(doc, case):
     """The resonance file's document broken as ``case`` says."""
     if case == "no tolerances":
@@ -283,6 +289,9 @@ def _malformed(doc, case):
         del doc["resonances"][0]["residual"]
     elif case == "top-level list":
         doc = doc["resonances"]
+    elif case in _BAD_TOP_LEVEL:
+        key, value = _BAD_TOP_LEVEL[case]
+        doc[key] = value
     elif case == "fractional ell":  # with the weight 2*ell + 1 it implies
         doc["resonances"][0].update(ell=1.5, multiplicity=4)
     else:  # a weight other than 2*ell + 1
@@ -296,6 +305,10 @@ def _malformed(doc, case):
     ("top-level list", "top level: expected a JSON object, got list"),
     ("bad multiplicity", "resonance 0: needs an integer ell >= 0 and multiplicity"),
     ("fractional ell", "resonance 0: needs an integer ell >= 0 and multiplicity"),
+    ("string radius", "top level: needs a positive finite search_radius"),
+    ("negative radius", "top level: needs a positive finite search_radius"),
+    ("fractional ell_max", "top level: needs a positive finite search_radius"),
+    ("tolerances list", "top level: needs a positive finite search_radius"),
 ])
 def test_count_rejects_malformed_resonance_file(tmp_path, capsys, set_file, case, entry):
     bad = tmp_path / "bad.json"

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from scipy.special import spherical_jn, spherical_yn
 
@@ -487,7 +488,8 @@ def test_scattering_log_det_equals_channel_by_channel_sum(monkeypatch, pot, poin
 @pytest.mark.parametrize("theta", [math.pi / 8, 7 * math.pi / 8])
 def test_scattering_log_det_at_r60_mirrors_and_stays_below_h3(theta):
     # the incoming matcher meets a scaled-Hankel false zero at order 86 here
-    # and takes the unscaled Hankel form; r^-3 ln|det S| = 0.46350 agrees on
+    # and takes the Hankel fallback (the unscaled pair at the highest usable
+    # order m <= ell, recurred upward); r^-3 ln|det S| = 0.46350 agrees on
     # the mirror rays of a real well and stays below h_3(pi/8) = 0.610
     got, mirror = (rs.scattering_log_det(WELL, 60.0 * cmath.exp(1j * t)) / 60.0 ** 3
                    for t in (theta, math.pi - theta))
@@ -553,11 +555,11 @@ def test_unsettled_potential_series_raises(monkeypatch):
 
 def test_array_order_matcher_hankel_recurrence(monkeypatch):
     # at |z| = 0.5 the scaled AMOS Hankel overflows from order 150 on, not
-    # at order 60; one array call runs the recurrence to each point's order
+    # at order 60; one array call seeds and recurs each point to its order
     calls = []
-    real = special._h_pair_recurrence_log
-    monkeypatch.setattr(special, "_h_pair_recurrence_log",
-                        lambda ell, z: calls.append(ell) or real(ell, z))
+    real = special._h_pair_upward_log
+    monkeypatch.setattr(special, "_h_pair_upward_log",
+                        lambda ell, *args: calls.append(ell) or real(ell, *args))
     lams = 0.5 * np.exp(1j * np.linspace(-3.0, 3.0, 7))
     got, want = _matcher_by_order(WELL, np.repeat([0, 60, 150, 200], 7), np.tile(lams, 4))
     assert np.all(np.isfinite(got)) and _same_bits(got, want)
@@ -626,8 +628,9 @@ def test_matcher_value_does_not_depend_on_the_call_size():
 
 def test_reference_well_past_r43_solves_or_names_the_false_zero(monkeypatch):
     # channels 86-92 of the R = 44 solve meet scipy's scaled-Hankel false
-    # zeros (channel 88 at 45.207-25.541i) and solve through the unscaled
-    # form; where that form fails too, the channel's error names the false
+    # zeros (channel 88 at 45.207-25.541i) and solve through the Hankel
+    # fallback, the unscaled pair at the highest usable order m <= ell recurred
+    # upward; where no order is usable, the channel's error names the false
     # zero, never a boundary conflict on its frame
     hankel1, calls = special._ss.hankel1, []
     monkeypatch.setattr(special._ss, "hankel1",
@@ -646,6 +649,14 @@ def test_reference_well_past_r43_solves_or_names_the_false_zero(monkeypatch):
     with pytest.raises(NumericalError, match=r"^channel 88: scaled-Hankel false zero") as info:
         rs._group_zeros([88, 65, 42, 19], WELL, 44.0)
     assert not isinstance(info.value, BoundaryConflictError)
+
+
+def test_channel_322_solves_at_r200():
+    # scaled AMOS overflows on this frame near the negative imaginary axis,
+    # where a Hankel recurrence from order 0 lost all digits and the cross of
+    # the box at 0.207-100.5i exhausted its refinement budget
+    zeros, = rs._group_zeros([322], WELL, 200.0)
+    assert len(zeros) == 112 and all(abs(z) > 200.0 for z, _ in zeros)
 
 
 def test_solve_winds_each_channel_frame_once(monkeypatch):
@@ -701,12 +712,18 @@ def test_cutoff_gives_up_50_channels_past_the_guess(monkeypatch):
     assert solved == list(range(31, -1, -2)) + list(range(30, -1, -2)) + list(range(32, 82))
 
 
-def test_conjugate_well_mirrors_the_resonances():
-    # conj(V) has the resonances -conj(lambda) of V, channel by channel
-    pot = rs.RadialStepPotential(1.0, complex(-16.0, 1.5))
-    out = rs.find_resonances(pot, 4.0)
-    conj = rs.find_resonances(rs.RadialStepPotential(1.0, pot.v0.conjugate()), 4.0)
-    assert out.resonances and len(conj.resonances) == len(out.resonances)
+@settings(max_examples=25)
+@given(a=st.floats(0.5, 2.0), re=st.floats(-30.0, 10.0), im=st.floats(-5.0, 5.0))
+@example(a=1.0, re=-16.0, im=1.5)
+def test_conjugate_well_mirrors_the_resonances(a, re, im):
+    # conj(V) has the resonances -conj(lambda) of V, channel by channel; the
+    # disk |lambda| a <= 4 is the same size for every a, and holds resonances
+    # for every |v0| >= 1 (at least 3 on a sweep of a and 24 phases at |v0| = 1)
+    pot = rs.RadialStepPotential(a, complex(re, im))
+    out = rs.find_resonances(pot, 4.0 / a)
+    conj = rs.find_resonances(rs.RadialStepPotential(a, pot.v0.conjugate()), 4.0 / a)
+    assert out.resonances or abs(pot.v0) < 1.0
+    assert len(conj.resonances) == len(out.resonances)
     for mine, theirs in ((out, conj), (conj, out)):
         for r in mine.resonances:
             mirror = -r.lam.conjugate()

@@ -251,29 +251,32 @@ def test_log_pair_survives_extreme_magnitudes():
         assert abs(mine.real - float(ref.real)) < 1e-10 * max(1, abs(mine.real))
 
 
-def _false_zero_error(ell, z, mp):
+def _hankel_pair_error(ell, z, mp):
     """Worst log error of sph_h_pair_log's pair against mpmath: relative in
-    log|h|, absolute in phase."""
+    log|h|, absolute in phase.  In the upper half plane h^(1) = J + iY is
+    recessive and mpmath's sum cancels about 2 Im z / ln 10 digits, which
+    the working precision adds."""
     hm1, hl, s = sp.sph_h_pair_log(ell, np.array([z]))
     worst = 0.0
     for order, h in ((ell - 1, hm1[0]), (ell, hl[0])):
         got = complex(np.log(h) + s[0])
-        ref = complex(mp.log(mp.sqrt(mp.pi / (2 * mp.mpc(z)))
-                             * mp.hankel1(order + mp.mpf(1) / 2, mp.mpc(z))))
+        with mp.workdps(mp.mp.dps + int(2 * max(z.imag, 0.0) / math.log(10))):
+            ref = complex(mp.log(mp.sqrt(mp.pi / (2 * mp.mpc(z)))
+                                 * mp.hankel1(order + mp.mpf(1) / 2, mp.mpc(z))))
         worst = max(worst, abs(got.real - ref.real) / abs(ref.real),
                     abs((got.imag - ref.imag + math.pi) % (2 * math.pi) - math.pi))
     return worst
 
 
 def test_hankel_pair_rejects_scaled_hankel_false_zero(monkeypatch):
-    # scipy's hankel1e returns an exact 0 here; the unscaled form gives the
-    # true log h_110 = 17.0084-2.3282i.  Only where that form fails too does
-    # the pair raise.
+    # scipy's hankel1e returns an exact 0 here; the fallback's unscaled pair
+    # at m = ell = 110 gives the true log h_110 = 17.0084-2.3282i.  Only
+    # where no unscaled order m <= ell is usable does the pair raise.
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
     z = -60.79 - 35.09j
     assert _scipy_special.hankel1e(110.5, z) == 0
-    assert _false_zero_error(110, z, mp) < 1e-12
+    assert _hankel_pair_error(110, z, mp) < 1e-12
     hm1, hl, s = sp.sph_h_pair_log(110, np.array([1.0 - 1.0j, z]))
     assert abs(complex(np.log(hl[1]) + s[1]) - (17.0084 - 2.3282j)) < 1e-4
     monkeypatch.setattr(sp._ss, "hankel1", lambda v, z: np.zeros_like(z))
@@ -284,10 +287,31 @@ def test_hankel_pair_rejects_scaled_hankel_false_zero(monkeypatch):
     assert not isinstance(info.value, BoundaryConflictError)
 
 
+def _hankel_grid(rng):
+    """Seeded points with order in [1, 350] and |z| log-uniform in [1e-5, 200]
+    over both half planes: 16 each where scipy's scaled hankel1e pair
+    overflows, where it has an exact 0, and where it is plain."""
+    kinds = {"overflow": [], "zero": [], "plain": []}
+    while min(map(len, kinds.values())) < 16:
+        ell = int(rng.integers(1, 351))
+        z = complex(cmath.rect(10 ** rng.uniform(-5.0, math.log10(200.0)),
+                               rng.uniform(-math.pi, math.pi)))
+        with np.errstate(all="ignore"):
+            pair = _scipy_special.hankel1e([ell - 0.5, ell + 0.5], z)
+        kind = ("overflow" if not np.all(np.isfinite(pair))
+                else "zero" if np.any(pair == 0) else "plain")
+        if len(kinds[kind]) < 16:
+            kinds[kind].append((ell, z))
+    return [p for points in kinds.values() for p in points]
+
+
 def test_hankel_pair_matches_mpmath_at_scaled_false_zeros():
     # seeded points where scipy's scaled hankel1e is an exact 0 for one
     # order of the pair: order in [60, 250), |z| in [20, 200], lower half
-    # plane (20 of the first 165 draws)
+    # plane (20 of the first 165 draws); then, at 60 digits, a grid where it
+    # overflows, is 0 or is plain, and three points of order 322 where it
+    # overflows near the negative imaginary axis (a recurrence from order 0
+    # was off there by 0.098, 3.06 and 0.29)
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
     rng = np.random.default_rng(20261019)
@@ -297,4 +321,9 @@ def test_hankel_pair_matches_mpmath_at_scaled_false_zeros():
         z = complex(cmath.rect(rng.uniform(20.0, 200.0), -rng.uniform(0.0, math.pi)))
         if np.any(_scipy_special.hankel1e([ell - 0.5, ell + 0.5], z) == 0):
             points.append((ell, z))
-    assert max(_false_zero_error(ell, z, mp) for ell, z in points) < 1e-12
+    assert max(_hankel_pair_error(ell, z, mp) for ell, z in points) < 1e-12
+    mp.mp.dps = 60
+    grid = _hankel_grid(np.random.default_rng(350))
+    assert {z.imag > 0 for _, z in grid} == {True, False}
+    grid += [(322, z) for z in (0.207 - 20j, 0.207 - 25j, 0.207 - 27j)]
+    assert max(_hankel_pair_error(ell, z, mp) for ell, z in grid) < 1e-12
