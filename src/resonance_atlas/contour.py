@@ -14,11 +14,13 @@ The quadtree descends level by level, since its boxes are independent
 (Delves & Lyness, Math. Comp. 21, 1967): one call samples the arms of every
 cross of a level into one sample array, and each refinement round is one
 set of array operations on it and one call for the midpoints of all its
-rejected intervals.  The leaves are polished together once the descent has
-no box left to split, by one secant iteration with one call per step over
-the seeds still active; a leaf whose iterate fails splits and descends
-again.  Keyed, one descent runs the quadtrees of several functions over one
-top box in lockstep, so a group of channels makes a few calls per level.
+rejected intervals.  A leaf holds up to three zeros, seeded by the Hankel
+pencil of its edges' power sums (Kravanja & Van Barel, LNM 1727, 2000).
+The leaves are polished together once the descent has no box left to
+split, by one secant iteration with one call per step over the seeds still
+active; a leaf whose iterates fail splits and descends again.  Keyed, one
+descent runs the quadtrees of several functions over one top box in
+lockstep, so a group of channels makes a few calls per level.
 
 Functions are evaluated either directly or in "log form": a log-form
 callable returns log f(z) (any branch per point); only phase differences and
@@ -56,6 +58,10 @@ _JENSEN_TOL = 1e-10
 _IRR = math.sqrt(2.0) - 1.0
 _MOVES = 7  # a contour that runs into a zero is moved at most this often
 _REFINE_BUDGET = 200000  # midpoints one segment may gain under refinement
+_LEAF_ZEROS = 3  # a leaf of diameter tol or more holds at most this many zeros
+_PENCIL_WEIGHT = 0.2  # each pencil seed's weight in the power sums is 1 within this
+# a pencil seed's secant steps, and the bound on its last over its box's diameter
+_PENCIL_STEPS, _PENCIL_NOISE = 12, 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +160,6 @@ class _Edge:
     def increment(self) -> complex:
         """log f(end) - log f(start), continued along the samples."""
         return complex(np.sum(_steps(self.ws)))
-
-    def moment(self) -> complex:
-        """Midpoint-rule integral of z dlog f along the edge."""
-        mid = 0.5 * (self.zs[:-1] + self.zs[1:])
-        return complex(np.sum(mid * _steps(self.ws)))
 
     def reversed(self) -> "_Edge":
         return _Edge(self.zs[::-1], self.ws[::-1])
@@ -277,9 +278,15 @@ def _winding(edges) -> int:
     return round(sum(e.increment() for e in edges).imag / _TWO_PI)
 
 
-def _moment(edges, n_zeros: int) -> complex:
-    """First moment (1/(2 pi i n)) * contour integral of z dlog f."""
-    return sum(e.moment() for e in edges) / (2j * math.pi * n_zeros)
+def _power_sums(edges, count: int, c: complex = 0.0, h: float = 1.0) -> list:
+    """Midpoint rule for the loop integrals of u^p dlog f, u = (z - c)/h, p < count."""
+    sums = [0j] * count
+    for e in edges:
+        u, term = (0.5 * (e.zs[:-1] + e.zs[1:]) - c) / h, _steps(e.ws)
+        for p in range(count):
+            sums[p] += complex(np.sum(term))
+            term = u * term
+    return sums
 
 
 def winding_count(f, box: ContourBox, *, log_form: bool = False) -> int:
@@ -302,7 +309,7 @@ def winding_count(f, box: ContourBox, *, log_form: bool = False) -> int:
 # Zero localization
 # ---------------------------------------------------------------------------
 
-def _newton_polish(eval_w, seeds, mults, tol: float, bound_checks, keys):
+def _newton_polish(eval_w, seeds, mults, tols, bound_checks, keys, limits):
     """Secant iterations on log f, one per seed, each exact for an isolated
     power (z - z*)^mult.
 
@@ -314,7 +321,8 @@ def _newton_polish(eval_w, seeds, mults, tol: float, bound_checks, keys):
     points, and one call per step the new iterates of the seeds still
     active, each under its seed's key.  Each seed's arithmetic is its own,
     so its iterates do not depend on the other seeds.  Returns, per seed,
-    the zero, or None where the iteration failed or left ``bound_checks``.
+    (zero, last log f there), or None where it failed, left ``bound_checks``
+    or ended its ``limits`` steps (at most 60) on a step above its ``tols``.
     """
     n = len(seeds)
     if not n:
@@ -328,12 +336,14 @@ def _newton_polish(eval_w, seeds, mults, tol: float, bound_checks, keys):
     active = []
     for i in range(n):
         if not cmath.isfinite(wa[i]):
-            out[i] = za[i]  # landed on an exact zero of f
+            out[i] = za[i], wa[i]  # landed on an exact zero of f
         elif not cmath.isfinite(wb[i]):
-            out[i] = zb[i]
+            out[i] = zb[i], wb[i]
         else:
             active.append(i)
-    for _ in range(60):
+    done = []
+    for k in range(60):
+        done += [i for i in active if k == limits[i]]
         moved = []
         for i in active:
             dw = wb[i] - wa[i]
@@ -344,7 +354,7 @@ def _newton_polish(eval_w, seeds, mults, tol: float, bound_checks, keys):
                 continue
             z_new = (zb[i] - rho * za[i]) / denom
             step[i] = abs(z_new - zb[i])
-            if not bound_checks[i](z_new):
+            if k == limits[i] or not bound_checks[i](z_new):
                 continue
             za[i], wa[i] = zb[i], wb[i]
             zb[i] = z_new
@@ -355,13 +365,13 @@ def _newton_polish(eval_w, seeds, mults, tol: float, bound_checks, keys):
             for i, w in zip(moved, ws.tolist()):
                 wb[i] = w
                 if not cmath.isfinite(w) or step[i] < 1e-14 * max(abs(zb[i]), 1.0):
-                    out[i] = zb[i]
+                    out[i] = zb[i], w
                 else:
                     active.append(i)
         if not active:
             break
-    for i in active:
-        out[i] = zb[i] if step[i] < tol else None
+    for i in active + done:
+        out[i] = (zb[i], wb[i]) if step[i] < tols[i] else None
     return out
 
 
@@ -430,21 +440,21 @@ def locate_zeros(f, box: ContourBox, tol: float, *,
 
     f maps an array of points to an array of the same shape (of log f with
     ``log_form``).  Quadrisects level by level down to leaf boxes: boxes of
-    winding 1 or of diameter below ``tol``.  A leaf's winding w is the
-    multiplicity of its zero (a leaf below ``tol`` holds a cluster reported
-    as one zero of multiplicity w), located by the secant iterate for
-    multiplicity w seeded by the first moment of the leaf's edges and
-    accepted only inside the leaf's closed box; otherwise a leaf of diameter
-    ``tol`` or more splits again, and a smaller one reports the seed, the
-    cluster's winding centroid.
+    diameter below ``tol``, or of winding at most ``_LEAF_ZEROS`` (three)
+    that ``_seeds`` seeds.  A leaf's zeros are its secant iterates inside
+    its closed box; for winding 2 or 3 they must also converge, lie apart
+    and pass the zero test (``_leaf_zeros``).  Otherwise a leaf of diameter
+    ``tol`` or more splits again, and a smaller one reports its seed, the
+    cluster's winding centroid, as one zero of multiplicity w.
 
     No two leaves report the same zero: leaves do not overlap, an accepted
-    location lies inside its own leaf, and the guard checks keep every zero
-    off the edges the leaves share.  The result is exact: it holds the
-    zeros that lie inside the top box actually wound (the box after any
-    perturbation by ``_winding_with_perturbation``, which may have grown it
-    slightly), sorted by (real, imag), and their multiplicities sum to that
-    box's winding; otherwise NumericalError names both numbers and the box.
+    location lies inside its own leaf, the zeros of one leaf lie apart, and
+    the guard checks keep every zero off the edges the leaves share.  The
+    result is exact: it holds the zeros that lie inside the top box actually
+    wound (the box after any perturbation by ``_winding_with_perturbation``,
+    which may have grown it slightly), sorted by (real, imag), and their
+    multiplicities sum to that box's winding; otherwise NumericalError names
+    both numbers and the box.
 
     ``samples`` sets the initial sampling of the top box's boundary and,
     through its spacing (perimeter over ``samples``), that of the cross
@@ -482,13 +492,13 @@ def locate_zeros(f, box: ContourBox, tol: float, *,
                     raise NumericalError(
                         f"negative winding {w} over box at {b.center:.6g}: the "
                         "integrand has a pole inside (not holomorphic)", key=b.key)
-            level = [x for x in level if x[1] > 0]
-            split = [x for x in level if x[1] > 1 and x[0].diameter >= tol]
-            leaves += [x for x in level if x[1] == 1 or x[0].diameter < tol]
+            seeded = [(x, _seeds(*x, tol)) for x in level if x[1] > 0]
+            split = [x for x, zs in seeded if not zs]
+            leaves += [(*x, zs) for x, zs in seeded if zs]
         else:  # the descent is done: polish its leaves, split the failures
             zeros = _leaf_zeros(eval_w, leaves, tol)
-            found += [(z, w, b.key) for (b, w, _), z in zip(leaves, zeros) if z is not None]
-            split = [x for x, z in zip(leaves, zeros) if z is None]
+            found += [(z, m, x[0].key) for x, zs in zip(leaves, zeros) for z, m in zs or ()]
+            split = [x[:3] for x, zs in zip(leaves, zeros) if zs is None]
             leaves = []
         level = [child for children in _split_boxes(
             eval_w, split, [spacing[b.key] for b, _, _ in split], guard_dist)
@@ -498,27 +508,57 @@ def locate_zeros(f, box: ContourBox, tol: float, *,
 
 
 def _leaf_zeros(eval_w, leaves, tol: float):
-    """The zero of multiplicity w in each leaf (box, w, edges), or None
-    where the box must split.
-
-    The first moment over a box's edges seeds its secant iteration: for a
-    winding-1 box the moment *is* the zero up to quadrature error, so the
-    iteration converges in a couple of steps and does not wander off to a
-    neighbouring zero.  A box's iteration must stay within three quarters
-    of its diameter of it.
+    """The (zero, multiplicity) pairs in each leaf (box, w, edges, seeds),
+    or None where the box must split.  A leaf of winding 1, or of diameter
+    below ``tol``, holds one zero of multiplicity w; any other holds w
+    simple zeros more than ``tol`` apart, each of whose secants reaches
+    noise level within ``_PENCIL_STEPS`` steps (at a multiple zero it
+    converges only linearly) and stops below the smallest log |f| on the
+    edges (from a coarse seed it can stop on a tiny step off any zero).
     """
-    seeds = []
-    for b, w, edges in leaves:
-        m1 = _moment(edges, w)
-        seeds.append(m1 if b.contains(m1, pad=0.25 * b.diameter) else b.center)
-    zs = _newton_polish(eval_w, seeds, [w for _, w, _ in leaves], tol,
-                        [lambda z, b=b: b.contains(z, pad=0.75 * b.diameter)
-                         for b, _, _ in leaves], np.array([b.key for b, _, _ in leaves]))
-    # accept only zeros inside: the iteration may slide to a neighbouring
-    # zero outside, which belongs to another box
-    return [z if z is not None and b.contains(z) else
-            None if b.diameter >= tol else seed
-            for (b, _, _), seed, z in zip(leaves, seeds, zs)]
+    flat = [(b, w, w > 1 and b.diameter >= tol, z) for b, w, _, zs in leaves for z in zs]
+    polished = iter(_newton_polish(
+        eval_w, [z for *_, z in flat], [1 if p else w for _, w, p, _ in flat],
+        [min(tol, _PENCIL_NOISE * b.diameter) if p else tol for b, _, p, _ in flat],
+        [lambda z, b=b: b.contains(z, pad=0.75 * b.diameter) for b, *_ in flat],
+        np.array([b.key for b, *_ in flat]), [_PENCIL_STEPS if p else 60 for *_, p, _ in flat]))
+    out = []
+    for b, w, edges, zs in leaves:
+        # only zeros inside: an iterate may slide to a zero of another box
+        got = [zw for zw in [next(polished) for _ in zs] if zw is not None and b.contains(zw[0])]
+        if w > 1 and b.diameter >= tol:  # the zero test, and the zeros apart
+            floor = min(float(e.ws.real.min()) for e in edges)
+            got = [(z, v) for k, (z, v) in enumerate(got)
+                   if v.real < floor and all(abs(z - y) > tol for y, _ in got[:k])]
+        out.append([(z, w if b.diameter < tol else 1) for z, _ in got] if len(got) == len(zs)
+                   else None if b.diameter >= tol else [(zs[0], w)])
+    return out
+
+
+def _seeds(box: ContourBox, w: int, edges, tol: float) -> list:
+    """The secant seeds of a box of winding w > 0, or none where it splits:
+    for winding 1 or a diameter below ``tol``, the first moment over its
+    edges; for winding 2 .. ``_LEAF_ZEROS``, c + h eig(H1, H0) of the Hankel
+    pencil of the power sums s_0 .. s_(2w-1) in u = (z - c)/h (c the centre,
+    h half the diameter), unless a seed lies a quarter diameter outside the
+    box or the seeds give s_0 .. s_(w-1) back with a weight off 1 by more
+    than ``_PENCIL_WEIGHT`` (a multiple or spurious seed, or coarse sums).
+    """
+    if w == 1 or box.diameter < tol:
+        m1 = _power_sums(edges, 2)[1] / (2j * math.pi * w)
+        return [m1 if box.contains(m1, pad=0.25 * box.diameter) else box.center]
+    if w > _LEAF_ZEROS:
+        return []
+    s = _power_sums(edges, 2 * w, box.center, 0.5 * box.diameter)
+    hankel = np.array([s[i:i + w] for i in range(w + 1)])
+    try:
+        u = np.linalg.eigvals(np.linalg.solve(hankel[:-1], hankel[1:]))
+        weights = np.linalg.solve(np.vander(u, w, increasing=True).T, s[:w]) / (2j * math.pi)
+    except np.linalg.LinAlgError:
+        return []
+    seeds = (box.center + 0.5 * box.diameter * u).tolist()
+    good = np.all(np.abs(weights - 1) <= _PENCIL_WEIGHT)
+    return seeds if good and all(box.contains(z, pad=0.25 * box.diameter) for z in seeds) else []
 
 
 def _zeros_inside(found, box: ContourBox, winding: int):

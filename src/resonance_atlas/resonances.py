@@ -179,13 +179,13 @@ class ResonanceSet:
             resonances = []
             for i, r in enumerate(doc["resonances"]):
                 entry = f"resonance {i}"
-                res = Resonance(lam=complex(r["re_lambda"], r["im_lambda"]),
-                                ell=r["ell"], residual=r["residual"])
-                if not (isinstance(res.ell, int) and res.ell >= 0
-                        and r["multiplicity"] == res.multiplicity):
+                ell, residual = r["ell"], r["residual"]
+                if not (type(ell) is int and ell >= 0 and r["multiplicity"] == 2 * ell + 1):
                     raise ValueError("needs an integer ell >= 0 and multiplicity 2*ell + 1, "
-                                     f"got ell {res.ell}, multiplicity {r['multiplicity']}")
-                resonances.append(res)
+                                     f"got ell {ell!r}, multiplicity {r['multiplicity']!r}")
+                if not (type(residual) in (int, float) and 0 <= residual < math.inf):
+                    raise ValueError(f"needs a finite residual >= 0, got {residual!r}")
+                resonances.append(Resonance(complex(r["re_lambda"], r["im_lambda"]), ell, residual))
             entry = "top level"
             radius, ell_max, tol = doc["search_radius"], doc["ell_max"], doc["tolerances"]
             if not (type(radius) in (int, float) and 0 < radius < math.inf

@@ -281,6 +281,10 @@ _BAD_TOP_LEVEL = {"string radius": ("search_radius", "40"),
                   "tolerances list": ("tolerances", [])}
 
 
+_BAD_RESIDUAL = {"string residual": "x", "nan residual": math.nan,
+                 "negative residual": -1e-9, "boolean residual": False}
+
+
 def _malformed(doc, case):
     """The resonance file's document broken as ``case`` says."""
     if case == "no tolerances":
@@ -294,6 +298,10 @@ def _malformed(doc, case):
         doc[key] = value
     elif case == "fractional ell":  # with the weight 2*ell + 1 it implies
         doc["resonances"][0].update(ell=1.5, multiplicity=4)
+    elif case == "boolean ell":
+        doc["resonances"][0].update(ell=True, multiplicity=3)
+    elif case in _BAD_RESIDUAL:
+        doc["resonances"][0]["residual"] = _BAD_RESIDUAL[case]
     else:  # a weight other than 2*ell + 1
         doc["resonances"][0]["multiplicity"] += 2
     return doc
@@ -305,6 +313,11 @@ def _malformed(doc, case):
     ("top-level list", "top level: expected a JSON object, got list"),
     ("bad multiplicity", "resonance 0: needs an integer ell >= 0 and multiplicity"),
     ("fractional ell", "resonance 0: needs an integer ell >= 0 and multiplicity"),
+    ("boolean ell", "resonance 0: needs an integer ell >= 0 and multiplicity"),
+    ("string residual", "resonance 0: needs a finite residual >= 0, got 'x'"),
+    ("nan residual", "resonance 0: needs a finite residual >= 0, got nan"),
+    ("negative residual", "resonance 0: needs a finite residual >= 0, got -1e-09"),
+    ("boolean residual", "resonance 0: needs a finite residual >= 0, got False"),
     ("string radius", "top level: needs a positive finite search_radius"),
     ("negative radius", "top level: needs a positive finite search_radius"),
     ("fractional ell_max", "top level: needs a positive finite search_radius"),

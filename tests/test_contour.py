@@ -211,7 +211,8 @@ def test_refinement_budget_names_the_first_item_over_it(monkeypatch):
 
 
 def test_locate_with_zero_at_box_centre_jitters_the_cross(monkeypatch):
-    # the first cross starts on the zero at 0, so the split point must move
+    # the first cross starts on the zero at 0, so the split point must move;
+    # the box holds four zeros, one more than a leaf may
     jitters = []
     quadrisect = ct.ContourBox.quadrisect
 
@@ -220,11 +221,11 @@ def test_locate_with_zero_at_box_centre_jitters_the_cross(monkeypatch):
         return quadrisect(self, jitter)
 
     monkeypatch.setattr(ct.ContourBox, "quadrisect", spy)
-    want = [0.0, 0.5 - 0.3j, -0.4 - 0.2j]
+    want = [0.0, 0.5 - 0.3j, -0.4 - 0.2j, 0.3 + 0.6j]
     q = np.poly1d(np.poly(want))
     got = ct.locate_zeros(lambda z: q(z), ct.ContourBox(-1 - 1j, 1 + 1j), tol=1e-10)
     assert jitters[:2] == [0.0, pytest.approx(2 * (math.sqrt(2) - 1) / 16)]
-    assert len(got) == 3
+    assert len(got) == 4
     for z, mult in got:
         assert mult == 1
         assert min(abs(z - w) for w in want) < 1e-10
@@ -244,11 +245,12 @@ def _spy_quadrisect(monkeypatch):
 
 
 def test_zero_on_one_split_point_of_a_level_moves_only_that_cross(monkeypatch):
-    # level 1 splits the boxes (-1-1j, 0) and (0, 1+1j) together; the zero
-    # at 0.5+0.5j sits on the second one's split point, so that cross alone
-    # moves, by one step
+    # level 1 splits the boxes (-1-1j, 0) and (0, 1+1j) together, each of
+    # four zeros, one more than a leaf may hold; the zero at 0.5+0.5j sits
+    # on the second one's split point, so that cross alone moves, by one step
     calls = _spy_quadrisect(monkeypatch)
-    want = [0.5 + 0.5j, 0.2 + 0.8j, -0.3 - 0.6j, -0.7 - 0.2j, 0.6 - 0.4j]
+    want = [0.5 + 0.5j, 0.2 + 0.8j, 0.8 + 0.3j, 0.3 + 0.2j,
+            -0.3 - 0.6j, -0.7 - 0.2j, -0.2 - 0.3j, -0.8 - 0.7j, 0.6 - 0.4j]
     q = np.poly1d(np.poly(want))
     got = ct.locate_zeros(lambda z: q(z), ct.ContourBox(-1 - 1j, 1 + 1j), tol=1e-10)
     assert calls[:3] == [(-1 - 1j, 1 + 1j, 0.0), (-1 - 1j, 0j, 0.0), (0j, 1 + 1j, 0.0)]
@@ -273,18 +275,19 @@ def test_leaf_whose_secant_leaves_its_box_splits_while_its_batch_converges(monke
         batches.append(len(seeds))
         return polish(eval_w, seeds, *args)
 
-    moment = ct._moment
+    power_sums = ct._power_sums
     moved = []
 
-    def bad_seed(edges, n):
-        m = moment(edges, n)
+    def bad_seed(edges, count, *args):
+        s = power_sums(edges, count, *args)
+        m = s[1] / (2j * math.pi)
         if not moved and abs(m - want[0]) < 0.05:
             moved.append(m)
-            return 0.02 + 0.45j
-        return m
+            return [s[0], (0.02 + 0.45j) * 2j * math.pi]
+        return s
 
     monkeypatch.setattr(ct, "_newton_polish", spy_polish)
-    monkeypatch.setattr(ct, "_moment", bad_seed)
+    monkeypatch.setattr(ct, "_power_sums", bad_seed)
     want = [0.45 + 0.45j, -0.05 + 0.45j, -0.5 - 0.5j, 0.5 - 0.5j]
     q = np.poly1d(np.poly(want))
     got = ct.locate_zeros(lambda z: q(z), ct.ContourBox(-1 - 1j, 1 + 1j), tol=1e-10)
@@ -292,6 +295,91 @@ def test_leaf_whose_secant_leaves_its_box_splits_while_its_batch_converges(monke
     assert batches == [4, 1]
     assert [c[:2] for c in calls] == [(-1 - 1j, 1 + 1j), (0j, 1 + 1j)]
     assert [m for _, m in got] == [1, 1, 1, 1]
+    for w in want:
+        assert min(abs(z - w) for z, _ in got) < 1e-10
+
+
+def test_box_of_three_zeros_is_one_leaf(monkeypatch):
+    # the pencil of the top box's power sums seeds all three zeros at once
+    calls = _spy_quadrisect(monkeypatch)
+    want = [0.3 + 0.2j, -0.5 + 0.6j, -0.1 - 0.7j]
+    got = ct.locate_zeros(lambda z: (z - want[0]) * (z - want[1]) * (z - want[2]),
+                          ct.ContourBox(-1 - 1j, 1 + 1j), tol=1e-10)
+    assert calls == []
+    assert [m for _, m in got] == [1, 1, 1]
+    for w in want:
+        assert min(abs(z - w) for z, _ in got) < 1e-12
+
+
+def test_zeros_1e8_apart_end_in_their_own_leaves():
+    want = [0.3 + 0.2j, 0.3 + 0.2j + 1e-8 * cmath.exp(0.7j), -0.4 - 0.5j]
+    got = ct.locate_zeros(lambda z: (z - want[0]) * (z - want[1]) * (z - want[2]),
+                          ct.ContourBox(-1 - 1j, 1 + 1j), tol=1e-10)
+    assert [m for _, m in got] == [1, 1, 1]
+    assert sorted(min(range(3), key=lambda i: abs(z - want[i])) for z, _ in got) == [0, 1, 2]
+    for z, _ in got:
+        assert min(abs(z - w) for w in want) < 1e-10
+
+
+@pytest.mark.parametrize("double, simple, expanded, tol", [
+    (0.3 + 0.2j, -0.4 - 0.5j, False, 1e-9),
+    # the expanded form cancels: rounding splits the double zero into two
+    # about 1e-8 apart, so tol must lie above that to see one zero; here
+    # the pencil seeds it twice, and the two secants, converging only
+    # linearly, would stop more than tol apart after _PENCIL_STEPS steps
+    (-0.07 + 0.34j, 0.65 - 0.2j, True, 1e-6)])
+def test_double_zero_in_a_box_of_three_keeps_its_multiplicity(double, simple, expanded, tol):
+    # no leaf reports a double zero as two simple ones, so the box splits
+    # down to a leaf of winding 2 below tol
+    q = np.poly1d(np.poly([double, double, simple]))
+    f = q if expanded else (lambda z: (z - double) ** 2 * (z - simple))
+    got = ct.locate_zeros(f, ct.ContourBox(-1 - 1j, 1 + 1j), tol=tol)
+    assert sorted(m for _, m in got) == [1, 2]
+    for z, m in got:
+        assert abs(z - (double if m == 2 else simple)) < tol
+
+
+def test_pencil_seeds_only_a_box_of_simple_zeros():
+    # each seed must give the power sums back with weight 1: the seeds of a
+    # double zero do not, so that box has none and splits in the descent
+    box = ct.ContourBox(-1 - 1j, 1 + 1j)
+    want = [0.3 + 0.2j, -0.5 + 0.6j, -0.1 - 0.7j]
+
+    def seeds(g):
+        f = ct._make_log_evaluator(g, False)
+        edges, = ct._sampled_edges(f, [(ct._boundary(box), 1e-3, "box")], ct._spacing(box, 32))
+        return ct._seeds(box, ct._winding(edges), edges, 1e-10)
+
+    got = seeds(lambda z: (z - want[0]) * (z - want[1]) * (z - want[2]))
+    assert len(got) == 3
+    for w in want:
+        assert min(abs(z - w) for z in got) < 0.05
+    assert seeds(lambda z: (z - want[0]) ** 2 * (z - want[2])) == []
+
+
+def test_leaf_whose_iterate_is_no_zero_splits(monkeypatch):
+    # the secant may stop on a tiny step away from any zero: an iterate at
+    # 0.9-0.9j, where |f| is above its minimum on the box's edges, fails
+    # the zero test, so the leaf of three zeros splits
+    calls = _spy_quadrisect(monkeypatch)
+    polish = ct._newton_polish
+    moved = []
+
+    def stop_off_the_zeros(eval_w, seeds, mults, *args):
+        out = polish(eval_w, seeds, mults, *args)
+        if not moved:
+            moved.append(seeds[0])
+            z = 0.9 - 0.9j
+            out[0] = z, eval_w(np.array([z]), np.array([0]))[0]
+        return out
+
+    monkeypatch.setattr(ct, "_newton_polish", stop_off_the_zeros)
+    want = [0.3 + 0.2j, -0.5 + 0.6j, -0.1 - 0.7j]
+    got = ct.locate_zeros(lambda z: (z - want[0]) * (z - want[1]) * (z - want[2]),
+                          ct.ContourBox(-1 - 1j, 1 + 1j), tol=1e-10)
+    assert len(moved) == 1
+    assert [c[:2] for c in calls[:1]] == [(-1 - 1j, 1 + 1j)]
+    assert [m for _, m in got] == [1, 1, 1]
     for w in want:
         assert min(abs(z - w) for z, _ in got) < 1e-10
 

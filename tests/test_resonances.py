@@ -669,9 +669,8 @@ def test_solve_winds_each_channel_frame_once(monkeypatch):
 def test_solve_batches_the_matcher_calls_of_its_quadtrees(monkeypatch):
     # the quadtrees of a group of channels evaluate the crosses of a level,
     # a refinement round or a secant step over all their leaves in one call:
-    # the R = 8 solve, two groups, makes 64 calls (229 one channel at a time,
-    # 681 one box or leaf at a time) for the 6,989 points of the box-by-box
-    # descent
+    # the R = 8 solve, two groups, makes 60 calls (218 one channel at a time)
+    # for the 5,673 points of the box-by-box descent
     sizes = []
     real = rs.channel_matcher_log
 
@@ -682,7 +681,19 @@ def test_solve_batches_the_matcher_calls_of_its_quadtrees(monkeypatch):
     monkeypatch.setattr(rs, "channel_matcher_log", counted)
     assert len(rs.find_resonances(WELL, 8.0).resonances) == 56
     assert len(sizes) <= 70
-    assert sum(sizes) == 6989
+    assert sum(sizes) == 5673
+
+
+@pytest.mark.parametrize("ell, v0", [(24, -22.8 + 2.6j), (19, -18.4 + 0.6j)])
+def test_pencil_leaves_report_only_zeros_of_the_channel(ell, v0):
+    # two criterion-10 members at r = 25 whose coarse pencil seeds lead the
+    # secant to stop on a tiny step away from any zero; the zero test
+    # rejects those leaves
+    pot = rs.RadialStepPotential(1.0, v0)
+    (zeros,) = rs._group_zeros([ell], pot, 25.0)
+    assert zeros
+    lams = np.array([z for z, _ in zeros])
+    assert np.all(np.abs(rs.channel_condition(ell, pot, lams)) < rs._RESIDUAL_TOL)
 
 
 def test_cutoff_extends_upward_past_a_low_guess(monkeypatch, small_set):

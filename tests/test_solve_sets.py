@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from resonance_atlas.resonances import RadialStepPotential
 
 _spec = importlib.util.spec_from_file_location(
@@ -45,3 +47,39 @@ def test_compare_names_the_differing_density_keys(tmp_path, capsys):
                                        "different  density\n"
                                        "identical  density.weyl_constant\n"
                                        "different  density.weyl_constant_2d\n")
+
+
+def _moved(doc, change):
+    """A copy of the dump doc with its set's resonance list changed."""
+    doc = json.loads(json.dumps(doc))
+    change(doc["v0=-20 R=3"]["resonances"])
+    return doc
+
+
+def _shift(by):
+    def change(resonances):
+        resonances[0][1] += by
+    return change
+
+
+@pytest.mark.parametrize("change, exact, tolerant", [
+    (_shift(1e-12), "different", "close    "),
+    (_shift(1e-6), "different", "different"),
+    (lambda resonances: resonances.pop(), "different", "different"),
+], ids=["moved 1e-12", "moved 1e-6", "dropped"])
+def test_tolerance_mode_passes_only_zeros_moved_within_zero_tol(tmp_path, capsys,
+                                                              change, exact, tolerant):
+    dumped = tmp_path / "a.json"
+    solve_sets.dump(dumped, [("v0=-20 R=3", RadialStepPotential(1.0, -20.0), 3.0)])
+    doc = json.loads(dumped.read_text())
+    assert doc["v0=-20 R=3"]["zero_tol"] == pytest.approx(3e-9)
+    assert solve_sets.main(["compare", "--tol", str(dumped), str(dumped)]) == 0
+    assert capsys.readouterr().out == "identical  v0=-20 R=3\n"
+
+    moved = tmp_path / "b.json"
+    moved.write_text(json.dumps(_moved(doc, change)))
+    assert solve_sets.main(["compare", str(dumped), str(moved)]) == 1
+    assert capsys.readouterr().out == f"{exact}  v0=-20 R=3\n"
+    for a, b in ((dumped, moved), (moved, dumped)):
+        assert solve_sets.main(["compare", "--tol", str(a), str(b)]) == int(tolerant == "different")
+        assert capsys.readouterr().out == f"{tolerant}  v0=-20 R=3\n"

@@ -1,4 +1,4 @@
-"""Solve a fixed list of 46 resonance sets and compare two such dumps exactly.
+"""Solve a fixed list of 46 resonance sets and compare two such dumps.
 
 A change to the solver that should not change its output is checked by
 dumping the sets before and after and comparing the dumps:
@@ -7,13 +7,22 @@ dumping the sets before and after and comparing the dumps:
     PYTHONPATH=../parent/src python tools/solve_sets.py dump before.json
     PYTHONPATH=src python tools/solve_sets.py compare before.json after.json
 
-``dump`` writes, per set, ``ell_max`` and every (ell, Re lambda, Im lambda,
-multiplicity, residual), with floats written by ``repr`` so they read back
-exactly.  ``compare`` prints ``identical`` or ``different`` per set and exits
-with status 1 when any set differs or is missing from either file.  When the
-``density`` entry differs, it is followed by one ``identical`` or
-``different  density.<key>`` line per key of the entry, so a change that
-should move one density result shows which ones moved.
+``dump`` writes, per set, ``ell_max``, the set's recorded ``zero_tol`` and
+every (ell, Re lambda, Im lambda, multiplicity, residual), with floats
+written by ``repr`` so they read back exactly.  ``compare`` prints
+``identical`` or ``different`` per set and exits with status 1 when any set
+differs or is missing from either file.  When the ``density`` entry
+differs, it is followed by one ``identical`` or ``different
+density.<key>`` line per key of the entry, so a change that should move one
+density result shows which ones moved.
+
+``compare --tol`` is for a change that may move located zeros in their last
+bits: a set that is not identical prints ``close`` when both dumps have the
+same ``ell_max`` and the same resonance count per channel, and each
+resonance pairs off with the nearest unpaired one of its channel and
+multiplicity in the other dump, within the smaller recorded ``zero_tol``.
+It exits with status 1 only when a set is ``different``; the ``density``
+entry is still compared exactly.
 
 The 46 sets: the a = 1, v0 = -20 reference well at R = 40; the 21 members of
 the acceptance family (v0 = -20 to -12+3i, 5 x 5 bump grid) at r = 25;
@@ -70,7 +79,7 @@ def all_sets() -> list[tuple[str, RadialStepPotential, float]]:
 
 def solve(pot: RadialStepPotential, R: float) -> dict:
     rset = find_resonances(pot, R)
-    return {"ell_max": rset.ell_max,
+    return {"ell_max": rset.ell_max, "zero_tol": rset.tolerances["zero_tol"],
             "resonances": [[r.ell, r.lam.real, r.lam.imag, r.multiplicity, r.residual]
                            for r in rset.resonances]}
 
@@ -109,26 +118,52 @@ def dump(path, sets=None) -> None:
         f.write("\n")
 
 
-def _compare_entries(a: dict, b: dict, prefix: str = "") -> bool:
-    """Print identical/different per key of either dict, and per key of a
-    differing ``density`` entry; True if every key is identical."""
+def _close(a: dict, b: dict) -> bool:
+    """True if the sets a and b have the same ell_max and each resonance of
+    a pairs off with the nearest unpaired resonance of b of its channel and
+    multiplicity, within the smaller recorded zero_tol, leaving none of b
+    unpaired."""
+    if "zero_tol" not in a or "zero_tol" not in b or a["ell_max"] != b["ell_max"]:
+        return False
+    tol = min(a["zero_tol"], b["zero_tol"])
+    unpaired = {}
+    for ell, re, im, mult, _ in b["resonances"]:
+        unpaired.setdefault((ell, mult), []).append(complex(re, im))
+    for ell, re, im, mult, _ in a["resonances"]:
+        partners, z = unpaired.get((ell, mult)), complex(re, im)
+        if not partners:
+            return False
+        if abs(partners.pop(min(range(len(partners)),
+                                key=lambda i: abs(partners[i] - z))) - z) > tol:
+            return False
+    return not any(unpaired.values())
+
+
+def _compare_entries(a: dict, b: dict, prefix: str = "", tol: bool = False) -> bool:
+    """Print identical/different (with ``tol``, close for a set that passes
+    ``_close``) per key of either dict, and per key of a differing
+    ``density`` entry; True if no key is different."""
     all_same = True
     for key in list(a) + [k for k in b if k not in a]:
-        same = key in a and key in b and a[key] == b[key]
-        print(f"{'identical' if same else 'different'}  {prefix}{key}")
-        if not same and key == "density" and key in a and key in b:
+        both = key in a and key in b
+        status = "identical" if both and a[key] == b[key] else "different"
+        if status == "different" and both and tol and key != "density" and _close(a[key], b[key]):
+            status = "close"
+        print(f"{status:<9}  {prefix}{key}")
+        if status == "different" and both and key == "density":
             _compare_entries(a[key], b[key], "density.")
-        all_same &= same
+        all_same &= status != "different"
     return all_same
 
 
-def compare(path_a, path_b) -> int:
-    """Print identical/different per set; 1 if any set differs, else 0."""
+def compare(path_a, path_b, tol: bool = False) -> int:
+    """Print identical/different (or close, with ``tol``) per set; 1 if any
+    set differs, else 0."""
     with open(path_a) as f:
         a = json.load(f)
     with open(path_b) as f:
         b = json.load(f)
-    return 0 if _compare_entries(a, b) else 1
+    return 0 if _compare_entries(a, b, tol=tol) else 1
 
 
 def main(argv=None) -> int:
@@ -136,9 +171,9 @@ def main(argv=None) -> int:
     if len(args) == 2 and args[0] == "dump":
         dump(args[1])
         return 0
-    if len(args) == 3 and args[0] == "compare":
-        return compare(args[1], args[2])
-    print("usage: solve_sets.py dump OUT.json | compare A.json B.json",
+    if args[:1] == ["compare"] and len(args) in (3, 4) and args[1:-2] in ([], ["--tol"]):
+        return compare(args[-2], args[-1], tol=len(args) == 4)
+    print("usage: solve_sets.py dump OUT.json | compare [--tol] A.json B.json",
           file=sys.stderr)
     return 2
 
