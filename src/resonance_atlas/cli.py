@@ -79,6 +79,13 @@ def _radius(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _threads(text: str) -> int:
+    """A worker count: an integer >= 1."""
+    if not (text.strip().isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"worker count must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _comma_separated(cast):
     """Argument type: a non-empty comma-separated list of ``cast`` values."""
     def parse(text: str) -> list:
@@ -156,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v0-re", type=float, default=0.0)
     p.add_argument("--v0-im", type=float, default=0.0)
     p.add_argument("--radius", type=float, help="search radius R")
-    p.add_argument("--threads", type=int, default=threads)
+    p.add_argument("--threads", type=_threads, default=threads)
     p.add_argument("--out")
     p.add_argument("--format", choices=["csv", "json"])
 
@@ -190,12 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bump-radius", type=float, default=0.5)
     p.add_argument("--sector", action=_Repeatable, type=_parse_sector,
                    default=[(math.pi, 2.0 * math.pi), (math.pi, 1.5 * math.pi)])
-    p.add_argument("--threads", type=int, default=threads)
+    p.add_argument("--threads", type=_threads, default=threads)
     p.add_argument("--out")
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.set_defaults(run=_cmd_verify)
-    p.add_argument("--threads", type=int, default=threads)
+    p.add_argument("--threads", type=_threads, default=threads)
     p.add_argument("--only", type=_comma_separated(int),
                    help="comma-separated criterion numbers to run")
     return parser

@@ -14,12 +14,12 @@ The quadtree descends level by level, since its boxes are independent
 (Delves & Lyness, Math. Comp. 21, 1967): one call samples the arms of every
 cross of a level into one sample array, and each refinement round is one
 set of array operations on it and one call for the midpoints of all its
-rejected intervals.  A leaf holds up to three zeros, seeded by the Hankel
-pencil of its edges' power sums (Kravanja & Van Barel, LNM 1727, 2000).
-The leaves are polished together once the descent has no box left to
-split, by one secant iteration with one call per step over the seeds still
-active; a leaf whose iterates fail splits and descends again.  Keyed, one
-descent runs the quadtrees of several functions over one top box in
+rejected intervals.  A leaf holds up to three simple zeros, seeded by the
+Hankel pencil of its edges' power sums (Kravanja & Van Barel, LNM 1727,
+2000).  The leaves are polished together once the descent has no box left
+to split, by one secant iteration with one call per step over the seeds
+still active; a leaf whose iterates fail splits and descends again.  Keyed,
+one descent runs the quadtrees of several functions over one top box in
 lockstep, so a group of channels makes a few calls per level.
 
 Functions are evaluated either directly or in "log form": a log-form
@@ -60,7 +60,7 @@ _MOVES = 7  # a contour that runs into a zero is moved at most this often
 _REFINE_BUDGET = 200000  # midpoints one segment may gain under refinement
 _LEAF_ZEROS = 3  # a leaf of diameter tol or more holds at most this many zeros
 _PENCIL_WEIGHT = 0.2  # each pencil seed's weight in the power sums is 1 within this
-# a pencil seed's secant steps, and the bound on its last over its box's diameter
+# a seed's secant steps, and the bound on its last over its box's diameter
 _PENCIL_STEPS, _PENCIL_NOISE = 12, 1e-9
 
 
@@ -278,7 +278,7 @@ def _winding(edges) -> int:
     return round(sum(e.increment() for e in edges).imag / _TWO_PI)
 
 
-def _power_sums(edges, count: int, c: complex = 0.0, h: float = 1.0) -> list:
+def _power_sums(edges, count: int, c: complex, h: float) -> list:
     """Midpoint rule for the loop integrals of u^p dlog f, u = (z - c)/h, p < count."""
     sums = [0j] * count
     for e in edges:
@@ -309,30 +309,30 @@ def winding_count(f, box: ContourBox, *, log_form: bool = False) -> int:
 # Zero localization
 # ---------------------------------------------------------------------------
 
-def _newton_polish(eval_w, seeds, mults, tols, bound_checks, keys, limits):
-    """Secant iterations on log f, one per seed, each exact for an isolated
-    power (z - z*)^mult.
+def _newton_polish(eval_w, seeds, boxes, tol: float):
+    """Secant iterations on log f, one per seed and its leaf box, each exact
+    for a simple zero: rho = exp(log f_b - log f_a) equals (z_b - z*)/(z_a - z*).
 
-    From two iterates, rho = exp((log f_b - log f_a)/mult) equals
-    (z_b - z*)/(z_a - z*), which solves for z* directly; for analytic f this
-    converges superlinearly and, unlike derivative stencils, keeps working
-    arbitrarily close to the zero (no stencil ever straddles it).  The
-    iterations run together: one call evaluates every seed's first two
-    points, and one call per step the new iterates of the seeds still
-    active, each under its seed's key.  Each seed's arithmetic is its own,
-    so its iterates do not depend on the other seeds.  Returns, per seed,
-    (zero, last log f there), or None where it failed, left ``bound_checks``
-    or ended its ``limits`` steps (at most 60) on a step above its ``tols``.
+    For analytic f this converges superlinearly and, unlike derivative
+    stencils, keeps working arbitrarily close to the zero.  The iterations
+    run together: one call evaluates every seed's first two points, and one
+    call per step the new iterates of the seeds still active, each under its
+    box's key; each seed's arithmetic is its own.  Returns, per seed, (zero,
+    last log f there) where it stopped on a tiny step, a non-finite log f
+    or, after ``_PENCIL_STEPS`` steps, a step below ``tol`` and
+    ``_PENCIL_NOISE`` times its box's diameter (at a multiple zero the
+    secant converges only linearly); else None (it stalled or stepped 3/4
+    of that diameter outside its box).
     """
     n = len(seeds)
     if not n:
         return []
     out = [None] * n
+    keys = np.array([b.key for b in boxes])
     za = list(seeds)
     zb = [z0 + 1e-5 * max(abs(z0), 1.0) * complex(0.6, 0.8) for z0 in seeds]
     values = eval_w(np.array(za + zb), np.tile(keys, 2)).tolist()
     wa, wb = values[:n], values[n:]
-    step = [math.inf] * n
     active = []
     for i in range(n):
         if not cmath.isfinite(wa[i]):
@@ -341,37 +341,32 @@ def _newton_polish(eval_w, seeds, mults, tols, bound_checks, keys, limits):
             out[i] = zb[i], wb[i]
         else:
             active.append(i)
-    done = []
-    for k in range(60):
-        done += [i for i in active if k == limits[i]]
+    for k in range(_PENCIL_STEPS + 1):
         moved = []
         for i in active:
             dw = wb[i] - wa[i]
-            dw = complex(dw.real, _wrap_phase(dw.imag)) / mults[i]
-            rho = cmath.exp(dw)
-            denom = 1.0 - rho
-            if denom == 0:
+            rho = cmath.exp(complex(dw.real, _wrap_phase(dw.imag)))
+            if rho == 1.0:
                 continue
-            z_new = (zb[i] - rho * za[i]) / denom
-            step[i] = abs(z_new - zb[i])
-            if k == limits[i] or not bound_checks[i](z_new):
-                continue
-            za[i], wa[i] = zb[i], wb[i]
-            zb[i] = z_new
-            moved.append(i)
+            z_new = (zb[i] - rho * za[i]) / (1.0 - rho)
+            step, b = abs(z_new - zb[i]), boxes[i]
+            if k == _PENCIL_STEPS:  # out of steps: keep an iterate at noise level
+                if step < min(tol, _PENCIL_NOISE * b.diameter):
+                    out[i] = zb[i], wb[i]
+            elif b.contains(z_new, pad=0.75 * b.diameter):
+                za[i], wa[i], zb[i] = zb[i], wb[i], z_new
+                moved.append((i, step))
         active = []
         if moved:
-            ws = eval_w(np.array([zb[i] for i in moved]), keys[moved])
-            for i, w in zip(moved, ws.tolist()):
+            ws = eval_w(np.array([zb[i] for i, _ in moved]), keys[[i for i, _ in moved]])
+            for (i, step), w in zip(moved, ws.tolist()):
                 wb[i] = w
-                if not cmath.isfinite(w) or step[i] < 1e-14 * max(abs(zb[i]), 1.0):
+                if not cmath.isfinite(w) or step < 1e-14 * max(abs(zb[i]), 1.0):
                     out[i] = zb[i], w
                 else:
                     active.append(i)
         if not active:
             break
-    for i in active + done:
-        out[i] = (zb[i], wb[i]) if step[i] < tols[i] else None
     return out
 
 
@@ -441,11 +436,10 @@ def locate_zeros(f, box: ContourBox, tol: float, *,
     f maps an array of points to an array of the same shape (of log f with
     ``log_form``).  Quadrisects level by level down to leaf boxes: boxes of
     diameter below ``tol``, or of winding at most ``_LEAF_ZEROS`` (three)
-    that ``_seeds`` seeds.  A leaf's zeros are its secant iterates inside
-    its closed box; for winding 2 or 3 they must also converge, lie apart
-    and pass the zero test (``_leaf_zeros``).  Otherwise a leaf of diameter
-    ``tol`` or more splits again, and a smaller one reports its seed, the
-    cluster's winding centroid, as one zero of multiplicity w.
+    that ``_seeds`` seeds from the Hankel pencil of their edges' power sums.
+    A leaf below ``tol`` reports its winding centroid as one zero of
+    multiplicity w; any other holds w simple zeros (``_leaf_zeros``) or
+    splits again.
 
     No two leaves report the same zero: leaves do not overlap, an accepted
     location lies inside its own leaf, the zeros of one leaf lie apart, and
@@ -509,63 +503,61 @@ def locate_zeros(f, box: ContourBox, tol: float, *,
 
 def _leaf_zeros(eval_w, leaves, tol: float):
     """The (zero, multiplicity) pairs in each leaf (box, w, edges, seeds),
-    or None where the box must split.  A leaf of winding 1, or of diameter
-    below ``tol``, holds one zero of multiplicity w; any other holds w
-    simple zeros more than ``tol`` apart, each of whose secants reaches
-    noise level within ``_PENCIL_STEPS`` steps (at a multiple zero it
-    converges only linearly) and stops below the smallest log |f| on the
-    edges (from a coarse seed it can stop on a tiny step off any zero).
+    or None where the box must split.  Below ``tol`` its seed, the winding
+    centroid, has multiplicity w.  Otherwise it holds w simple zeros, its
+    seeds' secant iterates, each inside the closed box (an iterate may
+    slide to a zero of another box), more than ``tol`` from the others, and
+    below the smallest log |f| on the box's edges (the zero test: from a
+    coarse seed the secant can stop on a tiny step off any zero).
     """
-    flat = [(b, w, w > 1 and b.diameter >= tol, z) for b, w, _, zs in leaves for z in zs]
-    polished = iter(_newton_polish(
-        eval_w, [z for *_, z in flat], [1 if p else w for _, w, p, _ in flat],
-        [min(tol, _PENCIL_NOISE * b.diameter) if p else tol for b, _, p, _ in flat],
-        [lambda z, b=b: b.contains(z, pad=0.75 * b.diameter) for b, *_ in flat],
-        np.array([b.key for b, *_ in flat]), [_PENCIL_STEPS if p else 60 for *_, p, _ in flat]))
+    flat = [(b, z) for b, _, _, zs in leaves if b.diameter >= tol for z in zs]
+    polished = iter(_newton_polish(eval_w, [z for _, z in flat], [b for b, _ in flat], tol))
     out = []
     for b, w, edges, zs in leaves:
-        # only zeros inside: an iterate may slide to a zero of another box
-        got = [zw for zw in [next(polished) for _ in zs] if zw is not None and b.contains(zw[0])]
-        if w > 1 and b.diameter >= tol:  # the zero test, and the zeros apart
-            floor = min(float(e.ws.real.min()) for e in edges)
-            got = [(z, v) for k, (z, v) in enumerate(got)
-                   if v.real < floor and all(abs(z - y) > tol for y, _ in got[:k])]
-        out.append([(z, w if b.diameter < tol else 1) for z, _ in got] if len(got) == len(zs)
-                   else None if b.diameter >= tol else [(zs[0], w)])
+        if b.diameter < tol:
+            out.append([(zs[0], w)])
+            continue
+        floor = min(float(e.ws.real.min()) for e in edges)
+        got = [z for z, v in filter(None, [next(polished) for _ in zs])
+               if b.contains(z) and v.real < floor]
+        apart = all(abs(z - y) > tol for k, z in enumerate(got) for y in got[:k])
+        out.append([(z, 1) for z in got] if len(got) == w and apart else None)
     return out
 
 
 def _seeds(box: ContourBox, w: int, edges, tol: float) -> list:
-    """The secant seeds of a box of winding w > 0, or none where it splits:
-    for winding 1 or a diameter below ``tol``, the first moment over its
-    edges; for winding 2 .. ``_LEAF_ZEROS``, c + h eig(H1, H0) of the Hankel
-    pencil of the power sums s_0 .. s_(2w-1) in u = (z - c)/h (c the centre,
-    h half the diameter), unless a seed lies a quarter diameter outside the
-    box or the seeds give s_0 .. s_(w-1) back with a weight off 1 by more
-    than ``_PENCIL_WEIGHT`` (a multiple or spurious seed, or coarse sums).
+    """The secant seeds of a box of winding w > 0, or none where it splits,
+    from its edges' power sums s_p in u = (z - c)/h (c the centre, h half
+    the diameter): below ``tol``, the winding centroid c + h s_1/s_0; for w
+    up to ``_LEAF_ZEROS``, c + h eig(H1, H0) of the Hankel pencil of s_0 ..
+    s_(2w-1) (the centroid at w = 1), unless a seed lies a quarter diameter
+    outside the box or the seeds give s_0 .. s_(w-1) back with a weight off
+    1 by more than ``_PENCIL_WEIGHT`` (a multiple or spurious seed).
     """
-    if w == 1 or box.diameter < tol:
-        m1 = _power_sums(edges, 2)[1] / (2j * math.pi * w)
-        return [m1 if box.contains(m1, pad=0.25 * box.diameter) else box.center]
+    c, h = box.center, 0.5 * box.diameter
+    if box.diameter < tol:
+        s = _power_sums(edges, 2, c, h)
+        m1 = c + h * s[1] / s[0]
+        return [m1 if box.contains(m1, pad=0.25 * box.diameter) else c]
     if w > _LEAF_ZEROS:
         return []
-    s = _power_sums(edges, 2 * w, box.center, 0.5 * box.diameter)
+    s = _power_sums(edges, 2 * w, c, h)
     hankel = np.array([s[i:i + w] for i in range(w + 1)])
     try:
         u = np.linalg.eigvals(np.linalg.solve(hankel[:-1], hankel[1:]))
         weights = np.linalg.solve(np.vander(u, w, increasing=True).T, s[:w]) / (2j * math.pi)
     except np.linalg.LinAlgError:
         return []
-    seeds = (box.center + 0.5 * box.diameter * u).tolist()
+    seeds = (c + h * u).tolist()
     good = np.all(np.abs(weights - 1) <= _PENCIL_WEIGHT)
     return seeds if good and all(box.contains(z, pad=0.25 * box.diameter) for z in seeds) else []
 
 
 def _zeros_inside(found, box: ContourBox, winding: int):
     """The located zeros that lie inside the box, sorted by (real, imag);
-    their multiplicities must sum to the box's winding.  A cluster's
-    centroid, the one location not confined to its leaf, may lie just
-    outside the top box."""
+    their multiplicities must sum to the box's winding.  The centroid of a
+    leaf below the zero tolerance, the one location not confined to its
+    leaf, may lie just outside the top box."""
     zeros = sorted(((z, m) for z, m in found if box.contains(z)),
                    key=lambda p: (p[0].real, p[0].imag))
     count = sum(m for _, m in zeros)

@@ -345,6 +345,23 @@ def test_verify_rejects_non_numeric_only(capsys, argv):
     assert "argument --only:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+@pytest.mark.parametrize("argv", [["verify", "--only", "7"], ["family", "--r", "2"],
+                                  ["resonances", "--radius", "2", "--out", "{out}"]],
+                         ids=["verify", "family", "resonances"])
+def test_threads_below_one_is_a_usage_error_as_flag_or_config(tmp_path, capsys, argv, threads):
+    # rejected when parsing, before any criterion or solve runs
+    out = tmp_path / "set.json"
+    argv = [arg.format(out=out) for arg in argv]
+    assert exit_status(argv + ["--threads", threads]) == 2
+    assert "argument --threads: worker count must be an integer >= 1" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"threads = {threads}\n")
+    assert exit_status(["--config", str(cfg), *argv]) == 2
+    assert "argument --threads: worker count must be an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_readme_cli_block_parses():
     from resonance_atlas.cli import build_parser
     readme = (Path(__file__).parents[1] / "README.md").read_text()

@@ -275,19 +275,18 @@ def test_leaf_whose_secant_leaves_its_box_splits_while_its_batch_converges(monke
         batches.append(len(seeds))
         return polish(eval_w, seeds, *args)
 
-    power_sums = ct._power_sums
+    pencil = ct._seeds
     moved = []
 
-    def bad_seed(edges, count, *args):
-        s = power_sums(edges, count, *args)
-        m = s[1] / (2j * math.pi)
-        if not moved and abs(m - want[0]) < 0.05:
-            moved.append(m)
-            return [s[0], (0.02 + 0.45j) * 2j * math.pi]
-        return s
+    def bad_seed(box, w, edges, tol):
+        zs = pencil(box, w, edges, tol)
+        if not moved and zs and abs(zs[0] - want[0]) < 0.05:
+            moved.append(zs[0])
+            return [0.02 + 0.45j]
+        return zs
 
     monkeypatch.setattr(ct, "_newton_polish", spy_polish)
-    monkeypatch.setattr(ct, "_power_sums", bad_seed)
+    monkeypatch.setattr(ct, "_seeds", bad_seed)
     want = [0.45 + 0.45j, -0.05 + 0.45j, -0.5 - 0.5j, 0.5 - 0.5j]
     q = np.poly1d(np.poly(want))
     got = ct.locate_zeros(lambda z: q(z), ct.ContourBox(-1 - 1j, 1 + 1j), tol=1e-10)
@@ -357,16 +356,18 @@ def test_pencil_seeds_only_a_box_of_simple_zeros():
     assert seeds(lambda z: (z - want[0]) ** 2 * (z - want[2])) == []
 
 
-def test_leaf_whose_iterate_is_no_zero_splits(monkeypatch):
+@pytest.mark.parametrize("want", [[0.3 + 0.2j, -0.5 + 0.6j, -0.1 - 0.7j], [0.3 + 0.2j]],
+                         ids=["winding3", "winding1"])
+def test_leaf_whose_iterate_is_no_zero_splits(monkeypatch, want):
     # the secant may stop on a tiny step away from any zero: an iterate at
     # 0.9-0.9j, where |f| is above its minimum on the box's edges, fails
-    # the zero test, so the leaf of three zeros splits
+    # the zero test, so the leaf, of three zeros or of one, splits
     calls = _spy_quadrisect(monkeypatch)
     polish = ct._newton_polish
     moved = []
 
-    def stop_off_the_zeros(eval_w, seeds, mults, *args):
-        out = polish(eval_w, seeds, mults, *args)
+    def stop_off_the_zeros(eval_w, seeds, *args):
+        out = polish(eval_w, seeds, *args)
         if not moved:
             moved.append(seeds[0])
             z = 0.9 - 0.9j
@@ -374,12 +375,11 @@ def test_leaf_whose_iterate_is_no_zero_splits(monkeypatch):
         return out
 
     monkeypatch.setattr(ct, "_newton_polish", stop_off_the_zeros)
-    want = [0.3 + 0.2j, -0.5 + 0.6j, -0.1 - 0.7j]
-    got = ct.locate_zeros(lambda z: (z - want[0]) * (z - want[1]) * (z - want[2]),
+    got = ct.locate_zeros(lambda z: np.prod([z - w for w in want], axis=0),
                           ct.ContourBox(-1 - 1j, 1 + 1j), tol=1e-10)
     assert len(moved) == 1
     assert [c[:2] for c in calls[:1]] == [(-1 - 1j, 1 + 1j)]
-    assert [m for _, m in got] == [1, 1, 1]
+    assert [m for _, m in got] == [1] * len(want)
     for w in want:
         assert min(abs(z - w) for z, _ in got) < 1e-10
 

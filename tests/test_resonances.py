@@ -312,6 +312,27 @@ def test_channel_zeros_winds_its_frame_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_polish_rounds_end_within_the_step_limit(monkeypatch):
+    # at R = 60 the matcher's noise stops each secant above the tiny-step
+    # test, so every seed, also a winding-1 leaf's, must end at the step
+    # limit rather than hold its polish round open
+    calls = []
+    real = rs.channel_matcher_log
+
+    def counted(ell, pot, kind=1):
+        evaluate = real(ell, pot, kind)
+
+        def call(lam):
+            calls.append(lam.size)
+            return evaluate(lam)
+        return call
+
+    monkeypatch.setattr(rs, "channel_matcher_log", counted)
+    zeros, = rs._group_zeros([94], WELL, 60.0)
+    assert sum(m for _, m in zeros) == len(zeros) == 37
+    assert len(calls) <= 45
+
+
 def test_frame_rises_to_the_axis_past_a_resonance_near_its_top_edge():
     # the l = 2 pair near +-0.058 - 7.5e-7i is within the frame guard of both
     # the frame's top edge at -1e-6 and the line -5e-7: the grown frame must
