@@ -27,16 +27,6 @@ USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
 
 
-def _default_threads() -> int:
-    env = os.environ.get("RESONANCE_ATLAS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 _ANGLE_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
               ast.Mult: operator.mul, ast.Div: operator.truediv}
 
@@ -84,6 +74,13 @@ def _threads(text: str) -> int:
     if not (text.strip().isdecimal() and int(text) >= 1):
         raise argparse.ArgumentTypeError(f"worker count must be an integer >= 1, got {text!r}")
     return int(text)
+
+
+def _default_threads() -> int:
+    """The worker count RESONANCE_ATLAS_THREADS sets (``_threads``), or 1
+    while it is unset or empty."""
+    env = os.environ.get("RESONANCE_ATLAS_THREADS")
+    return _threads(env) if env else 1
 
 
 def _comma_separated(cast):
@@ -314,7 +311,11 @@ def _cmd_verify(args, parser) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except argparse.ArgumentTypeError as exc:  # from _default_threads
+        print(f"resonance-atlas: error: RESONANCE_ATLAS_THREADS: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     args = parser.parse_args(argv)
     if args.config:
         _set_config_defaults(parser, args)

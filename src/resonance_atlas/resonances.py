@@ -406,17 +406,23 @@ def _default_zero_tol(pot: RadialStepPotential, R: float) -> float:
     return 1e-9 * max(1.0, R * pot.a) / pot.a
 
 
+def _frame_step(pot: RadialStepPotential, R: float) -> float:
+    return min(1.0, R * pot.a / 16.0) / pot.a
+
+
 def _search_frame(pot: RadialStepPotential, R: float) -> ContourBox:
-    """The box every channel's zeros are sought in.
+    """The box a complex well's channel zeros are sought in.
 
     It covers the lower half disk |lambda| <= R from just below the real axis
     (Im lambda = -delta_axis), reaching at least one step
     min(1, R a / 16) / a beyond it, with width and height whole steps.  Its
     left edge carries an irrational-ratio offset so that it does not
-    coincide with a symmetry axis of the zero set.
+    coincide with a symmetry axis of the zero set.  That offset matters only
+    for complex wells: a real well winds the part of the frame right of the
+    imaginary axis and mirrors it (``_group_zeros``).
     """
     delta_axis = _delta_axis(pot)
-    step = min(1.0, R * pot.a / 16.0) / pot.a
+    step = _frame_step(pot, R)
     x0 = -(R + step) + _IRR / 2.0 * step
     nx = int(math.ceil(((R + step) - x0) / step))
     ny = int(math.ceil((R + step - delta_axis) / step))
@@ -428,22 +434,56 @@ def _frame_samples(pot: RadialStepPotential, R: float) -> int:
     # the near-free matcher turns about 2 a rad per unit of Re lambda along
     # the frame bottom; coarser sampling can wrap a step past the pi/2 test.
     # The frame's spacing, its perimeter over this count, is also the first
-    # spacing of every cross that the channel's quadtree samples.
+    # spacing of every cross that the channel's quadtree samples; a real
+    # well's half frame takes a count that keeps that spacing.
     return max(96, int(10 * R * pot.a))
+
+
+def _mirrored(zeros, tol: float) -> list:
+    """A real well's channel zeros from those located in its half frame:
+    each zero right of the axis by more than ``tol`` with its mirror
+    -conj(z) of the same multiplicity, and each within ``tol`` of the axis
+    on it (Re = 0.0 exactly).  A zero left of the axis by more than ``tol``
+    is the mirror of a located zero and is dropped.  Sorted by (real, imag).
+    """
+    out = []
+    for z, m in zeros:
+        if z.real > tol:
+            out += [(z, m), (complex(-z.real, z.imag), m)]
+        elif z.real >= -tol:
+            out.append((complex(0.0, z.imag), m))
+    return sorted(out, key=lambda p: (p[0].real, p[0].imag))
 
 
 def _group_zeros(ells, pot: RadialStepPotential, R: float):
     """Each channel's frame zeros (with multiplicity), for distinct channels
     ``ells``, from one keyed ``locate_zeros`` call: each channel's zeros must
-    add up to its frame's winding exactly, and an error names its channel."""
+    add up to its box's winding exactly, and an error names its channel.
+
+    A complex well's box is its search frame.  A real well's zero set is
+    symmetric under lambda -> -conj(lambda), so its box is the part of the
+    frame right of -eta, eta = (sqrt 2 - 1)/4 steps, which keeps the axis
+    zeros eta inside it and off its edges; its zeros are completed by the
+    mirror (``_mirrored``) to those of the frame closed under the mirror,
+    [-X, X] for the frame's right edge X.  Its sample count is scaled to
+    its perimeter and rounded up, so it is sampled at the frame's spacing.
+    """
     tol = _default_zero_tol(pot, R)
+    box, samples = _search_frame(pot, R), _frame_samples(pot, R)
+    real = pot.v0.imag == 0
+    if real:
+        half = ContourBox(complex(-_IRR / 4.0 * _frame_step(pot, R), box.lower_left.imag),
+                          box.upper_right)
+        samples = math.ceil(samples * (half.width + half.height) / (box.width + box.height))
+        box = half
     try:  # the frame guard is below delta_axis / 2 while R a < 125
-        return locate_zeros(
-            lambda lam, orders: channel_matcher_log(orders, pot)(lam), _search_frame(pot, R),
-            tol, log_form=True, samples=_frame_samples(pot, R), ceiling=0.0,
+        found = locate_zeros(
+            lambda lam, orders: channel_matcher_log(orders, pot)(lam), box,
+            tol, log_form=True, samples=samples, ceiling=0.0,
             guard_dist=max(0.4 * _delta_axis(pot), 4.0 * tol), keys=list(ells))
     except NumericalError as exc:
         raise NumericalError(f"channel {exc.key}: {exc}") from exc
+    return [_mirrored(zeros, tol) for zeros in found] if real else found
 
 
 def _cutoff_guess(pot: RadialStepPotential, R: float) -> int:
@@ -515,9 +555,13 @@ def find_resonances(pot: RadialStepPotential, R: float, *,
     Channels are solved in fixed groups, one work unit each for the
     ``threads`` worker processes (``_solve_channels``); the merged set, and
     the channel a NumericalError names, are identical for any thread count.
-    ``ell_max`` is the highest channel with a zero in its search frame.  A
-    located resonance whose residual |W_ell(lambda)| is not below the
-    recorded ``residual_tol`` raises NumericalError naming the channel.
+    ``ell_max`` is the highest channel with a zero in its search frame (for
+    a real well, the frame closed under lambda -> -conj(lambda)).  A real
+    well's zeros within ``zero_tol`` of the imaginary axis are reported with
+    Re lambda = 0 exactly, the others in mirror pairs (``_group_zeros``).  A
+    reported resonance, a mirrored one too, whose residual |W_ell(lambda)|
+    at its own lambda is not below the recorded ``residual_tol`` raises
+    NumericalError naming the channel.
     """
     results, cutoff = _solve_channels(pot, R, threads or 1)
     delta = _delta_axis(pot)

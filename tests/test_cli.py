@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -167,7 +168,19 @@ def test_env_threads_default(monkeypatch):
     monkeypatch.setenv("RESONANCE_ATLAS_THREADS", "7")
     assert cli._default_threads() == 7
     monkeypatch.setenv("RESONANCE_ATLAS_THREADS", "junk")
+    with pytest.raises(argparse.ArgumentTypeError, match="worker count must be an integer"):
+        cli._default_threads()
+    monkeypatch.setenv("RESONANCE_ATLAS_THREADS", "")
     assert cli._default_threads() == 1
+
+
+@pytest.mark.parametrize("value", ["junk", "0", "-3"])
+def test_bad_env_threads_is_a_usage_error_naming_the_variable(monkeypatch, capsys, value):
+    monkeypatch.setenv("RESONANCE_ATLAS_THREADS", value)
+    assert exit_status(["verify", "--only", "7"]) == 2
+    err = capsys.readouterr().err
+    assert ("RESONANCE_ATLAS_THREADS: worker count must be an integer >= 1, "
+            f"got {value!r}") in err
 
 
 def test_verify_subset(capsys):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from resonance_atlas import contour as ct
 from resonance_atlas import density
 from resonance_atlas import resonances as rs
 from resonance_atlas import special
+from resonance_atlas.counting import SectorQuery, count_sector
 from resonance_atlas.errors import BoundaryConflictError, NumericalError
 
 WELL = rs.RadialStepPotential(a=1.0, v0=-20.0)
@@ -267,7 +269,7 @@ def test_channel_zeros_rejects_surplus_inside_frame(monkeypatch):
         return real(found + [(found[0][0] + 1e-3, 1)], box, winding)
 
     monkeypatch.setattr(ct, "_zeros_inside", surplus)
-    with pytest.raises(NumericalError, match="^channel 0: located 5 zeros.*winding is 4"):
+    with pytest.raises(NumericalError, match="^channel 0: located 3 zeros.*winding is 2"):
         rs._group_zeros([0], WELL, 6.0)
 
 
@@ -280,7 +282,7 @@ def test_surplus_zero_names_its_channel_inside_a_group(monkeypatch):
         return real(found + [(found[0][0] + 1e-3, 1)] if found else found, box, winding)
 
     monkeypatch.setattr(ct, "_zeros_inside", surplus)
-    with pytest.raises(NumericalError, match="^channel 0: located 5 zeros.*winding is 4"):
+    with pytest.raises(NumericalError, match="^channel 0: located 3 zeros.*winding is 2"):
         rs._group_zeros([13, 0, 12], WELL, 6.0)
 
 
@@ -295,7 +297,7 @@ def test_failing_channel_named_does_not_depend_on_the_worker_count(monkeypatch):
 
     monkeypatch.setattr(ct, "_zeros_inside", surplus)
     for threads in (1, 2):
-        with pytest.raises(NumericalError, match="^channel 9: located 3 zeros"):
+        with pytest.raises(NumericalError, match="^channel 9: located 2 zeros"):
             rs.find_resonances(WELL, 6.0, threads=threads)
 
 
@@ -328,8 +330,11 @@ def test_polish_rounds_end_within_the_step_limit(monkeypatch):
         return call
 
     monkeypatch.setattr(rs, "channel_matcher_log", counted)
+    # 38 frame zeros: the frame closed under the mirror reaches 0.41 further
+    # left than the complex wells' frame, to the mirror of one more zero,
+    # outside the disk
     zeros, = rs._group_zeros([94], WELL, 60.0)
-    assert sum(m for _, m in zeros) == len(zeros) == 37
+    assert sum(m for _, m in zeros) == len(zeros) == 38
     assert len(calls) <= 45
 
 
@@ -690,8 +695,8 @@ def test_solve_winds_each_channel_frame_once(monkeypatch):
 def test_solve_batches_the_matcher_calls_of_its_quadtrees(monkeypatch):
     # the quadtrees of a group of channels evaluate the crosses of a level,
     # a refinement round or a secant step over all their leaves in one call:
-    # the R = 8 solve, two groups, makes 60 calls (218 one channel at a time)
-    # for the 5,673 points of the box-by-box descent
+    # the R = 8 solve, two groups, makes 52 calls (200 one channel at a time)
+    # for the 3,575 points of the box-by-box descent
     sizes = []
     real = rs.channel_matcher_log
 
@@ -702,7 +707,7 @@ def test_solve_batches_the_matcher_calls_of_its_quadtrees(monkeypatch):
     monkeypatch.setattr(rs, "channel_matcher_log", counted)
     assert len(rs.find_resonances(WELL, 8.0).resonances) == 56
     assert len(sizes) <= 70
-    assert sum(sizes) == 5673
+    assert sum(sizes) == 3575
 
 
 @pytest.mark.parametrize("ell, v0", [(24, -22.8 + 2.6j), (19, -18.4 + 0.6j)])
@@ -761,3 +766,49 @@ def test_conjugate_well_mirrors_the_resonances(a, re, im):
             mirror = -r.lam.conjugate()
             assert min((abs(mirror - s.lam) for s in theirs.resonances
                         if s.ell == r.ell), default=math.inf) < 1e-8, (r.ell, r.lam)
+
+
+@pytest.mark.parametrize("R", [6.0, 8.0])
+def test_real_well_matches_the_full_frame_of_a_nearby_complex_well(R):
+    # the real well solves half its frame and mirrors it; v0 = -20 + 1e-13i
+    # takes the complex wells' full frame, so it checks the mirror from
+    # outside: the same channels, and every zero paired within zero_tol
+    real = rs.find_resonances(WELL, R)
+    near = rs.find_resonances(rs.RadialStepPotential(1.0, complex(-20.0, 1e-13)), R)
+    assert real.ell_max == near.ell_max
+    assert Counter(r.ell for r in real.resonances) == Counter(r.ell for r in near.resonances)
+    tol = real.tolerances["zero_tol"]
+    unpaired = list(near.resonances)
+    for r in real.resonances:
+        i = min(range(len(unpaired)),
+                key=lambda k: (unpaired[k].ell != r.ell, abs(unpaired[k].lam - r.lam)))
+        partner = unpaired.pop(i)
+        assert partner.ell == r.ell and abs(partner.lam - r.lam) <= tol, (r.ell, r.lam)
+
+
+@pytest.fixture(scope="module")
+def reference_sets():
+    return {R: rs.find_resonances(WELL, R) for R in (25.0, 30.0, 40.0)}
+
+
+def test_mirror_sectors_of_a_real_well_count_alike(reference_sets):
+    rset = reference_sets[40.0]
+    for r in (25.0, 40.0):
+        left = count_sector(rset, SectorQuery(r, 1.25 * math.pi, 1.5 * math.pi))
+        right = count_sector(rset, SectorQuery(r, 1.5 * math.pi, 1.75 * math.pi))
+        assert left == right > 0, r
+
+
+def test_axis_sector_count_does_not_depend_on_the_search_radius(reference_sets):
+    # the closed sector (pi, 1.5 pi) takes every axis zero once, whichever
+    # set it is read from
+    counts = {R: count_sector(rset, SectorQuery(25.0, math.pi, 1.5 * math.pi))
+              for R, rset in reference_sets.items()}
+    assert len(set(counts.values())) == 1, counts
+
+
+def test_axis_zeros_of_a_real_well_lie_on_the_axis(reference_sets):
+    for R, rset in reference_sets.items():
+        tol = rset.tolerances["zero_tol"]
+        axis = [r.lam for r in rset.resonances if abs(r.lam.real) <= tol]
+        assert axis and all(lam.real == 0.0 for lam in axis), R
