@@ -6,16 +6,16 @@ jumps by more than pi/2 between adjacent samples, which makes missing a full
 turn impossible for analytic integrands: sneaking past a zero would force a
 near-pi step on the neighbouring intervals first.  A minimum-modulus guard
 turns "zero on the contour" into a typed error; the locator then moves it.
-A box boundary is four such sampled edges, so the zero-finding quadtree
-samples only the cross through each split point: the children inherit the
-halves of their parent's edges.
+A box boundary is one closed sample loop, so the zero-finding quadtree
+samples only the cross through each split point: a child's loop is its part
+of its parent's loop, closed by two arms of the cross.
 
 The quadtree descends level by level, since its boxes are independent
 (Delves & Lyness, Math. Comp. 21, 1967): one call samples the arms of every
 cross of a level into one sample array, and each refinement round is one
 set of array operations on it and one call for the midpoints of all its
 rejected intervals.  A leaf holds up to three simple zeros, seeded by the
-Hankel pencil of its edges' power sums (Kravanja & Van Barel, LNM 1727,
+Hankel pencil of its loop's power sums (Kravanja & Van Barel, LNM 1727,
 2000).  The leaves are polished together once the descent has no box left
 to split, by one secant iteration with one call per step over the seeds
 still active; a leaf whose iterates fail splits and descends again.  Keyed,
@@ -146,38 +146,15 @@ def _wrap_phase(d: np.ndarray) -> np.ndarray:
 
 
 def _steps(ws: np.ndarray) -> np.ndarray:
-    """Log increments between adjacent samples, with wrapped phase steps."""
-    return np.diff(ws.real) + 1j * _wrap_phase(np.diff(ws.imag))
-
-
-@dataclass(frozen=True)
-class _Edge:
-    """Refined samples (zs, ws) of log f along the segment zs[0] -> zs[-1]."""
-
-    zs: np.ndarray
-    ws: np.ndarray
-
-    def increment(self) -> complex:
-        """log f(end) - log f(start), continued along the samples."""
-        return complex(np.sum(_steps(self.ws)))
-
-    def reversed(self) -> "_Edge":
-        return _Edge(self.zs[::-1], self.ws[::-1])
-
-    def cut(self, z: complex, w: complex) -> tuple["_Edge", "_Edge"]:
-        """The parts of the edge before and after its point z, which share
-        the sample w = log f(z) there; every other sample is kept."""
-        d = (self.zs[-1] - self.zs[0]).conjugate()
-        pos = ((self.zs - self.zs[0]) * d).real
-        i = int(np.searchsorted(pos, ((z - self.zs[0]) * d).real))
-        return (_Edge(np.append(self.zs[:i], z), np.append(self.ws[:i], w)),
-                _Edge(np.insert(self.zs[i:], 0, z), np.insert(self.ws[i:], 0, w)))
+    """Log increments around the closed sampled loop ws, wrapped in phase."""
+    d = np.diff(ws, append=ws[:1])
+    return d.real + 1j * _wrap_phase(d.imag)
 
 
 def _sampled_edges(eval_w, items, spacing, keys=0) -> list:
     """Per item (segments, guard, what), one box boundary or the four arms
-    of one cross: its _Edges in segment order, or the first
-    BoundaryConflictError among its segments, named by its ``what``.
+    of one cross: the samples (zs, ws) of log f along each of its segments,
+    or the first BoundaryConflictError among them, named by its ``what``.
 
     ``spacing`` and ``keys`` are one per item or one for all; an item is
     evaluated under its key.  Each segment (z0, z1) is first sampled at most
@@ -221,7 +198,8 @@ def _sampled_edges(eval_w, items, spacing, keys=0) -> list:
         inner = live[at] & (at == seg[1:])
         with np.errstate(invalid="ignore"):
             dphi = _wrap_phase(np.diff(ws.imag))
-            steep = inner & (np.abs(np.diff(ws.real) + 1j * dphi) > 1.5)
+            dw = np.abs(np.diff(ws.real) + 1j * dphi)
+            steep = inner & (dw > 1.5)
             bad = (np.abs(dphi) > math.pi / 2.0) | steep
         bad[1:] |= steep[:-1]
         bad[:-1] |= steep[1:]
@@ -245,7 +223,6 @@ def _sampled_edges(eval_w, items, spacing, keys=0) -> list:
                           ((t, mids), (zs, mz), (ws, eval_w(mz, key[at[k]])), (seg, at[k]))]
     guard = np.array([g for _, g, _ in items], dtype=float)[owner]
     with np.errstate(divide="ignore", invalid="ignore"):
-        dw = np.abs(_steps(ws))
         ratio = np.where((seg[:-1] == seg[1:]) & (dw > 1e-9),
                          np.abs(np.diff(zs)) / dw, np.inf)
     starts = np.flatnonzero(np.diff(seg, prepend=-1))
@@ -253,14 +230,14 @@ def _sampled_edges(eval_w, items, spacing, keys=0) -> list:
         errors.setdefault(i, BoundaryConflictError(
             f"{items[owner[i]][2]}: a zero lies within {guard[i]:.3g} of the "
             "contour; perturb the box and retry"))
-    edges = [errors.get(i) or _Edge(z, w) for i, (z, w) in
-             enumerate(zip(np.split(zs, starts[1:]), np.split(ws, starts[1:])))]
+    sampled = [errors.get(i) or pair for i, pair in
+               enumerate(zip(np.split(zs, starts[1:]), np.split(ws, starts[1:])))]
     return [next((e for e in part if isinstance(e, BoundaryConflictError)), part)
-            for part in (edges[b - n:b] for n, b in zip(sizes, np.cumsum(sizes)))]
+            for part in (sampled[b - n:b] for n, b in zip(sizes, np.cumsum(sizes)))]
 
 
 def _boundary(box: ContourBox) -> list:
-    """The box's bottom, right, top and left edges, counterclockwise."""
+    """The box's bottom, right, top and left sides, counterclockwise."""
     cs = box.corners()
     return list(zip(cs, cs[1:] + cs[:1]))
 
@@ -269,24 +246,23 @@ def _spacing(box: ContourBox, samples: int) -> float:
     return 2.0 * (box.width + box.height) / samples
 
 
-def _winding(edges) -> int:
-    """Winding number of the closed loop the edges make in turn.
-
-    The wrapped phase steps of a closed sampled loop telescope, so their sum
-    is 2 pi times an integer up to rounding.
-    """
-    return round(sum(e.increment() for e in edges).imag / _TWO_PI)
+def _loop(sides) -> tuple:
+    """The closed loop (zs, ws) of a box's sampled sides, counterclockwise
+    from its lower left corner, each shared corner kept once."""
+    return tuple(np.concatenate([side[i][:-1] for side in sides]) for i in (0, 1))
 
 
-def _power_sums(edges, count: int, c: complex, h: float) -> list:
+def _winding(loop) -> int:
+    """Winding number of the closed sampled loop (zs, ws): its wrapped phase
+    steps telescope, so their sum is 2 pi times an integer up to rounding."""
+    return round(float(np.sum(_steps(loop[1]).imag)) / _TWO_PI)
+
+
+def _power_sums(loop, count: int, c: complex, h: float) -> list:
     """Midpoint rule for the loop integrals of u^p dlog f, u = (z - c)/h, p < count."""
-    sums = [0j] * count
-    for e in edges:
-        u, term = (0.5 * (e.zs[:-1] + e.zs[1:]) - c) / h, _steps(e.ws)
-        for p in range(count):
-            sums[p] += complex(np.sum(term))
-            term = u * term
-    return sums
+    zs, ws = loop
+    u, term = (0.5 * (zs + np.roll(zs, -1)) - c) / h, _steps(ws)
+    return [complex(np.sum(term * u ** p)) for p in range(count)]
 
 
 def winding_count(f, box: ContourBox, *, log_form: bool = False) -> int:
@@ -297,12 +273,12 @@ def winding_count(f, box: ContourBox, *, log_form: bool = False) -> int:
     times the diameter of the boundary; a suspected boundary zero raises
     BoundaryConflictError.  The loop is first sampled at 32 points.
     """
-    edges = _sampled_edges(_make_log_evaluator(f, log_form), [(
+    sides = _sampled_edges(_make_log_evaluator(f, log_form), [(
         _boundary(box), 1e-3 * box.diameter,
         f"winding over {box.lower_left}..{box.upper_right}")], _spacing(box, 32))[0]
-    if isinstance(edges, BoundaryConflictError):
-        raise edges
-    return _winding(edges)
+    if isinstance(sides, BoundaryConflictError):
+        raise sides
+    return _winding(_loop(sides))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +376,7 @@ def _winding_with_perturbation(eval_w, boxes, samples: int, what: str,
                                guard_dist: float | None = None):
     """Windings of boxes, each grown on its own boundary conflicts.
 
-    Returns one (winding, effective_box, edges) per box; the boxes are
+    Returns one (winding, effective_box, loop) per box; the boxes are
     sampled together, each under its key.  Move k (``_moved``) grows a box
     on every side by k (sqrt 2 - 1) times 2e-3 of its diameter, with its
     top edge clamped at ``ceiling``, a line the caller must not cross.
@@ -419,10 +395,11 @@ def _winding_with_perturbation(eval_w, boxes, samples: int, what: str,
             effs.append(replace(b, lower_left=b.lower_left - m,
                                 upper_right=complex(ur.real, min(ur.imag, ceiling))))
         guards = [1e-3 * e.diameter if guard_dist is None else guard_dist for e in effs]
-        edges = _sampled_edges(eval_w, [(_boundary(e), g, what) for e, g in zip(effs, guards)],
+        sides = _sampled_edges(eval_w, [(_boundary(e), g, what) for e, g in zip(effs, guards)],
                                [_spacing(e, samples) for e in effs], [e.key for e in effs])
-        return [e if isinstance(e, BoundaryConflictError) else (_winding(e), eff, e)
-                for e, eff in zip(edges, effs)]
+        loops = [s if isinstance(s, BoundaryConflictError) else _loop(s) for s in sides]
+        return [lp if isinstance(lp, BoundaryConflictError) else (_winding(lp), eff, lp)
+                for lp, eff in zip(loops, effs)]
 
     return _moved([what] * len(boxes), [b.key for b in boxes], attempt)
 
@@ -436,26 +413,27 @@ def locate_zeros(f, box: ContourBox, tol: float, *,
     f maps an array of points to an array of the same shape (of log f with
     ``log_form``).  Quadrisects level by level down to leaf boxes: boxes of
     diameter below ``tol``, or of winding at most ``_LEAF_ZEROS`` (three)
-    that ``_seeds`` seeds from the Hankel pencil of their edges' power sums.
+    that ``_seeds`` seeds from the Hankel pencil of their loops' power sums.
     A leaf below ``tol`` reports its winding centroid as one zero of
     multiplicity w; any other holds w simple zeros (``_leaf_zeros``) or
     splits again.
 
     No two leaves report the same zero: leaves do not overlap, an accepted
     location lies inside its own leaf, the zeros of one leaf lie apart, and
-    the guard checks keep every zero off the edges the leaves share.  The
+    the guard checks keep every zero off the sides the leaves share.  The
     result is exact: it holds the zeros that lie inside the top box actually
     wound (the box after any perturbation by ``_winding_with_perturbation``,
     which may have grown it slightly), sorted by (real, imag), and their
     multiplicities sum to that box's winding; otherwise NumericalError names
     both numbers and the box.
 
-    ``samples`` sets the initial sampling of the top box's boundary and,
-    through its spacing (perimeter over ``samples``), that of the cross
-    through every split point; child boxes inherit the halves of their
-    parent's edges.  ``guard_dist`` is the minimum zero-to-contour distance
-    of the top box and of every cross (default 1e-3 times the top box's
-    diameter, and 1e-3 times a child's diameter for a cross).
+    ``samples`` (at least 1; ``tol`` is finite and >= 0) sets the initial
+    sampling of the top box's boundary and, through its spacing (perimeter
+    over ``samples``), that of the cross through every split point; a child
+    box's loop takes over its part of its parent's loop (``_children``).
+    ``guard_dist`` is the minimum zero-to-contour distance of the top box
+    and of every cross (default 1e-3 times the top box's diameter, and 1e-3
+    times a child's diameter for a cross).
 
     The descent makes one call of f per level, refinement round and secant
     step (``_split_boxes``, ``_leaf_zeros``; module docstring), and every
@@ -472,13 +450,17 @@ def locate_zeros(f, box: ContourBox, tol: float, *,
     Returns each key's zeros, in key order, as a call for that key alone
     would; a NumericalError raised for one key carries it as its ``key``.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0; got {tol}")
+    if not samples >= 1:
+        raise ValueError(f"samples must be >= 1; got {samples}")
     eval_w = _make_log_evaluator(f, log_form, keys is not None)
     tops = _winding_with_perturbation(
         eval_w, [replace(box, key=k) for k in ([0] if keys is None else keys)],
         samples, "locate_zeros top box", ceiling, guard_dist)
     spacing = {b.key: _spacing(b, samples) for _, b, _ in tops}
     found = []  # (zero, multiplicity, key)
-    level, leaves = [(b, w, edges) for w, b, edges in tops], []
+    level, leaves = [(b, w, loop) for w, b, loop in tops], []
     while level or leaves:
         if level:
             for b, w, _ in level:
@@ -502,22 +484,22 @@ def locate_zeros(f, box: ContourBox, tol: float, *,
 
 
 def _leaf_zeros(eval_w, leaves, tol: float):
-    """The (zero, multiplicity) pairs in each leaf (box, w, edges, seeds),
+    """The (zero, multiplicity) pairs in each leaf (box, w, loop, seeds),
     or None where the box must split.  Below ``tol`` its seed, the winding
     centroid, has multiplicity w.  Otherwise it holds w simple zeros, its
     seeds' secant iterates, each inside the closed box (an iterate may
     slide to a zero of another box), more than ``tol`` from the others, and
-    below the smallest log |f| on the box's edges (the zero test: from a
+    below the smallest log |f| on the box's loop (the zero test: from a
     coarse seed the secant can stop on a tiny step off any zero).
     """
     flat = [(b, z) for b, _, _, zs in leaves if b.diameter >= tol for z in zs]
     polished = iter(_newton_polish(eval_w, [z for _, z in flat], [b for b, _ in flat], tol))
     out = []
-    for b, w, edges, zs in leaves:
+    for b, w, (_, ws), zs in leaves:
         if b.diameter < tol:
             out.append([(zs[0], w)])
             continue
-        floor = min(float(e.ws.real.min()) for e in edges)
+        floor = float(ws.real.min())
         got = [z for z, v in filter(None, [next(polished) for _ in zs])
                if b.contains(z) and v.real < floor]
         apart = all(abs(z - y) > tol for k, z in enumerate(got) for y in got[:k])
@@ -525,9 +507,9 @@ def _leaf_zeros(eval_w, leaves, tol: float):
     return out
 
 
-def _seeds(box: ContourBox, w: int, edges, tol: float) -> list:
+def _seeds(box: ContourBox, w: int, loop, tol: float) -> list:
     """The secant seeds of a box of winding w > 0, or none where it splits,
-    from its edges' power sums s_p in u = (z - c)/h (c the centre, h half
+    from its loop's power sums s_p in u = (z - c)/h (c the centre, h half
     the diameter): below ``tol``, the winding centroid c + h s_1/s_0; for w
     up to ``_LEAF_ZEROS``, c + h eig(H1, H0) of the Hankel pencil of s_0 ..
     s_(2w-1) (the centroid at w = 1), unless a seed lies a quarter diameter
@@ -536,12 +518,12 @@ def _seeds(box: ContourBox, w: int, edges, tol: float) -> list:
     """
     c, h = box.center, 0.5 * box.diameter
     if box.diameter < tol:
-        s = _power_sums(edges, 2, c, h)
+        s = _power_sums(loop, 2, c, h)
         m1 = c + h * s[1] / s[0]
         return [m1 if box.contains(m1, pad=0.25 * box.diameter) else c]
     if w > _LEAF_ZEROS:
         return []
-    s = _power_sums(edges, 2 * w, c, h)
+    s = _power_sums(loop, 2 * w, c, h)
     hankel = np.array([s[i:i + w] for i in range(w + 1)])
     try:
         u = np.linalg.eigvals(np.linalg.solve(hankel[:-1], hankel[1:]))
@@ -569,20 +551,19 @@ def _zeros_inside(found, box: ContourBox, winding: int):
 
 
 def _split_boxes(eval_w, boxes, spacing, guard_dist: float | None = None):
-    """Quadrisect each (box, winding, edges) of ``boxes`` into its
-    (child, winding, edges) triples.
+    """Quadrisect each (box, winding, loop) of ``boxes`` into its
+    (child, winding, loop) triples.
 
     Only the cross through a box's split point is sampled, under the box's
-    key and at ``spacing`` (one per box, or one for all);
-    the children inherit the halves of the box's edges, which have passed
+    key and at ``spacing`` (one per box, or one for all); the children take
+    over the samples of the box's loop (``_children``), which have passed
     their refinement and guard checks already, so only the cross can run
-    into a zero.  Cutting an outer edge inserts one sample, whose two phase
-    steps replace one trusted step; a wrong wrap there is the only way the
-    children's windings can fail to sum to w, so that sum is checked too.
-    Either conflict moves that box's split point (``_moved``) by
-    k (sqrt 2 - 1) sixteenths of its width along the diagonal.  The arms of
-    all the crosses of one move are sampled and refined together, one item
-    per cross (``_sampled_edges``).
+    into a zero.  An arm's end cuts one step of the loop into two; a wrong
+    wrap of either is the only way the children's windings can fail to sum
+    to w, so that sum is checked too.  Either conflict moves that box's split
+    point (``_moved``) by k (sqrt 2 - 1) sixteenths of its width along the
+    diagonal.  The arms of all the crosses of one move are sampled and
+    refined together, one item per cross (``_sampled_edges``).
     """
     if not boxes:
         return []
@@ -612,17 +593,30 @@ def _split_boxes(eval_w, boxes, spacing, guard_dist: float | None = None):
 
 
 def _children(box, children, arms):
-    """The (child, winding, edges) triples of box = (b, w, edges) split by
+    """The (child, winding, loop) triples of box = (b, w, loop) split by
     the cross of the four sampled ``arms``, or the BoundaryConflictError
-    that rejects the cross (which ``arms`` may already be)."""
-    _, w, edges = box
+    that rejects the cross (which ``arms`` may already be).
+
+    Arm k runs from the split point to side k (bottom, right, top, left)
+    and cuts the loop there.  The child at corner k is the loop's samples
+    strictly between cuts k - 1 and k (a sample an arm ends on is the
+    arm's), then arm k back to the split point and arm k - 1 out again.
+    """
     if isinstance(arms, BoundaryConflictError):
         return arms
-    ab, ar, at, al = arms
-    (b1, b2), (r1, r2), (t1, t2), (l1, l2) = [
-        edge.cut(arm.zs[-1], arm.ws[-1]) for edge, arm in zip(edges, arms)]
-    loops = [(b1, ab.reversed(), al, l2), (b2, r1, ar.reversed(), ab),
-             (al.reversed(), at, t2, l1), (ar, r2, t1, at.reversed())]
+    _, w, (zs, ws) = box
+    # an end's cut is i + t on the nearest segment i, from zs[i] by d[i]
+    d = np.roll(zs, -1) - zs
+    ends = np.array([z[-1] for z, _ in arms])[:, None]
+    t = np.clip(((ends - zs) * d.conj()).real / (d * d.conj()).real, 0.0, 1.0)
+    i = np.argmin(np.abs(zs + t * d - ends), axis=1)
+    cuts = (i + t[np.arange(4), i]).tolist()
+    loops = []
+    for k in (0, 1, 3, 2):  # the corners of ``children``, in its order
+        lo, hi = cuts[k - 1], cuts[k]
+        inner = np.arange(math.floor(lo) + 1, math.ceil(hi + zs.size * (hi < lo))) % zs.size
+        loops.append(tuple(np.concatenate((x[inner], arms[k][j][::-1], arms[k - 1][j][1:]))
+                           for j, x in enumerate((zs, ws))))
     windings = [_winding(loop) for loop in loops]
     if sum(windings) != w:
         return BoundaryConflictError(

@@ -81,7 +81,7 @@ _SERIES_MAX_TERMS = 200
 # every located resonance must satisfy |W_ell(lambda)| below this
 _RESIDUAL_TOL = 1e-6
 _MATCHER_PIECE = 8192  # points per matcher piece (``channel_matcher_log``)
-_GROUP_SAMPLES = 2048  # frame samples per group of channels (``_solve_channels``)
+_GROUP_SAMPLES = 2048  # box samples per group of channels (``_solve_channels``)
 
 
 @dataclass(frozen=True)
@@ -219,6 +219,8 @@ def channel_condition(ell: int, pot: RadialStepPotential, lam):
     scalar = np.shape(lam) == ()
     if np.any(arr == 0):
         raise ValueError("channel condition requires lambda != 0")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"channel condition requires a finite lambda; got {lam}")
     flat = arr.ravel()
     logw = (channel_matcher_log(ell, pot)(flat) - _log_double_factorial(2 * ell + 1)
             - (ell + 1) * np.log(flat * pot.a))
@@ -419,7 +421,7 @@ def _search_frame(pot: RadialStepPotential, R: float) -> ContourBox:
     left edge carries an irrational-ratio offset so that it does not
     coincide with a symmetry axis of the zero set.  That offset matters only
     for complex wells: a real well winds the part of the frame right of the
-    imaginary axis and mirrors it (``_group_zeros``).
+    imaginary axis and mirrors it (``_channel_box``).
     """
     delta_axis = _delta_axis(pot)
     step = _frame_step(pot, R)
@@ -430,13 +432,22 @@ def _search_frame(pot: RadialStepPotential, R: float) -> ContourBox:
                       complex(x0 + nx * step, -delta_axis))
 
 
-def _frame_samples(pot: RadialStepPotential, R: float) -> int:
+def _channel_box(pot: RadialStepPotential, R: float):
+    """The box a channel's zeros are located in, and its sample count: a
+    complex well's search frame, or a real well's frame right of -eta, eta =
+    (sqrt 2 - 1)/4 steps (its zero set is symmetric under lambda ->
+    -conj(lambda)), with the count scaled to its perimeter and rounded up,
+    so that both are sampled at the frame's spacing."""
+    box = _search_frame(pot, R)
     # the near-free matcher turns about 2 a rad per unit of Re lambda along
-    # the frame bottom; coarser sampling can wrap a step past the pi/2 test.
-    # The frame's spacing, its perimeter over this count, is also the first
-    # spacing of every cross that the channel's quadtree samples; a real
-    # well's half frame takes a count that keeps that spacing.
-    return max(96, int(10 * R * pot.a))
+    # the frame bottom; coarser sampling can wrap a step past the pi/2 test
+    samples = max(96, int(10 * R * pot.a))
+    if pot.v0.imag == 0:
+        half = ContourBox(complex(-_IRR / 4.0 * _frame_step(pot, R), box.lower_left.imag),
+                          box.upper_right)
+        samples = math.ceil(samples * (half.width + half.height) / (box.width + box.height))
+        box = half
+    return box, samples
 
 
 def _mirrored(zeros, tol: float) -> list:
@@ -460,22 +471,13 @@ def _group_zeros(ells, pot: RadialStepPotential, R: float):
     ``ells``, from one keyed ``locate_zeros`` call: each channel's zeros must
     add up to its box's winding exactly, and an error names its channel.
 
-    A complex well's box is its search frame.  A real well's zero set is
-    symmetric under lambda -> -conj(lambda), so its box is the part of the
-    frame right of -eta, eta = (sqrt 2 - 1)/4 steps, which keeps the axis
-    zeros eta inside it and off its edges; its zeros are completed by the
-    mirror (``_mirrored``) to those of the frame closed under the mirror,
-    [-X, X] for the frame's right edge X.  Its sample count is scaled to
-    its perimeter and rounded up, so it is sampled at the frame's spacing.
+    The box is ``_channel_box``'s; a real well's zeros in it are completed
+    by the mirror (``_mirrored``) to those of the frame closed under
+    lambda -> -conj(lambda), [-X, X] for the frame's right edge X.
     """
     tol = _default_zero_tol(pot, R)
-    box, samples = _search_frame(pot, R), _frame_samples(pot, R)
+    box, samples = _channel_box(pot, R)
     real = pot.v0.imag == 0
-    if real:
-        half = ContourBox(complex(-_IRR / 4.0 * _frame_step(pot, R), box.lower_left.imag),
-                          box.upper_right)
-        samples = math.ceil(samples * (half.width + half.height) / (box.width + box.height))
-        box = half
     try:  # the frame guard is below delta_axis / 2 while R a < 125
         found = locate_zeros(
             lambda lam, orders: channel_matcher_log(orders, pot)(lam), box,
@@ -507,17 +509,18 @@ def _solve_channels(pot: RadialStepPotential, R: float, workers: int):
     and the cutoff: the highest channel with a frame zero (0 if none has one).
 
     Channels guess + 3 down to 0 are dealt in turn, highest first, to groups
-    of at most ``_GROUP_SAMPLES`` frame samples, so deep low channels and
-    cheap high ones share each group.  ``map_ordered`` hands the groups
-    (``_group_zeros``) to the workers; the grouping, the sets and the error
-    raised (the first failing group's) do not depend on the worker count.
+    of at most ``_GROUP_SAMPLES`` box samples (``_channel_box``), so deep
+    low channels and cheap high ones share each group.  ``map_ordered``
+    hands the groups (``_group_zeros``) to the workers; the grouping, the
+    sets and the error raised (the first failing group's) do not depend on
+    the worker count.
     While any of the top three channels is nonempty, one more channel is
     solved alone above them, up to 50 channels past the guess.
     """
     if not (math.isfinite(R) and R > 0):
         raise ValueError(f"search radius R must be positive and finite; got {R}")
     guess = _cutoff_guess(pot, R)
-    per_group = max(1, _GROUP_SAMPLES // _frame_samples(pot, R))
+    per_group = max(1, _GROUP_SAMPLES // _channel_box(pot, R)[1])
     n_groups = -(-(guess + 4) // per_group)
     groups = [list(range(guess + 3 - i, -1, -n_groups)) for i in range(n_groups)]
     solved = map_ordered(_group_zeros, [(g, pot, R) for g in groups], workers)
@@ -619,6 +622,8 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
     r^-3 ln|det S| = 0.46350 on both pi/8 and 7 pi/8.
     """
     lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise ValueError(f"lambda must be finite; got {lam}")
     if lam == 0:
         raise ValueError("lambda must be nonzero")
     if lam.imag < 0:

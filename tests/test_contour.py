@@ -77,6 +77,15 @@ def test_locate_constructed_roots():
         assert min(abs(z - w) for w in want) < 1e-10
 
 
+@pytest.mark.parametrize("tol, samples, name", [
+    (math.nan, 32, "tol"), (math.inf, 32, "tol"), (-1e-10, 32, "tol"),
+    (1e-10, 0, "samples"), (1e-10, -4, "samples")])
+def test_locate_rejects_a_bad_tol_or_sample_count(tol, samples, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        ct.locate_zeros(lambda z: z - 0.1j, ct.ContourBox(-1 - 1j, 1 + 1j), tol,
+                        samples=samples)
+
+
 def test_locate_multiplicity_consistent_with_winding():
     f = lambda z: (z + 0.3 - 0.4j) ** 3 * (z - 0.5)
     box = ct.ContourBox(-1 - 1j, 1 + 1j)
@@ -156,16 +165,40 @@ def test_locate_gives_up_after_the_last_move_of_the_top_box():
                         ct.ContourBox(-1 - 1j, 1 + 1j), tol=1e-10)
 
 
+def _cross(box, jitter):
+    """The children of box split at its centre shifted by jitter, and the
+    four arms from the split point to the bottom, right, top and left sides."""
+    children = box.quadrisect(jitter)
+    ends = [children[1].lower_left, children[1].upper_right,
+            children[2].upper_right, children[2].lower_left]
+    return children, [(children[0].upper_right, e) for e in ends]
+
+
 def test_cut_edge_keeps_its_log_increment():
+    # the arms' ends cut the box's loop: the children keep each of its
+    # samples in loop order, each end lies in the two children that meet
+    # there, and their log increments add up to the loop's, since every arm
+    # is run once each way
     f = ct._make_log_evaluator(lambda z: (z - 0.3 - 0.2j) * (z + 0.7 + 0.1j), False)
-    (edge,), = ct._sampled_edges(f, [([(-1 - 0.5j, 1 - 0.5j)], 0.0, "edge")], 0.1)
-    assert isinstance(edge, ct._Edge)
-    z = 0.123 - 0.5j
-    first, second = edge.cut(z, f(np.array([z]))[0])
-    assert first.zs[0] == edge.zs[0] and second.zs[-1] == edge.zs[-1]
-    assert first.zs[-1] == second.zs[0] == z
-    assert first.zs.size + second.zs.size == edge.zs.size + 2
-    assert abs(first.increment() + second.increment() - edge.increment()) < 1e-12
+    box = ct.ContourBox(-1 - 1j, 1 + 1j)
+    sides, = ct._sampled_edges(f, [(ct._boundary(box), 0.0, "box")], 0.1)
+    zs, ws = ct._loop(sides)
+    assert zs.size == sum(z.size for z, _ in sides) - 4 and zs[0] == box.lower_left
+    children, segments = _cross(box, 0.123)
+    arms, = ct._sampled_edges(f, [(segments, 0.0, "cross")], 0.1)
+    split = ct._children((box, 2, (zs, ws)), children, arms)
+    assert [b for b, _, _ in split] == children
+    assert [w for _, w, _ in split] == [1, 0, 0, 1]
+    loops = [split[k][2] for k in (0, 1, 3, 2)]  # by corner, counterclockwise
+    kept = []
+    for k, (z, _) in enumerate(loops):
+        n = z.size - arms[k][0].size - arms[k - 1][0].size + 1
+        assert z[n] == arms[k][0][-1] and z[-1] == arms[k - 1][0][-1]
+        kept.append(z[:n])
+    kept = np.concatenate(kept)
+    assert kept.tobytes() == np.roll(zs, -int(np.flatnonzero(zs == kept[0])[0])).tobytes()
+    increment = sum(complex(np.sum(ct._steps(w))) for _, w in loops)
+    assert abs(increment - complex(np.sum(ct._steps(ws)))) < 1e-12
 
 
 def test_an_item_samples_the_same_edges_alone_as_in_a_batch():
@@ -195,9 +228,9 @@ def test_an_item_samples_the_same_edges_alone_as_in_a_batch():
             assert str(got) == str(alone) and str(got).startswith(item[2] + ": ")
         else:
             assert len(got) == len(alone) == len(item[0])
-            for g, a in zip(got, alone):
-                assert g.zs.tobytes() == a.zs.tobytes()
-                assert g.ws.tobytes() == a.ws.tobytes()
+            for (gz, gw), (az, aw) in zip(got, alone):
+                assert gz.tobytes() == az.tobytes()
+                assert gw.tobytes() == aw.tobytes()
 
 
 def test_refinement_budget_names_the_first_item_over_it(monkeypatch):
@@ -346,8 +379,9 @@ def test_pencil_seeds_only_a_box_of_simple_zeros():
 
     def seeds(g):
         f = ct._make_log_evaluator(g, False)
-        edges, = ct._sampled_edges(f, [(ct._boundary(box), 1e-3, "box")], ct._spacing(box, 32))
-        return ct._seeds(box, ct._winding(edges), edges, 1e-10)
+        sides, = ct._sampled_edges(f, [(ct._boundary(box), 1e-3, "box")], ct._spacing(box, 32))
+        loop = ct._loop(sides)
+        return ct._seeds(box, ct._winding(loop), loop, 1e-10)
 
     got = seeds(lambda z: (z - want[0]) * (z - want[1]) * (z - want[2]))
     assert len(got) == 3
@@ -387,12 +421,41 @@ def test_leaf_whose_iterate_is_no_zero_splits(monkeypatch, want):
 def test_split_rejects_children_that_do_not_sum_to_the_parent():
     f = ct._make_log_evaluator(lambda z: (z - 0.3 - 0.2j) * (z + 0.4 - 0.3j), False)
     box = ct.ContourBox(-1 - 1j, 1 + 1j)
-    edges, = ct._sampled_edges(f, [(ct._boundary(box), 1e-3, "box")], ct._spacing(box, 32))
-    assert ct._winding(edges) == 2
-    children, = ct._split_boxes(f, [(box, 2, edges)], 0.25)
+    sides, = ct._sampled_edges(f, [(ct._boundary(box), 1e-3, "box")], ct._spacing(box, 32))
+    loop = ct._loop(sides)
+    assert ct._winding(loop) == 2
+    children, = ct._split_boxes(f, [(box, 2, loop)], 0.25)
     assert [w for _, w, _ in children] == [0, 0, 1, 1]
     with pytest.raises(NumericalError, match="do not sum to 3"):
-        ct._split_boxes(f, [(box, 2, edges), (box, 3, edges)], 0.25)
+        ct._split_boxes(f, [(box, 2, loop), (box, 3, loop)], 0.25)
+
+
+@pytest.mark.parametrize("move", [0, 1])
+@pytest.mark.parametrize("seed", range(4))
+def test_split_children_wind_as_their_boxes(seed, move):
+    # move 0 cuts each side, evenly sampled, at its centre: every arm ends
+    # on a sample of the loop; move 1 ends every arm between two samples
+    rng = np.random.default_rng(seed)
+    box = ct.ContourBox(-1 - 1j, 1 + 1j)
+    jitter = box.width * ct._IRR / 16.0 * move
+    roots = []
+    while len(roots) < 7:  # off the box's sides and its cross
+        z = complex(*rng.uniform(-1.3, 1.3, 2))
+        if min(abs(x - v) for x in (z.real, z.imag) for v in (-1.0, jitter, 1.0)) > 0.05:
+            roots.append(z)
+    q = np.poly1d(np.poly(roots))
+    f = ct._make_log_evaluator(lambda z: q(z), False)
+    spacing = ct._spacing(box, 32)
+    sides, = ct._sampled_edges(f, [(ct._boundary(box), 1e-3, "box")], spacing)
+    loop = ct._loop(sides)
+    children, segments = _cross(box, jitter)
+    assert [bool(np.any(loop[0] == e)) for _, e in segments] == [move == 0] * 4
+    arms, = ct._sampled_edges(f, [(segments, 1e-3, "cross")], spacing)
+    split = ct._children((box, ct._winding(loop), loop), children, arms)
+    assert [b for b, _, _ in split] == children
+    assert [w for _, w, _ in split] == [ct.winding_count(q, b) for b in children]
+    for _, _, (zs, ws) in split:  # no step of length 0
+        assert zs.shape == ws.shape and np.all(zs != np.roll(zs, -1))
 
 
 _BOX = ct.ContourBox(-1 - 1j, 1 + 1j)

@@ -92,6 +92,14 @@ def test_channel_condition_rejects_zero():
         rs.channel_condition(0, WELL, 0.0)
 
 
+@pytest.mark.parametrize("lam", [math.nan, complex(1.0, math.nan), math.inf, -math.inf * 1j])
+def test_channel_condition_rejects_non_finite_lambda(lam):
+    with pytest.raises(ValueError, match="finite lambda"):
+        rs.channel_condition(0, WELL, lam)
+    with pytest.raises(ValueError, match="finite lambda"):
+        rs.channel_condition(3, WELL, np.array([1.0 - 1.0j, lam]))
+
+
 def test_channel_condition_reports_overflow():
     from resonance_atlas.errors import EvaluationOverflowError
     with pytest.raises(EvaluationOverflowError):
@@ -434,6 +442,13 @@ def test_scattering_log_det_vanishes_on_the_real_axis(v0):
 def test_scattering_log_det_rejects_lower_half():
     with pytest.raises(ValueError):
         rs.scattering_log_det(WELL, 1.0 - 1.0j)
+
+
+@pytest.mark.parametrize("lam", [math.inf, math.nan, complex(1.0, math.inf),
+                                 complex(math.nan, 1.0)])
+def test_scattering_log_det_rejects_non_finite_lambda(lam):
+    with pytest.raises(ValueError, match="^lambda must be finite"):
+        rs.scattering_log_det(WELL, lam)
 
 
 def test_scattering_growth_bounded_by_density():
