@@ -82,6 +82,8 @@ _SERIES_MAX_TERMS = 200
 _RESIDUAL_TOL = 1e-6
 _MATCHER_PIECE = 8192  # points per matcher piece (``channel_matcher_log``)
 _GROUP_SAMPLES = 2048  # box samples per group of channels (``_solve_channels``)
+_SCAN_BLOCK = 8  # channels per later block of the cutoff scan (``_cutoff_guess``)
+_MAX_ORDER = 2000  # highest channel of a channel sum or the cutoff scan
 
 
 @dataclass(frozen=True)
@@ -488,9 +490,54 @@ def _group_zeros(ells, pot: RadialStepPotential, R: float):
     return [_mirrored(zeros, tol) for zeros in found] if real else found
 
 
+def _rouche_term(ell, pot: RadialStepPotential, log_g: np.ndarray) -> np.ndarray:
+    """|T_ell| from matcher values log g_ell (``ell`` as in
+    ``channel_matcher_log``), for g_ell = C_ell (-i + T_ell) and C_ell =
+    (2 ell + 1)!! a^(ell-1) (module docstring): |T_ell| < 1 on a contour
+    puts no zero of channel ell inside it (Rouché); T_ell = i at a zero."""
+    log_c = _per_order(lambda n: _log_double_factorial(2 * n + 1) + (n - 1) * math.log(pot.a), ell)
+    with np.errstate(over="ignore"):
+        return np.abs(np.exp(log_g - log_c) + 1j)
+
+
 def _cutoff_guess(pot: RadialStepPotential, R: float) -> int:
-    """A generous guess at the highest nonempty channel."""
-    return int(math.ceil(1.5 * R * pot.a + 2.0 * math.sqrt(abs(pot.v0)) * pot.a)) + 10
+    """The highest channel whose |T_ell| (``_rouche_term``) reaches 1 at a
+    corner of its box (``_channel_box``) or at the box bottom below the
+    origin, near which weak wells' zeros lie; -1 if none does.  A prediction,
+    not a bound: a zero close to the box edge can be missed.
+
+    The scan runs upward, one matcher call per block of channels: 0 ..
+    floor(r a) + ``_SCAN_BLOCK`` (r the largest |lambda| of the points), then
+    ``_SCAN_BLOCK`` at a time, until a block has no hit, or to a cap that it
+    returns: the former guess ceil(1.5 R a + 2 sqrt|v0| a) + 10, or
+    ceil(1.5 r a) + 10 if larger, since strong barriers keep |T_ell| >= 1 far
+    above their last nonempty channel.  A non-finite matcher value, or a hit
+    at channel ``_MAX_ORDER`` below the cap, raises NumericalError naming the
+    channel.
+    """
+    box = _channel_box(pot, R)[0]
+    points = np.array(box.corners() + [complex(0.0, box.lower_left.imag)])
+    r = np.abs(points).max()
+    cap = max(math.ceil(1.5 * R * pot.a + 2.0 * math.sqrt(abs(pot.v0)) * pot.a),
+              math.ceil(1.5 * r * pot.a)) + 10
+    top = min(cap, _MAX_ORDER)
+    guess, first, last = -1, 0, math.floor(r * pot.a) + _SCAN_BLOCK
+    while first <= top:
+        orders = np.arange(first, min(last, top) + 1).repeat(points.size)
+        log_g = channel_matcher_log(orders, pot)(np.tile(points, orders.size // points.size))
+        bad = np.flatnonzero(~np.isfinite(log_g))
+        if bad.size:
+            raise NumericalError(f"channel {orders[bad[0]]}: matcher not finite at lambda = "
+                                 f"{points[bad[0] % points.size]} in the cutoff scan",
+                                 key=int(orders[bad[0]]))
+        hit = orders[_rouche_term(orders, pot, log_g) >= 1.0]
+        if not hit.size:
+            return guess
+        guess, first, last = int(hit.max()), last + 1, last + _SCAN_BLOCK
+    if cap <= _MAX_ORDER:
+        return cap
+    raise NumericalError(f"channel {guess}: |T_ell| still reaches 1 at the cutoff scan's last "
+                         f"channel, {_MAX_ORDER}", key=guess)
 
 
 def map_ordered(fn, arg_tuples, workers: int) -> list:
@@ -508,14 +555,16 @@ def _solve_channels(pot: RadialStepPotential, R: float, workers: int):
     """The frame zeros of every channel up to the cutoff, indexed by channel,
     and the cutoff: the highest channel with a frame zero (0 if none has one).
 
-    Channels guess + 3 down to 0 are dealt in turn, highest first, to groups
+    Channels guess + 3 down to 0, for the guess predicted from the Rouché
+    term (``_cutoff_guess``), are dealt in turn, highest first, to groups
     of at most ``_GROUP_SAMPLES`` box samples (``_channel_box``), so deep
     low channels and cheap high ones share each group.  ``map_ordered``
     hands the groups (``_group_zeros``) to the workers; the grouping, the
     sets and the error raised (the first failing group's) do not depend on
-    the worker count.
-    While any of the top three channels is nonempty, one more channel is
-    solved alone above them, up to 50 channels past the guess.
+    the worker count.  The guess sets only the work, since each channel's
+    frame winding decides if it is empty: while any of the top three
+    channels is nonempty, one more is solved alone above them, up to 50
+    channels past the guess.
     """
     if not (math.isfinite(R) and R > 0):
         raise ValueError(f"search radius R must be positive and finite; got {R}")
@@ -540,7 +589,8 @@ def ell_cutoff(pot: RadialStepPotential, R: float) -> int:
     channel has one: the ``ell_max`` of ``find_resonances``.
 
     The three channels above it are solved and empty.  Solves every channel
-    (``_solve_channels``), so it costs as much as ``find_resonances``.
+    up to three past the Rouché prediction (``_solve_channels``), so it
+    costs as much as ``find_resonances``.
     """
     return _solve_channels(pot, R, 1)[1]
 
@@ -555,9 +605,11 @@ def find_resonances(pot: RadialStepPotential, R: float, *,
     Past that the independence is not proved, but every channel's located
     zeros still match the winding of the frame it wound, exactly.
 
-    Channels are solved in fixed groups, one work unit each for the
-    ``threads`` worker processes (``_solve_channels``); the merged set, and
-    the channel a NumericalError names, are identical for any thread count.
+    Channels 0 to three past the cutoff predicted from the Rouché term
+    (``_cutoff_guess``) are solved in fixed groups, one work unit each for
+    the ``threads`` worker processes (``_solve_channels``); the merged set,
+    and the channel a NumericalError names, are identical for any thread
+    count.
     ``ell_max`` is the highest channel with a zero in its search frame (for
     a real well, the frame closed under lambda -> -conj(lambda)).  A real
     well's zeros within ``zero_tol`` of the imaginary axis are reported with
@@ -604,7 +656,7 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
     real well on the real axis |S_ell| = 1 and each term is 0 up to rounding.
     Summation stops once ten consecutive channels contribute less than 1e-10
     of the running total (only after ell has passed |lambda| a); a sum that
-    has not settled by ell = 2000 raises NumericalError.
+    has not settled by ell = ``_MAX_ORDER`` raises NumericalError.
 
     Channels are evaluated in blocks: one outgoing matcher call on the three
     pole-test points of every channel of the block and one incoming call,
@@ -636,7 +688,7 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
     arr = np.array([lam, lam * (1.0 + 1e-4), lam * (1.0 - 1e-4)])
     total = 0.0
     quiet = 0
-    first, last = 0, min(math.floor(abs(lam) * pot.a) + 10, 2000)
+    first, last = 0, min(math.floor(abs(lam) * pot.a) + 10, _MAX_ORDER)
     while first <= last:
         orders = np.arange(first, last + 1)
         w1 = channel_matcher_log(orders.repeat(3), pot)(np.tile(arr, orders.size))
@@ -655,5 +707,5 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
                     return total
             else:
                 quiet = 0
-        first, last = last + 1, min(last + 10 - quiet, 2000)
-    raise NumericalError("channel sum did not settle by ell = 2000")
+        first, last = last + 1, min(last + 10 - quiet, _MAX_ORDER)
+    raise NumericalError(f"channel sum did not settle by ell = {_MAX_ORDER}")

@@ -166,8 +166,10 @@ def test_free_potential_has_no_resonances():
 
 @pytest.mark.parametrize("R", [20.0, 30.0])
 def test_free_frame_windings_vanish(R):
-    # the free well has no resonances: every channel the cutoff search can
-    # visit must wind 0 times around its search frame, so it holds no zero
+    # the free well has no resonances: channels 0 .. ceil(1.5 R a) + 13 must
+    # each wind 0 times around their search frame, so they hold no zero; a
+    # free solve winds only channels 0..2, so this range keeps the free
+    # matcher exercised on high orders
     free = rs.RadialStepPotential(a=1.0, v0=0.0)
     last = int(math.ceil(1.5 * R * free.a)) + 13
     for ell in range(last + 1):
@@ -175,12 +177,13 @@ def test_free_frame_windings_vanish(R):
 
 
 def test_free_well_solves_at_r40(monkeypatch):
-    # channels 0..73 (the cutoff guess 70 plus three) are each wound once
+    # T_ell vanishes for the free well, so the cutoff guess is -1 and only
+    # channels 0..2 (the guess plus three) are wound, each once
     calls = _count_frame_windings(monkeypatch)
     out = rs.find_resonances(rs.RadialStepPotential(a=1.0, v0=0.0), 40.0)
     assert out.resonances == []
     assert out.ell_max == 0
-    assert len(calls) == 74
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("kind", [1, 2])
@@ -294,10 +297,28 @@ def test_surplus_zero_names_its_channel_inside_a_group(monkeypatch):
         rs._group_zeros([13, 0, 12], WELL, 6.0)
 
 
+def _two_groups(monkeypatch):
+    # at R = 6 channels 0..13 fit in one group, which runs in-process for any
+    # worker count: room for 7 channels per group deals them to two groups,
+    # 13, 11, .., 1 and 12, 10, .., 0; the group counts of each solve are
+    # recorded
+    monkeypatch.setattr(rs, "_GROUP_SAMPLES", 7 * rs._channel_box(WELL, 6.0)[1])
+    counts = []
+    real = rs.map_ordered
+
+    def counted(fn, arg_tuples, workers):
+        counts.append(len(arg_tuples))
+        return real(fn, arg_tuples, workers)
+
+    monkeypatch.setattr(rs, "map_ordered", counted)
+    return counts
+
+
 def test_failing_channel_named_does_not_depend_on_the_worker_count(monkeypatch):
     # every nonempty channel (0..9) fails its surplus check: the first
-    # group, 31, 29, .., 1, fails first, at its first nonempty channel 9,
+    # group, 13, 11, .., 1, fails first, at its first nonempty channel 9,
     # in one process and on two workers alike
+    counts = _two_groups(monkeypatch)
     real = ct._zeros_inside
 
     def surplus(found, box, winding):
@@ -307,10 +328,14 @@ def test_failing_channel_named_does_not_depend_on_the_worker_count(monkeypatch):
     for threads in (1, 2):
         with pytest.raises(NumericalError, match="^channel 9: located 2 zeros"):
             rs.find_resonances(WELL, 6.0, threads=threads)
+    assert counts == [2, 2]
 
 
-def test_solve_does_not_depend_on_the_worker_count(small_set):
+def test_solve_does_not_depend_on_the_worker_count(monkeypatch, small_set):
+    # two groups on two workers give the one-group set, bit for bit
+    counts = _two_groups(monkeypatch)
     two = rs.find_resonances(WELL, 6.0, threads=2)
+    assert counts == [2]
     assert two.ell_max == small_set.ell_max
     assert ([(r.ell, r.lam, r.residual) for r in two.resonances]
             == [(r.ell, r.lam, r.residual) for r in small_set.resonances])
@@ -701,17 +726,18 @@ def test_channel_322_solves_at_r200():
 
 
 def test_solve_winds_each_channel_frame_once(monkeypatch):
-    # channels 0..31 (the cutoff guess 28 plus three) are each wound once
+    # channels 0..13 (the cutoff guess 10 plus three) are each wound once
     calls = _count_frame_windings(monkeypatch)
     assert rs.find_resonances(WELL, 6.0).ell_max == 9
-    assert len(calls) == 32
+    assert len(calls) == 14
 
 
 def test_solve_batches_the_matcher_calls_of_its_quadtrees(monkeypatch):
     # the quadtrees of a group of channels evaluate the crosses of a level,
     # a refinement round or a secant step over all their leaves in one call:
-    # the R = 8 solve, two groups, makes 52 calls (200 one channel at a time)
-    # for the 3,575 points of the box-by-box descent
+    # the R = 8 solve, channels 0..16 in one group, makes 38 calls for the
+    # 2,424 points of the cutoff scan (2 calls, 145 points), the box-by-box
+    # descent and the residual checks
     sizes = []
     real = rs.channel_matcher_log
 
@@ -721,8 +747,8 @@ def test_solve_batches_the_matcher_calls_of_its_quadtrees(monkeypatch):
 
     monkeypatch.setattr(rs, "channel_matcher_log", counted)
     assert len(rs.find_resonances(WELL, 8.0).resonances) == 56
-    assert len(sizes) <= 70
-    assert sum(sizes) == 3575
+    assert len(sizes) <= 45
+    assert sum(sizes) == 2424
 
 
 @pytest.mark.parametrize("ell, v0", [(24, -22.8 + 2.6j), (19, -18.4 + 0.6j)])
@@ -748,9 +774,8 @@ def test_cutoff_extends_upward_past_a_low_guess(monkeypatch, small_set):
 
 
 def test_cutoff_gives_up_50_channels_past_the_guess(monkeypatch):
-    # every channel holds a zero: the pass solves the guess 28 plus three
-    # down to 0, dealt in turn to two groups, then one channel at a time up
-    # to 28 + 53
+    # every channel holds a zero: the pass solves the guess 10 plus three
+    # down to 0 in one group, then one channel at a time up to 10 + 53
     solved = []
 
     def one_zero(ells, pot, R):
@@ -759,9 +784,140 @@ def test_cutoff_gives_up_50_channels_past_the_guess(monkeypatch):
 
     monkeypatch.setattr(rs, "_group_zeros", one_zero)
     with pytest.raises(NumericalError,
-                       match="channels remain nonempty 50 orders past the cutoff guess 28"):
+                       match="channels remain nonempty 50 orders past the cutoff guess 10"):
         rs.find_resonances(WELL, 6.0)
-    assert solved == list(range(31, -1, -2)) + list(range(30, -1, -2)) + list(range(32, 82))
+    assert solved == list(range(13, -1, -1)) + list(range(14, 64))
+
+
+def _old_cutoff_guess(pot, R):
+    # the formula the Rouché prediction replaced
+    return int(math.ceil(1.5 * R * pot.a + 2.0 * math.sqrt(abs(pot.v0)) * pot.a)) + 10
+
+
+def _well(kind, x, y):
+    return {"real": complex(-40.0 * x, 0.0), "barrier": complex(40.0 * x, 0.0),
+            "complex": complex(40.0 * x - 30.0, 10.0 * y - 5.0),
+            "weak": complex(-(10.0 ** (-12.0 * x)), 0.0), "free": 0j}[kind]
+
+
+@settings(max_examples=25)
+@given(kind=st.sampled_from(["real", "barrier", "complex", "weak", "free"]),
+       a=st.floats(0.5, 2.0), x=st.floats(0.0, 1.0), y=st.floats(0.0, 1.0),
+       R=st.floats(0.1, 8.0))
+@example(kind="complex", a=1.959, x=0.2195, y=0.1182, R=2.654)
+def test_cutoff_prediction_keeps_the_set(kind, a, x, y, R):
+    # the prediction only decides how many channels are solved: the set and
+    # ell_max are those of the old generous guess, bit for bit (the example
+    # is a well whose prediction falls below ell_max and is extended)
+    pot = rs.RadialStepPotential(a, _well(kind, x, y))
+    new = rs.find_resonances(pot, R)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rs, "_cutoff_guess", _old_cutoff_guess)
+        old = rs.find_resonances(pot, R)
+    assert new.ell_max == old.ell_max
+    assert ([(r.ell, r.lam, r.residual) for r in new.resonances]
+            == [(r.ell, r.lam, r.residual) for r in old.resonances])
+
+
+@pytest.mark.parametrize("v0", [-20.0, 20.0, -5.0, -0.1, -1e-12, 0.0, complex(-20.0, 1.5),
+                                complex(-12.0, 3.0), complex(5.0, -3.0), complex(-0.1, 0.05)])
+@pytest.mark.parametrize("R", [1.0, 3.0, 6.0, 8.0])
+def test_cutoff_prediction_covers_the_nonempty_channels(monkeypatch, v0, R):
+    # on these wells every channel with a frame zero lies at or below the
+    # guess, so the three channels above it are empty and the pass solves
+    # channels 0..guess+3 only, with no channel added one at a time
+    pot = rs.RadialStepPotential(1.0, v0)
+    guess = rs._cutoff_guess(pot, R)
+    solved = []
+    real = rs._group_zeros
+    monkeypatch.setattr(rs, "_group_zeros", lambda ells, *args: solved.extend(ells)
+                        or real(ells, *args))
+    zeros, _ = rs._solve_channels(pot, R, 1)
+    assert sorted(solved) == list(range(guess + 4))
+    assert max((ell for ell, z in enumerate(zeros) if z), default=-1) <= guess
+
+
+def test_cutoff_prediction_below_a_zero_hugging_the_frame_bottom():
+    # the prediction is not a bound: channel 14's zeros lie 0.21 above the
+    # frame bottom, where |T_14| peaks at 1.18 between the scanned points
+    # (0.88 at most there), so the guess is 13 and the pass adds channel 17
+    # alone to see three empty channels above 14
+    assert rs._cutoff_guess(rs.RadialStepPotential(1.0, -100.0), 8.0) == 13
+    zeros, ell_max = rs._solve_channels(rs.RadialStepPotential(1.0, -100.0), 8.0, 1)
+    assert ell_max == 14 and len(zeros) == 18
+
+
+def test_rouche_term_is_one_at_the_resonances(small_set):
+    # g_ell = C_ell (-i + T_ell) vanishes where T_ell = i
+    for pot, rset in [(WELL, small_set),
+                      (rs.RadialStepPotential(1.0, complex(-12.0, 3.0)), None)]:
+        rset = rset or rs.find_resonances(pot, 6.0)
+        ells = np.array([r.ell for r in rset.resonances])
+        lams = np.array([r.lam for r in rset.resonances])
+        assert ells.size > 20
+        term = rs._rouche_term(ells, pot, rs.channel_matcher_log(ells, pot)(lams))
+        assert np.all(np.abs(term - 1.0) < 1e-8)
+
+
+@pytest.mark.parametrize("R", [6.0, 40.0])
+def test_rouche_term_vanishes_at_the_free_corners(R):
+    # the free well's matcher is exactly -i C_ell, so T_ell is rounding only
+    free = rs.RadialStepPotential(1.0, 0.0)
+    corners = np.array(rs._channel_box(free, R)[0].corners())
+    ells = np.arange(int(1.5 * R) + 10).repeat(4)
+    log_g = rs.channel_matcher_log(ells, free)(np.tile(corners, ells.size // 4))
+    assert rs._rouche_term(ells, free, log_g).max() <= 1e-10
+
+
+def _matcher_of_rouche_term(term):
+    # a stand-in matcher whose g_ell / C_ell is term(ell) at every point (a = 1)
+    def matcher(ell, pot, kind=1):
+        return lambda lam: (special._per_order(
+            lambda n: special._log_double_factorial(2 * n + 1), ell) + term(ell))
+    return matcher
+
+
+def test_cutoff_scan_raises_on_a_non_finite_corner(monkeypatch):
+    monkeypatch.setattr(rs, "channel_matcher_log", _matcher_of_rouche_term(
+        lambda ell: np.where(ell >= 5, np.nan, 0.0)))
+    with pytest.raises(NumericalError, match=r"^channel 5: matcher not finite at lambda") as info:
+        rs._cutoff_guess(WELL, 6.0)
+    assert info.value.key == 5
+
+
+def test_cutoff_scan_stops_at_its_cap(monkeypatch):
+    # |T_ell| = |3 + i| > 1 at every corner of every channel: the scan ends
+    # at the cap, here the former guess ceil(1.5 R a + 2 sqrt|v0| a) + 10 =
+    # 28, and returns it; past channel 2000 (sqrt|v0| = 1000) it raises
+    monkeypatch.setattr(rs, "channel_matcher_log", _matcher_of_rouche_term(
+        lambda ell: np.log(3.0 - 1j) + np.zeros(np.shape(ell))))
+    assert rs._cutoff_guess(WELL, 6.0) == 28
+    with pytest.raises(NumericalError, match=r"^channel 2000: \|T_ell\| still reaches 1 at "
+                       r"the cutoff scan's last channel, 2000") as info:
+        rs._cutoff_guess(rs.RadialStepPotential(1.0, -1e6), 6.0)
+    assert info.value.key == 2000
+
+
+@pytest.mark.parametrize("v0, R, guess, last", [
+    (-1e-12, 0.1, -1, 8), (-1e-12, 1.0, -1, 9), (-0.1, 0.1, -1, 8), (-0.1, 1.0, -1, 9),
+    (-20.0, 0.1, 1, 16), (-20.0, 1.0, 2, 17), (20.0, 0.1, 6, 16), (20.0, 1.0, 6, 17),
+    (400.0, 0.1, 51, 51), (400.0, 1.0, 52, 52)])
+def test_cutoff_scan_order_limit_at_small_radii(monkeypatch, v0, R, guess, last):
+    # the highest order the scan evaluates: at R = 0.1 the weak well's is 8,
+    # far below order 62, where the matcher overflows at the half box's
+    # top-left corner; the v0 = +400 barrier, whose |T_ell| reaches 1 up to
+    # channel 143, stops at its cap (51 and 52, the former guesses; the
+    # solve's ell_max is 0 and 1)
+    orders = []
+    real = rs.channel_matcher_log
+
+    def recorded(ell, pot, kind=1):
+        orders.extend(np.atleast_1d(ell).tolist())
+        return real(ell, pot, kind)
+
+    monkeypatch.setattr(rs, "channel_matcher_log", recorded)
+    assert rs._cutoff_guess(rs.RadialStepPotential(1.0, v0), R) == guess
+    assert max(orders) == last
 
 
 @settings(max_examples=25)
