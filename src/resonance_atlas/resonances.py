@@ -60,8 +60,7 @@ from .contour import _IRR, ContourBox, locate_zeros
 # not called here; kept importable because perfbench/tracing.py wraps it by name
 from .contour import _winding_with_perturbation  # noqa: F401
 from .errors import EvaluationOverflowError, NumericalError
-from .special import (_at, _log_double_factorial, _per_order, sph_h_pair_log, sph_j_pair_log,
-                      sph_j_series)
+from .special import _log_odd_double_factorials, sph_h_pair_log, sph_j_pair_log, sph_j_series
 
 __all__ = [
     "RadialStepPotential",
@@ -207,15 +206,18 @@ class ResonanceSet:
 # Channel functions
 # ---------------------------------------------------------------------------
 
-def channel_condition(ell: int, pot: RadialStepPotential, lam):
+def channel_condition(ell, pot: RadialStepPotential, lam):
     """The bare matching function W_ell(lambda) (scalar or array).
 
-    Uses the principal branch of k = sqrt(lambda^2 - v0); flipping the branch
+    ``ell`` is an int order or an integer array of lam's shape, one order
+    per point, as in ``channel_matcher_log``; a point's value does not
+    depend on the other points of the call or on their orders.  Uses the
+    principal branch of k = sqrt(lambda^2 - v0); flipping the branch
     multiplies W by (-1)^ell, which leaves the zero set unchanged.  The value
     is W = g_ell k^ell / ((2 ell + 1)!! (lambda a)^(ell+1)) from the
     cancellation-safe matcher, so it keeps its digits for weak wells deep in
-    the lower half plane.  Raises EvaluationOverflowError when the value
-    exceeds double range.
+    the lower half plane.  Raises EvaluationOverflowError, naming the channel
+    of the first point whose value exceeds double range.
     """
     arr = np.atleast_1d(np.asarray(lam, dtype=complex))
     scalar = np.shape(lam) == ()
@@ -224,29 +226,32 @@ def channel_condition(ell: int, pot: RadialStepPotential, lam):
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"channel condition requires a finite lambda; got {lam}")
     flat = arr.ravel()
-    logw = (channel_matcher_log(ell, pot)(flat) - _log_double_factorial(2 * ell + 1)
+    ell = np.broadcast_to(ell, arr.shape).ravel()
+    logw = (channel_matcher_log(ell, pot)(flat) - _log_odd_double_factorials(ell)
             - (ell + 1) * np.log(flat * pot.a))
-    if ell > 0:
-        # lambda^2 = v0 makes k = 0; W carries the factor k^ell and vanishes
-        k = np.sqrt(flat * flat - pot.v0)
-        kz = k == 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logw = logw + ell * np.log(np.where(kz, 1.0, k))
-        logw[kz] = -np.inf
-    if np.any(logw.real > 709.0):
+    # W carries the factor k^ell, which vanishes at lambda^2 = v0 for ell > 0
+    up = np.flatnonzero(ell > 0)
+    k = np.sqrt(flat[up] * flat[up] - pot.v0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logw[up] += ell[up] * np.log(np.where(k == 0, 1.0, k))
+    logw[up[k == 0]] = -np.inf
+    over = np.flatnonzero(logw.real > 709.0)
+    if over.size:
         raise EvaluationOverflowError(
-            f"channel condition overflows double range in channel {ell}")
+            f"channel condition overflows double range in channel {ell[over[0]]}",
+            key=int(ell[over[0]]))
     with np.errstate(under="ignore"):
         out = np.where(np.isneginf(logw.real), 0.0, np.exp(logw))
     return complex(out[0]) if scalar else out.reshape(np.shape(lam))
 
 
-def _potential_series_log(ell, a: float, v0: complex, z: np.ndarray,
+def _potential_series_log(ell: np.ndarray, a: float, v0: complex, z: np.ndarray,
                           hm1: np.ndarray, hl: np.ndarray, sh: np.ndarray):
     """log of the bracket of the integral identity (module docstring), summed
     as the multiplication-theorem series.
 
-    (hm1, hl, sh) is the scaled Hankel pair at z = lambda a.  The terms shrink
+    (hm1, hl, sh) is the scaled Hankel pair at z = lambda a, ``ell`` the
+    order of each point.  The terms shrink
     like (|v0| a^2 / (2 |z|))^n / n!, so the sum is free of cancellation
     wherever the direct formula is flagged (|v0| small against |lambda|^2).
     Each point stops at its own first settled term (n >= 2) and adds its
@@ -277,9 +282,9 @@ def _potential_series_log(ell, a: float, v0: complex, z: np.ndarray,
         else:
             i = np.flatnonzero(~settled)[0]
             raise NumericalError(
-                f"potential series of order {int(_at(ell, i))} at lambda = "
+                f"potential series of order {ell[i]} at lambda = "
                 f"{complex(z[i] / a)} has not settled in {_SERIES_MAX_TERMS} terms",
-                key=int(_at(ell, i)))
+                key=int(ell[i]))
     terms = np.array(logs)
     used = np.arange(len(logs))[:, None] <= last
     top = np.where(used, terms.real, -np.inf).max(axis=0)
@@ -296,13 +301,14 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
     """Vectorized lambda-array -> log g_ell(lambda) evaluator (log form).
 
     ``ell`` is an int order, or an integer array of orders of the shape of
-    the lambda arrays the evaluator is given, one order per point.  A
-    point's value does not depend, bit for bit, on the other points of its
-    call or on their orders: an array call gives each point the value of an
-    int call with its order, on that point alone or among any others, of
-    any size: calls run in pieces of ``_MATCHER_PIECE`` points, below the
-    16,384 complex values at which numpy turns a product into an in-place
-    one, whose swapped operands change an FMA complex product's bits.
+    the lambda arrays the evaluator is given, one order per point; an int
+    is every point's order.  Either way each point is evaluated with its
+    own order by one elementwise code path, so a point's value does not
+    depend, bit for bit, on the other points of its call, on their orders
+    or on the call's size: calls run in pieces of ``_MATCHER_PIECE`` points,
+    below the 16,384 complex values at which numpy turns a product into an
+    in-place one, whose swapped operands change an FMA complex product's
+    bits.
 
     g_ell = (2 ell + 1)!! (lambda a)^(ell+1) W_ell / k^ell is an entire
     function of lambda: the k^ell quotient removes the removable branch
@@ -339,14 +345,14 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
     """
     a = pot.a
     v0 = pot.v0.conjugate() if kind == 2 else pot.v0
-    lndd = _per_order(lambda n: _log_double_factorial(2 * n + 1), ell)
 
     def evaluate(lam: np.ndarray) -> np.ndarray:
         lam = np.asarray(lam, dtype=complex)
+        orders = np.broadcast_to(ell, lam.shape)
         cuts = [slice(i, i + _MATCHER_PIECE) for i in range(0, max(lam.size, 1), _MATCHER_PIECE)]
-        return np.concatenate([piece(lam[c], _at(ell, c), _at(lndd, c)) for c in cuts])
+        return np.concatenate([piece(lam[c], orders[c]) for c in cuts])
 
-    def piece(lam: np.ndarray, ell, lndd) -> np.ndarray:
+    def piece(lam: np.ndarray, ell: np.ndarray) -> np.ndarray:
         k2 = lam * lam - v0
         k = np.sqrt(k2)
         la = lam * a
@@ -356,18 +362,16 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
         out = np.empty_like(lam)
         small = np.abs(k) * a < 0.5
         if np.any(small):
-            es = _at(ell, small)
-            u = k2[small] * (a * a)
-            s, ds = sph_j_series(es, u)
-            A = _per_order(lambda n: 2.0 * a ** (n + 1), es) * k2[small] * ds
-            A = np.where(es > 0, A + _per_order(lambda n: n * a ** (n - 1), es) * s, A)
-            B = lam[small] * _per_order(lambda n: a ** n, es) * s
-            g = A * hl[small] - B * hp[small]
+            # g = a^(ell-1) [(2 a^2 k^2 S' + ell S) h - lambda a S h'], S = S_ell(k^2 a^2)
+            es = ell[small]
+            s, ds = sph_j_series(es, k2[small] * (a * a))
+            g = (((2.0 * a * a) * k2[small] * ds + es * s) * hl[small]
+                 - lam[small] * a * s * hp[small])
             with np.errstate(divide="ignore", invalid="ignore"):
-                out[small] = np.log(g) + sh[small] + pole_kill[small]
+                out[small] = np.log(g) + (es - 1) * math.log(a) + sh[small] + pole_kill[small]
         big = np.flatnonzero(~small)
         if big.size:
-            eb = _at(ell, big)
+            eb = ell[big]
             kb = k[big]
             jm1, jl, sj = sph_j_pair_log(eb, kb * a)
             jp = jm1 - (eb + 1) / (kb * a) * jl
@@ -376,9 +380,10 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
             wt = p1 - p2
             absl = np.abs(lam[big])
             absk = np.abs(kb)
+            lndd = _log_odd_double_factorials(eb)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                              under="ignore"):
-                out[big] = (np.log(wt) + sj + sh[big] + _at(lndd, big)
+                out[big] = (np.log(wt) + sj + sh[big] + lndd
                             - eb * np.log(kb) + pole_kill[big])
                 # expected |W| (in the pair scaling): the free Wronskian plus
                 # the leading v0 part (k - lambda) j h, with k - lambda =
@@ -387,12 +392,12 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
                            + abs(v0) * np.abs(jl * hl[big]) / (absk + absl))
                 cond = (np.maximum(np.abs(p1), np.abs(p2)) / w_scale
                         * (1.0 + a * absl ** 2 / (2.0 * absk)))
-            flagged = ~(cond <= _DIRECT_COND_MAX)
-            if np.any(flagged):
+            flagged = np.flatnonzero(~(cond <= _DIRECT_COND_MAX))
+            if flagged.size:
                 lost = big[flagged]
-                out[lost] = (_potential_series_log(_at(ell, lost), a, v0, la[lost],
+                out[lost] = (_potential_series_log(ell[lost], a, v0, la[lost],
                                                    hm1[lost], hl[lost], sh[lost])
-                             + _at(lndd, lost) + (_at(ell, lost) - 1) * math.log(a))
+                             + lndd[flagged] + (ell[lost] - 1) * math.log(a))
         return out
 
     return (lambda lam: np.conj(evaluate(np.conj(lam)))) if kind == 2 else evaluate
@@ -491,11 +496,13 @@ def _group_zeros(ells, pot: RadialStepPotential, R: float):
 
 
 def _rouche_term(ell, pot: RadialStepPotential, log_g: np.ndarray) -> np.ndarray:
-    """|T_ell| from matcher values log g_ell (``ell`` as in
-    ``channel_matcher_log``), for g_ell = C_ell (-i + T_ell) and C_ell =
-    (2 ell + 1)!! a^(ell-1) (module docstring): |T_ell| < 1 on a contour
-    puts no zero of channel ell inside it (Rouché); T_ell = i at a zero."""
-    log_c = _per_order(lambda n: _log_double_factorial(2 * n + 1) + (n - 1) * math.log(pot.a), ell)
+    """|T_ell| from matcher values log g_ell (``ell`` an int or an integer
+    array of log_g's shape, one order per point), for g_ell = C_ell (-i +
+    T_ell) and C_ell = (2 ell + 1)!! a^(ell-1) (module docstring): |T_ell| < 1
+    on a contour puts no zero of channel ell inside it (Rouché); T_ell = i at
+    a zero."""
+    ell = np.broadcast_to(ell, log_g.shape)
+    log_c = _log_odd_double_factorials(ell) + (ell - 1) * math.log(pot.a)
     with np.errstate(over="ignore"):
         return np.abs(np.exp(log_g - log_c) + 1j)
 
@@ -595,6 +602,19 @@ def ell_cutoff(pot: RadialStepPotential, R: float) -> int:
     return _solve_channels(pot, R, 1)[1]
 
 
+def _expected_w(ell: np.ndarray, pot: RadialStepPotential, lam: np.ndarray) -> np.ndarray:
+    """S = 1 / (|lambda| a^2) + |v0 j_ell(k a) h_ell(lambda a)| / (|k| + |lambda|),
+    the expected size of |W_ell(lambda)| that the matcher's condition number
+    uses (``channel_matcher_log``): the free Wronskian plus the leading v0
+    part; unlike |W| it does not dip at zeros.  NaN where k = 0."""
+    k = np.sqrt(lam * lam - pot.v0)
+    _, jl, sj = sph_j_pair_log(ell, k * pot.a)
+    _, hl, sh = sph_h_pair_log(ell, lam * pot.a)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return (1.0 / (np.abs(lam) * pot.a ** 2)
+                + abs(pot.v0) * np.abs(jl * hl) * np.exp(sj + sh) / (np.abs(k) + np.abs(lam)))
+
+
 def find_resonances(pot: RadialStepPotential, R: float, *,
                     threads: int | None = None) -> ResonanceSet:
     """Locate all resonances with |lambda| <= R, Im lambda < -delta_axis.
@@ -613,30 +633,38 @@ def find_resonances(pot: RadialStepPotential, R: float, *,
     ``ell_max`` is the highest channel with a zero in its search frame (for
     a real well, the frame closed under lambda -> -conj(lambda)).  A real
     well's zeros within ``zero_tol`` of the imaginary axis are reported with
-    Re lambda = 0 exactly, the others in mirror pairs (``_group_zeros``).  A
-    reported resonance, a mirrored one too, whose residual |W_ell(lambda)|
-    at its own lambda is not below the recorded ``residual_tol`` raises
-    NumericalError naming the channel.
+    Re lambda = 0 exactly, the others in mirror pairs (``_group_zeros``).
+
+    Every reported resonance, a mirrored one too, has its residual
+    |W_ell(lambda)| checked at its own lambda, all in one
+    ``channel_condition`` call: a residual that is not below the recorded
+    ``residual_tol`` times max(1, S), S the expected size of |W_ell|
+    (``_expected_w``), raises NumericalError naming the channel.  S
+    grows with h_ell(lambda a) for strong wells, whose true zeros can have
+    |W| of several units; for weak wells S < 1 and the bound is the plain
+    ``residual_tol``.  The recorded ``residual`` is |W_ell(lambda)|.
     """
     results, cutoff = _solve_channels(pot, R, threads or 1)
     delta = _delta_axis(pot)
     tolerances = {"zero_tol": _default_zero_tol(pot, R), "delta_axis": delta,
                   "residual_tol": _RESIDUAL_TOL}
 
+    found = [(ell, z, m) for ell, zeros in enumerate(results)
+             for z, m in zeros if abs(z) <= R and z.imag < -delta]
+    ells = np.array([ell for ell, _, _ in found], dtype=int)
+    lams = np.array([z for _, z, _ in found], dtype=complex)
+    residuals = np.abs(channel_condition(ells, pot, lams))
+    scales = np.ones(residuals.shape)
+    high = ~(residuals < _RESIDUAL_TOL)
+    scales[high] = np.fmax(1.0, _expected_w(ells[high], pot, lams[high]))
     resonances: list[Resonance] = []
-    for ell, zeros in enumerate(results):
-        zs = [(z, m) for z, m in zeros if abs(z) <= R and z.imag < -delta]
-        if not zs:
-            continue
-        lams = np.array([z for z, _ in zs])
-        residuals = np.abs(channel_condition(ell, pot, lams))
-        for (z, m), res in zip(zs, residuals):
-            if not res < _RESIDUAL_TOL:
-                raise NumericalError(
-                    f"channel {ell}: residual |W_ell(lambda)| = {res:.3g} at "
-                    f"lambda = {z:.12g} is not below {_RESIDUAL_TOL:g}")
-            for _ in range(m):  # order-m zeros enter as m coincident poles
-                resonances.append(Resonance(lam=z, ell=ell, residual=float(res)))
+    for (ell, z, m), res, scale in zip(found, residuals, scales):
+        if not res < _RESIDUAL_TOL * scale:
+            raise NumericalError(
+                f"channel {ell}: residual |W_ell(lambda)| = {res:.3g} at lambda = {z:.12g} "
+                f"is not below {_RESIDUAL_TOL:g} max(1, S) = {_RESIDUAL_TOL * scale:.3g}")
+        for _ in range(m):  # order-m zeros enter as m coincident poles
+            resonances.append(Resonance(lam=z, ell=ell, residual=float(res)))
     return ResonanceSet(potential=pot, search_radius=R, resonances=resonances,
                         ell_max=cutoff, tolerances=tolerances)
 

@@ -183,14 +183,14 @@ def critical_curve_modulus(theta: float) -> float:
 # overflowing, 16 plain) log h_ell^(1) matches mpmath to 6e-14 (log|h|
 # relative, phase absolute).
 #
-# Every evaluator below takes the order ``ell`` as an int or as an integer
-# array of z's shape, one order per point.  Each point of an array call
-# gets, bit for bit, the value of an int call with its order on the points
-# of that order: per-order constants use Python scalar arithmetic
-# (``_per_order``), and a sum that stops once all of a call's points have
-# settled stops each order's points together.  That holds for calls of
-# fewer than 16,384 points: at 256 KiB numpy computes ``fac * jve(...)`` as
-# an in-place product with swapped operands, which FMA rounds differently.
+# Every evaluator below takes one order per point: ``ell`` is an integer
+# array of z's shape (the entry points of the matcher turn an int order into
+# one), and every per-order constant is elementwise numpy.  Each point's
+# value is then a function of that point and its order alone, bit for bit:
+# a sum over terms stops each point at its own settled term.  That holds for
+# calls of fewer than 16,384 points: at 256 KiB numpy computes
+# ``fac * jve(...)`` as an in-place product with swapped operands, which FMA
+# rounds differently.
 
 @lru_cache(maxsize=1024)
 def _log_double_factorial(n: int) -> float:
@@ -205,18 +205,14 @@ def _sph_factor(z):
     return np.sqrt(np.pi / (2.0 * z))
 
 
-def _at(ell, rows):
-    """The orders of the given points; an int order is every point's order."""
-    return ell[rows] if isinstance(ell, np.ndarray) else ell
-
-
-def _per_order(f, ell):
-    """f(ell), or f of each element of an order array, evaluated once per
-    distinct order in Python scalar arithmetic as an int call would."""
-    if not isinstance(ell, np.ndarray):
-        return f(ell)
-    orders, index = np.unique(ell, return_inverse=True)
-    return np.array([f(int(n)) for n in orders])[index]
+def _log_odd_double_factorials(ell: np.ndarray) -> np.ndarray:
+    """log (2 ell + 1)!! of each order of an integer array (ell >= -1), read
+    from a table of ``_log_double_factorial`` over the array's order range."""
+    if not ell.size:
+        return np.zeros(ell.shape)
+    lo = int(ell.min())
+    table = np.array([_log_double_factorial(2 * n + 1) for n in range(lo, int(ell.max()) + 1)])
+    return table[ell - lo]
 
 
 # -- log-scaled pair evaluators (internal API) ------------------------------
@@ -227,8 +223,10 @@ def _per_order(f, ell):
 # phases of channel functions whose magnitudes span hundreds of decades.
 
 def sph_j_pair_log(ell, z: np.ndarray):
-    """Scaled (j_(ell-1), j_ell) pair; z must be a nonzero 1-D complex array."""
+    """Scaled (j_(ell-1), j_ell) pair; z must be a nonzero 1-D complex array,
+    ell an int or an integer array of z's shape."""
     z = np.asarray(z, dtype=complex)
+    ell = np.broadcast_to(ell, z.shape)
     fac = _sph_factor(z)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
         jm1 = fac * _ss.jve(ell - 0.5, z)
@@ -241,8 +239,7 @@ def sph_j_pair_log(ell, z: np.ndarray):
     bad = ~(np.isfinite(jm1) & np.isfinite(jl))
     bad |= ((jl == 0) | (jm1 == 0)) & (np.abs(z) ** 2 < 4.0 * (2 * ell + 3))
     if np.any(bad):
-        bm1, bl, bs = _j_pair_series_log(_at(ell, bad), z[bad])
-        jm1[bad], jl[bad], s[bad] = bm1, bl, bs
+        jm1[bad], jl[bad], s[bad] = _j_pair_series_log(ell[bad], z[bad])
     return jm1, jl, s
 
 
@@ -252,34 +249,32 @@ def sph_j_series(ell, u: np.ndarray):
     c_(m+1) = -c_m / (2 (m+1) (2 ell + 2 m + 3)).  Free of cancellation
     while |u| is small against the order.
 
-    The sum stops once every point has settled, so an order array is
-    summed one distinct order at a time."""
-    if isinstance(ell, np.ndarray):
-        s, ds = np.empty_like(u), np.empty_like(u)
-        for n in np.unique(ell):
-            rows = ell == n
-            s[rows], ds[rows] = sph_j_series(int(n), u[rows])
-        return s, ds
+    ``ell`` is an int or an integer array of u's shape.  Each point stops at
+    its own first settled term, so its value does not depend on the other
+    points of the call or on their orders."""
+    ell = np.broadcast_to(ell, u.shape)
     s = np.ones_like(u)
     ds = np.zeros_like(u)
     c = np.ones_like(u)  # c_m u^m
+    live = np.ones(u.shape, dtype=bool)
     for m in range(80):
         c_next = c * (-0.5) / ((m + 1) * (2 * ell + 2 * m + 3))  # c_{m+1} u^m
-        ds = ds + (m + 1) * c_next
+        ds = np.where(live, ds + (m + 1) * c_next, ds)
         c = c_next * u                                            # c_{m+1} u^{m+1}
-        s = s + c
-        if np.all(np.abs(c) <= 1e-19 * np.abs(s)):
+        s = np.where(live, s + c, s)
+        live &= ~(np.abs(c) <= 1e-19 * np.abs(s))
+        if not live.any():
             break
     return s, ds
 
 
-def _j_pair_series_log(ell, z: np.ndarray):
+def _j_pair_series_log(ell: np.ndarray, z: np.ndarray):
     """Power-series pair for |z| << ell, in mantissa/log form."""
     logz = np.log(z)
     u = z * z
 
     def one(l):
-        lg = l * logz - _per_order(lambda n: _log_double_factorial(2 * n + 1), l)
+        lg = l * logz - _log_odd_double_factorials(l)
         return sph_j_series(l, u)[0] * np.exp(1j * lg.imag), lg.real
 
     vm1, sm1 = one(ell - 1)
@@ -291,12 +286,16 @@ def _j_pair_series_log(ell, z: np.ndarray):
 
 
 def sph_h_pair_log(ell, z: np.ndarray):
-    """Scaled (h_(ell-1), h_ell) pair of the outgoing Hankel function h^(1);
-    where the scaled AMOS pair is not usable (finite and nonzero), the one
-    fallback; NumericalError where no order is usable."""
+    """Scaled (h_(ell-1), h_ell) pair of the outgoing Hankel function h^(1),
+    ell an int or an integer array of z's shape; where the scaled AMOS pair
+    is not usable (finite and nonzero), the one fallback; NumericalError
+    where no order is usable.  A pair whose larger modulus exceeds
+    ``_RESCALE`` is divided by it, so that its derivative combination
+    (h_(ell-1) - (ell + 1) / z h_ell) cannot overflow."""
     z = np.asarray(z, dtype=complex)
     if np.any(z == 0):
         raise ValueError("Hankel functions require z != 0")
+    ell = np.broadcast_to(ell, z.shape)
     fac = _sph_factor(z)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
         hm1 = fac * _ss.hankel1e(ell - 0.5, z)
@@ -305,15 +304,19 @@ def sph_h_pair_log(ell, z: np.ndarray):
     phase = np.exp(1j * (1j * z).imag)
     hm1, hl = hm1 * phase, hl * phase
     bad = ~(np.isfinite(hm1) & np.isfinite(hl)) | (hm1 == 0) | (hl == 0)
+    top = np.maximum(np.abs(hm1), np.abs(hl))
+    big = ~bad & (top > _RESCALE)
+    if np.any(big):
+        hm1[big], hl[big] = hm1[big] / top[big], hl[big] / top[big]
+        s[big] += np.log(top[big])
     if np.any(bad):
-        hm1[bad], hl[bad], s[bad] = _h_pair_upward_log(_at(ell, bad), z[bad], fac[bad])
+        hm1[bad], hl[bad], s[bad] = _h_pair_upward_log(ell[bad], z[bad], fac[bad])
     return hm1, hl, s
 
 
-def _h_pair_upward_log(ell, z: np.ndarray, fac: np.ndarray):
+def _h_pair_upward_log(ell: np.ndarray, z: np.ndarray, fac: np.ndarray):
     """The unscaled pair at the highest usable order m <= ell (by bisection,
     m = ell first), over its larger modulus, recurred up to ell (DLMF 10.51.1)."""
-    ell = np.broadcast_to(ell, z.shape)
     hm1, hl = np.empty_like(z), np.empty_like(z)
 
     def usable_at(m, rows):  # stores the pair where it is usable

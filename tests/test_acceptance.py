@@ -89,3 +89,22 @@ def test_raising_criterion_keeps_its_name(monkeypatch):
     assert not result.passed
     assert result.detail.startswith(
         "raised NumericalError: channel 3: no convergence")
+
+
+@pytest.mark.parametrize("which", ["v0", "conj(v0)"])
+def test_conjugation_check_fails_when_a_zero_is_dropped(monkeypatch, which):
+    # negative control of criterion 6: the first complex well's set, or
+    # its conj(v0) twin's, loses its last resonance
+    real = acc.rs.find_resonances
+    dropped = []
+
+    def losing_one(pot, R, **kwargs):
+        rset = real(pot, R, **kwargs)
+        if pot.v0.imag != 0 and not dropped and (pot.v0.imag < 0) == (which == "conj(v0)"):
+            dropped.append(rset.resonances.pop())
+        return rset
+
+    monkeypatch.setattr(acc.rs, "find_resonances", losing_one)
+    passed, detail = acc.criterion_6(acc.AcceptanceContext())
+    assert dropped and not passed
+    assert detail.startswith("conjugation broken at v0=-20.479")

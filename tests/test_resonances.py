@@ -872,8 +872,7 @@ def test_rouche_term_vanishes_at_the_free_corners(R):
 def _matcher_of_rouche_term(term):
     # a stand-in matcher whose g_ell / C_ell is term(ell) at every point (a = 1)
     def matcher(ell, pot, kind=1):
-        return lambda lam: (special._per_order(
-            lambda n: special._log_double_factorial(2 * n + 1), ell) + term(ell))
+        return lambda lam: special._log_odd_double_factorials(ell) + term(ell)
     return matcher
 
 
@@ -983,3 +982,125 @@ def test_axis_zeros_of_a_real_well_lie_on_the_axis(reference_sets):
         tol = rset.tolerances["zero_tol"]
         axis = [r.lam for r in rset.resonances if abs(r.lam.real) <= tol]
         assert axis and all(lam.real == 0.0 for lam in axis), R
+
+
+def test_channel_condition_takes_one_order_per_point():
+    # an order array gives each point, bit for bit, the value of an int
+    # call with its order, in any shape; an overflow names the channel of
+    # the first point that overflows
+    lams = np.array([2.0 - 1.0j, -3.5 - 0.2j, 0.5 - 4.0j, 7.0 - 0.01j, -1e-3 - 2.0j])
+    ells = np.array([0, 3, 7, 12])
+    by_int = np.concatenate([rs.channel_condition(int(ell), WELL, lams) for ell in ells])
+    by_array = rs.channel_condition(ells.repeat(lams.size), WELL, np.tile(lams, ells.size))
+    assert _same_bits(by_array, by_int)
+    grid = rs.channel_condition(ells.repeat(lams.size).reshape(4, -1), WELL,
+                                np.tile(lams, ells.size).reshape(4, -1))
+    assert grid.shape == (4, lams.size) and _same_bits(grid.ravel(), by_int)
+    from resonance_atlas.errors import EvaluationOverflowError
+    with pytest.raises(EvaluationOverflowError, match=r"in channel 5$") as info:
+        rs.channel_condition(np.array([2, 5, 0]), WELL, np.array([1.0 - 1.0j, -800j, -800j]))
+    assert info.value.key == 5
+
+
+def _mpmath_log_g(mp, ell, pot, lam):
+    """log g_ell(lambda) from its definition at 40 digits."""
+    with mp.workdps(40):
+        z = mp.mpc(lam) * pot.a
+        k = mp.sqrt(mp.mpc(lam) ** 2 - mp.mpc(pot.v0))
+
+        def sph(fn, n, x):
+            return mp.sqrt(mp.pi / (2 * x)) * fn(n + mp.mpf(1) / 2, x)
+
+        jl, jm1 = sph(mp.besselj, ell, k * pot.a), sph(mp.besselj, ell - 1, k * pot.a)
+        hl, hm1 = sph(mp.hankel1, ell, z), sph(mp.hankel1, ell - 1, z)
+        w = (k * (jm1 - (ell + 1) / (k * pot.a) * jl) * hl
+             - mp.mpc(lam) * jl * (hm1 - (ell + 1) / z * hl))
+        return complex(mp.log(mp.fac2(2 * ell + 1) * z ** (ell + 1) * w / k ** ell))
+
+
+def _log_close(got, ref, tol):
+    diff = got - ref
+    return abs(complex(diff.real, (diff.imag + math.pi) % (2 * math.pi) - math.pi)) < tol
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0])
+@pytest.mark.parametrize("ell", [0, 1, 5])
+def test_small_k_branch_is_continuous_at_its_edge(a, ell):
+    # the matcher takes the S_ell series where |k| a < 0.5 and the direct
+    # Wronskian outside; just inside and just outside that circle both
+    # match the definition, so the series carries the right power of a
+    mp = pytest.importorskip("mpmath")
+    pot = rs.RadialStepPotential(a, -20.0)
+    for side in (1.0 - 1e-9, 1.0 + 1e-9):
+        k = 0.5 / a * side * np.exp(1j * np.array([0.3, 1.9, 3.5, 5.1]))
+        lams = -np.sqrt(k * k + pot.v0)
+        assert np.all((np.abs(np.sqrt(lams * lams - pot.v0)) * a < 0.5) == (side < 1.0))
+        for lam, got in zip(lams, rs.channel_matcher_log(ell, pot)(lams)):
+            assert _log_close(got, _mpmath_log_g(mp, ell, pot, lam), 1e-10), (side, lam)
+
+
+def test_matcher_is_finite_near_the_origin():
+    # a scaled Hankel pair that is finite but near overflow (|h_62| = 8.5e303
+    # at the point below) is divided by its larger modulus, so h_ell' and
+    # the matcher stay finite at high order and small |lambda a|
+    mp = pytest.importorskip("mpmath")
+    weak = rs.RadialStepPotential(1.0, -1e-12)
+    lam = -0.000647 - 1e-6j
+    got = rs.channel_matcher_log(62, weak)(np.array([lam]))[0]
+    assert _log_close(got, _mpmath_log_g(mp, 62, weak, lam), 1e-12)
+    rays = np.exp(1j * np.array([-math.pi + 0.0015, -0.75 * math.pi, -0.5 * math.pi,
+                                 -0.25 * math.pi, -0.0015]))
+    lams = (np.logspace(-5.0, 0.0, 30)[:, None] * rays).ravel()
+    orders = np.arange(200)
+    for pot in (weak, WELL):
+        log_g = rs.channel_matcher_log(orders.repeat(lams.size), pot)(np.tile(lams, orders.size))
+        assert np.all(np.isfinite(log_g)), pot.v0
+
+
+@pytest.mark.parametrize("v0, R", [(-1000.0, 8.0), (-2000.0, 8.0), (-5000.0, 4.0),
+                                   (-5000.0, 8.0), (-1e4, 2.0), (-1e4, 4.0), (-1e4, 8.0)])
+def test_strong_wells_pass_the_scale_aware_residual_check(v0, R):
+    # |W| grows with h_ell(lambda a): the true zeros of these wells have
+    # |W| up to several units, so the residual bound is residual_tol times
+    # max(1, S), S the expected size of |W|; the recorded residual is |W|
+    pot = rs.RadialStepPotential(1.0, v0)
+    rset = rs.find_resonances(pot, R)
+    ells = np.array([r.ell for r in rset.resonances])
+    lams = np.array([r.lam for r in rset.resonances])
+    residuals = np.array([r.residual for r in rset.resonances])
+    assert rset.resonances and np.array_equal(residuals, np.abs(rs.channel_condition(ells, pot, lams)))
+    assert np.all(residuals < 1e-12 * np.fmax(1.0, rs._expected_w(ells, pot, lams)))
+
+
+def test_residual_check_rejects_a_strong_well_zero_moved_by_1e_4(monkeypatch):
+    # channel 26 of v0 = -1000 has a zero at -4.335i with |W| = 5.96 and
+    # S = 1.07e16, the size of each product of W there; moved off by 1e-4,
+    # it fails the bound 1e-6 S
+    pot = rs.RadialStepPotential(1.0, -1000.0)
+    zero = -4.33503709736j
+    ell = np.array([26])
+    assert 1e15 < rs._expected_w(ell, pot, np.array([zero]))[0] < 1e17
+    real = rs.locate_zeros
+
+    def moved(*args, **kwargs):
+        found = real(*args, **kwargs)
+        for key, zeros in zip(kwargs["keys"], found):
+            if key == 26:
+                i = min(range(len(zeros)), key=lambda k: abs(zeros[k][0] - zero))
+                zeros[i] = (zeros[i][0] + 1e-4j, zeros[i][1])
+        return found
+
+    monkeypatch.setattr(rs, "locate_zeros", moved)
+    with pytest.raises(NumericalError, match=r"^channel 26: residual .* at lambda = "
+                       r"0-4\.334937\d*j is not below 1e-06 max\(1, S\) = 1\.07e\+10$"):
+        rs.find_resonances(pot, 8.0)
+
+
+def test_solve_checks_every_residual_in_one_call(monkeypatch, small_set):
+    calls = []
+    real = rs.channel_condition
+    monkeypatch.setattr(rs, "channel_condition",
+                        lambda ell, *args: calls.append(np.unique(ell)) or real(ell, *args))
+    rset = rs.find_resonances(WELL, 6.0)
+    assert len(calls) == 1 and calls[0].tolist() == sorted({r.ell for r in rset.resonances})
+    assert [r.residual for r in rset.resonances] == [r.residual for r in small_set.resonances]

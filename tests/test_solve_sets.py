@@ -12,9 +12,9 @@ solve_sets = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(solve_sets)
 
 
-def test_all_sets_are_the_46_named_solves():
+def test_all_sets_are_the_48_named_solves():
     names = [name for name, _, _ in solve_sets.all_sets()]
-    assert len(names) == len(set(names)) == 46
+    assert len(names) == len(set(names)) == 48
 
 
 def test_dump_compares_equal_to_itself_and_different_when_moved(tmp_path, capsys):

@@ -228,6 +228,24 @@ def test_j_series_closed_forms():
         assert np.max(np.abs(ds + s_next / (2 * (2 * ell + 3)))) < 1e-14
 
 
+def test_j_series_value_of_a_point_does_not_depend_on_its_call():
+    # each point stops at its own first settled term, so its S and S' are
+    # the same, bit for bit, alone, beside points of its order that settle
+    # later, and in a mixed-order array (summed on with the late points,
+    # S' at the tiny u would move in its last bits)
+    u = np.array([-4.836840423905532e-07 - 1.054925079829355e-06j, 0.3 - 0.2j])
+    late = np.array([30.0 + 10.0j, -25.0 + 40.0j])
+    for ell in (0, 3):
+        alone = [sp.sph_j_series(ell, u[i:i + 1]) for i in range(2)]
+        among = sp.sph_j_series(ell, np.concatenate([u, late]))
+        mixed = sp.sph_j_series(np.array([ell, 7, ell, -1]),
+                                np.array([u[0], late[0], u[1], late[1]]))
+        for i in range(2):
+            for got, at in ((among, i), (mixed, 2 * i)):
+                for part in (0, 1):  # S, then S'
+                    assert got[part][at].tobytes() == alone[i][part][0].tobytes(), (ell, i)
+
+
 def test_log_pair_matches_plain_values():
     # scipy's spherical_jn / spherical_yn are an independent implementation
     z = np.array([0.5 - 2j, 3 + 1j, -4 - 0.5j])

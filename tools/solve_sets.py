@@ -1,4 +1,4 @@
-"""Solve a fixed list of 46 resonance sets and compare two such dumps.
+"""Solve a fixed list of 48 resonance sets and compare two such dumps.
 
 A change to the solver that should not change its output is checked by
 dumping the sets before and after and comparing the dumps:
@@ -24,11 +24,13 @@ multiplicity in the other dump, within the smaller recorded ``zero_tol``.
 It exits with status 1 only when a set is ``different``; the ``density``
 entry is still compared exactly.
 
-The 46 sets: the a = 1, v0 = -20 reference well at R = 40; the 21 members of
+The 48 sets: the a = 1, v0 = -20 reference well at R = 40; the 21 members of
 the acceptance family (v0 = -20 to -12+3i, 5 x 5 bump grid) at r = 25;
 v0 = -20 at R = 6 and 8; v0 = -5 at R = 30; v0 = -1e-12 at R = 20; the free
-well at R = 12 and 40; and the 9 members of the 3 x 3 family grid at r = 6
-with their conj(v0) re-solves.
+well at R = 12 and 40; the 9 members of the 3 x 3 family grid at r = 6
+with their conj(v0) re-solves; and two wells of a != 1, so that the
+a-dependent arithmetic is covered: a = 0.5, v0 = -80 at R = 20 and a = 2,
+v0 = -5+1i at R = 10.
 
 The dump also writes one ``density`` entry, so that a change to the
 density quadratures is checked the same way: ``weyl_constant`` for d = 3
@@ -62,7 +64,7 @@ def _family(r: float, n: int) -> list[RadialStepPotential]:
 
 
 def all_sets() -> list[tuple[str, RadialStepPotential, float]]:
-    """(name, potential, search radius) of the 46 sets."""
+    """(name, potential, search radius) of the 48 sets."""
     sets = [("reference R=40", REFERENCE, 40.0)]
     sets += [(f"family r=25 v0={complex(p.v0)!r}", p, 25.0) for p in _family(25.0, 5)]
     sets += [("v0=-20 R=6", REFERENCE, 6.0), ("v0=-20 R=8", REFERENCE, 8.0),
@@ -74,6 +76,8 @@ def all_sets() -> list[tuple[str, RadialStepPotential, float]]:
         conj = RadialStepPotential(p.a, p.v0.conjugate())
         sets += [(f"complex_family r=6 v0={complex(p.v0)!r}", p, 6.0),
                  (f"complex_family r=6 v0={complex(conj.v0)!r} (conj)", conj, 6.0)]
+    sets += [("a=0.5 v0=-80 R=20", RadialStepPotential(0.5, -80.0), 20.0),
+             ("a=2 v0=-5+1j R=10", RadialStepPotential(2.0, complex(-5.0, 1.0)), 10.0)]
     return sets
 
 
@@ -109,7 +113,7 @@ def density_entry() -> dict:
 
 
 def dump(path, sets=None) -> None:
-    """Write the given sets, or the 46 sets and the density entry."""
+    """Write the given sets, or the 48 sets and the density entry."""
     doc = {name: solve(pot, R) for name, pot, R in (sets or all_sets())}
     if sets is None:
         doc["density"] = density_entry()
