@@ -81,7 +81,7 @@ _SERIES_MAX_TERMS = 200
 _RESIDUAL_TOL = 1e-6
 _MATCHER_PIECE = 8192  # points per matcher piece (``channel_matcher_log``)
 _GROUP_SAMPLES = 2048  # box samples per group of channels (``_solve_channels``)
-_SCAN_BLOCK = 8  # channels per later block of the cutoff scan (``_cutoff_guess``)
+_SCAN_BLOCK = 8  # channels per later block of the cutoff scan (``ell_cutoff``)
 _MAX_ORDER = 2000  # highest channel of a channel sum or the cutoff scan
 
 
@@ -137,12 +137,16 @@ class ResonanceSet:
     potential: RadialStepPotential
     search_radius: float
     resonances: list[Resonance]
-    ell_max: int
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.resonances = sorted(
             self.resonances, key=lambda r: (abs(r.lam), arg_lower(r.lam), r.ell))
+
+    @property
+    def ell_max(self) -> int:
+        """The highest channel of the set's resonances; -1 for an empty set."""
+        return max((r.ell for r in self.resonances), default=-1)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as f:
@@ -170,7 +174,8 @@ class ResonanceSet:
     @classmethod
     def from_json(cls, path) -> "ResonanceSet":
         """The set ``to_json`` wrote to path; a malformed file raises
-        ValueError naming the file and the entry."""
+        ValueError naming the file and the entry.  A stored ``ell_max`` is
+        not read: the set derives it from its resonances."""
         entry = "top level"
         try:
             with open(path) as f:
@@ -188,14 +193,13 @@ class ResonanceSet:
                     raise ValueError(f"needs a finite residual >= 0, got {residual!r}")
                 resonances.append(Resonance(complex(r["re_lambda"], r["im_lambda"]), ell, residual))
             entry = "top level"
-            radius, ell_max, tol = doc["search_radius"], doc["ell_max"], doc["tolerances"]
+            radius, tol = doc["search_radius"], doc["tolerances"]
             if not (type(radius) in (int, float) and 0 < radius < math.inf
-                    and type(ell_max) is int and ell_max >= 0 and isinstance(tol, dict)):
-                raise ValueError("needs a positive finite search_radius, an integer ell_max "
-                                 f">= 0 and a tolerances object, got {radius!r}, {ell_max!r} "
-                                 f"and a {type(tol).__name__}")
+                    and isinstance(tol, dict)):
+                raise ValueError("needs a positive finite search_radius and a tolerances "
+                                 f"object, got {radius!r} and a {type(tol).__name__}")
             return cls(potential=RadialStepPotential.from_dict(doc["potential"]),
-                       search_radius=radius, ell_max=ell_max, tolerances=tol, resonances=resonances)
+                       search_radius=radius, tolerances=tol, resonances=resonances)
         except KeyError as exc:
             raise ValueError(f"{path}: {entry}: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -288,8 +292,9 @@ def _potential_series_log(ell: np.ndarray, a: float, v0: complex, z: np.ndarray,
     terms = np.array(logs)
     used = np.arange(len(logs))[:, None] <= last
     top = np.where(used, terms.real, -np.inf).max(axis=0)
+    # a point's terms past its last used one can exceed its top and overflow
     with np.errstate(under="ignore", invalid="ignore"):
-        parts = np.exp(terms - top)
+        parts = np.exp(np.where(used, terms - top, -np.inf))
     total = parts[0]
     for part, use in zip(parts[1:], used[1:]):
         np.add(total, part, out=total, where=use)
@@ -507,11 +512,12 @@ def _rouche_term(ell, pot: RadialStepPotential, log_g: np.ndarray) -> np.ndarray
         return np.abs(np.exp(log_g - log_c) + 1j)
 
 
-def _cutoff_guess(pot: RadialStepPotential, R: float) -> int:
+def ell_cutoff(pot: RadialStepPotential, R: float) -> int:
     """The highest channel whose |T_ell| (``_rouche_term``) reaches 1 at a
     corner of its box (``_channel_box``) or at the box bottom below the
     origin, near which weak wells' zeros lie; -1 if none does.  A prediction,
-    not a bound: a zero close to the box edge can be missed.
+    not a bound: a zero close to the box edge can be missed, so the channel
+    pass (``_solve_channels``) solves past it until three channels are empty.
 
     The scan runs upward, one matcher call per block of channels: 0 ..
     floor(r a) + ``_SCAN_BLOCK`` (r the largest |lambda| of the points), then
@@ -559,11 +565,10 @@ def map_ordered(fn, arg_tuples, workers: int) -> list:
 
 
 def _solve_channels(pot: RadialStepPotential, R: float, workers: int):
-    """The frame zeros of every channel up to the cutoff, indexed by channel,
-    and the cutoff: the highest channel with a frame zero (0 if none has one).
+    """The frame zeros of every channel up to the cutoff, indexed by channel.
 
     Channels guess + 3 down to 0, for the guess predicted from the Rouché
-    term (``_cutoff_guess``), are dealt in turn, highest first, to groups
+    term (``ell_cutoff``), are dealt in turn, highest first, to groups
     of at most ``_GROUP_SAMPLES`` box samples (``_channel_box``), so deep
     low channels and cheap high ones share each group.  ``map_ordered``
     hands the groups (``_group_zeros``) to the workers; the grouping, the
@@ -575,7 +580,7 @@ def _solve_channels(pot: RadialStepPotential, R: float, workers: int):
     """
     if not (math.isfinite(R) and R > 0):
         raise ValueError(f"search radius R must be positive and finite; got {R}")
-    guess = _cutoff_guess(pot, R)
+    guess = ell_cutoff(pot, R)
     per_group = max(1, _GROUP_SAMPLES // _channel_box(pot, R)[1])
     n_groups = -(-(guess + 4) // per_group)
     groups = [list(range(guess + 3 - i, -1, -n_groups)) for i in range(n_groups)]
@@ -588,18 +593,7 @@ def _solve_channels(pot: RadialStepPotential, R: float, workers: int):
                 f"channels remain nonempty 50 orders past the cutoff guess {guess}; "
                 "suspected parameter pathology")
         zeros += _group_zeros([len(zeros)], pot, R)
-    return zeros, max((ell for ell, found in enumerate(zeros) if found), default=0)
-
-
-def ell_cutoff(pot: RadialStepPotential, R: float) -> int:
-    """The highest channel with a zero in its search frame, or 0 if no
-    channel has one: the ``ell_max`` of ``find_resonances``.
-
-    The three channels above it are solved and empty.  Solves every channel
-    up to three past the Rouché prediction (``_solve_channels``), so it
-    costs as much as ``find_resonances``.
-    """
-    return _solve_channels(pot, R, 1)[1]
+    return zeros
 
 
 def _expected_w(ell: np.ndarray, pot: RadialStepPotential, lam: np.ndarray) -> np.ndarray:
@@ -626,14 +620,12 @@ def find_resonances(pot: RadialStepPotential, R: float, *,
     zeros still match the winding of the frame it wound, exactly.
 
     Channels 0 to three past the cutoff predicted from the Rouché term
-    (``_cutoff_guess``) are solved in fixed groups, one work unit each for
+    (``ell_cutoff``) are solved in fixed groups, one work unit each for
     the ``threads`` worker processes (``_solve_channels``); the merged set,
     and the channel a NumericalError names, are identical for any thread
-    count.
-    ``ell_max`` is the highest channel with a zero in its search frame (for
-    a real well, the frame closed under lambda -> -conj(lambda)).  A real
-    well's zeros within ``zero_tol`` of the imaginary axis are reported with
-    Re lambda = 0 exactly, the others in mirror pairs (``_group_zeros``).
+    count.  A real well's zeros within ``zero_tol`` of the imaginary axis
+    are reported with Re lambda = 0 exactly, the others in mirror pairs
+    (``_group_zeros``).
 
     Every reported resonance, a mirrored one too, has its residual
     |W_ell(lambda)| checked at its own lambda, all in one
@@ -644,7 +636,7 @@ def find_resonances(pot: RadialStepPotential, R: float, *,
     |W| of several units; for weak wells S < 1 and the bound is the plain
     ``residual_tol``.  The recorded ``residual`` is |W_ell(lambda)|.
     """
-    results, cutoff = _solve_channels(pot, R, threads or 1)
+    results = _solve_channels(pot, R, threads or 1)
     delta = _delta_axis(pot)
     tolerances = {"zero_tol": _default_zero_tol(pot, R), "delta_axis": delta,
                   "residual_tol": _RESIDUAL_TOL}
@@ -666,7 +658,7 @@ def find_resonances(pot: RadialStepPotential, R: float, *,
         for _ in range(m):  # order-m zeros enter as m coincident poles
             resonances.append(Resonance(lam=z, ell=ell, residual=float(res)))
     return ResonanceSet(potential=pot, search_radius=R, resonances=resonances,
-                        ell_max=cutoff, tolerances=tolerances)
+                        tolerances=tolerances)
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +691,13 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
     the sum raises on no ray at |lambda| a = 56, 60 and 80.  The incoming
     matcher meets scaled-Hankel false zeros there (order 86 at |lambda| = 60,
     arg lambda = pi/8) and takes the Hankel fallback, which gives
-    r^-3 ln|det S| = 0.46350 on both pi/8 and 7 pi/8.
+    r^-3 ln|det S| = 0.46350 on both pi/8 and 7 pi/8.  On pi/4, pi/2 and
+    3 pi/4 it sums to |lambda| a = 1000 (2.162452 on pi/2).
+
+    A channel whose |W_ell(lambda)| is below 1e-8 of the larger of its
+    values at lambda (1 +- 1e-4) raises NumericalError (an S-matrix pole):
+    that ratio is about 1e4 times the relative distance to a simple pole,
+    so the check fires within about 1e-12 of one.
     """
     lam = complex(lam)
     if not cmath.isfinite(lam):
@@ -724,7 +722,7 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
         for ell, w1_ell, w2_ell in zip(orders.tolist(), w1.reshape(-1, 3), w2):
             if not (np.all(np.isfinite(w1_ell)) and np.isfinite(w2_ell)):
                 raise NumericalError(f"channel {ell}: matcher not finite at {lam}")
-            if w1_ell[0].real - max(w1_ell[1].real, w1_ell[2].real) < math.log(1e-12):
+            if w1_ell[0].real - max(w1_ell[1].real, w1_ell[2].real) < math.log(1e-8):
                 raise NumericalError(
                     f"channel {ell}: |W_ell| vanishes at lambda={lam} (S-matrix pole)")
             term = (2 * ell + 1) * (w2_ell.real - w1_ell[0].real)

@@ -11,10 +11,11 @@ Contents:
 * ``sph_j_pair_log`` / ``sph_h_pair_log`` -- log-scaled pairs
   (f_(l-1), f_l) of the spherical Bessel ``j_l`` and the outgoing Hankel
   ``h_l^(1)`` for complex arguments and integer orders, backed by scipy's
-  AMOS routines.  Where the scaled j pair underflows it takes the power
-  series; where the scaled h pair overflows or is a false zero it takes its
-  one fallback, the unscaled pair at the highest usable order recurred
-  upward.  They are the evaluators the resonance
+  AMOS routines.  Where the scaled j pair underflows it takes the unscaled
+  pair, or else the power series; where the scaled h pair overflows or is a
+  false zero it takes its one fallback, the unscaled pair at the highest
+  usable order recurred upward.  Both return their pair in one normal form,
+  divided by its larger modulus.  They are the evaluators the resonance
   solver's channel matcher calls, and they keep magnitudes that span
   hundreds of decades representable.  The incoming ``h_l^(2)`` is not
   evaluated: it is conj(h_l^(1)(conj z)), and the matcher takes it that way.
@@ -183,6 +184,12 @@ def critical_curve_modulus(theta: float) -> float:
 # overflowing, 16 plain) log h_ell^(1) matches mpmath to 6e-14 (log|h|
 # relative, phase absolute).
 #
+# The scaled j mantissa (jve removes exp(|Im z|)) underflows to 0 for orders
+# well above |z| at large |Im z|, where j itself is in range (from order 733
+# at z = 0.2 - 301i); there the unscaled pair is taken.  On 60 seeded points
+# (order 200-1500, |z|/ell in [0.3, 1], arg z within 0.5 of -pi/2, 16 of
+# them underflowing) log j_ell matches mpmath to 2e-14 of max(1, |log j|).
+#
 # Every evaluator below takes one order per point: ``ell`` is an integer
 # array of z's shape (the entry points of the matcher turn an int order into
 # one), and every per-order constant is elementwise numpy.  Each point's
@@ -218,9 +225,25 @@ def _log_odd_double_factorials(ell: np.ndarray) -> np.ndarray:
 # -- log-scaled pair evaluators (internal API) ------------------------------
 #
 # These return (f_(ell-1), f_ell, log_scale) with true value = f * exp(s),
-# elementwise over a 1-D complex array.  They never overflow for arguments
-# this package evaluates, which lets the resonance solver track winding
-# phases of channel functions whose magnitudes span hundreds of decades.
+# elementwise over a 1-D complex array, in one normal form: a finite,
+# nonzero pair is divided by its larger modulus (``_normal_form``), so that
+# products of two pairs' members and the derivative combination
+# f_(ell-1) - (ell + 1) / z f_ell neither underflow nor overflow.  They never
+# overflow for arguments this package evaluates, which lets the resonance
+# solver track winding phases of channel functions whose magnitudes span
+# hundreds of decades.
+
+def _usable(fm1, fl):
+    return np.isfinite(fm1) & np.isfinite(fl) & (fm1 != 0) & (fl != 0)
+
+
+def _normal_form(fm1, fl, s):
+    """The pair over its larger modulus, whose log is added to the scale,
+    wherever that modulus is finite and nonzero."""
+    top = np.maximum(np.abs(fm1), np.abs(fl))
+    top = np.where(np.isfinite(top) & (top > 0), top, 1.0)
+    return fm1 / top, fl / top, s + np.log(top)
+
 
 def sph_j_pair_log(ell, z: np.ndarray):
     """Scaled (j_(ell-1), j_ell) pair; z must be a nonzero 1-D complex array,
@@ -232,15 +255,27 @@ def sph_j_pair_log(ell, z: np.ndarray):
         jm1 = fac * _ss.jve(ell - 0.5, z)
         jl = fac * _ss.jve(ell + 0.5, z)
     s = np.abs(z.imag).astype(float)  # jve removes exp(|Im z|)
-    # Underflow of the scaled form to 0.0 loses the log information; that can
-    # only happen for |z| well below the order, where the series pair is both
-    # convergent and exact in log form.  (An exact real-axis zero of j_ell at
-    # large |z| stays a plain 0.0, which is the value, not an underflow.)
-    bad = ~(np.isfinite(jm1) & np.isfinite(jl))
-    bad |= ((jl == 0) | (jm1 == 0)) & (np.abs(z) ** 2 < 4.0 * (2 * ell + 3))
-    if np.any(bad):
-        jm1[bad], jl[bad], s[bad] = _j_pair_series_log(ell[bad], z[bad])
-    return jm1, jl, s
+    # For orders well above |z| the scaled mantissa can underflow to 0.0 and
+    # lose the log information; there the unscaled pair is taken where it is
+    # usable (finite and nonzero).
+    rows = np.flatnonzero(~_usable(jm1, jl))
+    if rows.size:
+        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+            um1 = fac[rows] * _ss.jv(ell[rows] - 0.5, z[rows])
+            ul = fac[rows] * _ss.jv(ell[rows] + 0.5, z[rows])
+        good = _usable(um1, ul)
+        jm1[rows[good]], jl[rows[good]], s[rows[good]] = um1[good], ul[good], 0.0
+        # Where that fails too, a scaled pair that is not finite, or one with
+        # a 0.0 and |z| well below the order, takes the series pair, both
+        # convergent and exact in log form there.  (An exact real-axis zero
+        # of j_ell at large |z| stays a plain 0.0, which is the value, not an
+        # underflow.)
+        rows = rows[~good]
+        rows = rows[~(np.isfinite(jm1[rows]) & np.isfinite(jl[rows]))
+                    | (np.abs(z[rows]) ** 2 < 4.0 * (2 * ell[rows] + 3))]
+        if rows.size:
+            jm1[rows], jl[rows], s[rows] = _j_pair_series_log(ell[rows], z[rows])
+    return _normal_form(jm1, jl, s)
 
 
 def sph_j_series(ell, u: np.ndarray):
@@ -289,9 +324,7 @@ def sph_h_pair_log(ell, z: np.ndarray):
     """Scaled (h_(ell-1), h_ell) pair of the outgoing Hankel function h^(1),
     ell an int or an integer array of z's shape; where the scaled AMOS pair
     is not usable (finite and nonzero), the one fallback; NumericalError
-    where no order is usable.  A pair whose larger modulus exceeds
-    ``_RESCALE`` is divided by it, so that its derivative combination
-    (h_(ell-1) - (ell + 1) / z h_ell) cannot overflow."""
+    where no order is usable."""
     z = np.asarray(z, dtype=complex)
     if np.any(z == 0):
         raise ValueError("Hankel functions require z != 0")
@@ -303,15 +336,10 @@ def sph_h_pair_log(ell, z: np.ndarray):
     s = (1j * z).real.astype(float)            # hankel1e removes exp(iz)
     phase = np.exp(1j * (1j * z).imag)
     hm1, hl = hm1 * phase, hl * phase
-    bad = ~(np.isfinite(hm1) & np.isfinite(hl)) | (hm1 == 0) | (hl == 0)
-    top = np.maximum(np.abs(hm1), np.abs(hl))
-    big = ~bad & (top > _RESCALE)
-    if np.any(big):
-        hm1[big], hl[big] = hm1[big] / top[big], hl[big] / top[big]
-        s[big] += np.log(top[big])
+    bad = ~_usable(hm1, hl)
     if np.any(bad):
         hm1[bad], hl[bad], s[bad] = _h_pair_upward_log(ell[bad], z[bad], fac[bad])
-    return hm1, hl, s
+    return _normal_form(hm1, hl, s)
 
 
 def _h_pair_upward_log(ell: np.ndarray, z: np.ndarray, fac: np.ndarray):
@@ -323,7 +351,7 @@ def _h_pair_upward_log(ell: np.ndarray, z: np.ndarray, fac: np.ndarray):
         with np.errstate(invalid="ignore", over="ignore"):
             um1 = fac[rows] * _ss.hankel1(m - 0.5, z[rows])
             ul = fac[rows] * _ss.hankel1(m + 0.5, z[rows])
-        good = np.isfinite(um1) & np.isfinite(ul) & (um1 != 0) & (ul != 0)
+        good = _usable(um1, ul)
         hm1[rows[good]], hl[rows[good]] = um1[good], ul[good]
         return good
 

@@ -290,7 +290,6 @@ def test_count_rejects_bad_radius_when_parsing(tmp_path, capsys, set_file, grid)
 
 _BAD_TOP_LEVEL = {"string radius": ("search_radius", "40"),
                   "negative radius": ("search_radius", -1.25),
-                  "fractional ell_max": ("ell_max", 9.5),
                   "tolerances list": ("tolerances", [])}
 
 
@@ -333,7 +332,6 @@ def _malformed(doc, case):
     ("boolean residual", "resonance 0: needs a finite residual >= 0, got False"),
     ("string radius", "top level: needs a positive finite search_radius"),
     ("negative radius", "top level: needs a positive finite search_radius"),
-    ("fractional ell_max", "top level: needs a positive finite search_radius"),
     ("tolerances list", "top level: needs a positive finite search_radius"),
 ])
 def test_count_rejects_malformed_resonance_file(tmp_path, capsys, set_file, case, entry):

@@ -18,7 +18,6 @@ def make_set(entries, radius=10.0, a=1.0, v0=-5.0):
         potential=RadialStepPotential(a=a, v0=v0),
         search_radius=radius,
         resonances=[Resonance(lam, ell, 0.0) for lam, ell in entries],
-        ell_max=max((e for _, e in entries), default=0),
     )
 
 

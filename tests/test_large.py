@@ -26,7 +26,7 @@ def test_r200_solves_on_two_workers():
     # the disk's to about 1.5 R; about 60 s on 2 workers of a 2-core VM,
     # residual checks included
     out = rs.find_resonances(WELL, 200.0, threads=2)
-    assert out.ell_max == 383
+    assert out.ell_max == 297
     assert len(out.resonances) == 46229
     assert max(r.ell for r in out.resonances) == 297
     assert sum(abs(r.lam) <= 150.0 for r in out.resonances) == 25775

@@ -1,6 +1,8 @@
 import cmath
+import json
 import math
 import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -161,7 +163,7 @@ def test_free_potential_has_no_resonances():
     free = rs.RadialStepPotential(a=1.0, v0=0.0)
     out = rs.find_resonances(free, 12.0)
     assert out.resonances == []
-    assert rs.ell_cutoff(free, 12.0) == 0
+    assert out.ell_max == rs.ell_cutoff(free, 12.0) == -1
 
 
 @pytest.mark.parametrize("R", [20.0, 30.0])
@@ -182,7 +184,7 @@ def test_free_well_solves_at_r40(monkeypatch):
     calls = _count_frame_windings(monkeypatch)
     out = rs.find_resonances(rs.RadialStepPotential(a=1.0, v0=0.0), 40.0)
     assert out.resonances == []
-    assert out.ell_max == 0
+    assert out.ell_max == -1
     assert len(calls) == 3
 
 
@@ -265,8 +267,15 @@ def test_sorted_by_modulus(small_set):
     assert mods == sorted(mods)
 
 
-def test_cutoff_verified_empty(small_set):
-    cut = small_set.ell_max
+def _frame_extent(zeros):
+    """The highest channel of ``_solve_channels``' zeros with a frame zero."""
+    return max((ell for ell, found in enumerate(zeros) if found), default=-1)
+
+
+def test_cutoff_verified_empty():
+    # channels 8 and 9 hold frame zeros outside the disk only
+    cut = _frame_extent(rs._solve_channels(WELL, 6.0, 1))
+    assert cut == 9
     for ell in (cut + 1, cut + 2, cut + 3):
         assert rs._group_zeros([ell], WELL, 6.0) == [[]]
 
@@ -409,8 +418,9 @@ def test_cutoff_monotone_in_radius():
 
 
 def test_cutoff_golden(small_set):
-    # frozen after winding-count verification of channels 10..12 being empty
-    assert small_set.ell_max == 9
+    # the highest channel with a resonance in the disk; channels 8 and 9
+    # hold frame zeros outside it
+    assert small_set.ell_max == 7
 
 
 def test_dilation_covariance(small_set):
@@ -442,6 +452,26 @@ def test_serialization_round_trip(tmp_path, small_set):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "ell,re_lambda,im_lambda,multiplicity,residual"
     assert len(lines) == len(small_set.resonances) + 1
+
+
+def test_ell_max_is_read_off_the_resonances(tmp_path, small_set):
+    # -1 for an empty set, so it differs from a set whose only channel is 0;
+    # a stored ell_max (files written when it was the frame extent) is not
+    # read back
+    empty = rs.ResonanceSet(WELL, 6.0, [])
+    assert empty.ell_max == -1
+    only_zero = rs.ResonanceSet(WELL, 6.0, [r for r in small_set.resonances if r.ell == 0])
+    assert only_zero.ell_max == 0
+    path = tmp_path / "set.json"
+    small_set.to_json(path)
+    doc = json.loads(path.read_text())
+    assert doc["ell_max"] == 7
+    doc["ell_max"] = 9
+    path.write_text(json.dumps(doc))
+    assert rs.ResonanceSet.from_json(path).ell_max == 7
+    empty.to_json(path)
+    assert json.loads(path.read_text())["ell_max"] == -1
+    assert rs.ResonanceSet.from_json(path).ell_max == -1
 
 
 def test_scattering_log_det_free_is_zero():
@@ -509,7 +539,7 @@ def _det_channel_by_channel(pot, lam):
         w1 = rs.channel_matcher_log(ell, pot)(arr)
         w2 = rs.channel_matcher_log(ell, pot, kind=2)(np.array([lam]))[0]
         assert np.all(np.isfinite(w1)) and np.isfinite(w2)
-        assert w1[0].real - max(w1[1].real, w1[2].real) >= math.log(1e-12)
+        assert w1[0].real - max(w1[1].real, w1[2].real) >= math.log(1e-8)
         term = (2 * ell + 1) * (w2.real - w1[0].real)
         total += term
         if ell > abs(lam) * pot.a and abs(term) < 1e-10 * max(abs(total), 1.0):
@@ -562,6 +592,71 @@ def test_scattering_log_det_at_r60_mirrors_and_stays_below_h3(theta):
     assert abs(got - mirror) < 1e-12 * abs(got)
     assert abs(got - 0.46350) < 1e-5
     assert got < density.angular_density_d3_closed(math.pi / 8)
+
+
+@pytest.mark.parametrize("R", [300, 400, 500, 700])
+def test_matcher_finite_to_3r_on_the_frame_bottom(R):
+    # near the axis at the frame bottom the scaled j mantissas underflow to
+    # 0 from channel 733 (R = 300) to 1055 (R = 700); the unscaled pair
+    # keeps every channel up to 3R finite
+    ells = np.arange(3 * R + 1)
+    log_g = rs.channel_matcher_log(ells, WELL)(np.full(ells.size, 0.2 - (R + 1) * 1j))
+    assert np.all(np.isfinite(log_g))
+
+
+def test_channel_terms_at_640i_match_mpmath():
+    # (2 ell + 1) ln |W_ell^(2) / W_ell^(1)| at lambda = 640i against 700-digit
+    # mpmath (W from besselj, hankel1 and hankel2).  The incoming matcher's
+    # potential series multiplies two j mantissas of about e^-372 in jve's
+    # scaling; where that product underflowed, the series dropped the term
+    # (8.5 at channel 712 and 9.0 at 900)
+    for ell, want in ((706, 774181.42922913710), (712, 764393.37254685069),
+                      (900, 252617.77179280865)):
+        w1 = rs.channel_matcher_log(ell, WELL)(np.array([640j]))[0]
+        w2 = rs.channel_matcher_log(ell, WELL, kind=2)(np.array([640j]))[0]
+        assert abs((2 * ell + 1) * (w2.real - w1.real) - want) < 1e-10 * want, ell
+
+
+@pytest.mark.parametrize("r, quarter, axis", [(640.0, 1.305390, 2.149196),
+                                              (1000.0, 1.315895, 2.162452)])
+def test_scattering_log_det_reaches_r1000(r, quarter, axis):
+    # r^-3 ln|det S| on pi/4, its mirror 3 pi/4 and pi/2, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [rs.scattering_log_det(WELL, r * cmath.exp(1j * t)) / r ** 3
+               for t in (math.pi / 4, 3 * math.pi / 4, math.pi / 2)]
+    assert abs(got[0] - got[1]) < 1e-12 * got[0]
+    assert abs(got[0] - quarter) < 1e-6 and abs(got[2] - axis) < 1e-6
+
+
+def test_potential_series_exponentiates_only_used_terms(monkeypatch):
+    # the point at 100 - 100i settles after 11 terms, the one at 2 - 2i
+    # takes 16; the first point's terms past its 11th, made e^1000 larger
+    # than its largest, must neither overflow nor move its value
+    z, ell = np.array([100 - 100j, 2 - 2j]), np.array([3, 3])
+    hm1, hl, sh = special.sph_h_pair_log(ell, z)
+    alone = rs._potential_series_log(ell[:1], 1.0, -20.0, z[:1], hm1[:1], hl[:1], sh[:1])
+    real = rs.sph_j_pair_log
+
+    def inflated(orders, zs):
+        jm1, jl, s = real(orders, zs)
+        return jm1, jl, np.where((orders >= 3 + 12) & (np.abs(zs) > 100.0), s + 1000.0, s)
+
+    monkeypatch.setattr(rs, "sph_j_pair_log", inflated)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        both = rs._potential_series_log(ell, 1.0, -20.0, z, hm1, hl, sh)
+    assert both[0] == alone[0]
+
+
+@pytest.mark.parametrize("ell, lam", [(0, 3.6821352559107354j), (1, 2.676552411683095j)])
+def test_scattering_log_det_raises_at_a_bound_state(ell, lam):
+    # the reference well's bound states are S-matrix poles; |W_ell| there is
+    # 1e-12.9 and 1e-11.7 of its value at lambda (1 +- 1e-4), and about
+    # 1e-5 of it 1e-9 (relative) away, where the sum is finite
+    with pytest.raises(NumericalError, match=rf"^channel {ell}: \|W_ell\| vanishes"):
+        rs.scattering_log_det(WELL, lam)
+    assert math.isfinite(rs.scattering_log_det(WELL, lam * (1.0 + 1e-9)))
 
 
 def _matcher_by_order(pot, ells, lams, kind=1):
@@ -728,15 +823,15 @@ def test_channel_322_solves_at_r200():
 def test_solve_winds_each_channel_frame_once(monkeypatch):
     # channels 0..13 (the cutoff guess 10 plus three) are each wound once
     calls = _count_frame_windings(monkeypatch)
-    assert rs.find_resonances(WELL, 6.0).ell_max == 9
+    assert rs.find_resonances(WELL, 6.0).ell_max == 7
     assert len(calls) == 14
 
 
 def test_solve_batches_the_matcher_calls_of_its_quadtrees(monkeypatch):
     # the quadtrees of a group of channels evaluate the crosses of a level,
     # a refinement round or a secant step over all their leaves in one call:
-    # the R = 8 solve, channels 0..16 in one group, makes 38 calls for the
-    # 2,424 points of the cutoff scan (2 calls, 145 points), the box-by-box
+    # the R = 8 solve, channels 0..16 in one group, makes 28 calls for the
+    # 2,423 points of the cutoff scan (2 calls, 145 points), the box-by-box
     # descent and the residual checks
     sizes = []
     real = rs.channel_matcher_log
@@ -748,7 +843,7 @@ def test_solve_batches_the_matcher_calls_of_its_quadtrees(monkeypatch):
     monkeypatch.setattr(rs, "channel_matcher_log", counted)
     assert len(rs.find_resonances(WELL, 8.0).resonances) == 56
     assert len(sizes) <= 45
-    assert sum(sizes) == 2424
+    assert sum(sizes) == 2423
 
 
 @pytest.mark.parametrize("ell, v0", [(24, -22.8 + 2.6j), (19, -18.4 + 0.6j)])
@@ -766,9 +861,9 @@ def test_pencil_leaves_report_only_zeros_of_the_channel(ell, v0):
 def test_cutoff_extends_upward_past_a_low_guess(monkeypatch, small_set):
     # channels 4..6 hold frame zeros: the pass adds channels one at a time
     # until the top three (10..12) are empty
-    monkeypatch.setattr(rs, "_cutoff_guess", lambda pot, R: 3)
+    monkeypatch.setattr(rs, "ell_cutoff", lambda pot, R: 3)
     out = rs.find_resonances(WELL, 6.0)
-    assert out.ell_max == 9
+    assert out.ell_max == 7
     assert ([(r.ell, r.lam, r.residual) for r in out.resonances]
             == [(r.ell, r.lam, r.residual) for r in small_set.resonances])
 
@@ -807,14 +902,24 @@ def _well(kind, x, y):
 @example(kind="complex", a=1.959, x=0.2195, y=0.1182, R=2.654)
 def test_cutoff_prediction_keeps_the_set(kind, a, x, y, R):
     # the prediction only decides how many channels are solved: the set and
-    # ell_max are those of the old generous guess, bit for bit (the example
-    # is a well whose prediction falls below ell_max and is extended)
+    # the frame extent are those of the old generous guess, bit for bit (the
+    # example is a well whose prediction falls below the extent and is
+    # extended)
     pot = rs.RadialStepPotential(a, _well(kind, x, y))
-    new = rs.find_resonances(pot, R)
+    extents = []
+    real = rs._solve_channels
+
+    def recorded(*args):
+        zeros = real(*args)
+        extents.append(_frame_extent(zeros))
+        return zeros
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rs, "_cutoff_guess", _old_cutoff_guess)
+        mp.setattr(rs, "_solve_channels", recorded)
+        new = rs.find_resonances(pot, R)
+        mp.setattr(rs, "ell_cutoff", _old_cutoff_guess)
         old = rs.find_resonances(pot, R)
-    assert new.ell_max == old.ell_max
+    assert extents[0] == extents[1]
     assert ([(r.ell, r.lam, r.residual) for r in new.resonances]
             == [(r.ell, r.lam, r.residual) for r in old.resonances])
 
@@ -827,14 +932,14 @@ def test_cutoff_prediction_covers_the_nonempty_channels(monkeypatch, v0, R):
     # guess, so the three channels above it are empty and the pass solves
     # channels 0..guess+3 only, with no channel added one at a time
     pot = rs.RadialStepPotential(1.0, v0)
-    guess = rs._cutoff_guess(pot, R)
+    guess = rs.ell_cutoff(pot, R)
     solved = []
     real = rs._group_zeros
     monkeypatch.setattr(rs, "_group_zeros", lambda ells, *args: solved.extend(ells)
                         or real(ells, *args))
-    zeros, _ = rs._solve_channels(pot, R, 1)
+    zeros = rs._solve_channels(pot, R, 1)
     assert sorted(solved) == list(range(guess + 4))
-    assert max((ell for ell, z in enumerate(zeros) if z), default=-1) <= guess
+    assert _frame_extent(zeros) <= guess
 
 
 def test_cutoff_prediction_below_a_zero_hugging_the_frame_bottom():
@@ -842,9 +947,9 @@ def test_cutoff_prediction_below_a_zero_hugging_the_frame_bottom():
     # frame bottom, where |T_14| peaks at 1.18 between the scanned points
     # (0.88 at most there), so the guess is 13 and the pass adds channel 17
     # alone to see three empty channels above 14
-    assert rs._cutoff_guess(rs.RadialStepPotential(1.0, -100.0), 8.0) == 13
-    zeros, ell_max = rs._solve_channels(rs.RadialStepPotential(1.0, -100.0), 8.0, 1)
-    assert ell_max == 14 and len(zeros) == 18
+    assert rs.ell_cutoff(rs.RadialStepPotential(1.0, -100.0), 8.0) == 13
+    zeros = rs._solve_channels(rs.RadialStepPotential(1.0, -100.0), 8.0, 1)
+    assert _frame_extent(zeros) == 14 and len(zeros) == 18
 
 
 def test_rouche_term_is_one_at_the_resonances(small_set):
@@ -880,7 +985,7 @@ def test_cutoff_scan_raises_on_a_non_finite_corner(monkeypatch):
     monkeypatch.setattr(rs, "channel_matcher_log", _matcher_of_rouche_term(
         lambda ell: np.where(ell >= 5, np.nan, 0.0)))
     with pytest.raises(NumericalError, match=r"^channel 5: matcher not finite at lambda") as info:
-        rs._cutoff_guess(WELL, 6.0)
+        rs.ell_cutoff(WELL, 6.0)
     assert info.value.key == 5
 
 
@@ -890,10 +995,10 @@ def test_cutoff_scan_stops_at_its_cap(monkeypatch):
     # 28, and returns it; past channel 2000 (sqrt|v0| = 1000) it raises
     monkeypatch.setattr(rs, "channel_matcher_log", _matcher_of_rouche_term(
         lambda ell: np.log(3.0 - 1j) + np.zeros(np.shape(ell))))
-    assert rs._cutoff_guess(WELL, 6.0) == 28
+    assert rs.ell_cutoff(WELL, 6.0) == 28
     with pytest.raises(NumericalError, match=r"^channel 2000: \|T_ell\| still reaches 1 at "
                        r"the cutoff scan's last channel, 2000") as info:
-        rs._cutoff_guess(rs.RadialStepPotential(1.0, -1e6), 6.0)
+        rs.ell_cutoff(rs.RadialStepPotential(1.0, -1e6), 6.0)
     assert info.value.key == 2000
 
 
@@ -915,7 +1020,7 @@ def test_cutoff_scan_order_limit_at_small_radii(monkeypatch, v0, R, guess, last)
         return real(ell, pot, kind)
 
     monkeypatch.setattr(rs, "channel_matcher_log", recorded)
-    assert rs._cutoff_guess(rs.RadialStepPotential(1.0, v0), R) == guess
+    assert rs.ell_cutoff(rs.RadialStepPotential(1.0, v0), R) == guess
     assert max(orders) == last
 
 

@@ -35,12 +35,12 @@ def test_dump_compares_equal_to_itself_and_different_when_moved(tmp_path, capsys
 def test_compare_names_the_differing_density_keys(tmp_path, capsys):
     entry = {"weyl_constant": [1.0, 2.0], "weyl_constant_2d": [3.0, 4.0]}
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    a.write_text(json.dumps({"free R=1": {"ell_max": 0}, "density": entry}))
-    b.write_text(json.dumps({"free R=1": {"ell_max": 0}, "density": entry}))
+    a.write_text(json.dumps({"free R=1": {"zero_tol": 1e-9, "resonances": []}, "density": entry}))
+    b.write_text(json.dumps({"free R=1": {"zero_tol": 1e-9, "resonances": []}, "density": entry}))
     assert solve_sets.main(["compare", str(a), str(b)]) == 0
     assert capsys.readouterr().out == "identical  free R=1\nidentical  density\n"
 
-    b.write_text(json.dumps({"free R=1": {"ell_max": 0},
+    b.write_text(json.dumps({"free R=1": {"zero_tol": 1e-9, "resonances": []},
                              "density": dict(entry, weyl_constant_2d=[3.0, 4.5])}))
     assert solve_sets.main(["compare", str(a), str(b)]) == 1
     assert capsys.readouterr().out == ("identical  free R=1\n"

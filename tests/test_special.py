@@ -345,3 +345,44 @@ def test_hankel_pair_matches_mpmath_at_scaled_false_zeros():
     assert {z.imag > 0 for _, z in grid} == {True, False}
     grid += [(322, z) for z in (0.207 - 20j, 0.207 - 25j, 0.207 - 27j)]
     assert max(_hankel_pair_error(ell, z, mp) for ell, z in grid) < 1e-12
+
+
+def test_j_pair_matches_mpmath_where_the_scaled_mantissa_underflows():
+    # seeded points of order in [200, 1500], |z| / ell in [0.3, 1] and arg z
+    # within 0.5 rad of -pi/2, where j is in double range (log|j| > -700):
+    # jve's mantissa underflows to 0 at a good share of them, and the
+    # unscaled pair takes over; error relative to max(1, |log j|)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    rng = np.random.default_rng(20261019)
+    points, underflows, worst = 0, 0, 0.0
+    while points < 60:
+        ell = int(rng.integers(200, 1501))
+        z = complex(cmath.rect(rng.uniform(0.3, 1.0) * ell,
+                               -math.pi / 2 + rng.uniform(-0.5, 0.5)))
+        refs = [complex(mp.log(mp.sqrt(mp.pi / (2 * mp.mpc(z)))
+                               * mp.besselj(order + mp.mpf(1) / 2, mp.mpc(z))))
+                for order in (ell - 1, ell)]
+        if min(ref.real for ref in refs) <= -700.0:
+            continue
+        points += 1
+        with np.errstate(under="ignore"):
+            underflows += bool(np.any(_scipy_special.jve([ell - 0.5, ell + 0.5], z) == 0))
+        for got, ref in zip(_log_j(ell, z), refs):
+            worst = max(worst, _log_err(got, ref) / max(1.0, abs(ref)))
+    assert underflows >= 10
+    assert worst < 1e-12
+
+
+def test_pairs_leave_in_normal_form():
+    # both pairs come divided by their larger modulus, so that products of
+    # two pairs' members stay in double range; the j pair is (0, 0) only
+    # where j_(ell-1) is below double range and |z| too large for the series
+    rng = np.random.default_rng(11)
+    ell = rng.integers(0, 1000, 2000)
+    z = rng.uniform(0.01, 600.0, 2000) * np.exp(1j * rng.uniform(-math.pi, math.pi, 2000))
+    for pair in (sp.sph_j_pair_log, sp.sph_h_pair_log):
+        fm1, fl, s = pair(ell, z)
+        top = np.maximum(np.abs(fm1), np.abs(fl))
+        assert np.all(np.isfinite(s)) and np.sum(top > 0) > 1700
+        assert np.max(np.abs(top[top > 0] - 1.0)) <= 4 * sp._EPS

@@ -7,9 +7,9 @@ dumping the sets before and after and comparing the dumps:
     PYTHONPATH=../parent/src python tools/solve_sets.py dump before.json
     PYTHONPATH=src python tools/solve_sets.py compare before.json after.json
 
-``dump`` writes, per set, ``ell_max``, the set's recorded ``zero_tol`` and
-every (ell, Re lambda, Im lambda, multiplicity, residual), with floats
-written by ``repr`` so they read back exactly.  ``compare`` prints
+``dump`` writes, per set, the set's recorded ``zero_tol`` and every
+(ell, Re lambda, Im lambda, multiplicity, residual), with floats written
+by ``repr`` so they read back exactly.  ``compare`` prints
 ``identical`` or ``different`` per set and exits with status 1 when any set
 differs or is missing from either file.  When the ``density`` entry
 differs, it is followed by one ``identical`` or ``different
@@ -18,9 +18,9 @@ density result shows which ones moved.
 
 ``compare --tol`` is for a change that may move located zeros in their last
 bits: a set that is not identical prints ``close`` when both dumps have the
-same ``ell_max`` and the same resonance count per channel, and each
-resonance pairs off with the nearest unpaired one of its channel and
-multiplicity in the other dump, within the smaller recorded ``zero_tol``.
+same resonance count per channel, and each resonance pairs off with the
+nearest unpaired one of its channel and multiplicity in the other dump,
+within the smaller recorded ``zero_tol``.
 It exits with status 1 only when a set is ``different``; the ``density``
 entry is still compared exactly.
 
@@ -83,7 +83,7 @@ def all_sets() -> list[tuple[str, RadialStepPotential, float]]:
 
 def solve(pot: RadialStepPotential, R: float) -> dict:
     rset = find_resonances(pot, R)
-    return {"ell_max": rset.ell_max, "zero_tol": rset.tolerances["zero_tol"],
+    return {"zero_tol": rset.tolerances["zero_tol"],
             "resonances": [[r.ell, r.lam.real, r.lam.imag, r.multiplicity, r.residual]
                            for r in rset.resonances]}
 
@@ -123,11 +123,10 @@ def dump(path, sets=None) -> None:
 
 
 def _close(a: dict, b: dict) -> bool:
-    """True if the sets a and b have the same ell_max and each resonance of
-    a pairs off with the nearest unpaired resonance of b of its channel and
-    multiplicity, within the smaller recorded zero_tol, leaving none of b
-    unpaired."""
-    if "zero_tol" not in a or "zero_tol" not in b or a["ell_max"] != b["ell_max"]:
+    """True if each resonance of the set a pairs off with the nearest
+    unpaired resonance of the set b of its channel and multiplicity, within
+    the smaller recorded zero_tol, leaving none of b unpaired."""
+    if "zero_tol" not in a or "zero_tol" not in b:
         return False
     tol = min(a["zero_tol"], b["zero_tol"])
     unpaired = {}
