@@ -673,19 +673,25 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
     one); the normalizing factors of the matcher cancel in the ratio.  The
     incoming matcher is the outgoing one of the conjugate well at
     conj(lambda), conjugated (``channel_matcher_log``, kind 2), so for a
-    real well on the real axis |S_ell| = 1 and each term is 0 up to rounding.
+    real well on the real axis |S_ell| = 1 and the sum is 0 (exactly at the
+    bench's real points; 4.4e-16 at v0 = 20, lambda = 2.5, k imaginary).
     Summation stops once ten consecutive channels contribute less than 1e-10
     of the running total (only after ell has passed |lambda| a); a sum that
     has not settled by ell = ``_MAX_ORDER`` raises NumericalError.
 
-    Channels are evaluated in blocks: one outgoing matcher call on the three
-    pole-test points of every channel of the block and one incoming call,
-    with the block's orders as an array.  The first block is channels
-    0 .. floor(|lambda| a) + 10, since no sum stops earlier; each later block
-    is the 10 - q channels that the stopping rule still needs after q quiet
-    channels.  The checks and the stopping rule then run channel by channel
-    in order, so the sum evaluates exactly the channels, and adds exactly the
-    terms, of a one-channel-at-a-time sum.
+    Channels are evaluated in blocks, with the block's orders as an array.
+    The first block is channels 0 .. floor(|lambda| a) + 10, since no sum
+    stops earlier; each later block is the 10 - q channels that the stopping
+    rule still needs after q quiet channels.  A real-typed v0 is conj(v0)
+    bit for bit, so its kind 2 value is the conjugate of its outgoing value
+    at conj(lambda): a block is one matcher call on lambda, lambda (1 +- 1e-4)
+    and conj(lambda) per channel.  Any other v0 adds a kind 2 call; a
+    complex-typed real one must, as its conjugate's -0.0 can flip the branch
+    of k and move last bits (channel 0 of complex(20, 0) at lambda = 2.5).
+    The checks and terms are array operations; the sum, the stop and raising
+    for the first failing channel run channel by channel, so the sum
+    evaluates exactly the channels, and adds exactly the terms, of a
+    one-channel-at-a-time sum.
 
     Domain, measured at a = 1, v0 = -20 on the rays arg lambda = k pi / 32:
     the sum raises on no ray at |lambda| a = 56, 60 and 80.  The incoming
@@ -697,7 +703,7 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
     A channel whose |W_ell(lambda)| is below 1e-8 of the larger of its
     values at lambda (1 +- 1e-4) raises NumericalError (an S-matrix pole):
     that ratio is about 1e4 times the relative distance to a simple pole,
-    so the check fires within about 1e-12 of one.
+    so the check fires within about 1e-12 of one; a non-finite value raises first.
     """
     lam = complex(lam)
     if not cmath.isfinite(lam):
@@ -711,21 +717,30 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
     # pole detection compares |W_ell| at lambda against nearby points: for
     # lambda far from the real axis |W^(1)| << |W^(2)| is ordinary
     # exponential asymmetry, so a ratio against W^(2) would misfire
-    arr = np.array([lam, lam * (1.0 + 1e-4), lam * (1.0 - 1e-4)])
+    self_conjugate = (np.complex128(pot.v0.conjugate()).tobytes()
+                      == np.complex128(pot.v0).tobytes())
+    points = np.array([lam, lam * (1.0 + 1e-4), lam * (1.0 - 1e-4)]
+                      + ([lam.conjugate()] if self_conjugate else []))
     total = 0.0
     quiet = 0
     first, last = 0, min(math.floor(abs(lam) * pot.a) + 10, _MAX_ORDER)
     while first <= last:
         orders = np.arange(first, last + 1)
-        w1 = channel_matcher_log(orders.repeat(3), pot)(np.tile(arr, orders.size))
-        w2 = channel_matcher_log(orders, pot, kind=2)(np.full(orders.size, lam))
-        for ell, w1_ell, w2_ell in zip(orders.tolist(), w1.reshape(-1, 3), w2):
-            if not (np.all(np.isfinite(w1_ell)) and np.isfinite(w2_ell)):
+        w = channel_matcher_log(orders.repeat(points.size), pot)(
+            np.tile(points, orders.size)).reshape(orders.size, points.size)
+        # only Re w2 = ln |W^(2)| enters, and the conjugation keeps it
+        w2 = (w[:, 3] if self_conjugate
+              else channel_matcher_log(orders, pot, kind=2)(np.full(orders.size, lam)))
+        with np.errstate(invalid="ignore"):
+            finite = np.isfinite(w[:, :3]).all(axis=1) & np.isfinite(w2)
+            pole = w[:, 0].real - np.maximum(w[:, 1].real, w[:, 2].real) < math.log(1e-8)
+            terms = (2 * orders + 1) * (w2.real - w[:, 0].real)
+        for ell, ok, at_pole, term in zip(orders.tolist(), finite, pole, terms):
+            if not ok:
                 raise NumericalError(f"channel {ell}: matcher not finite at {lam}")
-            if w1_ell[0].real - max(w1_ell[1].real, w1_ell[2].real) < math.log(1e-8):
+            if at_pole:
                 raise NumericalError(
                     f"channel {ell}: |W_ell| vanishes at lambda={lam} (S-matrix pole)")
-            term = (2 * ell + 1) * (w2_ell.real - w1_ell[0].real)
             total += term
             if ell > abs(lam) * pot.a and abs(term) < 1e-10 * max(abs(total), 1.0):
                 quiet += 1

@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from scipy.special import spherical_jn, spherical_yn
 
@@ -487,11 +487,13 @@ def test_scattering_log_det_antisymmetry():
 @pytest.mark.parametrize("v0", [-20.0, 3.0])
 def test_scattering_log_det_vanishes_on_the_real_axis(v0):
     # a real well is unitary there: the incoming matcher is the conjugate of
-    # the outgoing one, so every channel's ln|S_ell| is 0 up to rounding
+    # the outgoing one, so every channel's ln|S_ell| is 0, here exactly (a
+    # barrier below its top can leave a rounding unit: 4.4e-16 at a = 1,
+    # v0 = 20, lambda = 2.5)
     pot = rs.RadialStepPotential(2.0, v0)
     for x in (0.3, 3.0, 7.5, 18.0, 35.0):
         for lam in (x, -x):
-            assert abs(rs.scattering_log_det(pot, lam)) <= 1e-15
+            assert rs.scattering_log_det(pot, lam) == 0.0
 
 
 def test_scattering_log_det_rejects_lower_half():
@@ -551,15 +553,28 @@ def _det_channel_by_channel(pot, lam):
     raise AssertionError(f"channel sum at {lam} did not settle")
 
 
-@pytest.mark.parametrize("pot, points", [
-    (WELL, ASYMPTOTICS_DET_POINTS), (WELL, SOLVE_DET_POINTS),
-    (rs.RadialStepPotential(1.0, -1e-12), SOLVE_DET_POINTS),
-    (rs.RadialStepPotential(1.0, complex(-16.0, 1.5)), SOLVE_DET_POINTS),
-    (rs.RadialStepPotential(2.0, -20.0), SOLVE_DET_POINTS)],
-    ids=["asymptotics", "solve", "weak", "complex", "a=2"])
-def test_scattering_log_det_equals_channel_by_channel_sum(monkeypatch, pot, points):
+IMAGINARY_POINTS = [20j, 40j]
+
+
+@pytest.mark.parametrize("pot, points, merged", [
+    (WELL, ASYMPTOTICS_DET_POINTS, True), (WELL, SOLVE_DET_POINTS, True),
+    (rs.RadialStepPotential(1.0, -1e-12), SOLVE_DET_POINTS, True),
+    (rs.RadialStepPotential(1.0, complex(-16.0, 1.5)), SOLVE_DET_POINTS, False),
+    (rs.RadialStepPotential(2.0, -20.0), SOLVE_DET_POINTS, True),
+    (rs.RadialStepPotential(1.0, complex(-20.0, 0.0)), SOLVE_DET_POINTS + IMAGINARY_POINTS,
+     False),
+    # below the barrier's top k is imaginary; merged, the -0.0 of conj(v0)
+    # would flip its branch and move channel 0's term at 2.5
+    (rs.RadialStepPotential(1.0, complex(20.0, 0.0)), [2.5 + 0j, -2.5 + 0j, 2.5j], False),
+    (WELL, IMAGINARY_POINTS, True)],
+    ids=["asymptotics", "solve", "weak", "complex", "a=2", "complex-typed real",
+         "complex-typed barrier", "imaginary"])
+def test_scattering_log_det_equals_channel_by_channel_sum(monkeypatch, pot, points, merged):
     # blocks of channels evaluate exactly the channels 0..stop of the
-    # one-channel-at-a-time sum, and add exactly its terms
+    # one-channel-at-a-time sum, and add exactly its terms.  A real-typed
+    # well makes one outgoing call per block, on the three pole-test points
+    # and conj(lambda) of each channel; a complex-typed v0, even one with a
+    # zero imaginary part, adds one incoming (kind 2) call per block
     expected = [_det_channel_by_channel(pot, lam) for lam in points]
     orders = {1: [], 2: []}
     real = rs.channel_matcher_log
@@ -576,9 +591,90 @@ def test_scattering_log_det_equals_channel_by_channel_sum(monkeypatch, pot, poin
         assert got == value, lam
         if lam.imag == 0 and pot.v0.imag == 0:
             assert got == 0.0
-        assert np.array_equal(np.concatenate(orders[2]), np.arange(stop + 1))
-        assert np.array_equal(np.concatenate(orders[1]), np.arange(stop + 1).repeat(3))
-        assert len(orders[2]) < stop + 1  # fewer calls than channels
+        channels = np.arange(stop + 1)
+        if merged:
+            assert orders[2] == []
+            assert np.array_equal(np.concatenate(orders[1]), channels.repeat(4))
+        else:
+            assert np.array_equal(np.concatenate(orders[2]), channels)
+            assert np.array_equal(np.concatenate(orders[1]), channels.repeat(3))
+            assert len(orders[1]) == len(orders[2])
+        assert len(orders[1]) < stop + 1  # fewer calls than channels
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(0.5, 2.0), v0=st.floats(-40.0, 40.0),
+       x=st.floats(-30.0, 30.0), y=st.floats(0.0, 30.0))
+@example(a=1.0, v0=-20.0, x=0.0, y=20.0)
+@example(a=1.0, v0=-20.0, x=-0.0, y=40.0 / 3.0)
+@example(a=1.0, v0=20.0, x=2.5, y=0.0)
+@example(a=1.0, v0=20.0, x=-2.5, y=0.0)
+def test_scattering_log_det_of_a_real_well_equals_channel_by_channel_sum(a, v0, x, y):
+    # the merged outgoing call of a real-typed well gives the incoming
+    # values of the kind 2 calls bit for bit, on the axes too (signed
+    # zeros in k^2 and log v0); the free well returns 0 before any channel
+    lam = complex(x, y)
+    assume(v0 != 0.0 and 0.01 <= abs(lam) <= 30.0)
+    pot = rs.RadialStepPotential(a, v0)
+    assert rs.scattering_log_det(pot, lam) == _det_channel_by_channel(pot, lam)[0]
+
+
+@pytest.mark.parametrize("v0, blocks, channels", [
+    (-20.0, 90, 1649), (complex(-20.0, 0.0), 90, 1649), (complex(-16.0, 1.5), 104, 1739)])
+def test_scattering_log_det_makes_one_matcher_call_per_block(monkeypatch, v0, blocks, channels):
+    # the 38 points of the asymptotics workload sum 1,649 channels in 90
+    # blocks for the reference well: a real-typed v0 makes one call per
+    # block, on 4 points per channel; a complex-typed v0 makes an outgoing
+    # call on 3 points per channel and an incoming one on 1
+    sizes = {1: [], 2: []}  # points of each call, by kind
+    real = rs.channel_matcher_log
+
+    def counted(ell, pot, kind=1):
+        evaluate = real(ell, pot, kind)
+        return lambda lam: sizes[kind].append(np.size(lam)) or evaluate(lam)
+
+    monkeypatch.setattr(rs, "channel_matcher_log", counted)
+    pot = rs.RadialStepPotential(1.0, v0)
+    for lam in ASYMPTOTICS_DET_POINTS:
+        rs.scattering_log_det(pot, lam)
+    if isinstance(v0, complex):
+        assert len(sizes[1]) == len(sizes[2]) == blocks
+        assert (sum(sizes[1]), sum(sizes[2])) == (3 * channels, channels)
+    else:
+        assert (len(sizes[1]), sizes[2]) == (blocks, [])
+        assert sum(sizes[1]) == 4 * channels
+
+
+@pytest.mark.parametrize("v0", [-20.0, complex(-16.0, 1.5)], ids=["real", "complex"])
+@pytest.mark.parametrize("marks, error", [
+    ({2: "pole", 5: "nan"}, r"^channel 2: \|W_ell\| vanishes"),
+    ({2: "nan", 5: "pole"}, r"^channel 2: matcher not finite"),
+    ({2: "zero", 5: "nan"}, r"^channel 2: matcher not finite"),
+], ids=["pole before nan", "nan before pole", "zero is nan first"])
+def test_scattering_log_det_raises_for_its_first_failing_channel(monkeypatch, v0, marks,
+                                                                 error):
+    # a stand-in matcher with |W_ell| = 1 everywhere but at the marked
+    # channels of the first block (0..13): a pole (W_ell(lambda) small
+    # against its neighbours), a NaN at every point, or W_ell(lambda) = 0,
+    # which is both a pole and not finite and raises as not finite
+    lam = 3.0 + 2.0j
+
+    def stand_in(ell, pot, kind=1):
+        def evaluate(points):
+            ells = np.broadcast_to(ell, points.shape)
+            out = np.zeros(points.shape, dtype=complex)
+            for order, mark in marks.items():
+                at = ells == order
+                if mark == "nan":
+                    out[at] = np.nan
+                else:
+                    out[at & (points == lam)] = -30.0 if mark == "pole" else -np.inf
+            return out
+        return evaluate
+
+    monkeypatch.setattr(rs, "channel_matcher_log", stand_in)
+    with pytest.raises(NumericalError, match=error):
+        rs.scattering_log_det(rs.RadialStepPotential(1.0, v0), lam)
 
 
 @pytest.mark.parametrize("theta", [math.pi / 8, 7 * math.pi / 8])

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -32,21 +33,45 @@ def test_dump_compares_equal_to_itself_and_different_when_moved(tmp_path, capsys
     assert capsys.readouterr().out == "different  v0=-20 R=3\n"
 
 
-def test_compare_names_the_differing_density_keys(tmp_path, capsys):
+def _compare_names_the_differing_keys(tmp_path, capsys, name):
     entry = {"weyl_constant": [1.0, 2.0], "weyl_constant_2d": [3.0, 4.0]}
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    a.write_text(json.dumps({"free R=1": {"zero_tol": 1e-9, "resonances": []}, "density": entry}))
-    b.write_text(json.dumps({"free R=1": {"zero_tol": 1e-9, "resonances": []}, "density": entry}))
+    a.write_text(json.dumps({"free R=1": {"zero_tol": 1e-9, "resonances": []}, name: entry}))
+    b.write_text(json.dumps({"free R=1": {"zero_tol": 1e-9, "resonances": []}, name: entry}))
     assert solve_sets.main(["compare", str(a), str(b)]) == 0
-    assert capsys.readouterr().out == "identical  free R=1\nidentical  density\n"
+    assert capsys.readouterr().out == f"identical  free R=1\nidentical  {name}\n"
 
     b.write_text(json.dumps({"free R=1": {"zero_tol": 1e-9, "resonances": []},
-                             "density": dict(entry, weyl_constant_2d=[3.0, 4.5])}))
-    assert solve_sets.main(["compare", str(a), str(b)]) == 1
-    assert capsys.readouterr().out == ("identical  free R=1\n"
-                                       "different  density\n"
-                                       "identical  density.weyl_constant\n"
-                                       "different  density.weyl_constant_2d\n")
+                             name: dict(entry, weyl_constant_2d=[3.0, 4.5])}))
+    for args in (["compare"], ["compare", "--tol"]):  # an entry is always compared exactly
+        assert solve_sets.main(args + [str(a), str(b)]) == 1
+        assert capsys.readouterr().out == ("identical  free R=1\n"
+                                           f"different  {name}\n"
+                                           f"identical  {name}.weyl_constant\n"
+                                           f"different  {name}.weyl_constant_2d\n")
+
+
+def test_compare_names_the_differing_density_keys(tmp_path, capsys):
+    _compare_names_the_differing_keys(tmp_path, capsys, "density")
+
+
+def test_compare_names_the_differing_det_keys(tmp_path, capsys):
+    _compare_names_the_differing_keys(tmp_path, capsys, "det")
+
+
+def test_det_entry_holds_the_bench_points_of_five_wells():
+    entry = solve_sets.det_entry()
+    # points per set, the last of them on the real axis
+    sizes = {"solve": (26, 6), "asymptotics": (38, 10), "r=640,1000": (4, 0)}
+    wells = ["v0=-20", "v0=complex(-20, 0)", "v0=-1e-12", "v0=-16+1.5j", "a=2 v0=-20"]
+    assert list(entry) == ([f"{w} {tag}" for w in wells for tag in ("solve", "asymptotics")]
+                           + ["v0=-20 r=640,1000"])
+    for key, values in entry.items():
+        size, reals = sizes[key.rsplit(" ", 1)[1]]
+        assert len(values) == size
+        assert all(isinstance(v, float) and math.isfinite(v) for v in values)
+        if "1.5j" not in key:  # a real well's ln|det S| is 0 at these real points
+            assert values[size - reals:] == [0.0] * reals
 
 
 def _moved(doc, change):

@@ -14,7 +14,8 @@ by ``repr`` so they read back exactly.  ``compare`` prints
 differs or is missing from either file.  When the ``density`` entry
 differs, it is followed by one ``identical`` or ``different
 density.<key>`` line per key of the entry, so a change that should move one
-density result shows which ones moved.
+density result shows which ones moved; the ``det`` entry is compared the
+same way, with ``det.<key>`` lines.
 
 ``compare --tol`` is for a change that may move located zeros in their last
 bits: a set that is not identical prints ``close`` when both dumps have the
@@ -22,7 +23,7 @@ same resonance count per channel, and each resonance pairs off with the
 nearest unpaired one of its channel and multiplicity in the other dump,
 within the smaller recorded ``zero_tol``.
 It exits with status 1 only when a set is ``different``; the ``density``
-entry is still compared exactly.
+and ``det`` entries are still compared exactly.
 
 The 48 sets: the a = 1, v0 = -20 reference well at R = 40; the 21 members of
 the acceptance family (v0 = -20 to -12+3i, 5 x 5 bump grid) at r = 25;
@@ -38,12 +39,20 @@ and 5, ``weyl_constant_2d(3)`` at its default and at a 1e-3 tolerance, the
 rows and ``c_d`` of a 181-row d = 3 table and of a 21-row one at 1e-6
 tolerances, the predicted counts of the five r = 40 sectors of the
 ``asymptotics`` bench workload, two sector and near-axis coefficients,
-and the ``jensen_suite`` residuals.  The whole dump runs in one process
-and takes about 50 s on a 2-core Xeon VM.
+and the ``jensen_suite`` residuals.
+
+It writes one ``det`` entry too, so that a change to ``scattering_log_det``
+is checked the same way: ``ln|det S|`` at the 26 det points of the solve
+bench workloads and the 38 of the ``asymptotics`` workload, one key per
+well and point set, for a = 1 with v0 = -20, complex(-20, 0), -1e-12 and
+-16+1.5i and for a = 2, v0 = -20; and, for a = 1, v0 = -20, at r = 640 and
+1000 on pi/4 and pi/2.  The whole dump runs in one process and takes about
+50 s on a 2-core Xeon VM.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import sys
@@ -51,7 +60,7 @@ import sys
 from resonance_atlas import density as dn
 from resonance_atlas.contour import jensen_suite
 from resonance_atlas.counting import FamilyExperiment, SectorQuery, predict_sector
-from resonance_atlas.resonances import RadialStepPotential, find_resonances
+from resonance_atlas.resonances import RadialStepPotential, find_resonances, scattering_log_det
 
 REFERENCE = RadialStepPotential(1.0, -20.0)
 FAMILY_END = RadialStepPotential(1.0, complex(-12.0, 3.0))
@@ -112,11 +121,39 @@ def density_entry() -> dict:
     }
 
 
+def _det_points(radii, n_angles: int, reals) -> list[complex]:
+    """The det points of a bench workload: n_angles rays in the upper half
+    plane at each radius, and +-x on the real axis."""
+    upper = [rho * cmath.exp(1j * math.pi * k / (n_angles + 1))
+             for rho in radii for k in range(1, n_angles + 1)]
+    return upper + [complex(s * x, 0.0) for x in reals for s in (1, -1)]
+
+
+DET_POINTS = {"solve": _det_points((5.0, 10.0, 15.0, 20.0), 5, (3.0, 7.5, 18.0)),
+              "asymptotics": _det_points((10.0, 20.0, 30.0, 40.0), 7,
+                                         (2.5, 5.0, 10.0, 20.0, 35.0))}
+
+
+def det_entry() -> dict:
+    """ln|det S| values, as listed in the module docstring."""
+    wells = [("v0=-20", REFERENCE),
+             ("v0=complex(-20, 0)", RadialStepPotential(1.0, complex(-20.0, 0.0))),
+             ("v0=-1e-12", RadialStepPotential(1.0, -1e-12)),
+             ("v0=-16+1.5j", RadialStepPotential(1.0, complex(-16.0, 1.5))),
+             ("a=2 v0=-20", RadialStepPotential(2.0, -20.0))]
+    entry = {f"{name} {tag}": [float(scattering_log_det(pot, lam)) for lam in points]
+             for name, pot in wells for tag, points in DET_POINTS.items()}
+    entry["v0=-20 r=640,1000"] = [float(scattering_log_det(REFERENCE, r * cmath.exp(1j * t)))
+                                  for r in (640.0, 1000.0) for t in (math.pi / 4, math.pi / 2)]
+    return entry
+
+
 def dump(path, sets=None) -> None:
-    """Write the given sets, or the 48 sets and the density entry."""
+    """Write the given sets, or the 48 sets and the density and det entries."""
     doc = {name: solve(pot, R) for name, pot, R in (sets or all_sets())}
     if sets is None:
         doc["density"] = density_entry()
+        doc["det"] = det_entry()
     with open(path, "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
@@ -145,16 +182,17 @@ def _close(a: dict, b: dict) -> bool:
 def _compare_entries(a: dict, b: dict, prefix: str = "", tol: bool = False) -> bool:
     """Print identical/different (with ``tol``, close for a set that passes
     ``_close``) per key of either dict, and per key of a differing
-    ``density`` entry; True if no key is different."""
+    ``density`` or ``det`` entry; True if no key is different."""
     all_same = True
     for key in list(a) + [k for k in b if k not in a]:
         both = key in a and key in b
         status = "identical" if both and a[key] == b[key] else "different"
-        if status == "different" and both and tol and key != "density" and _close(a[key], b[key]):
+        entry = not prefix and key in ("density", "det")
+        if status == "different" and both and tol and not entry and _close(a[key], b[key]):
             status = "close"
         print(f"{status:<9}  {prefix}{key}")
-        if status == "different" and both and key == "density":
-            _compare_entries(a[key], b[key], "density.")
+        if status == "different" and both and entry:
+            _compare_entries(a[key], b[key], f"{key}.")
         all_same &= status != "different"
     return all_same
 
