@@ -73,8 +73,10 @@ class AcceptanceContext:
 def criterion_1(ctx: AcceptanceContext):
     """d=3 closed form vs quadrature on 50 angles, <= 1e-6."""
     del ctx
-    worst = max(abs(dn.angular_density(3, float(th)) - dn.angular_density_d3_closed(float(th)))
-                for th in np.linspace(0.05, math.pi - 0.05, 50))
+    thetas = np.linspace(0.05, math.pi - 0.05, 50)
+    quad = dn._radial_integral(3, thetas, dn.DEFAULT_QUAD, "angular_density",
+                               dn._minus_re_phase)  # the rows of angular_density(3, .)
+    worst = float(np.max(abs(quad - dn.angular_density_d3_closed(thetas))))
     return worst <= 1e-6, f"max |quad - closed| = {worst:.3e} (tol 1e-6)"
 
 
@@ -100,8 +102,9 @@ def criterion_3(ctx: AcceptanceContext):
     near = abs(dn.angular_density_deriv(3, 1e-3) - 4.0 / 3.0)
     forms = {}
     for d in (3, 5, 7):
-        integral = dn._integrate(lambda t: math.sqrt(t * t - 1.0) * t ** (-(d + 1)),
-                                 1.0, np.inf, f"integral form (d={d})", 1e-12, 1e-12)
+        # the integral of sqrt(t^2 - 1) t^-(d+1) over [1, inf), with t = 1/s
+        integral = dn._integrate(lambda s, rows: s ** (d - 2) * np.sqrt(1.0 - s * s),
+                                 0.0, 1.0, f"integral form (d={d})", 1e-12, 1e-12)
         forms[d] = abs(4.0 / math.factorial(d - 2) * integral
                        - dn.angular_density_deriv_at_zero(d))
     passed = near <= 1e-2 and all(v <= 1e-8 for v in forms.values())

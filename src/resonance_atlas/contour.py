@@ -649,21 +649,22 @@ class JensenTestCase:
         return cls(zeros=tuple(complex(z) for z in zeros),
                    poles=tuple(complex(p) for p in poles))
 
-    def ray_log_increment(self, t: float, angle: float) -> complex:
+    def ray_log_increment(self, t, angle):
         """Continuous log f(t e^{i angle}) - log f(0) along the ray; its real
-        part is ln|f(t e^{i angle}) / f(0)| on every branch.
+        part is ln|f(t e^{i angle}) / f(0)| on every branch.  t and angle
+        broadcast as arrays; scalars give a complex.
 
         Each factor contributes Log((t e^{i angle} - a)/(-a)) with the
         principal branch, which is exact for straight paths because a segment
         never subtends an angle pi or more from an external point.
         """
-        e = cmath.exp(1j * angle)
-        acc = 0.0 + 0.0j
+        z = np.multiply(t, np.exp(1j * np.asarray(angle, dtype=float)))
+        acc = np.zeros(np.shape(z), dtype=complex)
         for a in self.zeros:
-            acc += cmath.log((t * e - a) / (-a))
+            acc += np.log((z - a) / (-a))
         for p in self.poles:
-            acc -= cmath.log((t * e - p) / (-p))
-        return acc
+            acc -= np.log((z - p) / (-p))
+        return acc if acc.shape else complex(acc)
 
 
 def jensen_residual(tc: JensenTestCase, r: float) -> float:
@@ -704,13 +705,13 @@ def sector_jensen_residual(tc: JensenTestCase, r: float, phi: float,
               if abs(a) <= r and phi < cmath.phase(a) < theta)
 
     def ray_term(angle, sign):
-        return lambda t: sign * tc.ray_log_increment(t, angle).imag / t if t else 0.0
+        return lambda t, rows: sign * tc.ray_log_increment(t, angle).imag / t
 
     term1 = _integrate(ray_term(theta, -1.0), 0.0, r, "sector d/dtheta term",
                        _JENSEN_TOL, _JENSEN_TOL) / _TWO_PI
     term2 = _integrate(ray_term(phi, 1.0), 0.0, r, "sector ray term",
                        _JENSEN_TOL, _JENSEN_TOL) / _TWO_PI
-    term3 = _integrate(lambda om: tc.ray_log_increment(r, om).real, phi, theta,
+    term3 = _integrate(lambda om, rows: tc.ray_log_increment(r, om).real, phi, theta,
                        "sector arc term", _JENSEN_TOL, _JENSEN_TOL) / _TWO_PI
     return abs(lhs - (term1 + term2 + term3))
 

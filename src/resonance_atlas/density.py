@@ -22,24 +22,27 @@ radius T chosen so that the analytic bound
     tail(T) <= (8/(d-2)!) * T^(1-d) / (d-1)
 
 stays below a tenth of the absolute tolerance (the bound uses
--Re rho(t e^{i theta}) <= 2 t for t >= 2).  The two-dimensional
-cross-check nests the same checked quadrature in log1p-mapped Cartesian
-axes, from the support's edge (see weyl_constant_2d).
+-Re rho(t e^{i theta}) <= 2 t for t >= 2).  Every integral is one row of
+a batch of the one checked quadrature, ``_integrate`` (QUADPACK's adaptive
+21-point Gauss-Kronrod rule, all rows in one numpy pass per round): a table
+takes all its h rows in one batch and all its h' rows in another, and the
+theta quadratures of c_d and of the sector integrals take the density at
+all their nodes of a round as one batch of radial rows.  The
+two-dimensional cross-check nests the same quadrature in log1p-mapped
+Cartesian axes, from the support's edge (see weyl_constant_2d).
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import NumericalError, QuadratureError
-from .special import bessel_phase, critical_curve_modulus
+from .special import (_EPS, _branch_sqrt_one_minus_z2, _root, bessel_phase,
+                      critical_curve_modulus)
 
 __all__ = [
     "QuadratureSpec",
@@ -97,17 +100,89 @@ def _check_dimension(d: int) -> int:
 # the one subdivision limit of every adaptive quadrature in the package
 _QUAD_LIMIT = 200
 
+# QUADPACK's 21-point Gauss-Kronrod pair (qk21): the Kronrod nodes on
+# [-1, 1], their weights, and the 10-point Gauss weights of the odd nodes
+# (0 at the Kronrod-only nodes)
+_GK_HALF = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+            0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+            0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+            0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+            0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
+_GK_X = np.array(_GK_HALF + (0.0,) + tuple(-x for x in reversed(_GK_HALF)))
+_K_HALF = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+           0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+           0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+           0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+           0.142775938577060080797094273138717, 0.147739104901338491374841515972068)
+_GK_K = np.array(_K_HALF + (0.149445554002916905664936468389821,) + _K_HALF[::-1])
+_G_HALF = (0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
+           0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
+           0.0, 0.295524224714752870173892994651338)
+_GK_G = np.array(_G_HALF + (0.0,) + _G_HALF[::-1])
 
-def _integrate(fn, a, b, what: str, abs_tol: float, rel_tol: float) -> float:
-    """scipy's adaptive quad of fn over [a, b] (b may be inf); raises
-    QuadratureError, with the estimate and its error, if it does not
-    converge to the tolerances."""
-    value, err, info, *rest = quad(fn, a, b, epsabs=abs_tol, epsrel=rel_tol,
-                                   limit=_QUAD_LIMIT, full_output=1)
-    if rest:
-        raise QuadratureError(f"{what}: quadrature failed to converge ({rest[0].strip()})",
-                              estimate=value, achieved_error=err)
-    return value
+
+def _gk21(fn, lo, hi, rows):
+    """The qk21 estimates and error estimates of the integrals of fn over the
+    intervals [lo, hi] (shape (len(rows), j)), interval k of row rows[k]."""
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    x = c[..., None] + h[..., None] * _GK_X
+    f = fn(x.reshape(len(rows), -1), rows).reshape(x.shape)
+    kron, width = (f * _GK_K).sum(-1), abs(h)
+    asc = (abs(f - 0.5 * kron[..., None]) * _GK_K).sum(-1) * width
+    err = abs(kron - (f * _GK_G).sum(-1)) * width
+    scaled = asc * np.minimum(1.0, (200.0 * err / np.where(asc > 0.0, asc, 1.0)) ** 1.5)
+    err = np.where((asc > 0.0) & (err > 0.0), scaled, err)
+    # QUADPACK's floor: the rounding error of the sum itself
+    return kron * h, np.maximum(err, 50.0 * _EPS * (abs(f) * _GK_K).sum(-1) * width)
+
+
+def _integrate(fn, a, b, what, abs_tol, rel_tol):
+    """Integrals of fn over finite intervals [a, b] by QUADPACK's adaptive
+    21-point Gauss-Kronrod rule, one integral per row of the broadcast of
+    a, b and the tolerances; a float when all four are scalars.
+
+    ``fn(x, rows)`` evaluates the integrand of row ``rows[k]`` at the nodes
+    ``x[k]`` (a 2-D array): one call per round covers every live interval.
+    Each round, every row whose summed error estimate exceeds
+    ``max(abs_tol, rel_tol |I|)`` bisects its interval of largest estimate
+    (qk21's ``resasc min(1, (200 |K - G| / resasc)^1.5)``, floored at 50 eps
+    ``resabs``).  A row still short at ``_QUAD_LIMIT`` subintervals raises
+    QuadratureError, named by ``what`` (a string, or a function of the row
+    index) and carrying the row's estimate and error.  The rows do not
+    interact, so each row's result is the same, bit for bit, in any batch.
+    """
+    shape = np.broadcast_shapes(*map(np.shape, (a, b, abs_tol, rel_tol)))
+    a, b, abs_tol, rel_tol = (np.array(v, dtype=float).ravel() for v in
+                              np.broadcast_arrays(a, b, abs_tol, rel_tol))
+    # the intervals of the live rows, one column each, in the order made
+    rows, lo, hi = np.arange(a.size), a[:, None], b[:, None]
+    val, err = _gk21(fn, lo, hi, rows)
+    out = np.zeros(a.size)
+    while True:
+        count = lo.shape[1]
+        total, error = val.sum(1), err.sum(1)
+        done = error <= np.maximum(abs_tol[rows], rel_tol[rows] * abs(total))
+        out[rows[done]] = total[done]
+        if done.all():
+            break
+        keep = ~done
+        rows, lo, hi, val, err = rows[keep], lo[keep], hi[keep], val[keep], err[keep]
+        if count == _QUAD_LIMIT:
+            name = what(rows[0]) if callable(what) else what
+            total, error = total[keep][0], error[keep][0]
+            raise QuadratureError(
+                f"{name}: quadrature failed to converge in {count} subintervals "
+                f"(estimate {total:.10g}, error {error:.3g})",
+                estimate=float(total), achieved_error=float(error))
+        # each live row bisects its worst interval into it and a new column
+        k, worst = np.arange(rows.size), err.argmax(1)
+        left, right = lo[k, worst], hi[k, worst]
+        mid = 0.5 * (left + right)
+        v, e = _gk21(fn, np.stack([left, mid], 1), np.stack([mid, right], 1), rows)
+        hi[k, worst], val[k, worst], err[k, worst] = mid, v[:, 0], e[:, 0]
+        lo, hi = np.column_stack([lo, mid]), np.column_stack([hi, right])
+        val, err = np.column_stack([val, v[:, 1]]), np.column_stack([err, e[:, 1]])
+    return out.reshape(shape) if shape else float(out[0])
 
 
 def angular_density_tail_bound(d: int, radius: float) -> float:
@@ -116,26 +191,27 @@ def angular_density_tail_bound(d: int, radius: float) -> float:
     return 8.0 / math.factorial(d - 2) * radius ** (1 - d) / (d - 1)
 
 
-def _radial_integral(d: int, theta: float, spec: QuadratureSpec, what: str, f) -> float:
-    """(4/(d-2)!) times the integral of f(t e^{i theta}) / t^(d+1) dt from
-    the critical curve |z0(theta)| to the truncation radius, in x = ln t."""
+def _radial_integral(d: int, theta, spec: QuadratureSpec, what: str, f):
+    """(4/(d-2)!) times the integrals of f(t e^{i theta}) / t^(d+1) dt from
+    the critical curve |z0(theta)| to the truncation radius, in x = ln t,
+    for the 1-D array of angles theta in one batch."""
     t0 = critical_curve_modulus(theta)
-    T = max(spec.radius_for(d), 4.0 * t0)
-    eith = cmath.exp(1j * theta)
+    T = np.maximum(spec.radius_for(d), 4.0 * t0)
+    eith = np.exp(1j * theta)
 
-    def integrand(x):
-        return f(math.exp(x) * eith) * math.exp(-d * x)
+    def integrand(x, rows):
+        return f(np.exp(x) * eith[rows, None]) * np.exp(-d * x)
 
     fact = math.factorial(d - 2)
-    raw = _integrate(integrand, math.log(t0), math.log(T),
-                     f"{what}(d={d}, theta={theta:.6g})",
+    raw = _integrate(integrand, np.log(t0), np.log(T),
+                     lambda i: f"{what}(d={d}, theta={theta[i]:.6g})",
                      spec.abs_tol * fact / 4.0 * 0.45, spec.rel_tol)
     return 4.0 / fact * raw
 
 
-def _minus_re_phase(z: complex) -> float:
+def _minus_re_phase(z):
     v = -bessel_phase(z).real
-    return 0.0 if v < 0.0 else v  # roundoff just outside the curve
+    return np.where(v < 0.0, 0.0, v)  # roundoff just outside the curve
 
 
 def angular_density(d: int, theta: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
@@ -145,25 +221,26 @@ def angular_density(d: int, theta: float, spec: QuadratureSpec = DEFAULT_QUAD) -
         raise ValueError(f"angle must lie in [0, pi]; got {theta}")
     if theta == 0.0 or theta == math.pi:
         return 0.0
-    return _radial_integral(d, theta, spec, "angular_density", _minus_re_phase)
+    return float(_radial_integral(d, np.array([theta], dtype=float), spec,
+                                  "angular_density", _minus_re_phase)[0])
 
 
-def angular_density_d3_closed(theta: float) -> float:
-    """Closed form of the d=3 angular density on (0, pi).
+def angular_density_d3_closed(theta):
+    """Closed form of the d=3 angular density on (0, pi), at a float or an
+    array of angles (a float or an array back).
 
     (4/9) * ( sin(3 theta) + Re[(1 - z0^2)^{3/2} / |z0|^3] ) with the same
     square-root branch convention as the phase function.
     """
-    if not 0.0 < theta < math.pi:
-        raise ValueError(f"angle must lie in (0, pi); got {theta}")
-    m = critical_curve_modulus(theta)
-    z0 = m * cmath.exp(1j * theta)
-    w = cmath.sqrt(1.0 - z0) * cmath.sqrt(1.0 + z0)
-    return 4.0 / 9.0 * (math.sin(3.0 * theta) + (w ** 3).real / m ** 3)
+    m = critical_curve_modulus(theta)  # checks the angles
+    th = np.asarray(theta, dtype=float)
+    w = _branch_sqrt_one_minus_z2(m * np.exp(1j * th))
+    out = 4.0 / 9.0 * (np.sin(3.0 * th) + (w ** 3).real / m ** 3)
+    return out if th.ndim else float(out)
 
 
-def _dtheta_minus_re_phase(z: complex) -> float:
-    return (1j * (cmath.sqrt(1.0 - z) * cmath.sqrt(1.0 + z))).real
+def _dtheta_minus_re_phase(z):
+    return -_branch_sqrt_one_minus_z2(z).imag
 
 
 def angular_density_deriv(d: int, theta: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
@@ -176,8 +253,8 @@ def angular_density_deriv(d: int, theta: float, spec: QuadratureSpec = DEFAULT_Q
     _check_dimension(d)
     if not 0.0 < theta < math.pi:
         raise ValueError(f"angle must lie in (0, pi); got {theta}")
-    return _radial_integral(d, theta, spec, "angular_density_deriv",
-                            _dtheta_minus_re_phase)
+    return float(_radial_integral(d, np.array([theta], dtype=float), spec,
+                                  "angular_density_deriv", _dtheta_minus_re_phase)[0])
 
 
 def angular_density_deriv_at_zero(d: int) -> float:
@@ -196,6 +273,14 @@ def angular_density_deriv_at_zero(d: int) -> float:
 _cd_cache: dict = {}
 
 
+def _density_rows(d: int, spec: QuadratureSpec):
+    """The angular density as the vectorised integrand of a theta quadrature."""
+    def h(theta, rows):
+        return _radial_integral(d, theta.ravel(), spec, "angular_density",
+                                _minus_re_phase).reshape(theta.shape)
+    return h
+
+
 def weyl_constant(d: int, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
     """c_d = (d/2pi) * integral of the angular density over (0, pi).
 
@@ -206,7 +291,7 @@ def weyl_constant(d: int, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
     key = (d, spec)
     if key in _cd_cache:
         return _cd_cache[key]
-    value = _integrate(lambda th: angular_density(d, th, spec), 0.0, math.pi / 2.0,
+    value = _integrate(_density_rows(d, spec), 0.0, math.pi / 2.0,
                        f"weyl_constant(d={d})", 1e-8, spec.rel_tol)
     out = d / (2.0 * math.pi) * 2.0 * value
     _cd_cache[key] = out
@@ -223,12 +308,15 @@ def weyl_constant_2d(d: int, abs_tol: float = 5e-7) -> float:
     2 (T^(1-d)/(d-1))(1+1/T) to the double integral, abs_tol/2 to c_d.
 
     Outer over x on [0, 1] and [1, T] (the support's edge meets the real
-    axis at x = 1), inner over y from the edge y_c(x) to |z| = T, both in
-    u = log1p(.); y_c is 0 for x >= 1, else the sign change of -Re rho(x+iy)
-    on (0, 1] (brentq).  The quadratures share the other abs_tol/2: with
-    tol = abs_tol/(4 coeff) on the quarter plane, 3 tol/8 per outer piece and
-    tol/(4 ln(1+T)(1+x)) per inner integral, whose errors times the outer's
-    Jacobian 1+x sum to at most tol/4 over a u-range of length ln(1+T).
+    axis at x = 1; the two pieces are two rows of one batch), inner over y
+    from the edge y_c(x) to |z| = T, both in u = log1p(.).  Each outer round
+    takes the inner integrals of all its nodes in one batch; their edges
+    y_c are 0 for x >= 1, else the sign change of -Re rho(x+iy) on (0, 1],
+    all found by one elementwise root search to 2e-12.  The quadratures share
+    the other abs_tol/2: with tol = abs_tol/(4 coeff) on the quarter plane,
+    3 tol/8 per outer piece and tol/(4 ln(1+T)(1+x)) per inner integral,
+    whose errors times the outer's Jacobian 1+x sum to at most tol/4 over a
+    u-range of length ln(1+T).
     """
     _check_dimension(d)
     if not 0 < abs_tol < math.inf:
@@ -238,31 +326,39 @@ def weyl_constant_2d(d: int, abs_tol: float = 5e-7) -> float:
     tol, uT = abs_tol / coeff / 4.0, math.log1p(T)
     what = f"weyl_constant_2d(d={d}, abs_tol={abs_tol:g})"
 
-    def edge(y, x):
-        return -bessel_phase(complex(x, y)).real
+    def over_y(u, rows):
+        x = np.expm1(u).ravel()
+        near = np.flatnonzero(x < 1.0)
+        xn = x[near]
 
-    def over_y(u):
-        x = math.expm1(u)
-        if x < 1.0 and not edge(0.0, x) < 0.0 < edge(1.0, x):
-            raise NumericalError(f"{what}: no support edge on y in (0, 1] at x = {x!r}")
-        y_c = brentq(edge, 0.0, 1.0, args=(x,)) if x < 1.0 else 0.0
-        v_lo, v_hi = math.log1p(y_c), math.log1p(math.sqrt(max(T * T - x * x, 0.0)))
+        def edge(y):
+            return -bessel_phase(xn + 1j * y).real
 
-        def integrand(v):
-            y = math.expm1(v)
-            return _minus_re_phase(complex(x, y)) * (1.0 + y) / (x * x + y * y) ** (0.5 * d + 1)
+        has_edge = (edge(0.0) < 0.0) & (0.0 < edge(1.0))
+        if not has_edge.all():
+            raise NumericalError(f"{what}: no support edge on y in (0, 1] "
+                                 f"at x = {float(xn[~has_edge][0])!r}")
+        y_c = np.zeros_like(x)
+        y_c[near] = _root(edge, 0.0, np.ones(near.size), xtol=2e-12)
+        v_lo, v_hi = np.log1p(y_c), np.log1p(np.sqrt(np.maximum(T * T - x * x, 0.0)))
 
-        return (1.0 + x) * _integrate(integrand, v_lo, v_hi, f"{what} inner at x = {x:.6g}",
-                                      tol / (4.0 * uT * (1.0 + x)), 0.0)
+        def integrand(v, rows):
+            y, xr = np.expm1(v), x[rows, None]
+            return _minus_re_phase(xr + 1j * y) * (1.0 + y) / (xr * xr + y * y) ** (0.5 * d + 1)
 
-    total = sum(_integrate(over_y, ua, ub, f"{what} outer from u = {ua:.4g}", 3 * tol / 8, 0.0)
-                for ua, ub in [(0.0, math.log(2.0)), (math.log(2.0), uT)])
-    return coeff * 2.0 * total  # doubled for x < 0
+        inner = _integrate(integrand, v_lo, v_hi, lambda i: f"{what} inner at x = {x[i]:.6g}",
+                           tol / (4.0 * uT * (1.0 + x)), 0.0)
+        return ((1.0 + x) * inner).reshape(u.shape)
+
+    starts = np.array([0.0, math.log(2.0)])
+    pieces = _integrate(over_y, starts, np.array([math.log(2.0), uT]),
+                        lambda i: f"{what} outer from u = {starts[i]:.4g}", 3 * tol / 8, 0.0)
+    return float(coeff * 2.0 * (pieces[0] + pieces[1]))  # doubled for x < 0
 
 
 def _density_integral(d: int, lo: float, hi: float) -> float:
     """integral of the angular density over [lo, hi] inside [0, pi]."""
-    return _integrate(lambda th: angular_density(d, th), lo, hi,
+    return _integrate(_density_rows(d, DEFAULT_QUAD), lo, hi,
                       f"density integral over [{lo:.6g}, {hi:.6g}]",
                       1e-9, DEFAULT_QUAD.rel_tol)
 
@@ -273,9 +369,9 @@ def sector_density(d: int, phi: float, theta: float) -> float:
     if not 0.0 < phi < theta < math.pi:
         raise ValueError(
             f"sector angles must satisfy 0 < phi < theta < pi; got ({phi}, {theta})")
-    return (angular_density_deriv(d, theta)
-            - angular_density_deriv(d, phi)
-            + d * d * _density_integral(d, phi, theta))
+    hp = _radial_integral(d, np.array([theta, phi], dtype=float), DEFAULT_QUAD,
+                          "angular_density_deriv", _dtheta_minus_re_phase)
+    return float(hp[0] - hp[1] + d * d * _density_integral(d, phi, theta))
 
 
 def near_axis_coefficient(d: int, theta: float) -> float:
@@ -382,8 +478,8 @@ def build_density_table(d: int, n_thetas: int = 181,
     hp = np.zeros(n_thetas)
     hp0 = angular_density_deriv_at_zero(d)
     hp[0], hp[-1] = hp0, -hp0
-    for i in range(1, n_thetas - 1):
-        h[i] = angular_density(d, float(thetas[i]), spec)
-        hp[i] = angular_density_deriv(d, float(thetas[i]), spec)
+    inner = thetas[1:-1]
+    h[1:-1] = _radial_integral(d, inner, spec, "angular_density", _minus_re_phase)
+    hp[1:-1] = _radial_integral(d, inner, spec, "angular_density_deriv", _dtheta_minus_re_phase)
     return DensityTable(d=d, thetas=thetas, h=h, h_prime=hp,
                         c_d=weyl_constant(d, spec), quad=spec)

@@ -4,10 +4,10 @@ Contents:
 
 * ``bessel_phase`` -- the phase function from uniform Bessel-function
   asymptotics, continuous on the open upper half plane together with (0, 1].
-  Scalar input stays in cmath: the density quadratures call it once per
-  point, about 1e5 times per constant.
 * ``coth_fixed_point`` / ``critical_curve_point`` / ``critical_curve_modulus``
-  -- the curve separating the sign regions of ``Re bessel_phase``.
+  -- the curve separating the sign regions of ``Re bessel_phase``; the
+  modulus takes an array of angles, solved by one elementwise Illinois
+  root finder (``_root``), which the density layer's support edges use too.
 * ``sph_j_pair_log`` / ``sph_h_pair_log`` -- log-scaled pairs
   (f_(l-1), f_l) of the spherical Bessel ``j_l`` and the outgoing Hankel
   ``h_l^(1)`` for complex arguments and integer orders, backed by scipy's
@@ -28,13 +28,11 @@ All functions are pure.
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import lru_cache
 
 import numpy as np
 from scipy import special as _ss
-from scipy.optimize import brentq
 
 from .errors import NumericalError
 
@@ -68,14 +66,10 @@ def _branch_sqrt_one_minus_z2(z):
 def bessel_phase(z):
     """Evaluate ln((1 + w)/z) - w with w = sqrt(1-z^2) on the good branch.
 
-    Accepts a complex scalar or array.  The domain is the open upper half
-    plane together with the real interval (0, 1]; elsewhere the branch
-    prescription is ambiguous and a ValueError is raised.
-
-    A scalar (a Python or numpy complex, float or int, or a 0-d array) is
-    checked and evaluated in cmath and returned as a Python complex: the
-    density quadratures call this once per point, about 1e5 times per
-    constant, and numpy's per-call cost would be most of the work.
+    Accepts a complex scalar or array; a scalar (a Python or numpy number or
+    a 0-d array) is returned as a Python complex.  The domain is the open
+    upper half plane together with the real interval (0, 1]; elsewhere the
+    branch prescription is ambiguous and a ValueError is raised.
 
     On (0, 1] all branches are principal, and the continuation to the upper
     half plane is realized by principal branches as well: writing
@@ -83,20 +77,53 @@ def bessel_phase(z):
     (1 + w)/z = exp(sigma + i*tau), whose argument stays inside (-pi, 0), so
     the principal logarithm never jumps.
     """
-    if not isinstance(z, (complex, float, int)):
-        arr = np.asarray(z, dtype=complex)
-        if arr.shape:
-            bad = ~((arr.imag > 0.0) | ((arr.imag == 0.0) & (arr.real > 0.0) & (arr.real <= 1.0)))
-            if np.any(bad):
-                raise ValueError(_PHASE_DOMAIN % (arr[bad].flat[0],))
-            w = _branch_sqrt_one_minus_z2(arr)
-            return np.log((1.0 + w) / arr) - w
-        z = arr
-    z = complex(z)
-    if not (z.imag > 0.0 or (z.imag == 0.0 and 0.0 < z.real <= 1.0)):
-        raise ValueError(_PHASE_DOMAIN % (z,))
-    w = cmath.sqrt(1.0 - z) * cmath.sqrt(1.0 + z)
-    return cmath.log((1.0 + w) / z) - w
+    # a scalar is evaluated as a 1-element array: numpy's scalar arithmetic
+    # rounds differently
+    arr = np.asarray(z, dtype=complex)
+    z1 = np.atleast_1d(arr)
+    bad = ~((z1.imag > 0.0) | ((z1.imag == 0.0) & (z1.real > 0.0) & (z1.real <= 1.0)))
+    if np.any(bad):
+        raise ValueError(_PHASE_DOMAIN % (complex(z1[bad][0]),))
+    w = _branch_sqrt_one_minus_z2(z1)
+    tiny = (abs(z1.real) < 1e-300) & (z1.imag < 1e-300)
+    if tiny.any():
+        # (1 + w)/z overflows below |z| ~ 1e-308: there log z is taken apart;
+        # arg(1 + w) - arg z stays in (-pi, 0], so the branch is the same
+        out = (np.log((1.0 + w) / np.where(tiny, 1.0, z1))
+               - np.log(np.where(tiny, z1, 1.0)) - w)
+    else:
+        out = np.log((1.0 + w) / z1) - w
+    return out if arr.shape else complex(out[0])
+
+
+def _root(f, a, b, xtol: float = 0.0):
+    """Elementwise roots of the vectorised f on the brackets [a, b], by the
+    Illinois variant of regula falsi: each secant step keeps the sign change
+    bracketed, and an end kept twice running has its f value halved.  A
+    step is held at least half the tolerance inside the bracket, so the
+    bracket closes on the root; an element stops once its bracket is at
+    most ``xtol + 4 eps |x|`` wide or f vanishes at its latest point x,
+    which is returned.  A finished element stops moving, so its result does
+    not depend on the others.  Where f has no sign change on [a, b], the
+    end of smaller |f| is returned.
+    """
+    a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(a, b))
+    fa, fb = f(a), f(b)
+    flat = (fa < 0.0) == (fb < 0.0)
+    b = np.where(flat & (abs(fa) < abs(fb)), a, b)
+    a = np.where(flat, b, a)
+    while True:
+        tol = xtol + 4.0 * _EPS * abs(b)
+        done = (abs(b - a) <= tol) | (fb == 0.0)
+        if done.all():
+            return b
+        lo, hi = np.minimum(a, b) + 0.5 * tol, np.maximum(a, b) - 0.5 * tol
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where finished
+            x = np.where(done, b, np.minimum(np.maximum(b - fb * ((b - a) / (fb - fa)), lo), hi))
+        fx = f(x)
+        flip = (fx < 0.0) != (fb < 0.0)
+        a, fa = np.where(flip, b, a), np.where(flip, fb, 0.5 * fa)
+        b, fb = x, fx
 
 
 @lru_cache(maxsize=1)
@@ -105,18 +132,17 @@ def coth_fixed_point() -> float:
 
     coth(1) - 1 > 0 and coth(2) - 2 < 0, so the bracket is guaranteed.
     """
-    return float(brentq(lambda s: 1.0 / math.tanh(s) - s, 1.0, 2.0,
-                        xtol=1e-15, rtol=8.9e-16))
+    return float(_root(lambda s: 1.0 / np.tanh(s) - s, 1.0, 2.0))
 
 
-def _im_radicand(s: float) -> float:
-    """s^2 - s*tanh(s), with a series for small s to dodge cancellation."""
-    if s < 0.1:
-        s2 = s * s
-        # s^2 - s*tanh s = s^4/3 - 2 s^6/15 + 17 s^8/315 - 62 s^10/2835 + ...
-        return s2 * s2 * (1.0 / 3.0 + s2 * (-2.0 / 15.0 + s2 * (
-            17.0 / 315.0 + s2 * (-62.0 / 2835.0 + s2 * (1382.0 / 155925.0)))))
-    return s * s - s * math.tanh(s)
+def _im_radicand(s):
+    """s^2 - s*tanh(s), elementwise, with a series for small s to dodge
+    cancellation."""
+    s2 = s * s
+    # s^2 - s*tanh s = s^4/3 - 2 s^6/15 + 17 s^8/315 - 62 s^10/2835 + ...
+    series = s2 * s2 * (1.0 / 3.0 + s2 * (-2.0 / 15.0 + s2 * (
+        17.0 / 315.0 + s2 * (-62.0 / 2835.0 + s2 * (1382.0 / 155925.0)))))
+    return np.where(s < 0.1, series, s2 - s * np.tanh(s))
 
 
 def critical_curve_point(s: float, sign: int = +1) -> complex:
@@ -137,36 +163,39 @@ def critical_curve_point(s: float, sign: int = +1) -> complex:
         re2 = 0.0
     else:
         re2 = max(s / math.tanh(s) - s * s, 0.0)
-    im2 = max(_im_radicand(s), 0.0)
+    im2 = max(float(_im_radicand(s)), 0.0)
     return complex(sign * math.sqrt(re2), math.sqrt(im2))
 
 
-def _curve_arg_plus(s: float) -> float:
-    """Argument of the + branch curve point; increases from 0 to pi/2."""
-    p = critical_curve_point(s, +1)
-    return math.atan2(p.imag, p.real)
-
-
-def critical_curve_modulus(theta: float) -> float:
+def critical_curve_modulus(theta):
     """Modulus of the critical-curve point with argument theta in (0, pi).
 
+    Takes a float or an array of angles and returns a float or an array.
     Uses the + branch for theta < pi/2 and the reflection symmetry for
-    theta > pi/2.  Along the curve |z|^2 = 2 s / sinh(2 s), which is what is
-    returned once the parameter is solved for.
+    theta > pi/2.  The curve parameter s is solved for on (0, s0), where
+    the + branch point's argument rises from 0 to pi/2, by ``_root`` in the
+    variable s^4; along the curve |z|^2 = 2 s / sinh(2 s), which is what is
+    returned.  Below the argument at s = 1e-9 that is 1, the curve's
+    endpoint to double precision.
     """
-    if not 0.0 < theta < math.pi:
-        raise ValueError(f"angle must lie in (0, pi); got {theta}")
+    th = np.atleast_1d(np.asarray(theta, dtype=float)).ravel()
+    bad = ~((0.0 < th) & (th < math.pi))
+    if np.any(bad):
+        raise ValueError(f"angle must lie in (0, pi); got {th[bad][0]}")
     s0 = coth_fixed_point()
-    if theta > math.pi / 2.0:
-        theta = math.pi - theta
-    if abs(theta - math.pi / 2.0) < 1e-15:
-        return math.sqrt(s0 * s0 - 1.0)
-    s_lo = 1e-9
-    if theta <= _curve_arg_plus(s_lo):
-        return 1.0  # indistinguishable from the curve endpoint at this angle
-    s = brentq(lambda t: _curve_arg_plus(t) - theta, s_lo, s0 * (1.0 - 1e-14),
-               xtol=1e-15, rtol=8.9e-16)
-    return math.sqrt(2.0 * s / math.sinh(2.0 * s))
+    th = np.where(th > math.pi / 2.0, math.pi - th, th)
+    cos2, sin2 = np.cos(th) ** 2, np.sin(th) ** 2
+
+    def above(v):
+        # > 0 where the point's argument exceeds theta: Im^2 cos^2 > Re^2 sin^2;
+        # in v = s^4 it is near linear for small s, where Im^2 ~ s^4/3
+        s = np.sqrt(np.sqrt(v))
+        return _im_radicand(s) * cos2 - (s / np.tanh(s) - s * s) * sin2
+
+    s = np.sqrt(np.sqrt(_root(above, 1e-36, np.full(th.shape, (s0 * (1.0 - 1e-14)) ** 4))))
+    m = np.sqrt(2.0 * s / np.sinh(2.0 * s))
+    m = np.where(abs(th - math.pi / 2.0) < 1e-15, math.sqrt(s0 * s0 - 1.0), m)
+    return m.reshape(np.shape(theta)) if np.ndim(theta) else float(m[0])
 
 
 # ---------------------------------------------------------------------------

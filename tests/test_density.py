@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,28 +126,53 @@ def test_weyl_constant_2d_reports_unconverged_quadrature(monkeypatch):
 
 def test_weyl_constant_2d_names_x_without_support_edge(monkeypatch):
     from resonance_atlas.errors import NumericalError
-    monkeypatch.setattr(dn, "bessel_phase", lambda z: complex(1.0, 0.0))
+    monkeypatch.setattr(dn, "bessel_phase", lambda z: np.ones(np.shape(z), dtype=complex))
     with pytest.raises(NumericalError, match=r"weyl_constant_2d.*at x = 0\."):
         dn.weyl_constant_2d(3)
 
 
-def test_weyl_constant_2d_phase_calls_bounded(monkeypatch):
-    # counted work, independent of the machine: 168,870 calls under dblquad
-    calls = [0]
+def _count_phase_points(monkeypatch):
+    points = [0]
 
     def counted(z):
-        calls[0] += 1
+        points[0] += np.size(z)
         return bessel_phase(z)
 
     monkeypatch.setattr(dn, "bessel_phase", counted)
+    return points
+
+
+def test_weyl_constant_2d_phase_calls_bounded(monkeypatch):
+    # counted work, independent of the machine: 168,870 phase points under
+    # dblquad, 32,802 in the batched rule
+    points = _count_phase_points(monkeypatch)
     dn.weyl_constant_2d(3)
-    assert 0 < calls[0] <= 50_000
+    assert 0 < points[0] <= 50_000
+
+
+def test_density_table_phase_points_bounded(monkeypatch):
+    # 36,162 phase points: 26,103 for the 179 h rows in one batch (the h'
+    # rows take no phase) and 10,059 for c_3, as many as scipy's quad took
+    monkeypatch.setattr(dn, "_cd_cache", {})
+    points = _count_phase_points(monkeypatch)
+    dn.build_density_table(3, 181)
+    assert 0 < points[0] <= 40_000
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
 def test_weyl_constant_2d_rejects_bad_abs_tol(bad):
     with pytest.raises(ValueError, match="abs_tol"):
         dn.weyl_constant_2d(3, abs_tol=bad)
+
+
+def test_import_loads_neither_scipy_integrate_nor_optimize():
+    code = ("import sys, resonance_atlas; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    src = str(Path(dn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_tail_bound_controls_truncation():
@@ -215,6 +244,40 @@ def test_quadrature_failure_carries_estimate():
         dn.angular_density(3, 1.0, starved)
     assert err.value.estimate == pytest.approx(0.4266579, abs=1e-4)
     assert err.value.achieved_error is not None
+
+
+def test_density_table_rows_equal_single_angle_calls_bit_for_bit():
+    table = dn.build_density_table(3, 181)
+    for i in range(1, 180):
+        theta = float(table.thetas[i])
+        assert table.h[i] == dn.angular_density(3, theta), i
+        assert table.h_prime[i] == dn.angular_density_deriv(3, theta), i
+
+
+def test_integrate_rows_do_not_depend_on_the_batch():
+    def fn(x, rows):
+        k = np.array([1.0, 7.0, 40.0])[rows, None]
+        return np.sin(k * x) * np.exp(-x) + np.sqrt(x)
+
+    a, b, tol = np.array([0.0, 0.5, 0.0]), np.array([1.0, 3.0, 2.0]), np.array([1e-12, 1e-9, 1e-11])
+    batch = dn._integrate(fn, a, b, "batch", tol, 1e-12)
+    for i in range(3):
+        alone = dn._integrate(lambda x, rows: fn(x, np.full_like(rows, i)), a[i], b[i],
+                              "alone", tol[i], 1e-12)
+        assert isinstance(alone, float) and alone == batch[i], i
+        reference = quad(lambda x: fn(np.array([[x]]), np.array([i]))[0, 0], a[i], b[i],
+                         epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+        assert abs(batch[i] - reference) <= max(tol[i], 1e-12 * abs(reference))
+
+
+def test_integrate_names_the_row_that_fails(monkeypatch):
+    from resonance_atlas.errors import QuadratureError
+    monkeypatch.setattr(dn, "_QUAD_LIMIT", 3)
+    with pytest.raises(QuadratureError, match="row 1 of 2") as err:
+        dn._integrate(lambda x, rows: np.where(rows[:, None] == 1, np.sqrt(x), 1.0),
+                      0.0, 1.0, lambda i: f"row {i} of 2", np.array([1e-12, 1e-12]), 0.0)
+    assert err.value.estimate == pytest.approx(2.0 / 3.0, abs=1e-3)
+    assert 0.0 < err.value.achieved_error
 
 
 def test_density_table_build_and_invariants(tmp_path):

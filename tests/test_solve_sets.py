@@ -48,7 +48,8 @@ def _compare_names_the_differing_keys(tmp_path, capsys, name):
         assert capsys.readouterr().out == ("identical  free R=1\n"
                                            f"different  {name}\n"
                                            f"identical  {name}.weyl_constant\n"
-                                           f"different  {name}.weyl_constant_2d\n")
+                                           f"different  {name}.weyl_constant_2d"
+                                           "  (max shift 5.0e-01 abs, 1.1e-01 rel)\n")
 
 
 def test_compare_names_the_differing_density_keys(tmp_path, capsys):
@@ -57,6 +58,20 @@ def test_compare_names_the_differing_density_keys(tmp_path, capsys):
 
 def test_compare_names_the_differing_det_keys(tmp_path, capsys):
     _compare_names_the_differing_keys(tmp_path, capsys, "det")
+
+
+def test_compare_gives_the_largest_shift_of_a_differing_key(tmp_path, capsys):
+    table = {"c_d": 2.0, "rows": [[0.0, 100.0, 4.0], [1.0, 1e-3, -1.0]]}
+    moved = {"c_d": 2.0, "rows": [[0.0, 100.0 + 2e-6, 4.0], [1.0, 1e-3 + 5e-10, -1.0]]}
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"density": {"table": table, "sizes": [1, 2]}}))
+    b.write_text(json.dumps({"density": {"table": moved, "sizes": [1, 2, 3]}}))
+    assert solve_sets.main(["compare", str(a), str(b)]) == 1
+    # the largest absolute shift is that of 100 and the largest relative one
+    # that of 1e-3; a key whose layout changed gets no shift
+    assert capsys.readouterr().out == ("different  density\n"
+                                       "different  density.table  (max shift 2.0e-06 abs, 5.0e-07 rel)\n"
+                                       "different  density.sizes\n")
 
 
 def test_det_entry_holds_the_bench_points_of_five_wells():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,20 +44,44 @@ def _bits(v):
 
 
 def _phase_via_0d_array(z):
-    # the evaluation a scalar got before it had a path of its own: converted
-    # through a 0-d complex array, then the cmath expression
+    # the cmath evaluation a scalar got before it took the array path:
+    # converted through a 0-d complex array, then the cmath expression
     z = complex(np.asarray(z, dtype=complex))
     w = cmath.sqrt(1.0 - z) * cmath.sqrt(1.0 + z)
     return cmath.log((1.0 + w) / z) - w
 
 
+def _phase_near_zero(z):
+    # ln(2/z) - 1: the phase to double precision for |z| < 1e-150
+    return math.log(2.0) - cmath.log(complex(z)) - 1.0
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_scalars)
 def test_phase_scalar_matches_0d_bit_for_bit(z):
+    # a scalar takes the array path: it equals the 0-d and the 1-element
+    # array evaluations bit for bit, and the cmath expression to a few ulps
+    # (below |z| ~ 1e-308 that expression overflows, and the small-z form
+    # is the reference)
     got = sp.bessel_phase(z)
     assert type(got) is complex
     assert _bits(got) == _bits(complex(sp.bessel_phase(np.asarray(z))))
-    assert _bits(got) == _bits(_phase_via_0d_array(z))
+    assert _bits(got) == _bits(complex(sp.bessel_phase(np.asarray([z]))[0]))
+    ref = _phase_via_0d_array(z) if abs(z) >= 1e-300 else _phase_near_zero(z)
+    assert abs(got - ref) <= 4.0 * math.ulp(1.0) * max(abs(ref), 1.0)
+
+
+@pytest.mark.parametrize("z", [5e-324, 1e-310, 1e-300, 1e-310j, 3e-320 + 1e-315j,
+                               -2e-309 + 1e-309j])
+def test_phase_is_finite_near_zero(z):
+    # (1 + w)/z overflows here, so log z is taken apart; no warning is raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sp.bessel_phase(z)
+        arr = sp.bessel_phase(np.array([z, 0.5j]))
+    assert got == arr[0]
+    assert abs(got - _phase_near_zero(z)) <= 4.0 * math.ulp(1.0) * abs(got)
+    assert arr[1] == sp.bessel_phase(np.array([0.5j]))[0]
 
 
 @pytest.mark.parametrize("bad", [0, 0j, -0.5, 1.5, 1 - 1e-300j, math.nan,
@@ -140,6 +165,73 @@ def test_curve_modulus_values():
         sp.critical_curve_modulus(0.0)
     with pytest.raises(ValueError):
         sp.critical_curve_modulus(math.pi)
+
+
+def _curve_modulus_mp(theta):
+    # 40-digit oracle: the + branch point's argument solved for in mpmath
+    import mpmath as mp
+    with mp.workdps(40):
+        th = mp.mpf(theta)
+        th = min(th, mp.pi - th)
+        s0 = mp.findroot(lambda s: mp.coth(s) - s, 1.2)
+        s = mp.findroot(lambda s: mp.atan2(mp.sqrt(s * s - s * mp.tanh(s)),
+                                           mp.sqrt(s * mp.coth(s) - s * s)) - th,
+                        (mp.mpf("1e-30"), s0), solver="anderson")
+        return float(mp.sqrt(2 * s / mp.sinh(2 * s)))
+
+
+@pytest.mark.parametrize("theta", [1e-6, 1e-3, 0.05, 0.4, 1.0, 1.4, 1.57, 2.0, 3.1])
+def test_curve_modulus_matches_mpmath(theta):
+    got = sp.critical_curve_modulus(theta)
+    assert abs(got - _curve_modulus_mp(theta)) <= 4.0 * math.ulp(1.0) * got
+
+
+def test_curve_modulus_of_an_array_equals_single_angle_calls_bit_for_bit():
+    thetas = np.concatenate([np.geomspace(1e-12, 1e-2, 12), np.linspace(0.01, math.pi - 0.01, 60)])
+    batch = sp.critical_curve_modulus(thetas)
+    assert isinstance(sp.critical_curve_modulus(1.0), float)
+    assert batch.shape == thetas.shape
+    assert [float(m) for m in batch] == [sp.critical_curve_modulus(float(t)) for t in thetas]
+    assert np.array_equal(sp.critical_curve_modulus(thetas.reshape(6, 12)), batch.reshape(6, 12))
+
+
+def test_curve_modulus_root_search_is_short(monkeypatch):
+    # one evaluation of the root function per _im_radicand call; plain
+    # bisection took about 55 per angle, so a single-angle call paid 55
+    # numpy rounds
+    calls = [0]
+    radicand = sp._im_radicand
+
+    def counted(s):
+        calls[0] += 1
+        return radicand(s)
+
+    monkeypatch.setattr(sp, "_im_radicand", counted)
+    evals = []
+    for theta in np.concatenate([np.geomspace(1e-12, 1e-2, 20),
+                                 np.linspace(0.01, math.pi - 0.01, 200)]):
+        calls[0] = 0
+        sp.critical_curve_modulus(float(theta))
+        evals.append(calls[0])
+    assert max(evals) <= 25 and np.median(evals) <= 12
+
+
+def test_root_brackets_and_stops():
+    # cube roots of 2, 3, ... on brackets of different widths in one batch;
+    # each matches its own call and the root to 4 eps
+    k = np.arange(2.0, 9.0)
+    hi = np.array([2.0, 3.0, 10.0, 2.0, 5.0, 2.5, 100.0])
+    got = sp._root(lambda x: x ** 3 - k, 0.0, hi)
+    assert np.all(abs(got - np.cbrt(k)) <= 4.0 * math.ulp(1.0) * np.cbrt(k))
+    for i in range(k.size):
+        assert got[i] == sp._root(lambda x: x ** 3 - k[i], 0.0, hi[i])[()]
+    # xtol stops early, within xtol of the root
+    loose = sp._root(lambda x: x ** 3 - k, 0.0, hi, xtol=1e-6)
+    assert np.all(abs(loose - np.cbrt(k)) <= 1e-6)
+    # no sign change: the end of smaller |f|; an exact zero: that point
+    assert sp._root(lambda x: x - 5.0, 0.0, 1.0)[()] == 1.0
+    assert sp._root(lambda x: x + 5.0, 0.0, 1.0)[()] == 0.0
+    assert sp._root(lambda x: x - 0.5, 0.0, 1.0)[()] == 0.5
 
 
 # --- spherical Bessel / Hankel pairs -----------------------------------------

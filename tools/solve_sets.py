@@ -15,7 +15,12 @@ differs or is missing from either file.  When the ``density`` entry
 differs, it is followed by one ``identical`` or ``different
 density.<key>`` line per key of the entry, so a change that should move one
 density result shows which ones moved; the ``det`` entry is compared the
-same way, with ``det.<key>`` lines.
+same way, with ``det.<key>`` lines.  A ``different`` key line also gives
+the largest absolute shift and the largest relative shift (to the larger
+modulus) over the key's numbers, when both dumps hold the same layout of
+numbers under the key:
+
+    different  density.weyl_constant  (max shift 2.2e-16 abs, 1.2e-16 rel)
 
 ``compare --tol`` is for a change that may move located zeros in their last
 bits: a set that is not identical prints ``close`` when both dumps have the
@@ -179,6 +184,28 @@ def _close(a: dict, b: dict) -> bool:
     return not any(unpaired.values())
 
 
+def _leaves(v, path=()):
+    """(path, value) of every leaf of a JSON value."""
+    if isinstance(v, (dict, list)):
+        for k, x in (v.items() if isinstance(v, dict) else enumerate(v)):
+            yield from _leaves(x, path + (k,))
+    else:
+        yield path, v
+
+
+def _shift(a, b) -> str:
+    """The largest absolute and relative shift between the numbers of a and
+    b, or "" when their layouts differ."""
+    la, lb = dict(_leaves(a)), dict(_leaves(b))
+    if la.keys() != lb.keys():
+        return ""
+    moved = [(abs(x - y), abs(x - y) / max(abs(x), abs(y)))
+             for k, x in la.items() if (y := lb[k]) != x
+             and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))]
+    most_abs, most_rel = (max(m) for m in zip(*moved)) if moved else (0.0, 0.0)
+    return f"  (max shift {most_abs:.1e} abs, {most_rel:.1e} rel)"
+
+
 def _compare_entries(a: dict, b: dict, prefix: str = "", tol: bool = False) -> bool:
     """Print identical/different (with ``tol``, close for a set that passes
     ``_close``) per key of either dict, and per key of a differing
@@ -190,7 +217,8 @@ def _compare_entries(a: dict, b: dict, prefix: str = "", tol: bool = False) -> b
         entry = not prefix and key in ("density", "det")
         if status == "different" and both and tol and not entry and _close(a[key], b[key]):
             status = "close"
-        print(f"{status:<9}  {prefix}{key}")
+        shift = _shift(a[key], b[key]) if status == "different" and both and prefix else ""
+        print(f"{status:<9}  {prefix}{key}{shift}")
         if status == "different" and both and entry:
             _compare_entries(a[key], b[key], f"{key}.")
         all_same &= status != "different"
