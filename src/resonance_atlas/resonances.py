@@ -83,6 +83,7 @@ _MATCHER_PIECE = 8192  # points per matcher piece (``channel_matcher_log``)
 _GROUP_SAMPLES = 2048  # box samples per group of channels (``_solve_channels``)
 _SCAN_BLOCK = 8  # channels per later block of the cutoff scan (``ell_cutoff``)
 _MAX_ORDER = 2000  # highest channel of a channel sum or the cutoff scan
+_POLE_SCREEN = 1e-2  # |g_ell| / C_ell below which a det channel gets the pole check
 
 
 @dataclass(frozen=True)
@@ -506,10 +507,13 @@ def _rouche_term(ell, pot: RadialStepPotential, log_g: np.ndarray) -> np.ndarray
     T_ell) and C_ell = (2 ell + 1)!! a^(ell-1) (module docstring): |T_ell| < 1
     on a contour puts no zero of channel ell inside it (Rouché); T_ell = i at
     a zero."""
-    ell = np.broadcast_to(ell, log_g.shape)
-    log_c = _log_odd_double_factorials(ell) + (ell - 1) * math.log(pot.a)
     with np.errstate(over="ignore"):
-        return np.abs(np.exp(log_g - log_c) + 1j)
+        return np.abs(np.exp(log_g - _log_c(np.broadcast_to(ell, log_g.shape), pot)) + 1j)
+
+
+def _log_c(ell: np.ndarray, pot: RadialStepPotential) -> np.ndarray:
+    """ln C_ell = ln((2 ell + 1)!! a^(ell-1)) (module docstring), elementwise."""
+    return _log_odd_double_factorials(ell) + (ell - 1) * math.log(pot.a)
 
 
 def ell_cutoff(pot: RadialStepPotential, R: float) -> int:
@@ -684,8 +688,8 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
     stops earlier; each later block is the 10 - q channels that the stopping
     rule still needs after q quiet channels.  A real-typed v0 is conj(v0)
     bit for bit, so its kind 2 value is the conjugate of its outgoing value
-    at conj(lambda): a block is one matcher call on lambda, lambda (1 +- 1e-4)
-    and conj(lambda) per channel.  Any other v0 adds a kind 2 call; a
+    at conj(lambda): a block's outgoing call takes lambda and conj(lambda)
+    per channel.  Any other v0 takes lambda only and adds a kind 2 call; a
     complex-typed real one must, as its conjugate's -0.0 can flip the branch
     of k and move last bits (channel 0 of complex(20, 0) at lambda = 2.5).
     The checks and terms are array operations; the sum, the stop and raising
@@ -702,8 +706,16 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
 
     A channel whose |W_ell(lambda)| is below 1e-8 of the larger of its
     values at lambda (1 +- 1e-4) raises NumericalError (an S-matrix pole):
-    that ratio is about 1e4 times the relative distance to a simple pole,
-    so the check fires within about 1e-12 of one; a non-finite value raises first.
+    that ratio is about 1e4 times the relative distance delta to a simple
+    pole, so the check fires within about 1e-12 of one; a non-finite value
+    raises first.  Only channels with |g_ell(lambda)| < tau C_ell, that is
+    |-i + T_ell(lambda)| < tau (``_rouche_term``), tau = ``_POLE_SCREEN`` =
+    1e-2, evaluate the two neighbours, in one more matcher call per block;
+    a non-finite neighbour raises only for them.  This loses no pole: at
+    relative distance delta from a simple zero |g_ell| / C_ell is about
+    |lambda T_ell'| delta (0.30 delta at the bound state 3.682135i, 0.23 delta
+    at 2.676552i, a = 1, v0 = -20), so a channel the check fires on is
+    skipped only if |lambda T_ell'| exceeds about 1e10.
     """
     lam = complex(lam)
     if not cmath.isfinite(lam):
@@ -719,8 +731,7 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
     # exponential asymmetry, so a ratio against W^(2) would misfire
     self_conjugate = (np.complex128(pot.v0.conjugate()).tobytes()
                       == np.complex128(pot.v0).tobytes())
-    points = np.array([lam, lam * (1.0 + 1e-4), lam * (1.0 - 1e-4)]
-                      + ([lam.conjugate()] if self_conjugate else []))
+    points = np.array([lam] + ([lam.conjugate()] if self_conjugate else []))
     total = 0.0
     quiet = 0
     first, last = 0, min(math.floor(abs(lam) * pot.a) + 10, _MAX_ORDER)
@@ -729,11 +740,20 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
         w = channel_matcher_log(orders.repeat(points.size), pot)(
             np.tile(points, orders.size)).reshape(orders.size, points.size)
         # only Re w2 = ln |W^(2)| enters, and the conjugation keeps it
-        w2 = (w[:, 3] if self_conjugate
+        w2 = (w[:, 1] if self_conjugate
               else channel_matcher_log(orders, pot, kind=2)(np.full(orders.size, lam)))
+        finite = np.isfinite(w[:, 0]) & np.isfinite(w2)
+        # finite channels near a zero of g_ell take the pole check (docstring)
+        screened = np.flatnonzero(
+            finite & (w[:, 0].real < _log_c(orders, pot) + math.log(_POLE_SCREEN)))
+        pole = np.zeros(orders.size, dtype=bool)
+        if screened.size:
+            wn = channel_matcher_log(orders[screened].repeat(2), pot)(
+                np.tile([lam * (1.0 + 1e-4), lam * (1.0 - 1e-4)], screened.size)
+            ).reshape(screened.size, 2)
+            finite[screened] = np.isfinite(wn).all(axis=1)
+            pole[screened] = w[screened, 0].real - wn.real.max(axis=1) < math.log(1e-8)
         with np.errstate(invalid="ignore"):
-            finite = np.isfinite(w[:, :3]).all(axis=1) & np.isfinite(w2)
-            pole = w[:, 0].real - np.maximum(w[:, 1].real, w[:, 2].real) < math.log(1e-8)
             terms = (2 * orders + 1) * (w2.real - w[:, 0].real)
         for ell, ok, at_pole, term in zip(orders.tolist(), finite, pole, terms):
             if not ok:

@@ -532,22 +532,26 @@ ASYMPTOTICS_DET_POINTS = _det_points(40.0, (10.0, 20.0, 30.0, 40.0), 7,
 
 
 def _det_channel_by_channel(pot, lam):
-    """ln|det S| and its last channel, summed with one int-order matcher call
-    per channel and kind, with the checks and stopping rule of
-    scattering_log_det."""
+    """(ln|det S|, its last channel, None), summed with one int-order
+    matcher call per channel and kind, with the finiteness check and the
+    stopping rule of scattering_log_det and the pole rule on every channel:
+    |W_ell(lambda)| below 1e-8 of the larger of its values at
+    lambda (1 +- 1e-4), four matcher points per channel.  A sum that the
+    rule stops at channel ell gives (None, ell, ell)."""
     arr = np.array([lam, lam * (1.0 + 1e-4), lam * (1.0 - 1e-4)])
     total, quiet = 0.0, 0
     for ell in range(2001):
         w1 = rs.channel_matcher_log(ell, pot)(arr)
         w2 = rs.channel_matcher_log(ell, pot, kind=2)(np.array([lam]))[0]
         assert np.all(np.isfinite(w1)) and np.isfinite(w2)
-        assert w1[0].real - max(w1[1].real, w1[2].real) >= math.log(1e-8)
+        if w1[0].real - max(w1[1].real, w1[2].real) < math.log(1e-8):
+            return None, ell, ell
         term = (2 * ell + 1) * (w2.real - w1[0].real)
         total += term
         if ell > abs(lam) * pot.a and abs(term) < 1e-10 * max(abs(total), 1.0):
             quiet += 1
             if quiet >= 10:
-                return total, ell
+                return total, ell, None
         else:
             quiet = 0
     raise AssertionError(f"channel sum at {lam} did not settle")
@@ -572,34 +576,46 @@ IMAGINARY_POINTS = [20j, 40j]
 def test_scattering_log_det_equals_channel_by_channel_sum(monkeypatch, pot, points, merged):
     # blocks of channels evaluate exactly the channels 0..stop of the
     # one-channel-at-a-time sum, and add exactly its terms.  A real-typed
-    # well makes one outgoing call per block, on the three pole-test points
-    # and conj(lambda) of each channel; a complex-typed v0, even one with a
-    # zero imaginary part, adds one incoming (kind 2) call per block
+    # well makes one outgoing call per block, on lambda and conj(lambda) of
+    # each channel; a complex-typed v0, even one with a zero imaginary part,
+    # makes one on lambda and adds one incoming (kind 2) call per block.
+    # Only channels with |g_ell(lambda)| < 1e-2 C_ell evaluate the pole
+    # check's neighbours lambda (1 +- 1e-4), in one more call per block:
+    # channel 0 of a = 2 at 5i (1e-2.19 C_0) is the one such channel here
     expected = [_det_channel_by_channel(pot, lam) for lam in points]
-    orders = {1: [], 2: []}
+    screens = []
+    for lam, (_, stop, _) in zip(points, expected):
+        channels = np.arange(stop + 1)
+        log_g = rs.channel_matcher_log(channels, pot)(np.full(channels.size, complex(lam)))
+        screens.append(channels[log_g.real < rs._log_c(channels, pot) + math.log(1e-2)])
+    assert sum(map(len, screens)) == (1 if pot.a == 2.0 else 0)
+    calls = []  # (kind, orders, points) of each call
     real = rs.channel_matcher_log
 
     def recorded(ell, pot, kind=1):
-        orders[kind].append(np.atleast_1d(ell))
-        return real(ell, pot, kind)
+        evaluate = real(ell, pot, kind)
+        return lambda lam: calls.append((kind, np.atleast_1d(ell), lam)) or evaluate(lam)
 
     monkeypatch.setattr(rs, "channel_matcher_log", recorded)
-    for lam, (value, stop) in zip(points, expected):
-        orders[1].clear()
-        orders[2].clear()
+    for lam, (value, stop, pole), screened in zip(points, expected, screens):
+        calls.clear()
         got = rs.scattering_log_det(pot, lam)
-        assert got == value, lam
+        assert pole is None and got == value, lam
         if lam.imag == 0 and pot.v0.imag == 0:
             assert got == 0.0
         channels = np.arange(stop + 1)
+        near = [orders for kind, orders, z in calls if kind == 1 and lam * (1.0 + 1e-4) in z]
+        main = [orders for kind, orders, z in calls if kind == 1 and lam * (1.0 + 1e-4) not in z]
+        incoming = [orders for kind, orders, _ in calls if kind == 2]
+        assert np.array_equal(np.concatenate(near or [[]]), screened.repeat(2))
         if merged:
-            assert orders[2] == []
-            assert np.array_equal(np.concatenate(orders[1]), channels.repeat(4))
+            assert incoming == []
+            assert np.array_equal(np.concatenate(main), channels.repeat(2))
         else:
-            assert np.array_equal(np.concatenate(orders[2]), channels)
-            assert np.array_equal(np.concatenate(orders[1]), channels.repeat(3))
-            assert len(orders[1]) == len(orders[2])
-        assert len(orders[1]) < stop + 1  # fewer calls than channels
+            assert np.array_equal(np.concatenate(incoming), channels)
+            assert np.array_equal(np.concatenate(main), channels)
+            assert len(main) == len(incoming)
+        assert len(main) + len(near) < stop + 1  # fewer calls than channels
 
 
 @settings(max_examples=60, deadline=None)
@@ -619,13 +635,56 @@ def test_scattering_log_det_of_a_real_well_equals_channel_by_channel_sum(a, v0, 
     assert rs.scattering_log_det(pot, lam) == _det_channel_by_channel(pot, lam)[0]
 
 
+def _assert_raises_where_the_full_rule_does(pot, lam):
+    value, _, pole = _det_channel_by_channel(pot, lam)
+    if pole is None:
+        assert rs.scattering_log_det(pot, lam) == value, lam
+    else:
+        with pytest.raises(NumericalError, match=rf"^channel {pole}: \|W_ell\| vanishes"):
+            rs.scattering_log_det(pot, lam)
+    return pole
+
+
+@pytest.mark.parametrize("v0, lam, ell", [
+    (-20.0, 3.6821352559107354j, 0), (-20.0, 2.676552411683095j, 1),
+    (complex(-20.0, 2.0), None, 0)], ids=["bound ell=0", "bound ell=1", "complex ell=0"])
+def test_pole_screen_raises_where_the_full_rule_raises(v0, lam, ell):
+    # the screened check (neighbours only where |g_ell| < 1e-2 C_ell) raises
+    # at exactly the channels and points where the 4-point rule on every
+    # channel raises: at the zero itself and 1e-12 .. 1e-15 (relative) from
+    # it, and at neither 1e-6 .. 1e-10 away.  The complex well's zero is
+    # its channel 0 eigenvalue in the upper half plane
+    pot = rs.RadialStepPotential(1.0, v0)
+    if lam is None:
+        (lam, mult), = ct.locate_zeros(lambda z: rs.channel_matcher_log(0, pot)(z),
+                                       ct.ContourBox(-1.0 + 3.0j, 1.0 + 4.5j), 1e-13,
+                                       log_form=True)
+        assert mult == 1 and abs(lam - (0.252484 + 3.689553j)) < 1e-6
+    poles = [_assert_raises_where_the_full_rule_does(pot, x)
+             for x in [lam] + [lam * (1.0 + 10.0 ** -k) for k in range(6, 16)]]
+    assert poles[0] == poles[-1] == ell and poles[1:6] == [None] * 5
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(0.5, 2.0), v0=st.one_of(
+           st.floats(-40.0, 40.0),
+           st.builds(complex, st.floats(-40.0, 40.0), st.floats(-5.0, 5.0))),
+       x=st.floats(-30.0, 30.0), y=st.floats(0.0, 30.0, exclude_min=True))
+def test_pole_screen_agrees_with_the_full_rule_in_the_upper_half_plane(a, v0, x, y):
+    lam = complex(x, y)
+    assume(v0 != 0.0 and 0.01 <= abs(lam) <= 30.0)
+    _assert_raises_where_the_full_rule_does(rs.RadialStepPotential(a, v0), lam)
+
+
 @pytest.mark.parametrize("v0, blocks, channels", [
     (-20.0, 90, 1649), (complex(-20.0, 0.0), 90, 1649), (complex(-16.0, 1.5), 104, 1739)])
 def test_scattering_log_det_makes_one_matcher_call_per_block(monkeypatch, v0, blocks, channels):
     # the 38 points of the asymptotics workload sum 1,649 channels in 90
     # blocks for the reference well: a real-typed v0 makes one call per
-    # block, on 4 points per channel; a complex-typed v0 makes an outgoing
-    # call on 3 points per channel and an incoming one on 1
+    # block, on 2 points per channel (3,298 points); a complex-typed v0 makes
+    # an outgoing call on 1 point per channel and an incoming one on 1.  No
+    # channel is screened in for the pole check, so no call evaluates the
+    # neighbours lambda (1 +- 1e-4)
     sizes = {1: [], 2: []}  # points of each call, by kind
     real = rs.channel_matcher_log
 
@@ -639,10 +698,10 @@ def test_scattering_log_det_makes_one_matcher_call_per_block(monkeypatch, v0, bl
         rs.scattering_log_det(pot, lam)
     if isinstance(v0, complex):
         assert len(sizes[1]) == len(sizes[2]) == blocks
-        assert (sum(sizes[1]), sum(sizes[2])) == (3 * channels, channels)
+        assert (sum(sizes[1]), sum(sizes[2])) == (channels, channels)
     else:
         assert (len(sizes[1]), sizes[2]) == (blocks, [])
-        assert sum(sizes[1]) == 4 * channels
+        assert sum(sizes[1]) == 2 * channels == 3298
 
 
 @pytest.mark.parametrize("v0", [-20.0, complex(-16.0, 1.5)], ids=["real", "complex"])

@@ -3,8 +3,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from resonance_atlas import resonances as rs
 from resonance_atlas.resonances import RadialStepPotential
 
 _spec = importlib.util.spec_from_file_location(
@@ -77,16 +79,29 @@ def test_compare_gives_the_largest_shift_of_a_differing_key(tmp_path, capsys):
 def test_det_entry_holds_the_bench_points_of_five_wells():
     entry = solve_sets.det_entry()
     # points per set, the last of them on the real axis
-    sizes = {"solve": (26, 6), "asymptotics": (38, 10), "r=640,1000": (4, 0)}
+    sizes = {"solve": (26, 6), "asymptotics": (38, 10), "r=640,1000": (4, 0),
+             "near-pole": (5, 0)}
     wells = ["v0=-20", "v0=complex(-20, 0)", "v0=-1e-12", "v0=-16+1.5j", "a=2 v0=-20"]
     assert list(entry) == ([f"{w} {tag}" for w in wells for tag in ("solve", "asymptotics")]
-                           + ["v0=-20 r=640,1000"])
+                           + ["v0=-20 r=640,1000", "v0=-20,-20+2j near-pole"])
     for key, values in entry.items():
         size, reals = sizes[key.rsplit(" ", 1)[1]]
         assert len(values) == size
         assert all(isinstance(v, float) and math.isfinite(v) for v in values)
         if "1.5j" not in key:  # a real well's ln|det S| is 0 at these real points
             assert values[size - reals:] == [0.0] * reals
+
+
+def test_det_near_pole_points_take_the_pole_check():
+    # the pole's channel has |g_ell| < 1e-2 C_ell at each near-pole point, so
+    # the dump's key covers the path that evaluates the pole check's neighbours
+    cases = ([(solve_sets.REFERENCE, lam * (1.0 + d), ell)
+              for ell, lam in enumerate(solve_sets.BOUND_STATES) for d in (1e-9, 1e-6)]
+             + [(RadialStepPotential(1.0, complex(-20.0, 2.0)),
+                 solve_sets.COMPLEX_EIGENVALUE * (1.0 + 1e-9), 0)])
+    for pot, lam, ell in cases:
+        log_g = rs.channel_matcher_log(ell, pot)(np.array([lam]))[0]
+        assert log_g.real < rs._log_c(np.array(ell), pot) + math.log(1e-2)
 
 
 def _moved(doc, change):

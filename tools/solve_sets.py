@@ -50,9 +50,13 @@ It writes one ``det`` entry too, so that a change to ``scattering_log_det``
 is checked the same way: ``ln|det S|`` at the 26 det points of the solve
 bench workloads and the 38 of the ``asymptotics`` workload, one key per
 well and point set, for a = 1 with v0 = -20, complex(-20, 0), -1e-12 and
--16+1.5i and for a = 2, v0 = -20; and, for a = 1, v0 = -20, at r = 640 and
-1000 on pi/4 and pi/2.  The whole dump runs in one process and takes about
-50 s on a 2-core Xeon VM.
+-16+1.5i and for a = 2, v0 = -20; for a = 1, v0 = -20, at r = 640 and
+1000 on pi/4 and pi/2; and at finite near-pole points, where the channel
+of the pole is screened in for the S-matrix pole check: the two bound
+states of a = 1, v0 = -20 (3.682135i, ell = 0, and 2.676552i, ell = 1)
+times 1 + 1e-9 and 1 + 1e-6, and the upper-half-plane zero of channel 0 of
+a = 1, v0 = -20+2i (0.252484+3.689553i) times 1 + 1e-9.  The whole dump
+runs in one process and takes about 50 s on a 2-core Xeon VM.
 """
 
 from __future__ import annotations
@@ -134,6 +138,10 @@ def _det_points(radii, n_angles: int, reals) -> list[complex]:
     return upper + [complex(s * x, 0.0) for x in reals for s in (1, -1)]
 
 
+BOUND_STATES = (3.6821352559107354j, 2.676552411683095j)  # a = 1, v0 = -20, ell = 0 and 1
+# channel 0's zero of a = 1, v0 = -20+2i, located by locate_zeros to 1e-13
+COMPLEX_EIGENVALUE = 0.25248428790364 + 3.689552720964342j
+
 DET_POINTS = {"solve": _det_points((5.0, 10.0, 15.0, 20.0), 5, (3.0, 7.5, 18.0)),
               "asymptotics": _det_points((10.0, 20.0, 30.0, 40.0), 7,
                                          (2.5, 5.0, 10.0, 20.0, 35.0))}
@@ -150,6 +158,11 @@ def det_entry() -> dict:
              for name, pot in wells for tag, points in DET_POINTS.items()}
     entry["v0=-20 r=640,1000"] = [float(scattering_log_det(REFERENCE, r * cmath.exp(1j * t)))
                                   for r in (640.0, 1000.0) for t in (math.pi / 4, math.pi / 2)]
+    entry["v0=-20,-20+2j near-pole"] = (
+        [float(scattering_log_det(REFERENCE, lam * (1.0 + d)))
+         for lam in BOUND_STATES for d in (1e-9, 1e-6)]
+        + [float(scattering_log_det(RadialStepPotential(1.0, complex(-20.0, 2.0)),
+                                    COMPLEX_EIGENVALUE * (1.0 + 1e-9)))])
     return entry
 
 
