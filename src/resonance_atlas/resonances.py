@@ -268,36 +268,36 @@ def _potential_series_log(ell: np.ndarray, a: float, v0: complex, z: np.ndarray,
     logs = [np.full(z.shape, complex(0.0, -math.pi / 2))]
     last = np.zeros(z.shape, dtype=int)  # index of each point's last term
     if v0 != 0:
-        settled = np.zeros(z.shape, dtype=bool)
+        live = np.arange(z.size)  # the points whose series has not settled
         log_c = cmath.log(v0 * a * a / 2.0)
         peak = np.zeros(z.shape)
         log_z = np.log(z)
         for n in range(1, _SERIES_MAX_TERMS + 1):
-            jm1, jn, sj = sph_j_pair_log(ell + n, z)
+            jm1, jn, sj = sph_j_pair_log(ell[live] + n, z[live])
+            term = np.zeros(z.shape, dtype=complex)  # a settled point's term is not used
             with np.errstate(divide="ignore", invalid="ignore"):
-                term = (n * log_c - math.lgamma(n + 1) + (2 - n) * log_z
-                        + np.log(jm1 * hl - jn * hm1) + sj + sh)
+                term[live] = (n * log_c - math.lgamma(n + 1) + (2 - n) * log_z[live]
+                              + np.log(jm1 * hl[live] - jn * hm1[live]) + sj + sh[live])
             logs.append(term)
-            last[~settled] = n
-            peak = np.fmax(peak, term.real)
+            last[live] = n
+            peak[live] = np.fmax(peak[live], term.real[live])
             if n >= 2:
-                settled |= term.real < peak - 40.0  # below 4e-18 of the largest term
-                if settled.all():
+                # a term below 4e-18 of the largest settles its point
+                live = live[~(term.real[live] < peak[live] - 40.0)]
+                if not live.size:
                     break
         else:
-            i = np.flatnonzero(~settled)[0]
+            i = live[0]
             raise NumericalError(
                 f"potential series of order {ell[i]} at lambda = "
                 f"{complex(z[i] / a)} has not settled in {_SERIES_MAX_TERMS} terms",
                 key=int(ell[i]))
     terms = np.array(logs)
-    used = np.arange(len(logs))[:, None] <= last
-    top = np.where(used, terms.real, -np.inf).max(axis=0)
-    # a point's terms past its last used one can exceed its top and overflow
+    top = terms.real.max(axis=0)  # a point's unused terms are 0, its first term's real part
     with np.errstate(under="ignore", invalid="ignore"):
-        parts = np.exp(np.where(used, terms - top, -np.inf))
+        parts = np.exp(terms - top)
     total = parts[0]
-    for part, use in zip(parts[1:], used[1:]):
+    for part, use in zip(parts[1:], np.arange(1, len(logs))[:, None] <= last):
         np.add(total, part, out=total, where=use)
     with np.errstate(divide="ignore"):
         return np.log(total) + top
@@ -355,8 +355,10 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
     def evaluate(lam: np.ndarray) -> np.ndarray:
         lam = np.asarray(lam, dtype=complex)
         orders = np.broadcast_to(ell, lam.shape)
-        cuts = [slice(i, i + _MATCHER_PIECE) for i in range(0, max(lam.size, 1), _MATCHER_PIECE)]
-        return np.concatenate([piece(lam[c], orders[c]) for c in cuts])
+        if lam.size <= _MATCHER_PIECE:
+            return piece(lam, orders)
+        return np.concatenate([piece(lam[i:i + _MATCHER_PIECE], orders[i:i + _MATCHER_PIECE])
+                               for i in range(0, lam.size, _MATCHER_PIECE)])
 
     def piece(lam: np.ndarray, ell: np.ndarray) -> np.ndarray:
         k2 = lam * lam - v0
@@ -367,7 +369,9 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
         hp = hm1 - (ell + 1) / la * hl
         out = np.empty_like(lam)
         small = np.abs(k) * a < 0.5
-        if np.any(small):
+        big = slice(None)  # the direct path's points: whole arrays unless one is small
+        if small.any():
+            big = np.flatnonzero(~small)
             # g = a^(ell-1) [(2 a^2 k^2 S' + ell S) h - lambda a S h'], S = S_ell(k^2 a^2)
             es = ell[small]
             s, ds = sph_j_series(es, k2[small] * (a * a))
@@ -375,9 +379,8 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
                  - lam[small] * a * s * hp[small])
             with np.errstate(divide="ignore", invalid="ignore"):
                 out[small] = np.log(g) + (es - 1) * math.log(a) + sh[small] + pole_kill[small]
-        big = np.flatnonzero(~small)
-        if big.size:
-            eb = ell[big]
+        eb = ell[big]
+        if eb.size:
             kb = k[big]
             jm1, jl, sj = sph_j_pair_log(eb, kb * a)
             jp = jm1 - (eb + 1) / (kb * a) * jl
@@ -400,7 +403,7 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
                         * (1.0 + a * absl ** 2 / (2.0 * absk)))
             flagged = np.flatnonzero(~(cond <= _DIRECT_COND_MAX))
             if flagged.size:
-                lost = big[flagged]
+                lost = np.flatnonzero(~small)[flagged]
                 out[lost] = (_potential_series_log(ell[lost], a, v0, la[lost],
                                                    hm1[lost], hl[lost], sh[lost])
                              + lndd[flagged] + (ell[lost] - 1) * math.log(a))
@@ -684,18 +687,26 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
     has not settled by ell = ``_MAX_ORDER`` raises NumericalError.
 
     Channels are evaluated in blocks, with the block's orders as an array.
-    The first block is channels 0 .. floor(|lambda| a) + 10, since no sum
-    stops earlier; each later block is the 10 - q channels that the stopping
-    rule still needs after q quiet channels.  A real-typed v0 is conj(v0)
-    bit for bit, so its kind 2 value is the conjugate of its outgoing value
-    at conj(lambda): a block's outgoing call takes lambda and conj(lambda)
-    per channel.  Any other v0 takes lambda only and adds a kind 2 call; a
-    complex-typed real one must, as its conjugate's -0.0 can flip the branch
-    of k and move last bits (channel 0 of complex(20, 0) at lambda = 2.5).
-    The checks and terms are array operations; the sum, the stop and raising
-    for the first failing channel run channel by channel, so the sum
-    evaluates exactly the channels, and adds exactly the terms, of a
-    one-channel-at-a-time sum.
+    No sum stops before channel floor(|lambda| a) + 10, and the first block
+    runs past it to where the sum is predicted to settle: 0 channels on a
+    real well's real axis, where the terms vanish, else ceil(0.51 Im(lambda a)
+    + 7 + ln(min(|v0| a^2, 1)) / 2.4), at least 0.  The sum settles
+    (1/m - 1) |lambda| a channels past |lambda| a, m the critical-curve
+    modulus at arg lambda (0.509 Im(lambda a) on pi/2), plus up to 7 for
+    a = 1, v0 = -20 (9 on pi/16); a weak well's terms are |v0| a^2 times
+    smaller and fall about e^2.4 a channel, so it settles sooner.  Each
+    later block is the 10 - q channels that the stopping rule still needs
+    after q quiet channels.  A real-typed v0 is conj(v0) bit for bit, so
+    its kind 2 value is the conjugate of its outgoing value at conj(lambda):
+    a block's outgoing call takes lambda and conj(lambda) per channel.  Any
+    other v0 takes lambda only and adds a kind 2 call; a complex-typed real
+    one must, as its conjugate's -0.0 can flip the branch of k and move
+    last bits (channel 0 of complex(20, 0) at lambda = 2.5).  The checks
+    and terms are array operations; the sum, the stop and raising for the
+    first failing channel run channel by channel, so the sum adds exactly
+    the terms of a one-channel-at-a-time sum.  A channel past the stop is
+    evaluated but never added, checked or raised on: the first block's
+    reach moves the cost (a second call where it falls short), never a value.
 
     Domain, measured at a = 1, v0 = -20 on the rays arg lambda = k pi / 32:
     the sum raises on no ray at |lambda| a = 56, 60 and 80.  The incoming
@@ -734,7 +745,11 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
     points = np.array([lam] + ([lam.conjugate()] if self_conjugate else []))
     total = 0.0
     quiet = 0
-    first, last = 0, min(math.floor(abs(lam) * pot.a) + 10, _MAX_ORDER)
+    margin = 0  # channels of the first block past floor(|lambda| a) + 10 (docstring)
+    if lam.imag != 0 or pot.v0.imag != 0:
+        strength = math.log(min(abs(pot.v0) * pot.a ** 2, 1.0))
+        margin = max(math.ceil(0.51 * lam.imag * pot.a + 7.0 + strength / 2.4), 0)
+    first, last = 0, min(math.floor(abs(lam) * pot.a) + 10 + margin, _MAX_ORDER)
     while first <= last:
         orders = np.arange(first, last + 1)
         w = channel_matcher_log(orders.repeat(points.size), pot)(
@@ -755,7 +770,8 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
             pole[screened] = w[screened, 0].real - wn.real.max(axis=1) < math.log(1e-8)
         with np.errstate(invalid="ignore"):
             terms = (2 * orders + 1) * (w2.real - w[:, 0].real)
-        for ell, ok, at_pole, term in zip(orders.tolist(), finite, pole, terms):
+        rows = zip(orders.tolist(), finite.tolist(), pole.tolist(), terms.tolist())
+        for ell, ok, at_pole, term in rows:
             if not ok:
                 raise NumericalError(f"channel {ell}: matcher not finite at {lam}")
             if at_pole:

@@ -167,23 +167,9 @@ def critical_curve_point(s: float, sign: int = +1) -> complex:
     return complex(sign * math.sqrt(re2), math.sqrt(im2))
 
 
-def critical_curve_modulus(theta):
-    """Modulus of the critical-curve point with argument theta in (0, pi).
-
-    Takes a float or an array of angles and returns a float or an array.
-    Uses the + branch for theta < pi/2 and the reflection symmetry for
-    theta > pi/2.  The curve parameter s is solved for on (0, s0), where
-    the + branch point's argument rises from 0 to pi/2, by ``_root`` in the
-    variable s^4; along the curve |z|^2 = 2 s / sinh(2 s), which is what is
-    returned.  Below the argument at s = 1e-9 that is 1, the curve's
-    endpoint to double precision.
-    """
-    th = np.atleast_1d(np.asarray(theta, dtype=float)).ravel()
-    bad = ~((0.0 < th) & (th < math.pi))
-    if np.any(bad):
-        raise ValueError(f"angle must lie in (0, pi); got {th[bad][0]}")
-    s0 = coth_fixed_point()
-    th = np.where(th > math.pi / 2.0, math.pi - th, th)
+def _curve_s4(th, lo, hi):
+    """v = s^4 of the + branch point with argument th in (0, pi/2], by
+    ``_root`` on the brackets [lo, hi] of v."""
     cos2, sin2 = np.cos(th) ** 2, np.sin(th) ** 2
 
     def above(v):
@@ -192,7 +178,40 @@ def critical_curve_modulus(theta):
         s = np.sqrt(np.sqrt(v))
         return _im_radicand(s) * cos2 - (s / np.tanh(s) - s * s) * sin2
 
-    s = np.sqrt(np.sqrt(_root(above, 1e-36, np.full(th.shape, (s0 * (1.0 - 1e-14)) ** 4))))
+    return _root(above, lo, hi)
+
+
+@lru_cache(maxsize=1)
+def _curve_table():
+    """The angles k pi/512, k = 0 .. 256, and v = s^4 of the curve at each,
+    solved once per process by ``_curve_s4`` on the whole range
+    [1e-36, (s0 (1 - 1e-14))^4]; the end angles, where the test keeps its
+    sign, take the range's ends."""
+    grid = np.linspace(0.0, math.pi / 2.0, 257)
+    return grid, _curve_s4(grid, 1e-36, (coth_fixed_point() * (1.0 - 1e-14)) ** 4)
+
+
+def critical_curve_modulus(theta):
+    """Modulus of the critical-curve point with argument theta in (0, pi).
+
+    Takes a float or an array of angles and returns a float or an array.
+    Uses the + branch for theta < pi/2 and the reflection symmetry for
+    theta > pi/2.  The curve parameter s is solved for on (0, s0), where
+    the + branch point's argument rises from 0 to pi/2, by ``_root`` in the
+    variable s^4, from the bracket of the angle's cell in a coarse table of
+    the curve (``_curve_table``); along the curve |z|^2 = 2 s / sinh(2 s),
+    which is what is returned.  Below the argument at s = 1e-9 that is 1,
+    the curve's endpoint to double precision.
+    """
+    th = np.atleast_1d(np.asarray(theta, dtype=float)).ravel()
+    bad = ~((0.0 < th) & (th < math.pi))
+    if np.any(bad):
+        raise ValueError(f"angle must lie in (0, pi); got {th[bad][0]}")
+    s0 = coth_fixed_point()
+    th = np.where(th > math.pi / 2.0, math.pi - th, th)
+    grid, v = _curve_table()
+    cell = np.clip(np.searchsorted(grid, th) - 1, 0, grid.size - 2)
+    s = np.sqrt(np.sqrt(_curve_s4(th, v[cell], v[cell + 1])))
     m = np.sqrt(2.0 * s / np.sinh(2.0 * s))
     m = np.where(abs(th - math.pi / 2.0) < 1e-15, math.sqrt(s0 * s0 - 1.0), m)
     return m.reshape(np.shape(theta)) if np.ndim(theta) else float(m[0])
@@ -241,14 +260,19 @@ def _sph_factor(z):
     return np.sqrt(np.pi / (2.0 * z))
 
 
+_LOG_ODD_DF = np.zeros(0)  # entry ell + 1: log (2 ell + 1)!!, for ell = -1, 0, 1, ...
+
+
 def _log_odd_double_factorials(ell: np.ndarray) -> np.ndarray:
     """log (2 ell + 1)!! of each order of an integer array (ell >= -1), read
-    from a table of ``_log_double_factorial`` over the array's order range."""
-    if not ell.size:
-        return np.zeros(ell.shape)
-    lo = int(ell.min())
-    table = np.array([_log_double_factorial(2 * n + 1) for n in range(lo, int(ell.max()) + 1)])
-    return table[ell - lo]
+    from a module table of ``_log_double_factorial(2 ell + 1)`` from ell = -1
+    up, rebuilt at twice its length when an order passes its end."""
+    global _LOG_ODD_DF
+    top = int(ell.max(initial=-1))
+    if top + 1 >= _LOG_ODD_DF.size:
+        n = max(2 * _LOG_ODD_DF.size, top + 2)
+        _LOG_ODD_DF = np.array([_log_double_factorial(2 * m - 1) for m in range(n)])
+    return _LOG_ODD_DF[ell + 1]
 
 
 # -- log-scaled pair evaluators (internal API) ------------------------------
@@ -355,7 +379,7 @@ def sph_h_pair_log(ell, z: np.ndarray):
     is not usable (finite and nonzero), the one fallback; NumericalError
     where no order is usable."""
     z = np.asarray(z, dtype=complex)
-    if np.any(z == 0):
+    if (z == 0).any():
         raise ValueError("Hankel functions require z != 0")
     ell = np.broadcast_to(ell, z.shape)
     fac = _sph_factor(z)
@@ -366,7 +390,7 @@ def sph_h_pair_log(ell, z: np.ndarray):
     phase = np.exp(1j * (1j * z).imag)
     hm1, hl = hm1 * phase, hl * phase
     bad = ~_usable(hm1, hl)
-    if np.any(bad):
+    if bad.any():
         hm1[bad], hl[bad], s[bad] = _h_pair_upward_log(ell[bad], z[bad], fac[bad])
     return _normal_form(hm1, hl, s)
 

@@ -574,21 +574,17 @@ IMAGINARY_POINTS = [20j, 40j]
     ids=["asymptotics", "solve", "weak", "complex", "a=2", "complex-typed real",
          "complex-typed barrier", "imaginary"])
 def test_scattering_log_det_equals_channel_by_channel_sum(monkeypatch, pot, points, merged):
-    # blocks of channels evaluate exactly the channels 0..stop of the
-    # one-channel-at-a-time sum, and add exactly its terms.  A real-typed
-    # well makes one outgoing call per block, on lambda and conj(lambda) of
-    # each channel; a complex-typed v0, even one with a zero imaginary part,
+    # blocks of channels add exactly the terms of the one-channel-at-a-time
+    # sum.  They evaluate channels 0..top: top is the stop, or the end of
+    # the first block in a sum that stopped there.  A real-typed well makes
+    # one outgoing call per block, on lambda and conj(lambda) of each
+    # channel; a complex-typed v0, even one with a zero imaginary part,
     # makes one on lambda and adds one incoming (kind 2) call per block.
     # Only channels with |g_ell(lambda)| < 1e-2 C_ell evaluate the pole
     # check's neighbours lambda (1 +- 1e-4), in one more call per block:
-    # channel 0 of a = 2 at 5i (1e-2.19 C_0) is the one such channel here
+    # channel 0 of a = 2 at 5i (1e-2.19 C_0) is the one such channel up to
+    # the stops here
     expected = [_det_channel_by_channel(pot, lam) for lam in points]
-    screens = []
-    for lam, (_, stop, _) in zip(points, expected):
-        channels = np.arange(stop + 1)
-        log_g = rs.channel_matcher_log(channels, pot)(np.full(channels.size, complex(lam)))
-        screens.append(channels[log_g.real < rs._log_c(channels, pot) + math.log(1e-2)])
-    assert sum(map(len, screens)) == (1 if pot.a == 2.0 else 0)
     calls = []  # (kind, orders, points) of each call
     real = rs.channel_matcher_log
 
@@ -597,16 +593,22 @@ def test_scattering_log_det_equals_channel_by_channel_sum(monkeypatch, pot, poin
         return lambda lam: calls.append((kind, np.atleast_1d(ell), lam)) or evaluate(lam)
 
     monkeypatch.setattr(rs, "channel_matcher_log", recorded)
-    for lam, (value, stop, pole), screened in zip(points, expected, screens):
+    screened_to_stop = 0
+    for lam, (value, stop, pole) in zip(points, expected):
         calls.clear()
         got = rs.scattering_log_det(pot, lam)
         assert pole is None and got == value, lam
         if lam.imag == 0 and pot.v0.imag == 0:
             assert got == 0.0
-        channels = np.arange(stop + 1)
         near = [orders for kind, orders, z in calls if kind == 1 and lam * (1.0 + 1e-4) in z]
         main = [orders for kind, orders, z in calls if kind == 1 and lam * (1.0 + 1e-4) not in z]
         incoming = [orders for kind, orders, _ in calls if kind == 2]
+        top = int(main[-1].max())
+        assert top == stop or (top > stop and len(main) == 1), lam
+        channels = np.arange(top + 1)
+        log_g = real(channels, pot)(np.full(channels.size, complex(lam)))
+        screened = channels[log_g.real < rs._log_c(channels, pot) + math.log(1e-2)]
+        screened_to_stop += np.count_nonzero(screened <= stop)
         assert np.array_equal(np.concatenate(near or [[]]), screened.repeat(2))
         if merged:
             assert incoming == []
@@ -616,6 +618,7 @@ def test_scattering_log_det_equals_channel_by_channel_sum(monkeypatch, pot, poin
             assert np.array_equal(np.concatenate(main), channels)
             assert len(main) == len(incoming)
         assert len(main) + len(near) < stop + 1  # fewer calls than channels
+    assert screened_to_stop == (1 if pot.a == 2.0 else 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -677,12 +680,14 @@ def test_pole_screen_agrees_with_the_full_rule_in_the_upper_half_plane(a, v0, x,
 
 
 @pytest.mark.parametrize("v0, blocks, channels", [
-    (-20.0, 90, 1649), (complex(-20.0, 0.0), 90, 1649), (complex(-16.0, 1.5), 104, 1739)])
+    (-20.0, 38, 1726), (complex(-20.0, 0.0), 38, 1726), (complex(-16.0, 1.5), 44, 1820)])
 def test_scattering_log_det_makes_one_matcher_call_per_block(monkeypatch, v0, blocks, channels):
-    # the 38 points of the asymptotics workload sum 1,649 channels in 90
-    # blocks for the reference well: a real-typed v0 makes one call per
-    # block, on 2 points per channel (3,298 points); a complex-typed v0 makes
-    # an outgoing call on 1 point per channel and an incoming one on 1.  No
+    # the 38 points of the asymptotics workload evaluate 1,726 channels
+    # (1,649 up to their stops) in 38 blocks for the reference well, each
+    # sum settling in its first block: a real-typed v0 makes one call per
+    # block, on 2 points per channel (3,452 points); a complex-typed v0 makes
+    # an outgoing call on 1 point per channel and an incoming one on 1, and
+    # -16+1.5i takes a second block at six of its ten real-axis points.  No
     # channel is screened in for the pole check, so no call evaluates the
     # neighbours lambda (1 +- 1e-4)
     sizes = {1: [], 2: []}  # points of each call, by kind
@@ -701,7 +706,7 @@ def test_scattering_log_det_makes_one_matcher_call_per_block(monkeypatch, v0, bl
         assert (sum(sizes[1]), sum(sizes[2])) == (channels, channels)
     else:
         assert (len(sizes[1]), sizes[2]) == (blocks, [])
-        assert sum(sizes[1]) == 2 * channels == 3298
+        assert sum(sizes[1]) == 2 * channels == 3452
 
 
 @pytest.mark.parametrize("v0", [-20.0, complex(-16.0, 1.5)], ids=["real", "complex"])
@@ -713,7 +718,7 @@ def test_scattering_log_det_makes_one_matcher_call_per_block(monkeypatch, v0, bl
 def test_scattering_log_det_raises_for_its_first_failing_channel(monkeypatch, v0, marks,
                                                                  error):
     # a stand-in matcher with |W_ell| = 1 everywhere but at the marked
-    # channels of the first block (0..13): a pole (W_ell(lambda) small
+    # channels of the first block (0..22): a pole (W_ell(lambda) small
     # against its neighbours), a NaN at every point, or W_ell(lambda) = 0,
     # which is both a pole and not finite and raises as not finite
     lam = 3.0 + 2.0j
@@ -734,6 +739,81 @@ def test_scattering_log_det_raises_for_its_first_failing_channel(monkeypatch, v0
     monkeypatch.setattr(rs, "channel_matcher_log", stand_in)
     with pytest.raises(NumericalError, match=error):
         rs.scattering_log_det(rs.RadialStepPotential(1.0, v0), lam)
+
+
+@pytest.mark.parametrize("v0", [-20.0, complex(-16.0, 1.5)], ids=["real", "complex"])
+def test_channels_past_the_stop_are_never_added_checked_or_raised_on(monkeypatch, v0):
+    # at 40i the sum stops at channel 73 and its first block runs to 78: a
+    # NaN at every point of channel 74, a pole at 76 and W_ell(lambda) = 0 at
+    # 78, each of which raises at or below the stop, leave the value alone
+    pot, lam = rs.RadialStepPotential(1.0, v0), 40j
+    value, stop, _ = _det_channel_by_channel(pot, lam)
+    assert stop == 73
+    real, top = rs.channel_matcher_log, []
+
+    def marked(ell, pot, kind=1):
+        evaluate = real(ell, pot, kind)
+
+        def at_marks(points):
+            out = evaluate(points)
+            orders = np.broadcast_to(ell, points.shape)
+            top.append(orders.max())
+            out[orders == 74] = np.nan
+            out[(orders == 76) & (points == lam)] = -30.0
+            out[(orders == 78) & (points == lam)] = -np.inf
+            return out
+        return at_marks
+
+    monkeypatch.setattr(rs, "channel_matcher_log", marked)
+    assert rs.scattering_log_det(pot, lam) == value
+    assert max(top) == 78
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(0.5, 2.0), v0=st.one_of(
+           st.floats(-40.0, 40.0),
+           st.builds(complex, st.floats(-40.0, 40.0), st.floats(-5.0, 5.0)),
+           st.floats(-40.0, 40.0).map(lambda v: complex(v, 0.0))),
+       x=st.floats(-60.0, 60.0), y=st.one_of(st.just(0.0), st.floats(0.0, 60.0)))
+@example(a=1.0, v0=complex(-16.0, 1.5), x=35.0, y=0.0)
+@example(a=2.0, v0=complex(-20.0, 0.0), x=0.0, y=30.0)
+def test_first_block_keeps_every_value_to_lambda_a_60(a, v0, x, y):
+    # real, complex and complex-typed real wells, the real axis of a complex
+    # well included: the first block's margin moves no bit of the sum
+    lam = complex(x, y)
+    assume(v0 != 0.0 and 0.01 <= abs(lam) * a <= 60.0)
+    _assert_raises_where_the_full_rule_does(rs.RadialStepPotential(a, v0), lam)
+
+
+@pytest.mark.parametrize("r", [320.0, 1000.0])
+@pytest.mark.parametrize("theta", [math.pi / 4, math.pi / 2], ids=["pi/4", "pi/2"])
+def test_scattering_log_det_at_large_radii_settles_in_its_first_call(monkeypatch, r, theta):
+    # a first block of floor(|lambda| a) + 10 channels took 13 and 38 calls
+    # on pi/4 at r = 320 and 1000, and 18 and 52 on pi/2
+    calls = []
+    real = rs.channel_matcher_log
+    monkeypatch.setattr(rs, "channel_matcher_log",
+                        lambda ell, pot, kind=1: calls.append(kind) or real(ell, pot, kind))
+    rs.scattering_log_det(WELL, r * cmath.exp(1j * theta))
+    assert calls == [1]
+
+
+def test_log_odd_double_factorials_read_a_table_that_grows(monkeypatch):
+    # bit for bit _log_double_factorial(2 ell + 1), from ell = -1 to one
+    # past _MAX_ORDER, before and after the table grows
+    monkeypatch.setattr(special, "_LOG_ODD_DF", np.zeros(0))
+
+    def check(ells):
+        want = np.array([special._log_double_factorial(2 * ell + 1) for ell in ells])
+        assert special._log_odd_double_factorials(ells).tobytes() == want.tobytes()
+
+    check(np.arange(-1, 8))
+    first = special._LOG_ODD_DF.size
+    check(np.array([3, 9, -1, 9]))  # past the end: doubled
+    assert special._LOG_ODD_DF.size == 2 * first
+    check(np.arange(-1, rs._MAX_ORDER + 2))
+    assert special._LOG_ODD_DF.size == rs._MAX_ORDER + 3
+    check(np.arange(-1, 8))
 
 
 @pytest.mark.parametrize("theta", [math.pi / 8, 7 * math.pi / 8])
