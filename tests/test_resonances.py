@@ -679,34 +679,84 @@ def test_pole_screen_agrees_with_the_full_rule_in_the_upper_half_plane(a, v0, x,
     _assert_raises_where_the_full_rule_does(rs.RadialStepPotential(a, v0), lam)
 
 
+def _blocks_to_stop(terms, lam, reach):
+    """(blocks, stop, last channel evaluated, sum) of the stopping rule of
+    scattering_log_det replayed on its terms, with a first block that ends
+    at channel reach and later blocks of the 10 - q channels it still needs."""
+    total, quiet, blocks, last = 0.0, 0, 1, reach
+    for ell, term in enumerate(terms):
+        if ell > last:
+            blocks, last = blocks + 1, last + 10 - quiet
+        total += term
+        if ell > abs(lam) and abs(term) < 1e-10 * max(abs(total), 1.0):
+            quiet += 1
+            if quiet >= 10:
+                return blocks, ell, last, total
+        else:
+            quiet = 0
+    raise AssertionError(f"the terms at {lam} end before the sum settles")
+
+
 @pytest.mark.parametrize("v0, blocks, channels", [
-    (-20.0, 38, 1726), (complex(-20.0, 0.0), 38, 1726), (complex(-16.0, 1.5), 44, 1820)])
+    (-20.0, 90, 1649), (complex(-20.0, 0.0), 90, 1649), (complex(-16.0, 1.5), 104, 1739)])
 def test_scattering_log_det_makes_one_matcher_call_per_block(monkeypatch, v0, blocks, channels):
-    # the 38 points of the asymptotics workload evaluate 1,726 channels
-    # (1,649 up to their stops) in 38 blocks for the reference well, each
-    # sum settling in its first block: a real-typed v0 makes one call per
-    # block, on 2 points per channel (3,452 points); a complex-typed v0 makes
-    # an outgoing call on 1 point per channel and an incoming one on 1, and
-    # -16+1.5i takes a second block at six of its ten real-axis points.  No
-    # channel is screened in for the pole check, so no call evaluates the
-    # neighbours lambda (1 +- 1e-4)
-    sizes = {1: [], 2: []}  # points of each call, by kind
+    # the 38 points of the asymptotics workload sum 1,649 channels (1,739 at
+    # -16+1.5i) up to their stops for the a = 1 well.  First blocks that end
+    # at floor(|lambda| a) + 10 would take 90 (104) blocks; reaching to where
+    # the sum is predicted to settle they take 38, one per point, and
+    # -16+1.5i a second block at six of its ten real-axis points (44), on
+    # 1,726 (1,820) channels.  The stopping rule, replayed on the terms the
+    # matcher calls returned, gives the stops, the block counts and the
+    # value.  A real-typed v0 makes one call per block, on lambda and
+    # conj(lambda) per channel; a complex-typed v0 makes an outgoing call on
+    # lambda and an incoming one.  No channel is screened in for the pole
+    # check, so no call evaluates the neighbours lambda (1 +- 1e-4)
+    calls = []  # (kind, orders, points, values) of each call
     real = rs.channel_matcher_log
 
     def counted(ell, pot, kind=1):
         evaluate = real(ell, pot, kind)
-        return lambda lam: sizes[kind].append(np.size(lam)) or evaluate(lam)
+
+        def record(lam):
+            out = evaluate(lam)
+            calls.append((kind, np.broadcast_to(ell, np.shape(lam)), np.asarray(lam), out))
+            return out
+        return record
 
     monkeypatch.setattr(rs, "channel_matcher_log", counted)
     pot = rs.RadialStepPotential(1.0, v0)
+    fixed = ours = to_stop = evaluated = 0
     for lam in ASYMPTOTICS_DET_POINTS:
-        rs.scattering_log_det(pot, lam)
-    if isinstance(v0, complex):
-        assert len(sizes[1]) == len(sizes[2]) == blocks
-        assert (sum(sizes[1]), sum(sizes[2])) == (channels, channels)
-    else:
-        assert (len(sizes[1]), sizes[2]) == (blocks, [])
-        assert sum(sizes[1]) == 2 * channels == 3452
+        calls.clear()
+        value = rs.scattering_log_det(pot, lam)
+        outgoing = [c for c in calls if c[0] == 1]
+        incoming = [c for c in calls if c[0] == 2]
+        orders = np.concatenate([c[1] for c in outgoing])
+        points = np.concatenate([c[2] for c in outgoing])
+        w1 = np.concatenate([c[3] for c in outgoing]).real
+        if isinstance(v0, complex):
+            assert len(incoming) == len(outgoing) and np.all(points == lam)
+            assert np.array_equal(np.concatenate([c[1] for c in incoming]), orders)
+            w2 = np.concatenate([c[3] for c in incoming]).real
+        else:
+            assert incoming == [] and np.all(points[0::2] == lam)
+            assert np.all(points[1::2] == lam.conjugate())
+            orders, w1, w2 = orders[0::2], w1[0::2], w1[1::2]
+        assert np.array_equal(orders, np.arange(orders.size))
+        terms = ((2 * orders + 1) * (w2 - w1)).tolist()
+        margin = 0
+        if lam.imag != 0 or pot.v0.imag != 0:
+            margin = max(math.ceil(0.51 * lam.imag + 7.0), 0)  # |v0| a^2 >= 1
+        base = math.floor(abs(lam)) + 10
+        n_fixed, stop, _, _ = _blocks_to_stop(terms, lam, base)
+        n_ours, stop_ours, last, total = _blocks_to_stop(terms, lam, base + margin)
+        assert (stop_ours, total) == (stop, value), lam
+        assert (len(outgoing), orders.size) == (n_ours, last + 1), lam
+        fixed, ours = fixed + n_fixed, ours + n_ours
+        to_stop, evaluated = to_stop + stop + 1, evaluated + orders.size
+    assert (fixed, to_stop) == (blocks, channels)
+    n = len(ASYMPTOTICS_DET_POINTS)
+    assert (ours, evaluated) == ((n, 1726) if pot.v0.imag == 0 else (n + 6, 1820))
 
 
 @pytest.mark.parametrize("v0", [-20.0, complex(-16.0, 1.5)], ids=["real", "complex"])
