@@ -607,7 +607,7 @@ def _expected_w(ell: np.ndarray, pot: RadialStepPotential, lam: np.ndarray) -> n
     """S = 1 / (|lambda| a^2) + |v0 j_ell(k a) h_ell(lambda a)| / (|k| + |lambda|),
     the expected size of |W_ell(lambda)| that the matcher's condition number
     uses (``channel_matcher_log``): the free Wronskian plus the leading v0
-    part; unlike |W| it does not dip at zeros.  NaN where k = 0."""
+    part; unlike |W| it does not dip at zeros.  ValueError where k = 0."""
     k = np.sqrt(lam * lam - pot.v0)
     _, jl, sj = sph_j_pair_log(ell, k * pot.a)
     _, hl, sh = sph_h_pair_log(ell, lam * pot.a)

@@ -62,6 +62,25 @@ def test_compare_names_the_differing_det_keys(tmp_path, capsys):
     _compare_names_the_differing_keys(tmp_path, capsys, "det")
 
 
+def test_compare_names_the_differing_pairs_keys(tmp_path, capsys):
+    _compare_names_the_differing_keys(tmp_path, capsys, "pairs")
+
+
+def test_pairs_entry_holds_both_pairs_at_the_seeded_points():
+    entry = solve_sets.pairs_entry()
+    ell, z = solve_sets.pair_points()
+    assert list(entry) == ["j", "h"] and ell.size == z.size == 2001
+    assert (ell[-1], z[-1]) == (1205, 11.288 - 394.735j)
+    for rows in entry.values():
+        assert len(rows) == 2001
+        values = np.array(rows)
+        assert np.all(np.isfinite(values))
+        # every pair is nonzero and in normal form: its larger member has modulus 1
+        top = np.maximum(np.hypot(values[:, 0], values[:, 1]),
+                         np.hypot(values[:, 2], values[:, 3]))
+        assert np.max(np.abs(top - 1.0)) < 1e-15
+
+
 def test_compare_gives_the_largest_shift_of_a_differing_key(tmp_path, capsys):
     table = {"c_d": 2.0, "rows": [[0.0, 100.0, 4.0], [1.0, 1e-3, -1.0]]}
     moved = {"c_d": 2.0, "rows": [[0.0, 100.0 + 2e-6, 4.0], [1.0, 1e-3 + 5e-10, -1.0]]}

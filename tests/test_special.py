@@ -439,42 +439,71 @@ def test_hankel_pair_matches_mpmath_at_scaled_false_zeros():
     assert max(_hankel_pair_error(ell, z, mp) for ell, z in grid) < 1e-12
 
 
+def _j_pair_error(ell, z, mp):
+    """Worst log error of sph_j_pair_log's pair against mpmath, relative to
+    max(1, |log j|)."""
+    worst = 0.0
+    for order, got in zip((ell - 1, ell), _log_j(ell, z)):
+        ref = complex(mp.log(mp.sqrt(mp.pi / (2 * mp.mpc(z)))
+                             * mp.besselj(order + mp.mpf(1) / 2, mp.mpc(z))))
+        worst = max(worst, _log_err(got, ref) / max(1.0, abs(ref)))
+    return worst
+
+
 def test_j_pair_matches_mpmath_where_the_scaled_mantissa_underflows():
     # seeded points of order in [200, 1500], |z| / ell in [0.3, 1] and arg z
-    # within 0.5 rad of -pi/2, where j is in double range (log|j| > -700):
-    # jve's mantissa underflows to 0 at a good share of them, and the
-    # unscaled pair takes over; error relative to max(1, |log j|)
+    # within 0.5 rad of -pi/2: jve's mantissa underflows to 0 at a good
+    # share of them, and the fallback takes over, at m = ell where j is in
+    # double range and by the carry where it is not
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
     rng = np.random.default_rng(20261019)
-    points, underflows, worst = 0, 0, 0.0
-    while points < 60:
+    underflows, worst = 0, 0.0
+    for _ in range(60):
         ell = int(rng.integers(200, 1501))
         z = complex(cmath.rect(rng.uniform(0.3, 1.0) * ell,
                                -math.pi / 2 + rng.uniform(-0.5, 0.5)))
-        refs = [complex(mp.log(mp.sqrt(mp.pi / (2 * mp.mpc(z)))
-                               * mp.besselj(order + mp.mpf(1) / 2, mp.mpc(z))))
-                for order in (ell - 1, ell)]
-        if min(ref.real for ref in refs) <= -700.0:
-            continue
-        points += 1
         with np.errstate(under="ignore"):
             underflows += bool(np.any(_scipy_special.jve([ell - 0.5, ell + 0.5], z) == 0))
-        for got, ref in zip(_log_j(ell, z), refs):
-            worst = max(worst, _log_err(got, ref) / max(1.0, abs(ref)))
+        worst = max(worst, _j_pair_error(ell, z, mp))
     assert underflows >= 10
     assert worst < 1e-12
 
 
+def test_j_pair_carries_where_no_amos_pair_at_its_order_is_usable():
+    # j_1205 there is e^-950.8, j_429 at the small argument e^-2612 and
+    # j_797 e^-2252, all below double range: the unscaled pair at the order
+    # is 0 too, and the pair is carried up from the highest usable order
+    # (it had been (0, 0) at the first point and a power series at the others)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    points = [(1205, 11.288 - 394.735j), (429, -0.6828 + 0.2518j),
+              (797, -30.23419313229765 + 17.8539554036662j)]
+    for ell, z in points:
+        with np.errstate(under="ignore"):
+            assert np.any(_scipy_special.jv([ell - 0.5, ell + 0.5], z) == 0)
+        assert _j_pair_error(ell, z, mp) < 1e-12
+    assert abs(_log_j(1205, 11.288 - 394.735j)[1] - (-950.8432595 - 3.0209323j)) < 1e-6
+
+
+def test_j_pair_rejects_zero_and_raises_where_no_order_is_usable(monkeypatch):
+    with pytest.raises(ValueError, match="z != 0"):
+        sp.sph_j_pair_log(3, np.array([1.0 + 0j, 0j]))
+    z = 11.288 - 394.735j
+    monkeypatch.setattr(sp._ss, "jv", lambda v, z: np.zeros_like(z))
+    with pytest.raises(NumericalError, match=r"order 1205 .*11\.288-394\.735j"):
+        sp.sph_j_pair_log(np.array([3, 1205]), np.array([1.0 - 1.0j, z]))
+
+
 def test_pairs_leave_in_normal_form():
-    # both pairs come divided by their larger modulus, so that products of
-    # two pairs' members stay in double range; the j pair is (0, 0) only
-    # where j_(ell-1) is below double range and |z| too large for the series
+    # both pairs come finite, nonzero and divided by their larger modulus,
+    # so that products of two pairs' members stay in double range; 536 of
+    # the j pairs take the fallback, 411 of them by the carry
     rng = np.random.default_rng(11)
     ell = rng.integers(0, 1000, 2000)
     z = rng.uniform(0.01, 600.0, 2000) * np.exp(1j * rng.uniform(-math.pi, math.pi, 2000))
     for pair in (sp.sph_j_pair_log, sp.sph_h_pair_log):
         fm1, fl, s = pair(ell, z)
         top = np.maximum(np.abs(fm1), np.abs(fl))
-        assert np.all(np.isfinite(s)) and np.sum(top > 0) > 1700
-        assert np.max(np.abs(top[top > 0] - 1.0)) <= 4 * sp._EPS
+        assert np.all(np.isfinite(s)) and np.all(fm1 != 0) and np.all(fl != 0)
+        assert np.max(np.abs(top - 1.0)) <= 4 * sp._EPS

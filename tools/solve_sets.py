@@ -14,8 +14,8 @@ by ``repr`` so they read back exactly.  ``compare`` prints
 differs or is missing from either file.  When the ``density`` entry
 differs, it is followed by one ``identical`` or ``different
 density.<key>`` line per key of the entry, so a change that should move one
-density result shows which ones moved; the ``det`` entry is compared the
-same way, with ``det.<key>`` lines.  A ``different`` key line also gives
+density result shows which ones moved; the ``det`` and ``pairs`` entries
+are compared the same way, with ``det.<key>`` and ``pairs.<key>`` lines.  A ``different`` key line also gives
 the largest absolute shift and the largest relative shift (to the larger
 modulus) over the key's numbers, when both dumps hold the same layout of
 numbers under the key:
@@ -27,8 +27,8 @@ bits: a set that is not identical prints ``close`` when both dumps have the
 same resonance count per channel, and each resonance pairs off with the
 nearest unpaired one of its channel and multiplicity in the other dump,
 within the smaller recorded ``zero_tol``.
-It exits with status 1 only when a set is ``different``; the ``density``
-and ``det`` entries are still compared exactly.
+It exits with status 1 only when a set is ``different``; the ``density``,
+``det`` and ``pairs`` entries are still compared exactly.
 
 The 48 sets: the a = 1, v0 = -20 reference well at R = 40; the 21 members of
 the acceptance family (v0 = -20 to -12+3i, 5 x 5 bump grid) at r = 25;
@@ -55,8 +55,14 @@ well and point set, for a = 1 with v0 = -20, complex(-20, 0), -1e-12 and
 of the pole is screened in for the S-matrix pole check: the two bound
 states of a = 1, v0 = -20 (3.682135i, ell = 0, and 2.676552i, ell = 1)
 times 1 + 1e-9 and 1 + 1e-6, and the upper-half-plane zero of channel 0 of
-a = 1, v0 = -20+2i (0.252484+3.689553i) times 1 + 1e-9.  The whole dump
-runs in one process and takes about 50 s on a 2-core Xeon VM.
+a = 1, v0 = -20+2i (0.252484+3.689553i) times 1 + 1e-9.
+
+And it writes one ``pairs`` entry, so that a change to the special
+functions shows which values moved: the scaled pairs ``sph_j_pair_log`` and
+``sph_h_pair_log``, one row (Re f_(l-1), Im f_(l-1), Re f_l, Im f_l, log
+scale) per point, over 2,000 seeded draws of l < 1000 and |z| < 600 and at
+l = 1205, z = 11.288 - 394.735i, where j_l is below double range.  The
+whole dump runs in one process and takes about 50 s on a 2-core Xeon VM.
 """
 
 from __future__ import annotations
@@ -66,10 +72,13 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from resonance_atlas import density as dn
 from resonance_atlas.contour import jensen_suite
 from resonance_atlas.counting import FamilyExperiment, SectorQuery, predict_sector
 from resonance_atlas.resonances import RadialStepPotential, find_resonances, scattering_log_det
+from resonance_atlas.special import sph_h_pair_log, sph_j_pair_log
 
 REFERENCE = RadialStepPotential(1.0, -20.0)
 FAMILY_END = RadialStepPotential(1.0, complex(-12.0, 3.0))
@@ -166,12 +175,29 @@ def det_entry() -> dict:
     return entry
 
 
+def pair_points() -> tuple[np.ndarray, np.ndarray]:
+    """(orders, arguments) of the pairs entry, as listed in the module docstring."""
+    rng = np.random.default_rng(11)
+    ell = rng.integers(0, 1000, 2000)
+    z = rng.uniform(0.01, 600.0, 2000) * np.exp(1j * rng.uniform(-math.pi, math.pi, 2000))
+    return np.append(ell, 1205), np.append(z, 11.288 - 394.735j)
+
+
+def pairs_entry() -> dict:
+    """Both scaled pairs at the pair points, one row per point."""
+    ell, z = pair_points()
+    return {name: [[p.real, p.imag, q.real, q.imag, s] for p, q, s in zip(*pair(ell, z))]
+            for name, pair in (("j", sph_j_pair_log), ("h", sph_h_pair_log))}
+
+
 def dump(path, sets=None) -> None:
-    """Write the given sets, or the 48 sets and the density and det entries."""
+    """Write the given sets, or the 48 sets and the density, det and pairs
+    entries."""
     doc = {name: solve(pot, R) for name, pot, R in (sets or all_sets())}
     if sets is None:
         doc["density"] = density_entry()
         doc["det"] = det_entry()
+        doc["pairs"] = pairs_entry()
     with open(path, "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
@@ -222,12 +248,12 @@ def _shift(a, b) -> str:
 def _compare_entries(a: dict, b: dict, prefix: str = "", tol: bool = False) -> bool:
     """Print identical/different (with ``tol``, close for a set that passes
     ``_close``) per key of either dict, and per key of a differing
-    ``density`` or ``det`` entry; True if no key is different."""
+    ``density``, ``det`` or ``pairs`` entry; True if no key is different."""
     all_same = True
     for key in list(a) + [k for k in b if k not in a]:
         both = key in a and key in b
         status = "identical" if both and a[key] == b[key] else "different"
-        entry = not prefix and key in ("density", "det")
+        entry = not prefix and key in ("density", "det", "pairs")
         if status == "different" and both and tol and not entry and _close(a[key], b[key]):
             status = "close"
         shift = _shift(a[key], b[key]) if status == "different" and both and prefix else ""
