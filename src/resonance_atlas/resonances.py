@@ -60,7 +60,8 @@ from .contour import _IRR, ContourBox, locate_zeros
 # not called here; kept importable because perfbench/tracing.py wraps it by name
 from .contour import _winding_with_perturbation  # noqa: F401
 from .errors import EvaluationOverflowError, NumericalError
-from .special import _log_odd_double_factorials, sph_h_pair_log, sph_j_pair_log, sph_j_series
+from .special import (_log_odd_double_factorials, _partners, sph_h_pair_log, sph_j_pair_log,
+                      sph_j_series)
 
 __all__ = [
     "RadialStepPotential",
@@ -272,8 +273,10 @@ def _potential_series_log(ell: np.ndarray, a: float, v0: complex, z: np.ndarray,
         log_c = cmath.log(v0 * a * a / 2.0)
         peak = np.zeros(z.shape)
         log_z = np.log(z)
+        upper = None  # the last term's raw upper j members at the live points
         for n in range(1, _SERIES_MAX_TERMS + 1):
-            jm1, jn, sj = sph_j_pair_log(ell[live] + n, z[live])
+            lower, upper = upper, np.empty(live.size, dtype=complex)
+            jm1, jn, sj = sph_j_pair_log(ell[live] + n, z[live], lower=lower, upper=upper)
             term = np.zeros(z.shape, dtype=complex)  # a settled point's term is not used
             with np.errstate(divide="ignore", invalid="ignore"):
                 term[live] = (n * log_c - math.lgamma(n + 1) + (2 - n) * log_z[live]
@@ -283,7 +286,8 @@ def _potential_series_log(ell: np.ndarray, a: float, v0: complex, z: np.ndarray,
             peak[live] = np.fmax(peak[live], term.real[live])
             if n >= 2:
                 # a term below 4e-18 of the largest settles its point
-                live = live[~(term.real[live] < peak[live] - 40.0)]
+                keep = ~(term.real[live] < peak[live] - 40.0)
+                live, upper = live[keep], upper[keep]
                 if not live.size:
                     break
         else:
@@ -365,13 +369,17 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
         k = np.sqrt(k2)
         la = lam * a
         pole_kill = (ell + 1) * np.log(la)
-        hm1, hl, sh = sph_h_pair_log(ell, la)
+        # equal lambdas give equal lambda a and k a, so one map serves both pairs
+        partner = _partners(ell, lam)
+        hm1, hl, sh = sph_h_pair_log(ell, la, partner)
         hp = hm1 - (ell + 1) / la * hl
         out = np.empty_like(lam)
         small = np.abs(k) * a < 0.5
         big = slice(None)  # the direct path's points: whole arrays unless one is small
         if small.any():
             big = np.flatnonzero(~small)
+            # a partner shares its point's lambda, so it is big too
+            partner = np.where(partner[big] < 0, -1, np.searchsorted(big, partner[big]))
             # g = a^(ell-1) [(2 a^2 k^2 S' + ell S) h - lambda a S h'], S = S_ell(k^2 a^2)
             es = ell[small]
             s, ds = sph_j_series(es, k2[small] * (a * a))
@@ -382,7 +390,7 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
         eb = ell[big]
         if eb.size:
             kb = k[big]
-            jm1, jl, sj = sph_j_pair_log(eb, kb * a)
+            jm1, jl, sj = sph_j_pair_log(eb, kb * a, partner)
             jp = jm1 - (eb + 1) / (kb * a) * jl
             p1 = kb * jp * hl[big]
             p2 = lam[big] * jl * hp[big]
@@ -694,7 +702,10 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
     (1/m - 1) |lambda| a channels past |lambda| a, m the critical-curve
     modulus at arg lambda (0.509 Im(lambda a) on pi/2), plus up to 7 for
     a = 1, v0 = -20 (9 on pi/16); a weak well's terms are |v0| a^2 times
-    smaller and fall about e^2.4 a channel, so it settles sooner.  Each
+    smaller and fall about e^2.4 a channel, so it settles sooner.  A
+    complex v0's terms do not vanish on the real axis, where its sum settles
+    3.3 (|lambda| a)^(1/3) + 1.5 channels past floor(|lambda| a) + 10: its
+    first block reaches at least that far.  Each
     later block is the 10 - q channels that the stopping rule still needs
     after q quiet channels.  A real-typed v0 is conj(v0) bit for bit, so
     its kind 2 value is the conjugate of its outgoing value at conj(lambda):
@@ -749,6 +760,8 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
     if lam.imag != 0 or pot.v0.imag != 0:
         strength = math.log(min(abs(pot.v0) * pot.a ** 2, 1.0))
         margin = max(math.ceil(0.51 * lam.imag * pot.a + 7.0 + strength / 2.4), 0)
+    if pot.v0.imag != 0:
+        margin = max(margin, math.ceil(3.3 * (abs(lam) * pot.a) ** (1 / 3) + 1.5))
     first, last = 0, min(math.floor(abs(lam) * pot.a) + 10 + margin, _MAX_ORDER)
     while first <= last:
         orders = np.arange(first, last + 1)

@@ -11,9 +11,10 @@ Contents:
 * ``sph_j_pair_log`` / ``sph_h_pair_log`` -- log-scaled pairs
   (f_(l-1), f_l) of the spherical Bessel ``j_l`` and the outgoing Hankel
   ``h_l^(1)`` for complex arguments and integer orders, backed by scipy's
-  AMOS routines.  Where the scaled AMOS pair is not usable, both take one
-  fallback: the unscaled pair at the highest usable order, carried to l in
-  the recurrence's stable direction.  Both return their pair in one normal
+  AMOS routines, evaluated once per distinct order and argument of a call.
+  Where the scaled AMOS pair is not usable, both take one fallback: the
+  unscaled pair at the highest usable order, carried to l in the
+  recurrence's stable direction.  Both return their pair in one normal
   form, divided by its larger modulus.  They are the evaluators the
   resonance solver's channel matcher calls, and they keep magnitudes that
   span hundreds of decades representable.  The incoming ``h_l^(2)`` is not
@@ -22,7 +23,8 @@ Contents:
   j_l(z) = z^l S_l(z^2) / (2l+1)!!, and its derivative S_l'(u), for the
   matcher's small-|k| branch.
 
-All functions are pure.
+All functions are pure; ``sph_j_pair_log`` writes only to an ``upper`` array
+it is handed.
 """
 
 from __future__ import annotations
@@ -239,12 +241,15 @@ def critical_curve_modulus(theta):
 #
 # Every evaluator below takes one order per point: ``ell`` is an integer
 # array of z's shape (the entry points of the matcher turn an int order into
-# one), and every per-order constant is elementwise numpy.  Each point's
-# value is then a function of that point and its order alone, bit for bit:
-# a sum over terms stops each point at its own settled term.  That holds for
-# calls of fewer than 16,384 points: at 256 KiB numpy computes
-# ``fac * jve(...)`` as an in-place product with swapped operands, which FMA
-# rounds differently.
+# one), and every per-order constant is elementwise numpy.  The pairs make
+# one AMOS evaluation per distinct order and argument of a call: a point
+# whose partner, the same z at order ell - 1, is in the call copies its
+# lower member fac * AMOS(ell - 1/2, z) from the partner's upper one, the
+# same product of the same bits (``_partners``).  Each point's value is then
+# a function of that point and its order alone, bit for bit: a sum over
+# terms stops each point at its own settled term.  That holds for calls of
+# fewer than 16,384 points: at 256 KiB numpy computes ``fac * jve(...)`` as
+# an in-place product with swapped operands, which FMA rounds differently.
 
 def _log_double_factorial(n: int) -> float:
     """log(n!!) for odd n >= -1."""
@@ -296,18 +301,54 @@ def _normal_form(fm1, fl, s):
     return fm1 / top, fl / top, s + np.log(top)
 
 
-def sph_j_pair_log(ell, z: np.ndarray):
+def _partners(ell: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Each point's partner: the index of a point of the call with the same z,
+    bit for bit, and the order ell - 1, else -1.  A call without two
+    consecutive orders has none; otherwise one lexsort of (ell, Im z, Re z),
+    on z's bits, puts a point right after its partner."""
+    seen = np.bincount(ell, minlength=1) > 0
+    if not (seen[1:] & seen[:-1]).any():
+        return np.full(z.shape, -1)
+    re, im = z.real.view(np.int64), z.imag.view(np.int64)
+    order = np.lexsort((ell, im, re))
+    prev, this = order[:-1], order[1:]
+    found = (ell[this] == ell[prev] + 1) & (re[this] == re[prev]) & (im[this] == im[prev])
+    partner = np.full(z.shape, -1)
+    partner[this[found]] = prev[found]
+    return partner
+
+
+def _amos_pair(scaled, ell, z, fac, partner=None, lower=None):
+    """The raw pair fac * scaled(ell -+ 1/2, z): the upper member evaluated,
+    the lower one a copy of ``lower`` if given, else the partner's upper
+    member (``partner``, built from (ell, z) if not given), else evaluated."""
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
+        upper = fac * scaled(ell + 0.5, z)
+        if lower is not None:
+            return np.array(lower, dtype=complex), upper
+        partner = _partners(ell, z) if partner is None else partner
+        lower = upper[partner]
+        own = np.flatnonzero(partner < 0)
+        lower[own] = fac[own] * scaled(ell[own] - 0.5, z[own])
+    return lower, upper
+
+
+def sph_j_pair_log(ell, z: np.ndarray, partner=None, lower=None, upper=None):
     """Scaled (j_(ell-1), j_ell) pair, ell an int or an integer array of z's
     shape; where the scaled AMOS pair is not usable (finite and nonzero),
-    the one fallback; NumericalError where no order is usable."""
+    the one fallback; NumericalError where no order is usable.  ``partner``
+    is the call's partner map (``_partners``).  A chain of calls at the same
+    points, each one order above the last, evaluates one order per point
+    and call: a call receives its raw upper members fac jve(ell + 1/2, z)
+    in ``upper`` (an array of z's shape) and hands them on as ``lower``."""
     z = np.asarray(z, dtype=complex)
     if (z == 0).any():
         raise ValueError("Bessel functions require z != 0")
     ell = np.broadcast_to(ell, z.shape)
     fac = _sph_factor(z)
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
-        jm1 = fac * _ss.jve(ell - 0.5, z)
-        jl = fac * _ss.jve(ell + 0.5, z)
+    jm1, jl = _amos_pair(_ss.jve, ell, z, fac, partner, lower)
+    if upper is not None:
+        upper[...] = jl
     s = np.abs(z.imag).astype(float)  # jve removes exp(|Im z|)
     bad = ~_usable(jm1, jl)
     if bad.any():
@@ -340,19 +381,18 @@ def sph_j_series(ell, u: np.ndarray):
     return s, ds
 
 
-def sph_h_pair_log(ell, z: np.ndarray):
+def sph_h_pair_log(ell, z: np.ndarray, partner=None):
     """Scaled (h_(ell-1), h_ell) pair of the outgoing Hankel function h^(1),
     ell an int or an integer array of z's shape; where the scaled AMOS pair
     is not usable (finite and nonzero), the one fallback; NumericalError
-    where no order is usable."""
+    where no order is usable.  ``partner`` is the call's partner map
+    (``_partners``)."""
     z = np.asarray(z, dtype=complex)
     if (z == 0).any():
         raise ValueError("Hankel functions require z != 0")
     ell = np.broadcast_to(ell, z.shape)
     fac = _sph_factor(z)
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
-        hm1 = fac * _ss.hankel1e(ell - 0.5, z)
-        hl = fac * _ss.hankel1e(ell + 0.5, z)
+    hm1, hl = _amos_pair(_ss.hankel1e, ell, z, fac, partner)
     s = (1j * z).real.astype(float)            # hankel1e removes exp(iz)
     phase = np.exp(1j * (1j * z).imag)
     hm1, hl = hm1 * phase, hl * phase

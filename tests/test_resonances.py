@@ -703,11 +703,12 @@ def test_scattering_log_det_makes_one_matcher_call_per_block(monkeypatch, v0, bl
     # the 38 points of the asymptotics workload sum 1,649 channels (1,739 at
     # -16+1.5i) up to their stops for the a = 1 well.  First blocks that end
     # at floor(|lambda| a) + 10 would take 90 (104) blocks; reaching to where
-    # the sum is predicted to settle they take 38, one per point, and
-    # -16+1.5i a second block at six of its ten real-axis points (44), on
-    # 1,726 (1,820) channels.  The stopping rule, replayed on the terms the
-    # matcher calls returned, gives the stops, the block counts and the
-    # value.  A real-typed v0 makes one call per block, on lambda and
+    # the sum is predicted to settle they take 38, one per point, on 1,726
+    # (1,822) channels: a complex v0's first block reaches at least
+    # ceil(3.3 (|lambda| a)^(1/3) + 1.5) past floor(|lambda| a) + 10, where
+    # its sum settles on the real axis.  The stopping rule, replayed on the
+    # terms the matcher calls returned, gives the stops, the block counts
+    # and the value.  A real-typed v0 makes one call per block, on lambda and
     # conj(lambda) per channel; a complex-typed v0 makes an outgoing call on
     # lambda and an incoming one.  No channel is screened in for the pole
     # check, so no call evaluates the neighbours lambda (1 +- 1e-4)
@@ -747,6 +748,8 @@ def test_scattering_log_det_makes_one_matcher_call_per_block(monkeypatch, v0, bl
         margin = 0
         if lam.imag != 0 or pot.v0.imag != 0:
             margin = max(math.ceil(0.51 * lam.imag + 7.0), 0)  # |v0| a^2 >= 1
+        if pot.v0.imag != 0:
+            margin = max(margin, math.ceil(3.3 * abs(lam) ** (1 / 3) + 1.5))
         base = math.floor(abs(lam)) + 10
         n_fixed, stop, _, _ = _blocks_to_stop(terms, lam, base)
         n_ours, stop_ours, last, total = _blocks_to_stop(terms, lam, base + margin)
@@ -756,7 +759,7 @@ def test_scattering_log_det_makes_one_matcher_call_per_block(monkeypatch, v0, bl
         to_stop, evaluated = to_stop + stop + 1, evaluated + orders.size
     assert (fixed, to_stop) == (blocks, channels)
     n = len(ASYMPTOTICS_DET_POINTS)
-    assert (ours, evaluated) == ((n, 1726) if pot.v0.imag == 0 else (n + 6, 1820))
+    assert (ours, evaluated) == (n, 1726 if pot.v0.imag == 0 else 1822)
 
 
 @pytest.mark.parametrize("v0", [-20.0, complex(-16.0, 1.5)], ids=["real", "complex"])
@@ -923,8 +926,8 @@ def test_potential_series_exponentiates_only_used_terms(monkeypatch):
     alone = rs._potential_series_log(ell[:1], 1.0, -20.0, z[:1], hm1[:1], hl[:1], sh[:1])
     real = rs.sph_j_pair_log
 
-    def inflated(orders, zs):
-        jm1, jl, s = real(orders, zs)
+    def inflated(orders, zs, **carry):
+        jm1, jl, s = real(orders, zs, **carry)
         return jm1, jl, np.where((orders >= 3 + 12) & (np.abs(zs) > 100.0), s + 1000.0, s)
 
     monkeypatch.setattr(rs, "sph_j_pair_log", inflated)
@@ -1020,6 +1023,78 @@ def test_array_order_matcher_complex_well(kind):
         lams = lams.conj()
     got, want = _matcher_by_order(pot, np.repeat([0, 1, 10, 30], 5), np.tile(lams, 4), kind)
     assert np.all(np.isfinite(got)) and _same_bits(got, want)
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+@pytest.mark.parametrize("v0", [-20.0, -1e-12, complex(-16.0, 1.5)])
+def test_array_order_matcher_det_layout(v0, kind):
+    # consecutive channels at each point, as a det block, the cutoff scan
+    # and a lockstep group lay them out: a point shares its lower AMOS
+    # orders with channel ell - 1 at its lambda, on the direct path, in the
+    # small-|k| branch (within 0.3 of +-sqrt(v0)) and in the potential
+    # series, and keeps the value of its int-order call bit for bit
+    pot = rs.RadialStepPotential(1.0, v0)
+    root = cmath.sqrt(v0 if kind == 1 else v0.conjugate())  # kind 2 evaluates at conj(v0)
+    lams = np.array([10 * cmath.exp(1j * math.pi / 4), 10 * cmath.exp(-1j * math.pi / 4),
+                     -30 - 25j, 5 - 40j, 20 - 15j, root + 0.01, -root + 0.02j, 2.5 + 0j])
+    lams = lams if kind == 1 else lams.conj()  # and at conj(lambda)
+    orders = np.arange(25)
+    got, want = _matcher_by_order(pot, orders.repeat(lams.size), np.tile(lams, orders.size),
+                                  kind)
+    assert np.all(np.isfinite(got)) and _same_bits(got, want)
+
+
+@pytest.mark.parametrize("v0", [-20.0, -1e-12])
+def test_matcher_value_does_not_depend_on_sharing(v0):
+    # seeded runs of 1 to 11 consecutive channels at one lambda (|lambda| <
+    # 60, both half planes), shuffled, and the scaled-Hankel false zero of
+    # channel 110 with channel 111: a point keeps its one-point value bit
+    # for bit, its partner (lambda, ell - 1) in its piece or not (8,400
+    # points run in two pieces)
+    rng = np.random.default_rng(3434)
+    ells, lams = [110, 111], [-60.79 - 35.09j] * 2
+    while len(ells) < 8400:
+        run, start = int(rng.integers(1, 12)), int(rng.integers(0, 80))
+        ells += range(start, start + run)
+        lams += [complex(cmath.rect(rng.uniform(0.5, 60.0), rng.uniform(-math.pi, math.pi)))] * run
+    shuffle = rng.permutation(8400)
+    ells, lams = np.array(ells[:8400])[shuffle], np.array(lams[:8400])[shuffle]
+    pot = rs.RadialStepPotential(1.0, v0)
+    got, want = _matcher_by_order(pot, ells, lams)
+    assert np.all(np.isfinite(got)) and _same_bits(got, want)
+    few = np.flatnonzero(ells >= 110).tolist() + list(range(1500))
+    alone = np.concatenate([rs.channel_matcher_log(ells[i:i + 1], pot)(lams[i:i + 1])
+                            for i in few])
+    assert _same_bits(got[few], alone)
+
+
+def test_matcher_evaluates_each_amos_order_once_per_point(monkeypatch, amos_counts):
+    # a block of n consecutive channels at P points makes (n + 1) P
+    # evaluations of hankel1e and of jve; a point of the potential series
+    # that settles after N terms makes N + 1 jve orders (11 terms at
+    # 100 - 100i, 16 at 2 - 2i)
+    points = np.array([10 * cmath.exp(3j * math.pi / 8), 10 * cmath.exp(-3j * math.pi / 8),
+                       25j, 7.5 + 0j])
+    n = 30
+    log_g = rs.channel_matcher_log(np.arange(n).repeat(points.size), WELL)(
+        np.tile(points, n))
+    assert np.all(np.isfinite(log_g))
+    assert amos_counts == {"hankel1e": (n + 1) * points.size, "jve": (n + 1) * points.size}
+    z, ell = np.array([100 - 100j, 2 - 2j]), np.array([3, 3])
+    hm1, hl, sh = special.sph_h_pair_log(ell, z)
+    terms = []
+    real_pair = rs.sph_j_pair_log
+    monkeypatch.setattr(rs, "sph_j_pair_log",
+                        lambda orders, *args, **carry: terms.append(orders)
+                        or real_pair(orders, *args, **carry))
+    for i, settled in ((0, 11), (1, 16)):
+        amos_counts["jve"], terms[:] = 0, []
+        rs._potential_series_log(ell[i:i + 1], 1.0, -20.0, z[i:i + 1], hm1[i:i + 1],
+                                 hl[i:i + 1], sh[i:i + 1])
+        assert (len(terms), amos_counts["jve"]) == (settled, settled + 1)
+    amos_counts["jve"] = 0
+    rs._potential_series_log(ell, 1.0, -20.0, z, hm1, hl, sh)
+    assert amos_counts["jve"] == 12 + 17
 
 
 @pytest.fixture(scope="module")

@@ -507,3 +507,68 @@ def test_pairs_leave_in_normal_form():
         top = np.maximum(np.abs(fm1), np.abs(fl))
         assert np.all(np.isfinite(s)) and np.all(fm1 != 0) and np.all(fl != 0)
         assert np.max(np.abs(top - 1.0)) <= 4 * sp._EPS
+
+
+def _runs_of_orders(rng, n):
+    """n seeded (ell, z) points, shuffled: runs of 1 to 11 consecutive orders
+    below 310 at one z (|z| < 300, both half planes), so that most points
+    have their (z, ell - 1) partner in the call and the first of each run
+    has none; then the Hankel false zero at order 110 and the j fallback at
+    order 1205, each with its partner, and order 7 at -5 - 0i and 8 at
+    -5 + 0i, which are no partners: AMOS takes opposite sides of its cut."""
+    ell, z = [], []
+    while len(ell) < n - 6:
+        run, start = int(rng.integers(1, 12)), int(rng.integers(0, 300))
+        ell += range(start, start + run)
+        z += [complex(cmath.rect(rng.uniform(0.05, 300.0), rng.uniform(-math.pi, math.pi)))] * run
+    ell = ell[:n - 6] + [110, 111, 1205, 1206, 7, 8]
+    z = z[:n - 6] + [-60.79 - 35.09j] * 2 + [11.288 - 394.735j] * 2 + [complex(-5.0, -0.0),
+                                                                         complex(-5.0, 0.0)]
+    shuffle = rng.permutation(n)
+    return np.array(ell)[shuffle], np.array(z)[shuffle]
+
+
+def test_pair_values_do_not_depend_on_sharing():
+    # a point whose partner (z, ell - 1) is in the call takes its lower
+    # member from the partner's upper one; every point's pair is still that
+    # of its one-point call, bit for bit, in a call of 8,400 points
+    ell, z = _runs_of_orders(np.random.default_rng(34), 8400)
+    partner = sp._partners(ell, z)
+    assert np.count_nonzero(partner >= 0) > 6000
+    has = partner >= 0
+    assert np.all((ell[has] == ell[partner[has]] + 1) & (z[has] == z[partner[has]]))
+    for order, arg, first in ((111, -60.79 - 35.09j, 110), (1206, 11.288 - 394.735j, 1205)):
+        at = np.flatnonzero((ell == order) & (z == arg))
+        assert ell[partner[at]] == first
+    assert partner[(ell == 8) & (z == -5.0)] == -1  # -5 + 0j is not -5 - 0j
+    for pair in (sp.sph_j_pair_log, sp.sph_h_pair_log):
+        got = np.column_stack(pair(ell, z))
+        alone = np.concatenate([np.column_stack(pair(ell[i:i + 1], z[i:i + 1]))
+                                for i in range(z.size)])
+        assert np.array_equal(got.view(np.uint64), alone.view(np.uint64)), pair.__name__
+
+
+def test_pairs_evaluate_each_order_once_per_point(amos_counts):
+    # n consecutive orders at P points make (n + 1) P evaluations of each
+    # scaled routine, in any layout; a pair called alone evaluates both
+    # orders; the j pair handed its lower members evaluates the upper ones
+    points = np.array([3.0 + 4.0j, 3.0 - 4.0j, -20.0 + 1.0j, 0.5j, 60.0 - 2.0j])
+    orders = np.arange(40, 60)
+    shuffle = np.random.default_rng(5).permutation(orders.size * points.size)
+    for ell, z in ((orders.repeat(points.size), np.tile(points, orders.size)),
+                   (np.tile(orders, points.size), points.repeat(orders.size)),
+                   (orders.repeat(points.size)[shuffle],
+                    np.tile(points, orders.size)[shuffle])):
+        amos_counts.update(hankel1e=0, jve=0)
+        sp.sph_h_pair_log(ell, z)
+        sp.sph_j_pair_log(ell, z)
+        assert amos_counts == {"hankel1e": 21 * 5, "jve": 21 * 5}
+    amos_counts.update(hankel1e=0, jve=0)
+    sp.sph_h_pair_log(7, points)
+    upper = np.empty(points.size, dtype=complex)
+    sp.sph_j_pair_log(7, points, upper=upper)
+    assert amos_counts == {"hankel1e": 10, "jve": 10}
+    pair = sp.sph_j_pair_log(8, points, lower=upper)
+    assert amos_counts["jve"] == 15
+    for got, want in zip(pair, sp.sph_j_pair_log(8, points)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
