@@ -60,8 +60,8 @@ from .contour import _IRR, ContourBox, locate_zeros
 # not called here; kept importable because perfbench/tracing.py wraps it by name
 from .contour import _winding_with_perturbation  # noqa: F401
 from .errors import EvaluationOverflowError, NumericalError
-from .special import (_log_odd_double_factorials, _partners, sph_h_pair_log, sph_j_pair_log,
-                      sph_j_series)
+from .special import (_j_ratio_logs, _log_odd_double_factorials, _partners, sph_h_pair_log,
+                      sph_j_pair_log)
 
 __all__ = [
     "RadialStepPotential",
@@ -322,12 +322,17 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
 
     g_ell = (2 ell + 1)!! (lambda a)^(ell+1) W_ell / k^ell is an entire
     function of lambda: the k^ell quotient removes the removable branch
-    factor at lambda^2 = v0 (assembled from the even power series of
-    j_ell(z)/z^ell near that point, so the square root never enters), and
-    the (lambda a)^(ell+1) factor cancels the Hankel pole at the origin,
-    which would otherwise sit a hair above the search region and poison
-    winding counts on nearby boxes.  Zeros in the open lower half plane are
-    exactly the channel resonances.
+    factor at lambda^2 = v0, and the (lambda a)^(ell+1) factor cancels the
+    Hankel pole at the origin, which would otherwise sit a hair above the
+    search region and poison winding counts on nearby boxes.  Zeros in the
+    open lower half plane are exactly the channel resonances.
+
+    Where |k| a < 0.5 the j side is taken in u = k^2 a^2, so the square
+    root never enters: g_ell = a^(ell-1) (2 ell + 1)!! J_ell [(ell - u
+    q_(ell+1)) h_ell - lambda a h_ell'], J_ell = j_ell(ka) / (ka)^ell =
+    j_0(ka) q_1 ... q_ell, with the ratios q_n = j_n / (ka j_(n-1)) in u
+    (``special._j_ratio_logs``).  This branch is never flagged for the
+    potential series.
 
     Elsewhere W is first formed directly from one Bessel and one Hankel
     pair.  Its condition number -- the larger of the two products over the
@@ -380,13 +385,14 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
             big = np.flatnonzero(~small)
             # a partner shares its point's lambda, so it is big too
             partner = np.where(partner[big] < 0, -1, np.searchsorted(big, partner[big]))
-            # g = a^(ell-1) [(2 a^2 k^2 S' + ell S) h - lambda a S h'], S = S_ell(k^2 a^2)
-            es = ell[small]
-            s, ds = sph_j_series(es, k2[small] * (a * a))
-            g = (((2.0 * a * a) * k2[small] * ds + es * s) * hl[small]
-                 - lam[small] * a * s * hp[small])
+            es, u = ell[small], k2[small] * (a * a)  # g from J and q (docstring)
+            log_q, _, q_up = _j_ratio_logs(es, u, 1)
+            sinc = [(-1) ** m / math.factorial(2 * m + 1) for m in range(9, -1, -1)]
+            j0 = np.polyval(sinc, u)  # sin(ka) / (ka) as a series in u
+            g = (es - u * q_up) * hl[small] - lam[small] * a * hp[small]
             with np.errstate(divide="ignore", invalid="ignore"):
-                out[small] = np.log(g) + (es - 1) * math.log(a) + sh[small] + pole_kill[small]
+                out[small] = (np.log(g) + np.log(j0) + log_q + _log_odd_double_factorials(es)
+                              + (es - 1) * math.log(a) + sh[small] + pole_kill[small])
         eb = ell[big]
         if eb.size:
             kb = k[big]
@@ -508,7 +514,7 @@ def _group_zeros(ells, pot: RadialStepPotential, R: float):
             tol, log_form=True, samples=samples, ceiling=0.0,
             guard_dist=max(0.4 * _delta_axis(pot), 4.0 * tol), keys=list(ells))
     except NumericalError as exc:
-        raise NumericalError(f"channel {exc.key}: {exc}") from exc
+        raise NumericalError(f"channel {exc.key}: {exc}", key=exc.key) from exc
     return [_mirrored(zeros, tol) for zeros in found] if real else found
 
 
@@ -712,12 +718,12 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
     a block's outgoing call takes lambda and conj(lambda) per channel.  Any
     other v0 takes lambda only and adds a kind 2 call; a complex-typed real
     one must, as its conjugate's -0.0 can flip the branch of k and move
-    last bits (channel 0 of complex(20, 0) at lambda = 2.5).  The checks
-    and terms are array operations; the sum, the stop and raising for the
-    first failing channel run channel by channel, so the sum adds exactly
-    the terms of a one-channel-at-a-time sum.  A channel past the stop is
-    evaluated but never added, checked or raised on: the first block's
-    reach moves the cost (a second call where it falls short), never a value.
+    last bits (channel 0 of complex(20, 0) at lambda = 2.5).  The checks,
+    terms, sum, stop and first failing channel up to the stop are array
+    operations; the sum runs in sequence, so it adds exactly the terms of a
+    one-channel-at-a-time sum.  A channel past the stop is evaluated but
+    never added, checked or raised on: the first block's reach moves the
+    cost (a second call where it falls short), never a value.
 
     Domain, measured at a = 1, v0 = -20 on the rays arg lambda = k pi / 32:
     the sum raises on no ray at |lambda| a = 56, 60 and 80.  The incoming
@@ -766,7 +772,7 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
     while first <= last:
         orders = np.arange(first, last + 1)
         w = channel_matcher_log(orders.repeat(points.size), pot)(
-            np.tile(points, orders.size)).reshape(orders.size, points.size)
+            points[None].repeat(orders.size, 0).ravel()).reshape(orders.size, points.size)
         # only Re w2 = ln |W^(2)| enters, and the conjugation keeps it
         w2 = (w[:, 1] if self_conjugate
               else channel_matcher_log(orders, pot, kind=2)(np.full(orders.size, lam)))
@@ -783,19 +789,20 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
             pole[screened] = w[screened, 0].real - wn.real.max(axis=1) < math.log(1e-8)
         with np.errstate(invalid="ignore"):
             terms = (2 * orders + 1) * (w2.real - w[:, 0].real)
-        rows = zip(orders.tolist(), finite.tolist(), pole.tolist(), terms.tolist())
-        for ell, ok, at_pole, term in rows:
-            if not ok:
-                raise NumericalError(f"channel {ell}: matcher not finite at {lam}")
-            if at_pole:
-                raise NumericalError(
-                    f"channel {ell}: |W_ell| vanishes at lambda={lam} (S-matrix pole)")
-            total += term
-            if ell > abs(lam) * pot.a and abs(term) < 1e-10 * max(abs(total), 1.0):
-                quiet += 1
-                if quiet >= 10:
-                    return total
-            else:
-                quiet = 0
+            totals = np.add.accumulate(np.concatenate(([total], terms)))  # adds in sequence
+            quiet_at = np.abs(terms) < 1e-10 * np.maximum(np.abs(totals[1:]), 1.0)
+        quiet_at[:max(math.floor(abs(lam) * pot.a) + 1 - first, 0)] = False  # ell <= |lambda| a
+        # each channel's last loud channel, the last block's quiet run carried on
+        last_loud = np.maximum.accumulate(np.where(quiet_at, first - 1 - quiet, orders))
+        hits = (last_loud <= orders - 10).nonzero()[0]  # ten quiet channels end here
+        stop = hits[0] if hits.size else orders.size
+        failed = (~finite[:stop + 1] | pole[:stop + 1]).nonzero()[0]
+        if failed.size:
+            ell, ok = orders[failed[0]], finite[failed[0]]
+            raise NumericalError(f"channel {ell}: |W_ell| vanishes at lambda={lam} (S-matrix pole)"
+                                 if ok else f"channel {ell}: matcher not finite at {lam}")
+        if hits.size:
+            return float(totals[stop + 1])
+        total, quiet = totals[-1], int(orders[-1] - last_loud[-1])
         first, last = last + 1, min(last + 10 - quiet, _MAX_ORDER)
     raise NumericalError(f"channel sum did not settle by ell = {_MAX_ORDER}")

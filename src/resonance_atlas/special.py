@@ -11,17 +11,13 @@ Contents:
 * ``sph_j_pair_log`` / ``sph_h_pair_log`` -- log-scaled pairs
   (f_(l-1), f_l) of the spherical Bessel ``j_l`` and the outgoing Hankel
   ``h_l^(1)`` for complex arguments and integer orders, backed by scipy's
-  AMOS routines, evaluated once per distinct order and argument of a call.
-  Where the scaled AMOS pair is not usable, both take one fallback: the
-  unscaled pair at the highest usable order, carried to l in the
-  recurrence's stable direction.  Both return their pair in one normal
-  form, divided by its larger modulus.  They are the evaluators the
+  AMOS routines, evaluated once per distinct order and argument of a call;
+  where the scaled pair is not usable, from a seed carried by the
+  recurrence (the comment above them).  Both return their pair in one
+  normal form, divided by its larger modulus.  They are the evaluators the
   resonance solver's channel matcher calls, and they keep magnitudes that
   span hundreds of decades representable.  The incoming ``h_l^(2)`` is not
   evaluated: it is conj(h_l^(1)(conj z)), and the matcher takes it that way.
-* ``sph_j_series`` -- the one power series S_l(u) of j_l, with
-  j_l(z) = z^l S_l(z^2) / (2l+1)!!, and its derivative S_l'(u), for the
-  matcher's small-|k| branch.
 
 All functions are pure; ``sph_j_pair_log`` writes only to an ``upper`` array
 it is handed.
@@ -49,7 +45,7 @@ _PHASE_DOMAIN = "bessel_phase is defined for Im z > 0 or real z in (0, 1]; got %
 # Rescale threshold for the fallback recurrences.
 _RESCALE = 1e250
 _LOG_RESCALE = math.log(_RESCALE)
-_J_CARRY_START = 40  # orders above ell where the j fallback's backward recurrence starts
+_J_CARRY_START = 40  # orders above ell + ceil|z| where the backward j ratios start
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +225,20 @@ def critical_curve_modulus(theta):
 # in the lower half plane (a false zero); the j mantissa underflows to 0 for
 # orders well above |z| at large |Im z|, where j may be in range (from order
 # 733 at z = 0.2 - 301i) or below it (j_1205(11.288 - 394.735i) = e^-950.8).
-# There both pairs take one fallback: the unscaled pair at the highest order
-# m <= ell where it is finite and nonzero (m = ell first, then bisection),
-# carried to ell in the recurrence's stable direction (DLMF 10.51.1): h^(1),
-# dominant above |z|, upward; j, the minimal solution, by the log ratios of a
-# backward recurrence (Miller's algorithm, DLMF 3.6).  Against mpmath, log
-# h_ell^(1) matches to 6e-14 on 68 seeded points (order <= 350, |z| in
-# [1e-5, 200]; log|h| relative, phase absolute) and log j_ell to 3e-15 of
-# max(1, |log j|) on the 536 fallback points of 2,000 draws (ell < 1000,
-# |z| < 600; 411 carried).
+# There both pairs take the unscaled pair at ell where it is finite and
+# nonzero, else a seed where the recurrence (DLMF 10.51.1) is stable,
+# carried to ell with no search.  j, the minimal solution, is carried up
+# from its closed forms by the ratios of a backward recurrence (Miller's
+# algorithm, DLMF 3.6; ``_j_ratio_logs``, which the matcher's small-|k|
+# branch takes too), their logs summed.  h^(1) is carried up from its
+# closed forms where Im z >= 0; below the real axis |h_ell| falls with ell
+# to a minimum near |z| / m(-arg z), m the critical-curve modulus, and
+# rises after it, so the seed is the unscaled pair there, carried both ways
+# (at z = -1500i from order 2263).  Against mpmath, log h_ell^(1)
+# matches to 6e-14 on 68 seeded points (order <= 350, |z| in [1e-5, 200];
+# log|h| relative, phase absolute; 8e-15 on the 20 carried ones) and log
+# j_ell to 2e-14 of max(1, |log j|) on the 536 fallback points of 2,000
+# draws (ell < 1000, |z| < 600; 411 carried).
 #
 # Every evaluator below takes one order per point: ``ell`` is an integer
 # array of z's shape (the entry points of the matcher turn an int order into
@@ -319,9 +320,10 @@ def _partners(ell: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _amos_pair(scaled, ell, z, fac, partner=None, lower=None):
-    """The raw pair fac * scaled(ell -+ 1/2, z): the upper member evaluated,
-    the lower one a copy of ``lower`` if given, else the partner's upper
-    member (``partner``, built from (ell, z) if not given), else evaluated."""
+    """The raw pair fac * scaled(ell -+ 1/2, z) of an AMOS routine, scaled or
+    not: the upper member evaluated, the lower one a copy of ``lower`` if
+    given, else the partner's upper member (``partner``, built from (ell, z)
+    if not given), else evaluated."""
     with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
         upper = fac * scaled(ell + 0.5, z)
         if lower is not None:
@@ -336,7 +338,7 @@ def _amos_pair(scaled, ell, z, fac, partner=None, lower=None):
 def sph_j_pair_log(ell, z: np.ndarray, partner=None, lower=None, upper=None):
     """Scaled (j_(ell-1), j_ell) pair, ell an int or an integer array of z's
     shape; where the scaled AMOS pair is not usable (finite and nonzero),
-    the one fallback; NumericalError where no order is usable.  ``partner``
+    the fallback (``_j_pair_fallback_log``).  ``partner``
     is the call's partner map (``_partners``).  A chain of calls at the same
     points, each one order above the last, evaluates one order per point
     and call: a call receives its raw upper members fac jve(ell + 1/2, z)
@@ -352,40 +354,15 @@ def sph_j_pair_log(ell, z: np.ndarray, partner=None, lower=None, upper=None):
     s = np.abs(z.imag).astype(float)  # jve removes exp(|Im z|)
     bad = ~_usable(jm1, jl)
     if bad.any():
-        jm1[bad], jl[bad], s[bad] = _j_pair_downward_log(ell[bad], z[bad], fac[bad])
+        jm1[bad], jl[bad], s[bad] = _j_pair_fallback_log(ell[bad], z[bad], fac[bad])
     return _normal_form(jm1, jl, s)
-
-
-def sph_j_series(ell, u: np.ndarray):
-    """S_ell(u) and S_ell'(u), where j_ell(z) = z^ell S_ell(z^2) / (2 ell + 1)!!
-    for ell >= -1 (S_(-1)(z^2) = cos z): S_ell(u) = sum c_m u^m, c_0 = 1,
-    c_(m+1) = -c_m / (2 (m+1) (2 ell + 2 m + 3)).  Free of cancellation
-    while |u| is small against the order.
-
-    ``ell`` is an int or an integer array of u's shape.  Each point stops at
-    its own first settled term, so its value does not depend on the other
-    points of the call or on their orders."""
-    ell = np.broadcast_to(ell, u.shape)
-    s = np.ones_like(u)
-    ds = np.zeros_like(u)
-    c = np.ones_like(u)  # c_m u^m
-    live = np.ones(u.shape, dtype=bool)
-    for m in range(80):
-        c_next = c * (-0.5) / ((m + 1) * (2 * ell + 2 * m + 3))  # c_{m+1} u^m
-        ds = np.where(live, ds + (m + 1) * c_next, ds)
-        c = c_next * u                                            # c_{m+1} u^{m+1}
-        s = np.where(live, s + c, s)
-        live &= ~(np.abs(c) <= 1e-19 * np.abs(s))
-        if not live.any():
-            break
-    return s, ds
 
 
 def sph_h_pair_log(ell, z: np.ndarray, partner=None):
     """Scaled (h_(ell-1), h_ell) pair of the outgoing Hankel function h^(1),
     ell an int or an integer array of z's shape; where the scaled AMOS pair
-    is not usable (finite and nonzero), the one fallback; NumericalError
-    where no order is usable.  ``partner`` is the call's partner map
+    is not usable (finite and nonzero), the fallback
+    (``_h_pair_fallback_log``).  ``partner`` is the call's partner map
     (``_partners``)."""
     z = np.asarray(z, dtype=complex)
     if (z == 0).any():
@@ -398,77 +375,92 @@ def sph_h_pair_log(ell, z: np.ndarray, partner=None):
     hm1, hl = hm1 * phase, hl * phase
     bad = ~_usable(hm1, hl)
     if bad.any():
-        hm1[bad], hl[bad], s[bad] = _h_pair_upward_log(ell[bad], z[bad], fac[bad])
+        hm1[bad], hl[bad], s[bad] = _h_pair_fallback_log(ell[bad], z[bad], fac[bad])
     return _normal_form(hm1, hl, s)
 
 
-def _highest_usable_pair(unscaled, ell: np.ndarray, z: np.ndarray, fac: np.ndarray,
-                         failure: str):
-    """The unscaled pair fac * unscaled(m -+ 1/2, z) at the highest order
-    m <= ell where it is usable, found by bisection (m = ell first), and m;
-    NumericalError naming the ``failure``, the order and the argument where
-    no order is usable."""
-    fm1, fl = np.empty_like(z), np.empty_like(z)
-
-    def usable_at(m, rows):  # stores the pair where it is usable
-        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-            um1 = fac[rows] * unscaled(m - 0.5, z[rows])
-            ul = fac[rows] * unscaled(m + 0.5, z[rows])
-        good = _usable(um1, ul)
-        fm1[rows[good]], fl[rows[good]] = um1[good], ul[good]
-        return good
-
-    # lo: the highest order found usable (-1: none), hi: one found unusable
-    lo = np.where(usable_at(ell, np.arange(z.size)), ell, -1)
-    hi = ell.copy()
-    while (rows := np.flatnonzero(hi - lo > 1)).size:
-        mid = (lo[rows] + hi[rows]) // 2
-        good = usable_at(mid, rows)
-        lo[rows[good]], hi[rows[~good]] = mid[good], mid[~good]
-    if np.any(lo < 0):
-        first = np.flatnonzero(lo < 0)[0]
-        raise NumericalError(f"{failure}: AMOS has no usable pair at the order "
-                             f"{ell[first]} or below at z = {complex(z[first]):.12g}",
-                             key=int(ell[first]))
-    return fm1, fl, lo
-
-
-def _h_pair_upward_log(ell: np.ndarray, z: np.ndarray, fac: np.ndarray):
-    """The Hankel pair's fallback: the unscaled pair at the highest usable
-    order m <= ell, over its larger modulus, recurred up to ell."""
-    hm1, hl, lo = _highest_usable_pair(_ss.hankel1, ell, z, fac, "scaled-Hankel false zero")
-    top = np.maximum(np.abs(hm1), np.abs(hl))
-    hm1, hl, log_scale = hm1 / top, hl / top, np.log(top)
-    for n in range(int(np.min(lo, initial=ell.max(), where=lo < ell)), int(ell.max())):
-        live = (lo <= n) & (n < ell)  # points between their seed and their order
-        with np.errstate(over="ignore", invalid="ignore"):
-            step = (2 * n + 1) / z * hl - hm1
-        hm1, hl = np.where(live, hl, hm1), np.where(live, step, hl)
-        big = np.abs(hl) > _RESCALE
-        if np.any(big):
-            hm1[big] /= _RESCALE
-            hl[big] /= _RESCALE
-            log_scale[big] += _LOG_RESCALE
-    return hm1, hl, log_scale
-
-
-def _j_pair_downward_log(ell: np.ndarray, z: np.ndarray, fac: np.ndarray):
-    """The j pair's fallback: the unscaled pair at the highest usable order
-    m <= ell, carried to ell by the ratios r_k = j_k / j_(k-1) of the backward
-    recurrence r_k = z / (2k + 1 - z r_(k+1)) from r = 0 past ell +
-    _J_CARRY_START, as log j_ell = log j_m + sum of log r_k, m < k <= ell."""
-    jm1, jl, m = _highest_usable_pair(_ss.jv, ell, z, fac, "scaled-Bessel underflow")
-    s = np.zeros(z.shape)
-    rows = np.flatnonzero(m < ell)
+def _h_pair_fallback_log(ell: np.ndarray, z: np.ndarray, fac: np.ndarray):
+    """The Hankel pair's fallback, over its larger modulus, and that
+    modulus's log: the unscaled AMOS pair at ell where it is usable, else a
+    seed carried to ell, the closed form (h_(-1), h_0) = (1, -i) e^(iz) / z
+    where Im z >= 0 and the unscaled pair at the minimum's order
+    ell* = max(0, round(|z| / m(-arg z) - 1/2)) below the real axis;
+    NumericalError where that pair is not usable either."""
+    hm1, hl = _amos_pair(_ss.hankel1, ell, z, fac)
+    seed, log_scale = ell.copy(), np.zeros(z.shape)
+    rows = np.flatnonzero(~_usable(hm1, hl))
     if rows.size:
-        ell, z, m = ell[rows], z[rows], m[rows]
-        log_jl, ratio, r_ell = np.log(jl[rows]), np.zeros_like(z), np.zeros_like(z)
-        for k in range(int(ell.max()) + _J_CARRY_START, int(m.min()), -1):
-            live = (m < k) & (k <= ell + _J_CARRY_START)
-            ratio = np.where(live, z / (2 * k + 1 - z * ratio), ratio)
-            log_jl += np.log(ratio, out=np.zeros_like(z), where=live & (k <= ell))
-            r_ell = np.where(k == ell, ratio, r_ell)
-        log_jm1 = log_jl - np.log(r_ell)
+        up, low = rows[z[rows].imag >= 0], rows[z[rows].imag < 0]
+        seed[up] = 0  # e^(iz) / z = e^(-Im z) / |z| times a phase
+        phase = np.exp(1j * (z[up].real - np.angle(z[up])))
+        hm1[up], hl[up], log_scale[up] = phase, -1j * phase, -z[up].imag - np.log(np.abs(z[up]))
+        m = critical_curve_modulus(-np.angle(z[low]))
+        seed[low] = np.maximum(np.rint(np.abs(z[low]) / m - 0.5), 0.0)
+        hm1[low], hl[low] = _amos_pair(_ss.hankel1, seed[low], z[low], fac[low])
+        for i in low[~_usable(hm1[low], hl[low])][:1]:
+            raise NumericalError(f"scaled-Hankel false zero: AMOS has no usable pair at the "
+                                 f"order {ell[i]} or at the Hankel minimum's order {seed[i]} "
+                                 f"at z = {complex(z[i]):.12g}", key=int(ell[i]))
+    top = np.maximum(np.abs(hm1), np.abs(hl))
+    hm1, hl, log_scale = hm1 / top, hl / top, log_scale + np.log(top)
+    # (x, y) = (h_(n-1), h_n) going up, (h_(n+1), h_n) going down; both
+    # directions step y to c / z y - x, c = 2n + 1
+    steps, down = np.abs(ell - seed), ell < seed
+    x, y = np.where(down, hl, hm1), np.where(down, hm1, hl)
+    c, dc = 2 * np.where(down, seed - 1, seed) + 1, np.where(down, -2, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(int(steps.max(initial=0))):
+            live = i < steps
+            x, y = np.where(live, y, x), np.where(live, c / z * y - x, y)
+            c += dc
+            big = np.abs(y) > _RESCALE
+            if big.any():
+                x[big], y[big] = x[big] / _RESCALE, y[big] / _RESCALE
+                log_scale[big] += _LOG_RESCALE
+    return np.where(down, y, x), np.where(down, x, y), log_scale
+
+
+def _j_ratio_logs(ell: np.ndarray, u: np.ndarray, first):
+    """The sum of log q_k over first <= k <= ell, q_ell and q_(ell+1) of the
+    ratios q_k = j_k(z) / (z j_(k-1)(z)) at u = z^2, elementwise, by the
+    backward recurrence q_k = 1 / (2k + 1 - u q_(k+1)) from q = 0
+    ``_J_CARRY_START`` + ceil|z| orders above ell.  Each point runs from its
+    own start, so its values do not depend on the other points of the call."""
+    start = ell + _J_CARRY_START + np.ceil(np.sqrt(np.abs(u))).astype(int)
+    top = int(ell.max(initial=0)) + 1
+    table = np.zeros((top + 1, u.size), dtype=complex)  # row k: q_k, for k <= top
+    q = np.zeros_like(u)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(int(start.max(initial=0)), -1, -1):
+            np.divide(1.0, 2 * k + 1 - u * q, out=q, where=k <= start)
+            if k <= top:
+                table[k] = q
+        k = np.arange(top + 1)[:, None]
+        logs = np.log(table, out=np.zeros_like(table), where=(first <= k) & (k <= ell))
+    at = np.arange(u.size)
+    # accumulate adds each point's terms in order, whatever the other points
+    return np.add.accumulate(logs)[-1], table[ell, at], table[ell + 1, at]
+
+
+def _j_pair_fallback_log(ell: np.ndarray, z: np.ndarray, fac: np.ndarray):
+    """The j pair's fallback, as (j_(ell-1), j_ell, log scale): the unscaled
+    AMOS pair at ell where it is usable, else j_0 = sin z / z, or
+    j_(-1) = cos z / z where |tan z| < 1, in log form, carried up to ell."""
+    jm1, jl = _amos_pair(_ss.jv, ell, z, fac)
+    s = np.zeros(z.shape)
+    rows = np.flatnonzero(~_usable(jm1, jl))
+    if rows.size:
+        ell, z = ell[rows], z[rows]
+        # cos z = e^t (1 + w) / 2 and sin z = e^t (1 - w) / 2c for t = cz, c = +-i,
+        # Re t = |Im z|, and w = e^(-2t), |w| <= 1
+        c = np.where(z.imag < 0, 1j, -1j)
+        w = np.exp(-2.0 * c * z)
+        first = np.where(w.real > 0, 0, 1)  # j_(first - 1) anchors; w.real > 0: |tan z| < 1
+        log_sum, q_ell, _ = _j_ratio_logs(ell, z * z, first)
+        log_z = np.log(z)
+        log_jl = (c * z + np.log(np.where(first == 0, (1.0 + w) / 2.0, (1.0 - w) / (2.0 * c)))
+                  + (ell - first) * log_z + log_sum)
+        log_jm1 = log_jl - log_z - np.log(q_ell)
         top = np.maximum(log_jm1.real, log_jl.real)
         jm1[rows], jl[rows], s[rows] = np.exp(log_jm1 - top), np.exp(log_jl - top), top
     return jm1, jl, s

@@ -295,15 +295,17 @@ def test_channel_zeros_rejects_surplus_inside_frame(monkeypatch):
 
 def test_surplus_zero_names_its_channel_inside_a_group(monkeypatch):
     # channels 12 and 13 are empty and pass; channel 0's surplus zero fails
-    # the group, and the error names channel 0
+    # the group, and the error names channel 0 in its message and its key
     real = ct._zeros_inside
 
     def surplus(found, box, winding):
         return real(found + [(found[0][0] + 1e-3, 1)] if found else found, box, winding)
 
     monkeypatch.setattr(ct, "_zeros_inside", surplus)
-    with pytest.raises(NumericalError, match="^channel 0: located 3 zeros.*winding is 2"):
+    with pytest.raises(NumericalError, match="^channel 0: located 3 zeros.*winding is 2"
+                       ) as info:
         rs._group_zeros([13, 0, 12], WELL, 6.0)
+    assert info.value.key == 0
 
 
 def _two_groups(monkeypatch):
@@ -872,8 +874,8 @@ def test_log_odd_double_factorials_read_a_table_that_grows(monkeypatch):
 @pytest.mark.parametrize("theta", [math.pi / 8, 7 * math.pi / 8])
 def test_scattering_log_det_at_r60_mirrors_and_stays_below_h3(theta):
     # the incoming matcher meets a scaled-Hankel false zero at order 86 here
-    # and takes the Hankel fallback (the unscaled pair at the highest usable
-    # order m <= ell, recurred upward); r^-3 ln|det S| = 0.46350 agrees on
+    # and takes the Hankel fallback (the unscaled pair at that order);
+    # r^-3 ln|det S| = 0.46350 agrees on
     # the mirror rays of a real well and stays below h_3(pi/8) = 0.610
     got, mirror = (rs.scattering_log_det(WELL, 60.0 * cmath.exp(1j * t)) / 60.0 ** 3
                    for t in (theta, math.pi - theta))
@@ -1006,8 +1008,8 @@ def test_array_order_matcher_hankel_recurrence(monkeypatch):
     # at |z| = 0.5 the scaled AMOS Hankel overflows from order 150 on, not
     # at order 60; one array call seeds and recurs each point to its order
     calls = []
-    real = special._h_pair_upward_log
-    monkeypatch.setattr(special, "_h_pair_upward_log",
+    real = special._h_pair_fallback_log
+    monkeypatch.setattr(special, "_h_pair_fallback_log",
                         lambda ell, *args: calls.append(ell) or real(ell, *args))
     lams = 0.5 * np.exp(1j * np.linspace(-3.0, 3.0, 7))
     got, want = _matcher_by_order(WELL, np.repeat([0, 60, 150, 200], 7), np.tile(lams, 4))
@@ -1150,9 +1152,9 @@ def test_matcher_value_does_not_depend_on_the_call_size():
 def test_reference_well_past_r43_solves_or_names_the_false_zero(monkeypatch):
     # channels 86-92 of the R = 44 solve meet scipy's scaled-Hankel false
     # zeros (channel 88 at 45.207-25.541i) and solve through the Hankel
-    # fallback, the unscaled pair at the highest usable order m <= ell recurred
-    # upward; where no order is usable, the channel's error names the false
-    # zero, never a boundary conflict on its frame
+    # fallback, the unscaled pair at the channel's order; where neither it nor
+    # the pair at the Hankel minimum's order is usable, the channel's error
+    # names the false zero, never a boundary conflict on its frame
     hankel1, calls = special._ss.hankel1, []
     monkeypatch.setattr(special._ss, "hankel1",
                         lambda v, z: calls.append(z) or hankel1(v, z))
@@ -1468,18 +1470,22 @@ def test_channel_condition_takes_one_order_per_point():
 
 
 def _mpmath_log_g(mp, ell, pot, lam):
-    """log g_ell(lambda) from its definition at 40 digits."""
-    with mp.workdps(40):
+    """log g_ell(lambda) from its definition at 50 digits, or at k = 0 from
+    its limit (lambda a)^(ell+1) a^(ell-1) (ell h_ell - lambda a h_ell')."""
+    with mp.workdps(50):
         z = mp.mpc(lam) * pot.a
         k = mp.sqrt(mp.mpc(lam) ** 2 - mp.mpc(pot.v0))
 
         def sph(fn, n, x):
             return mp.sqrt(mp.pi / (2 * x)) * fn(n + mp.mpf(1) / 2, x)
 
+        hl = sph(mp.hankel1, ell, z)
+        hp = sph(mp.hankel1, ell - 1, z) - (ell + 1) / z * hl
+        if k == 0:
+            return complex(mp.log(z ** (ell + 1) * mp.mpf(pot.a) ** (ell - 1)
+                                  * (ell * hl - z * hp)))
         jl, jm1 = sph(mp.besselj, ell, k * pot.a), sph(mp.besselj, ell - 1, k * pot.a)
-        hl, hm1 = sph(mp.hankel1, ell, z), sph(mp.hankel1, ell - 1, z)
-        w = (k * (jm1 - (ell + 1) / (k * pot.a) * jl) * hl
-             - mp.mpc(lam) * jl * (hm1 - (ell + 1) / z * hl))
+        w = k * (jm1 - (ell + 1) / (k * pot.a) * jl) * hl - mp.mpc(lam) * jl * hp
         return complex(mp.log(mp.fac2(2 * ell + 1) * z ** (ell + 1) * w / k ** ell))
 
 
@@ -1502,6 +1508,30 @@ def test_small_k_branch_is_continuous_at_its_edge(a, ell):
         assert np.all((np.abs(np.sqrt(lams * lams - pot.v0)) * a < 0.5) == (side < 1.0))
         for lam, got in zip(lams, rs.channel_matcher_log(ell, pot)(lams)):
             assert _log_close(got, _mpmath_log_g(mp, ell, pot, lam), 1e-10), (side, lam)
+
+
+@pytest.mark.parametrize("a, v0", [(1.0, -4.0), (2.0, -1.0)])
+def test_small_k_branch_matches_mpmath(a, v0):
+    # the branch's backward ratio recurrence in u = k^2 a^2, anchored at
+    # j_0: at k = 0 exactly (lambda = +-sqrt(-v0) i) and at |k| a = 1e-8,
+    # 0.3 and 0.49 it matches 50-digit mpmath, and a point's value in one
+    # call of mixed orders is that of its one-point call, bit for bit
+    mp = pytest.importorskip("mpmath")
+    pot = rs.RadialStepPotential(a, v0)
+    root = 1j * math.sqrt(-v0)
+    k = np.array([r / a * cmath.exp(1j * phi) for r in (1e-8, 0.3, 0.49)
+                  for phi in (0.4, 2.0, 3.7, 5.5)])
+    lams = np.concatenate([[root, -root], -np.sqrt(k * k + v0)])
+    assert np.count_nonzero(lams * lams - v0 == 0) == 2
+    assert np.all(np.abs(np.sqrt(lams * lams - v0)) * a < 0.5)
+    ells, lams = np.repeat([0, 1, 10, 30], lams.size), np.tile(lams, 4)
+    got = rs.channel_matcher_log(ells, pot)(lams)
+    for ell, lam, value in zip(ells, lams, got):
+        ref = _mpmath_log_g(mp, int(ell), pot, lam)
+        assert _log_close(value, ref, 1e-14 * max(1.0, abs(ref))), (ell, lam)
+    alone = np.concatenate([rs.channel_matcher_log(ells[i:i + 1], pot)(lams[i:i + 1])
+                            for i in range(lams.size)])
+    assert _same_bits(got, alone)
 
 
 def test_matcher_is_finite_near_the_origin():

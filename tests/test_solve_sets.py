@@ -69,10 +69,11 @@ def test_compare_names_the_differing_pairs_keys(tmp_path, capsys):
 def test_pairs_entry_holds_both_pairs_at_the_seeded_points():
     entry = solve_sets.pairs_entry()
     ell, z = solve_sets.pair_points()
-    assert list(entry) == ["j", "h"] and ell.size == z.size == 2001
-    assert (ell[-1], z[-1]) == (1205, 11.288 - 394.735j)
+    assert list(entry) == ["j", "h"] and ell.size == z.size == 2006
+    assert (ell[2000], z[2000]) == (1205, 11.288 - 394.735j)
+    assert list(zip(ell[2001:], z[2001:])) == solve_sets.CARRIED_PAIRS
     for rows in entry.values():
-        assert len(rows) == 2001
+        assert len(rows) == 2006
         values = np.array(rows)
         assert np.all(np.isfinite(values))
         # every pair is nonzero and in normal form: its larger member has modulus 1

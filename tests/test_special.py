@@ -305,39 +305,6 @@ def test_bessel_accuracy_against_mpmath():
                 assert _log_err(got_h, ref(mp.hankel1, order, z)) < 1e-10
 
 
-def test_j_series_closed_forms():
-    # j_ell(z) = z^ell S_ell(z^2) / (2 ell + 1)!!: S_(-1)(z^2) = cos z and
-    # S_0(z^2) = sin z / z; term by term, S_ell' = -S_(ell+1) / (2 (2 ell + 3))
-    z = np.array([0.7 - 0.3j, 2.5 + 1.2j, -1.1 - 2.0j, 0.05 + 0.01j])
-    u = z * z
-    s_m1, _ = sp.sph_j_series(-1, u)
-    s_0, _ = sp.sph_j_series(0, u)
-    assert np.max(np.abs(s_m1 - np.cos(z))) < 1e-14
-    assert np.max(np.abs(s_0 - np.sin(z) / z)) < 1e-14
-    for ell in (-1, 0, 1, 4):
-        _, ds = sp.sph_j_series(ell, u)
-        s_next, _ = sp.sph_j_series(ell + 1, u)
-        assert np.max(np.abs(ds + s_next / (2 * (2 * ell + 3)))) < 1e-14
-
-
-def test_j_series_value_of_a_point_does_not_depend_on_its_call():
-    # each point stops at its own first settled term, so its S and S' are
-    # the same, bit for bit, alone, beside points of its order that settle
-    # later, and in a mixed-order array (summed on with the late points,
-    # S' at the tiny u would move in its last bits)
-    u = np.array([-4.836840423905532e-07 - 1.054925079829355e-06j, 0.3 - 0.2j])
-    late = np.array([30.0 + 10.0j, -25.0 + 40.0j])
-    for ell in (0, 3):
-        alone = [sp.sph_j_series(ell, u[i:i + 1]) for i in range(2)]
-        among = sp.sph_j_series(ell, np.concatenate([u, late]))
-        mixed = sp.sph_j_series(np.array([ell, 7, ell, -1]),
-                                np.array([u[0], late[0], u[1], late[1]]))
-        for i in range(2):
-            for got, at in ((among, i), (mixed, 2 * i)):
-                for part in (0, 1):  # S, then S'
-                    assert got[part][at].tobytes() == alone[i][part][0].tobytes(), (ell, i)
-
-
 def test_log_pair_matches_plain_values():
     # scipy's spherical_jn / spherical_yn are an independent implementation
     z = np.array([0.5 - 2j, 3 + 1j, -4 - 0.5j])
@@ -380,8 +347,9 @@ def _hankel_pair_error(ell, z, mp):
 
 def test_hankel_pair_rejects_scaled_hankel_false_zero(monkeypatch):
     # scipy's hankel1e returns an exact 0 here; the fallback's unscaled pair
-    # at m = ell = 110 gives the true log h_110 = 17.0084-2.3282i.  Only
-    # where no unscaled order m <= ell is usable does the pair raise.
+    # at ell = 110 gives the true log h_110 = 17.0084-2.3282i.  Only where
+    # the unscaled pair at the Hankel minimum's order, 89 here, is not
+    # usable either does the pair raise, naming both orders.
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
     z = -60.79 - 35.09j
@@ -391,10 +359,11 @@ def test_hankel_pair_rejects_scaled_hankel_false_zero(monkeypatch):
     assert abs(complex(np.log(hl[1]) + s[1]) - (17.0084 - 2.3282j)) < 1e-4
     monkeypatch.setattr(sp._ss, "hankel1", lambda v, z: np.zeros_like(z))
     with pytest.raises(NumericalError,
-                       match=r"scaled-Hankel false zero.* order 110 .*-60\.79-35\.09j"
+                       match=r"scaled-Hankel false zero.* order 110 .* order 89 "
+                             r".*-60\.79-35\.09j"
                        ) as info:
         sp.sph_h_pair_log(110, np.array([1.0 - 1.0j, z]))
-    assert not isinstance(info.value, BoundaryConflictError)
+    assert not isinstance(info.value, BoundaryConflictError) and info.value.key == 110
 
 
 def _hankel_grid(rng):
@@ -439,6 +408,25 @@ def test_hankel_pair_matches_mpmath_at_scaled_false_zeros():
     assert max(_hankel_pair_error(ell, z, mp) for ell, z in grid) < 1e-12
 
 
+def test_hankel_pair_carries_down_from_its_minimum():
+    # at z = -1500i no AMOS pair of order <= 1455 is usable; the pair is
+    # seeded at the Hankel minimum ell* = 2263 (|z| / m(pi/2) - 1/2) and
+    # carried down.  The oracle needs about 250 digits here: it is taken at
+    # 300 and 400, which must agree first
+    mp = pytest.importorskip("mpmath")
+    z = -1500j
+    for ell in (1455, 1000):
+        refs = []
+        for dps in (300, 400):
+            with mp.workdps(dps):
+                refs.append([mp.log(mp.sqrt(mp.pi / (2 * mp.mpc(z)))
+                                    * mp.hankel1(order + mp.mpf(1) / 2, mp.mpc(z)))
+                             for order in (ell - 1, ell)])
+        assert all(abs(x - y) < 1e-30 for x, y in zip(*refs)), ell
+        with mp.workdps(400):
+            assert _hankel_pair_error(ell, z, mp) < 1e-14, ell
+
+
 def _j_pair_error(ell, z, mp):
     """Worst log error of sph_j_pair_log's pair against mpmath, relative to
     max(1, |log j|)."""
@@ -473,12 +461,14 @@ def test_j_pair_matches_mpmath_where_the_scaled_mantissa_underflows():
 def test_j_pair_carries_where_no_amos_pair_at_its_order_is_usable():
     # j_1205 there is e^-950.8, j_429 at the small argument e^-2612 and
     # j_797 e^-2252, all below double range: the unscaled pair at the order
-    # is 0 too, and the pair is carried up from the highest usable order
-    # (it had been (0, 0) at the first point and a power series at the others)
+    # is 0 too, and the pair is carried up from the closed forms by the
+    # backward ratios (it had been (0, 0) at the first point and a power
+    # series at the others); at z = pi, where sin z is a rounding residue,
+    # the carry starts from j_(-1) = cos z / z
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
     points = [(1205, 11.288 - 394.735j), (429, -0.6828 + 0.2518j),
-              (797, -30.23419313229765 + 17.8539554036662j)]
+              (797, -30.23419313229765 + 17.8539554036662j), (200, complex(math.pi, 0.0))]
     for ell, z in points:
         with np.errstate(under="ignore"):
             assert np.any(_scipy_special.jv([ell - 0.5, ell + 0.5], z) == 0)
@@ -486,13 +476,15 @@ def test_j_pair_carries_where_no_amos_pair_at_its_order_is_usable():
     assert abs(_log_j(1205, 11.288 - 394.735j)[1] - (-950.8432595 - 3.0209323j)) < 1e-6
 
 
-def test_j_pair_rejects_zero_and_raises_where_no_order_is_usable(monkeypatch):
+def test_j_pair_rejects_zero_and_carries_without_unscaled_amos(monkeypatch):
+    # the carry from the closed forms needs no AMOS pair at any order: with
+    # the unscaled jv returning zeros, j_1205 still matches mpmath
     with pytest.raises(ValueError, match="z != 0"):
         sp.sph_j_pair_log(3, np.array([1.0 + 0j, 0j]))
-    z = 11.288 - 394.735j
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
     monkeypatch.setattr(sp._ss, "jv", lambda v, z: np.zeros_like(z))
-    with pytest.raises(NumericalError, match=r"order 1205 .*11\.288-394\.735j"):
-        sp.sph_j_pair_log(np.array([3, 1205]), np.array([1.0 - 1.0j, z]))
+    assert _j_pair_error(1205, 11.288 - 394.735j, mp) < 1e-12
 
 
 def test_pairs_leave_in_normal_form():

@@ -60,9 +60,13 @@ a = 1, v0 = -20+2i (0.252484+3.689553i) times 1 + 1e-9.
 And it writes one ``pairs`` entry, so that a change to the special
 functions shows which values moved: the scaled pairs ``sph_j_pair_log`` and
 ``sph_h_pair_log``, one row (Re f_(l-1), Im f_(l-1), Re f_l, Im f_l, log
-scale) per point, over 2,000 seeded draws of l < 1000 and |z| < 600 and at
-l = 1205, z = 11.288 - 394.735i, where j_l is below double range.  The
-whole dump runs in one process and takes about 50 s on a 2-core Xeon VM.
+scale) per point, over 2,000 seeded draws of l < 1000 and |z| < 600, at
+l = 1205, z = 11.288 - 394.735i, where j_l is below double range, and at
+five points where no AMOS Hankel pair of order l is usable, so that a
+change to a fallback seed shows as a shift of its rows: (60, 1e-5) and
+(200, 3), carried up from the closed forms at order 0, and order 322 at
+0.207 - 20i, - 25i and - 27i, carried up from the Hankel minimum's order.
+The whole dump runs in one process and takes about 50 s on a 2-core Xeon VM.
 """
 
 from __future__ import annotations
@@ -175,12 +179,19 @@ def det_entry() -> dict:
     return entry
 
 
+# Hankel fallback rows: carried up from the closed forms at order 0 (on the
+# real axis) and from the Hankel minimum's order (below it)
+CARRIED_PAIRS = [(60, 1e-5 + 0j), (200, 3.0 + 0j),
+                 (322, 0.207 - 20j), (322, 0.207 - 25j), (322, 0.207 - 27j)]
+
+
 def pair_points() -> tuple[np.ndarray, np.ndarray]:
     """(orders, arguments) of the pairs entry, as listed in the module docstring."""
     rng = np.random.default_rng(11)
     ell = rng.integers(0, 1000, 2000)
     z = rng.uniform(0.01, 600.0, 2000) * np.exp(1j * rng.uniform(-math.pi, math.pi, 2000))
-    return np.append(ell, 1205), np.append(z, 11.288 - 394.735j)
+    more_ell, more_z = zip(*([(1205, 11.288 - 394.735j)] + CARRIED_PAIRS))
+    return np.append(ell, more_ell), np.append(z, more_z)
 
 
 def pairs_entry() -> dict:
