@@ -588,26 +588,24 @@ def map_ordered(fn, arg_tuples, workers: int) -> list:
 def _solve_channels(pot: RadialStepPotential, R: float, workers: int):
     """The frame zeros of every channel up to the cutoff, indexed by channel.
 
-    Channels guess + 3 down to 0, for the guess predicted from the Rouché
-    term (``ell_cutoff``), are dealt in turn, highest first, to groups
-    of at most ``_GROUP_SAMPLES`` box samples (``_channel_box``), so deep
-    low channels and cheap high ones share each group.  ``map_ordered``
-    hands the groups (``_group_zeros``) to the workers; the grouping, the
-    sets and the error raised (the first failing group's) do not depend on
-    the worker count.  The guess sets only the work, since each channel's
-    frame winding decides if it is empty: while any of the top three
-    channels is nonempty, one more is solved alone above them, up to 50
-    channels past the guess.
+    Channels 0 to guess + 3, for the guess predicted from the Rouché term
+    (``ell_cutoff``), are cut into consecutive groups of at most
+    ``_GROUP_SAMPLES`` box samples (``_channel_box``), whose channels wind
+    the same samples in lockstep (``special._partners`` shares their AMOS
+    orders).  ``map_ordered`` hands the groups (``_group_zeros``) to the
+    workers, lowest first; the grouping, the sets and the error raised (the
+    first failing group's) do not depend on the worker count.  The guess
+    sets only the work, since each channel's frame winding decides if it is
+    empty: while any of the top three channels is nonempty, one more is
+    solved alone above them, up to 50 channels past the guess.
     """
     if not (math.isfinite(R) and R > 0):
         raise ValueError(f"search radius R must be positive and finite; got {R}")
     guess = ell_cutoff(pot, R)
     per_group = max(1, _GROUP_SAMPLES // _channel_box(pot, R)[1])
-    n_groups = -(-(guess + 4) // per_group)
-    groups = [list(range(guess + 3 - i, -1, -n_groups)) for i in range(n_groups)]
-    solved = map_ordered(_group_zeros, [(g, pot, R) for g in groups], workers)
-    by_ell = {ell: z for g, found in zip(groups, solved) for ell, z in zip(g, found)}
-    zeros = [by_ell[ell] for ell in range(guess + 4)]
+    channels = list(range(guess + 4))
+    groups = [(channels[i:i + per_group], pot, R) for i in range(0, guess + 4, per_group)]
+    zeros = [z for found in map_ordered(_group_zeros, groups, workers) for z in found]
     while any(zeros[-3:]):
         if len(zeros) > guess + 53:
             raise NumericalError(
@@ -641,12 +639,12 @@ def find_resonances(pot: RadialStepPotential, R: float, *,
     zeros still match the winding of the frame it wound, exactly.
 
     Channels 0 to three past the cutoff predicted from the Rouché term
-    (``ell_cutoff``) are solved in fixed groups, one work unit each for
-    the ``threads`` worker processes (``_solve_channels``); the merged set,
-    and the channel a NumericalError names, are identical for any thread
-    count.  A real well's zeros within ``zero_tol`` of the imaginary axis
-    are reported with Re lambda = 0 exactly, the others in mirror pairs
-    (``_group_zeros``).
+    (``ell_cutoff``) are solved in fixed groups of consecutive channels,
+    one work unit each for the ``threads`` worker processes
+    (``_solve_channels``); the set, and the channel a NumericalError
+    names, are identical for any thread count.  A real well's zeros within
+    ``zero_tol`` of the imaginary axis are reported with Re lambda = 0
+    exactly, the others in mirror pairs (``_group_zeros``).
 
     Every reported resonance, a mirrored one too, has its residual
     |W_ell(lambda)| checked at its own lambda, all in one
@@ -673,9 +671,9 @@ def find_resonances(pot: RadialStepPotential, R: float, *,
     resonances: list[Resonance] = []
     for (ell, z, m), res, scale in zip(found, residuals, scales):
         if not res < _RESIDUAL_TOL * scale:
-            raise NumericalError(
-                f"channel {ell}: residual |W_ell(lambda)| = {res:.3g} at lambda = {z:.12g} "
-                f"is not below {_RESIDUAL_TOL:g} max(1, S) = {_RESIDUAL_TOL * scale:.3g}")
+            raise NumericalError(f"channel {ell}: residual |W_ell(lambda)| = {res:.3g} at "
+                                 f"lambda = {z:.12g} is not below {_RESIDUAL_TOL:g} max(1, S) = "
+                                 f"{_RESIDUAL_TOL * scale:.3g}", key=ell)
         for _ in range(m):  # order-m zeros enter as m coincident poles
             resonances.append(Resonance(lam=z, ell=ell, residual=float(res)))
     return ResonanceSet(potential=pot, search_radius=R, resonances=resonances,
@@ -798,9 +796,9 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
         stop = hits[0] if hits.size else orders.size
         failed = (~finite[:stop + 1] | pole[:stop + 1]).nonzero()[0]
         if failed.size:
-            ell, ok = orders[failed[0]], finite[failed[0]]
+            ell, ok = int(orders[failed[0]]), finite[failed[0]]
             raise NumericalError(f"channel {ell}: |W_ell| vanishes at lambda={lam} (S-matrix pole)"
-                                 if ok else f"channel {ell}: matcher not finite at {lam}")
+                                 if ok else f"channel {ell}: matcher not finite at {lam}", key=ell)
         if hits.size:
             return float(totals[stop + 1])
         total, quiet = totals[-1], int(orders[-1] - last_loud[-1])

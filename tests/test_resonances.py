@@ -310,9 +310,8 @@ def test_surplus_zero_names_its_channel_inside_a_group(monkeypatch):
 
 def _two_groups(monkeypatch):
     # at R = 6 channels 0..13 fit in one group, which runs in-process for any
-    # worker count: room for 7 channels per group deals them to two groups,
-    # 13, 11, .., 1 and 12, 10, .., 0; the group counts of each solve are
-    # recorded
+    # worker count: room for 7 channels per group cuts them into two groups,
+    # 0..6 and 7..13; the group counts of each solve are recorded
     monkeypatch.setattr(rs, "_GROUP_SAMPLES", 7 * rs._channel_box(WELL, 6.0)[1])
     counts = []
     real = rs.map_ordered
@@ -327,8 +326,8 @@ def _two_groups(monkeypatch):
 
 def test_failing_channel_named_does_not_depend_on_the_worker_count(monkeypatch):
     # every nonempty channel (0..9) fails its surplus check: the first
-    # group, 13, 11, .., 1, fails first, at its first nonempty channel 9,
-    # in one process and on two workers alike
+    # group, 0..6, fails first, at its first nonempty channel 0, in one
+    # process and on two workers alike
     counts = _two_groups(monkeypatch)
     real = ct._zeros_inside
 
@@ -337,9 +336,50 @@ def test_failing_channel_named_does_not_depend_on_the_worker_count(monkeypatch):
 
     monkeypatch.setattr(ct, "_zeros_inside", surplus)
     for threads in (1, 2):
-        with pytest.raises(NumericalError, match="^channel 9: located 2 zeros"):
+        with pytest.raises(NumericalError, match="^channel 0: located 3 zeros") as info:
             rs.find_resonances(WELL, 6.0, threads=threads)
+        assert info.value.key == 0
     assert counts == [2, 2]
+
+
+def test_channel_groups_are_consecutive_and_share_their_amos_orders(monkeypatch,
+                                                                   amos_counts):
+    # the pass hands the groups 0..6 and 7..13 to _group_zeros, lowest first;
+    # the first matcher call of 0..6 winds its n = 7 channels on the P
+    # samples of the top box's sides, one AMOS evaluation per half-integer
+    # order and sample: (n + 1) P of hankel1e, where a group of no two
+    # consecutive channels makes 2 n P.  The D corners that two sides share
+    # are sampled twice, and the partner map pairs each copy only with the
+    # point sorted just before it, so their copies above channel 0 evaluate
+    # their lower member again: (n - 1) D more
+    _two_groups(monkeypatch)
+    handed = []
+    real_group = rs._group_zeros
+    monkeypatch.setattr(rs, "_group_zeros",
+                        lambda ells, pot, R: handed.append(ells) or real_group(ells, pot, R))
+    rs._solve_channels(WELL, 6.0, 1)
+    assert handed == [list(range(7)), list(range(7, 14))]
+
+    calls = []
+    real_matcher = rs.channel_matcher_log
+
+    def counted(ell, pot, kind=1):
+        evaluate = real_matcher(ell, pot, kind)
+
+        def call(lam):
+            before = amos_counts["hankel1e"]
+            out = evaluate(lam)
+            calls.append((lam, amos_counts["hankel1e"] - before))
+            return out
+        return call
+
+    monkeypatch.setattr(rs, "channel_matcher_log", counted)
+    real_group([*range(7)], WELL, 6.0)
+    (lam, evaluated), n = calls[0], 7
+    P = lam.size // n
+    D = P - np.unique(lam).size
+    assert lam.size == n * P and P > 50 and D == 2
+    assert evaluated == (n + 1) * P + (n - 1) * D
 
 
 def test_solve_does_not_depend_on_the_worker_count(monkeypatch, small_set):
@@ -409,8 +449,9 @@ def test_find_resonances_rejects_residual_above_tolerance(monkeypatch):
         return found
 
     monkeypatch.setattr(rs, "locate_zeros", moved)
-    with pytest.raises(NumericalError, match=r"channel 0: residual .* not below 1e-06"):
+    with pytest.raises(NumericalError, match=r"channel 0: residual .* not below 1e-06") as info:
         rs.find_resonances(WELL, 6.0)
+    assert info.value.key == 0
 
 
 def test_cutoff_monotone_in_radius():
@@ -792,8 +833,9 @@ def test_scattering_log_det_raises_for_its_first_failing_channel(monkeypatch, v0
         return evaluate
 
     monkeypatch.setattr(rs, "channel_matcher_log", stand_in)
-    with pytest.raises(NumericalError, match=error):
+    with pytest.raises(NumericalError, match=error) as info:
         rs.scattering_log_det(rs.RadialStepPotential(1.0, v0), lam)
+    assert info.value.key == 2
 
 
 @pytest.mark.parametrize("v0", [-20.0, complex(-16.0, 1.5)], ids=["real", "complex"])
@@ -1231,8 +1273,8 @@ def test_cutoff_extends_upward_past_a_low_guess(monkeypatch, small_set):
 
 
 def test_cutoff_gives_up_50_channels_past_the_guess(monkeypatch):
-    # every channel holds a zero: the pass solves the guess 10 plus three
-    # down to 0 in one group, then one channel at a time up to 10 + 53
+    # every channel holds a zero: the pass solves 0 to the guess 10 plus
+    # three in one group, then one channel at a time up to 10 + 53
     solved = []
 
     def one_zero(ells, pot, R):
@@ -1243,7 +1285,7 @@ def test_cutoff_gives_up_50_channels_past_the_guess(monkeypatch):
     with pytest.raises(NumericalError,
                        match="channels remain nonempty 50 orders past the cutoff guess 10"):
         rs.find_resonances(WELL, 6.0)
-    assert solved == list(range(13, -1, -1)) + list(range(14, 64))
+    assert solved == list(range(64))
 
 
 def _old_cutoff_guess(pot, R):
@@ -1587,8 +1629,10 @@ def test_residual_check_rejects_a_strong_well_zero_moved_by_1e_4(monkeypatch):
 
     monkeypatch.setattr(rs, "locate_zeros", moved)
     with pytest.raises(NumericalError, match=r"^channel 26: residual .* at lambda = "
-                       r"0-4\.334937\d*j is not below 1e-06 max\(1, S\) = 1\.07e\+10$"):
+                       r"0-4\.334937\d*j is not below 1e-06 max\(1, S\) = 1\.07e\+10$"
+                       ) as info:
         rs.find_resonances(pot, 8.0)
+    assert info.value.key == 26
 
 
 def test_solve_checks_every_residual_in_one_call(monkeypatch, small_set):

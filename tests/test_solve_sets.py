@@ -63,7 +63,25 @@ def test_compare_names_the_differing_det_keys(tmp_path, capsys):
 
 
 def test_compare_names_the_differing_pairs_keys(tmp_path, capsys):
-    _compare_names_the_differing_keys(tmp_path, capsys, "pairs")
+    # rows (Re f_(l-1), Im f_(l-1), Re f_l, Im f_l, s): an imaginary part of
+    # 1e-17 that becomes 1e-15 moves its log by about 1e-15 (not by 99 % of
+    # that part), and a phase pi that becomes -pi moves log f + s = 40 + i pi
+    # by 2e-300, or 5e-302 of its modulus (not by 2 pi)
+    rows = [[1.0, 1e-17, 0.5, 0.0, 0.0], [-1.0, 1e-300, 0.25, 0.5, 40.0]]
+    entry = {"j": rows, "h": rows}
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"pairs": entry}))
+    b.write_text(json.dumps({"pairs": entry}))
+    assert solve_sets.main(["compare", str(a), str(b)]) == 0
+    assert capsys.readouterr().out == "identical  pairs\n"
+
+    moved = {"j": [[1.0, 1e-15, 0.5, 0.0, 0.0], rows[1]],
+             "h": [rows[0], [-1.0, -1e-300, 0.25, 0.5, 40.0]]}
+    b.write_text(json.dumps({"pairs": moved}))
+    assert solve_sets.main(["compare", str(a), str(b)]) == 1
+    assert capsys.readouterr().out == ("different  pairs\n"
+                                       "different  pairs.j  (max shift 9.9e-16 in log)\n"
+                                       "different  pairs.h  (max shift 5.0e-302 in log)\n")
 
 
 def test_pairs_entry_holds_both_pairs_at_the_seeded_points():

@@ -15,12 +15,19 @@ differs or is missing from either file.  When the ``density`` entry
 differs, it is followed by one ``identical`` or ``different
 density.<key>`` line per key of the entry, so a change that should move one
 density result shows which ones moved; the ``det`` and ``pairs`` entries
-are compared the same way, with ``det.<key>`` and ``pairs.<key>`` lines.  A ``different`` key line also gives
-the largest absolute shift and the largest relative shift (to the larger
-modulus) over the key's numbers, when both dumps hold the same layout of
-numbers under the key:
+are compared the same way, with ``det.<key>`` and ``pairs.<key>`` lines.
+A ``different`` key line also gives the largest absolute shift and the
+largest relative shift (to the larger modulus) over the key's numbers,
+when both dumps hold the same layout of numbers under the key:
 
     different  density.weyl_constant  (max shift 2.2e-16 abs, 1.2e-16 rel)
+
+A ``pairs.<key>`` line gives instead the largest shift in log form over
+its rows: per row the larger shift of log f_(l-1) + s and log f_l + s,
+the phase wrapped, over max(1, |log f|), since a part of a normal-form
+member near 0 moves by a large share of itself when its log barely moves:
+
+    different  pairs.j  (max shift 1.5e-14 in log)
 
 ``compare --tol`` is for a change that may move located zeros in their last
 bits: a set that is not identical prints ``close`` when both dumps have the
@@ -256,6 +263,22 @@ def _shift(a, b) -> str:
     return f"  (max shift {most_abs:.1e} abs, {most_rel:.1e} rel)"
 
 
+def _log_shift(a, b) -> str:
+    """The largest shift between two lists of pair rows (Re f_(l-1), Im
+    f_(l-1), Re f_l, Im f_l, s), in log form: per row the larger shift of
+    log f_(l-1) + s and log f_l + s, the phase wrapped, over max(1, |log f|);
+    "" when their layouts differ."""
+    ra, rb = np.array(a, dtype=float), np.array(b, dtype=float)
+    if ra.shape != rb.shape or ra.ndim != 2 or ra.shape[1] != 5:
+        return ""
+    fa, fb = ra[:, [0, 2]] + 1j * ra[:, [1, 3]], rb[:, [0, 2]] + 1j * rb[:, [1, 3]]
+    sa, sb = ra[:, 4:], rb[:, 4:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        moved = np.abs(np.log(fa / fb) + (sa - sb))  # log(fa / fb) wraps the phase
+        size = np.fmax(np.abs(np.log(fa) + sa), np.abs(np.log(fb) + sb))
+    return f"  (max shift {np.max(moved / np.fmax(size, 1.0)):.1e} in log)"
+
+
 def _compare_entries(a: dict, b: dict, prefix: str = "", tol: bool = False) -> bool:
     """Print identical/different (with ``tol``, close for a set that passes
     ``_close``) per key of either dict, and per key of a differing
@@ -267,7 +290,8 @@ def _compare_entries(a: dict, b: dict, prefix: str = "", tol: bool = False) -> b
         entry = not prefix and key in ("density", "det", "pairs")
         if status == "different" and both and tol and not entry and _close(a[key], b[key]):
             status = "close"
-        shift = _shift(a[key], b[key]) if status == "different" and both and prefix else ""
+        shift = ((_log_shift if prefix == "pairs." else _shift)(a[key], b[key])
+                 if status == "different" and both and prefix else "")
         print(f"{status:<9}  {prefix}{key}{shift}")
         if status == "different" and both and entry:
             _compare_entries(a[key], b[key], f"{key}.")
