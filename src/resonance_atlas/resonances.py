@@ -60,8 +60,7 @@ from .contour import _IRR, ContourBox, locate_zeros
 # not called here; kept importable because perfbench/tracing.py wraps it by name
 from .contour import _winding_with_perturbation  # noqa: F401
 from .errors import EvaluationOverflowError, NumericalError
-from .special import (_j_ratio_logs, _log_odd_double_factorials, _partners, sph_h_pair_log,
-                      sph_j_pair_log)
+from .special import _j_ratio_logs, _log_odd_double_factorials, sph_h_pair_log, sph_j_pair_log
 
 __all__ = [
     "RadialStepPotential",
@@ -310,15 +309,18 @@ def _potential_series_log(ell: np.ndarray, a: float, v0: complex, z: np.ndarray,
 def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
     """Vectorized lambda-array -> log g_ell(lambda) evaluator (log form).
 
-    ``ell`` is an int order, or an integer array of orders of the shape of
-    the lambda arrays the evaluator is given, one order per point; an int
-    is every point's order.  Either way each point is evaluated with its
-    own order by one elementwise code path, so a point's value does not
-    depend, bit for bit, on the other points of its call, on their orders
-    or on the call's size: calls run in pieces of ``_MATCHER_PIECE`` points,
-    below the 16,384 complex values at which numpy turns a product into an
-    in-place one, whose swapped operands change an FMA complex product's
-    bits.
+    ``ell`` is an int order >= 0, or such orders in a signed integer array
+    of the shape of the lambda arrays the evaluator is given, one per point
+    (else ValueError); an int is every point's order.  Each point is evaluated
+    with its own order by one elementwise code path, so a point's value
+    does not depend, bit for bit, on the other points of its call, on their
+    orders or on the call's size: calls run in pieces of ``_MATCHER_PIECE``
+    points, below the 16,384 complex values at which numpy turns a product
+    into an in-place one, whose swapped operands change an FMA complex
+    product's bits.  A piece of two consecutive orders runs in (lambda, ell)
+    order on lambda's bits, so that each point follows its lambda at the
+    order below, whose upper AMOS members its pairs copy
+    (``special._amos_pair``); its values are put back in input order.
 
     g_ell = (2 ell + 1)!! (lambda a)^(ell+1) W_ell / k^ell is an entire
     function of lambda: the k^ell quotient removes the removable branch
@@ -358,6 +360,10 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
     k^2 = lambda^2 - v0 with real coefficients, and so is the normalisation
     (2 ell + 1)!! (lambda a)^(ell+1) in lambda.
     """
+    orders = np.asarray(ell)
+    if orders.dtype.kind != "i" or orders.min(initial=0) < 0:
+        bad = orders[orders < 0] if orders.dtype.kind == "i" else orders.ravel()
+        raise ValueError(f"channel orders must be signed integers >= 0; got {bad[0]}")
     a = pot.a
     v0 = pot.v0.conjugate() if kind == 2 else pot.v0
 
@@ -370,21 +376,25 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
                                for i in range(0, lam.size, _MATCHER_PIECE)])
 
     def piece(lam: np.ndarray, ell: np.ndarray) -> np.ndarray:
+        seen = np.bincount(ell, minlength=1) > 0
+        order = (np.lexsort((ell, lam.imag.view(np.int64), lam.real.view(np.int64)))
+                 if (seen[1:] & seen[:-1]).any() else slice(None))
+        out = np.empty_like(lam)
+        out[order] = in_order(lam[order], ell[order])
+        return out
+
+    def in_order(lam: np.ndarray, ell: np.ndarray) -> np.ndarray:
         k2 = lam * lam - v0
         k = np.sqrt(k2)
         la = lam * a
         pole_kill = (ell + 1) * np.log(la)
-        # equal lambdas give equal lambda a and k a, so one map serves both pairs
-        partner = _partners(ell, lam)
-        hm1, hl, sh = sph_h_pair_log(ell, la, partner)
+        hm1, hl, sh = sph_h_pair_log(ell, la)
         hp = hm1 - (ell + 1) / la * hl
         out = np.empty_like(lam)
         small = np.abs(k) * a < 0.5
         big = slice(None)  # the direct path's points: whole arrays unless one is small
         if small.any():
             big = np.flatnonzero(~small)
-            # a partner shares its point's lambda, so it is big too
-            partner = np.where(partner[big] < 0, -1, np.searchsorted(big, partner[big]))
             es, u = ell[small], k2[small] * (a * a)  # g from J and q (docstring)
             log_q, _, q_up = _j_ratio_logs(es, u, 1)
             sinc = [(-1) ** m / math.factorial(2 * m + 1) for m in range(9, -1, -1)]
@@ -396,7 +406,7 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
         eb = ell[big]
         if eb.size:
             kb = k[big]
-            jm1, jl, sj = sph_j_pair_log(eb, kb * a, partner)
+            jm1, jl, sj = sph_j_pair_log(eb, kb * a)
             jp = jm1 - (eb + 1) / (kb * a) * jl
             p1 = kb * jp * hl[big]
             p2 = lam[big] * jl * hp[big]
@@ -591,7 +601,7 @@ def _solve_channels(pot: RadialStepPotential, R: float, workers: int):
     Channels 0 to guess + 3, for the guess predicted from the Rouché term
     (``ell_cutoff``), are cut into consecutive groups of at most
     ``_GROUP_SAMPLES`` box samples (``_channel_box``), whose channels wind
-    the same samples in lockstep (``special._partners`` shares their AMOS
+    the same samples in lockstep (a matcher piece shares their AMOS
     orders).  ``map_ordered`` hands the groups (``_group_zeros``) to the
     workers, lowest first; the grouping, the sets and the error raised (the
     first failing group's) do not depend on the worker count.  The guess

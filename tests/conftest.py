@@ -12,9 +12,10 @@ settings.load_profile("deterministic")
 
 @pytest.fixture
 def amos_counts(monkeypatch):
-    """{name: orders evaluated} of scipy's scaled hankel1e and jve, counted
-    by np.size of the orders of each call."""
-    counts = {"hankel1e": 0, "jve": 0}
+    """{name: orders evaluated} of the AMOS routines the pairs call, the
+    scaled hankel1e and jve and the fallbacks' unscaled hankel1 and jv,
+    counted by np.size of the orders of each call."""
+    counts = {"hankel1e": 0, "jve": 0, "hankel1": 0, "jv": 0}
     for name in counts:
         real = getattr(special._ss, name)
 

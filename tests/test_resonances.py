@@ -349,9 +349,9 @@ def test_channel_groups_are_consecutive_and_share_their_amos_orders(monkeypatch,
     # samples of the top box's sides, one AMOS evaluation per half-integer
     # order and sample: (n + 1) P of hankel1e, where a group of no two
     # consecutive channels makes 2 n P.  The D corners that two sides share
-    # are sampled twice, and the partner map pairs each copy only with the
-    # point sorted just before it, so their copies above channel 0 evaluate
-    # their lower member again: (n - 1) D more
+    # are sampled twice, and a point shares only with the point sorted just
+    # before it, so their copies above channel 0 evaluate their lower
+    # member again: (n - 1) D more
     _two_groups(monkeypatch)
     handed = []
     real_group = rs._group_zeros
@@ -1123,7 +1123,8 @@ def test_matcher_evaluates_each_amos_order_once_per_point(monkeypatch, amos_coun
     log_g = rs.channel_matcher_log(np.arange(n).repeat(points.size), WELL)(
         np.tile(points, n))
     assert np.all(np.isfinite(log_g))
-    assert amos_counts == {"hankel1e": (n + 1) * points.size, "jve": (n + 1) * points.size}
+    assert amos_counts == {"hankel1e": (n + 1) * points.size, "jve": (n + 1) * points.size,
+                           "hankel1": 0, "jv": 0}
     z, ell = np.array([100 - 100j, 2 - 2j]), np.array([3, 3])
     hm1, hl, sh = special.sph_h_pair_log(ell, z)
     terms = []
@@ -1139,6 +1140,48 @@ def test_matcher_evaluates_each_amos_order_once_per_point(monkeypatch, amos_coun
     amos_counts["jve"] = 0
     rs._potential_series_log(ell, 1.0, -20.0, z, hm1, hl, sh)
     assert amos_counts["jve"] == 12 + 17
+
+
+@pytest.mark.parametrize("ell, named", [(-1, "-1"), (1.5, "1.5"),
+                                         (np.array([0, 1, -2]), "-2"),
+                                         (np.array([0.0, 1.5, 2.0]), "0.0"),
+                                         (np.array([2, 1, 0], dtype=np.uint8), "2")])
+def test_matcher_entry_points_reject_bad_orders(ell, named):
+    # an order that is not an integer >= 0 raises before any evaluation,
+    # naming the first bad order; an array of a float or unsigned dtype is
+    # rejected whole (the order arithmetic, from the double-factorial
+    # table's ell.max(initial=-1) on, is signed), so its first element is
+    # named
+    lam = np.array([3 - 1j, 4 - 2j, 5 - 3j])
+    message = f"channel orders must be signed integers >= 0; got {re.escape(named)}$"
+    with pytest.raises(ValueError, match=message):
+        rs.channel_matcher_log(ell, WELL)
+    with pytest.raises(ValueError, match=message):
+        rs.channel_condition(ell, WELL, lam)
+
+
+def test_matcher_shares_amos_orders_across_the_small_k_split(amos_counts):
+    # runs of n consecutive channels at P lambdas, shuffled into one call:
+    # three lambdas with |k| a < 0.5, whose small-|k| branch takes no j
+    # pair, and four on the direct path.  A piece runs in (lambda, ell)
+    # order, and its direct-path subset keeps that order, so each order is
+    # evaluated once per lambda: (n + 1) P of hankel1e and (n + 1) P_big of
+    # jve, on the direct-path points alone
+    root = 1j * math.sqrt(20.0)
+    small = np.array([root + 0.01, -root + 0.02j, root - 0.005 + 0.01j])
+    big = np.array([10 * cmath.exp(-3j * math.pi / 8), 25 - 3j, -7.5 - 2j, 3 + 4j])
+    lams = np.concatenate([small, big])
+    assert np.all(np.abs(np.sqrt(small ** 2 + 20.0)) < 0.5)
+    assert np.all(np.abs(np.sqrt(big ** 2 + 20.0)) >= 0.5)
+    n = 12
+    shuffle = np.random.default_rng(38).permutation(n * lams.size)
+    ells, points = np.tile(np.arange(n), lams.size)[shuffle], lams.repeat(n)[shuffle]
+    got, want = _matcher_by_order(WELL, ells, points)
+    assert np.all(np.isfinite(got)) and _same_bits(got, want)
+    amos_counts.update(hankel1e=0, jve=0)
+    rs.channel_matcher_log(ells, WELL)(points)
+    assert amos_counts == {"hankel1e": (n + 1) * lams.size, "jve": (n + 1) * big.size,
+                           "hankel1": 0, "jv": 0}
 
 
 @pytest.fixture(scope="module")
