@@ -258,13 +258,6 @@ def _winding(loop) -> int:
     return round(float(np.sum(_steps(loop[1]).imag)) / _TWO_PI)
 
 
-def _power_sums(loop, count: int, c: complex, h: float) -> list:
-    """Midpoint rule for the loop integrals of u^p dlog f, u = (z - c)/h, p < count."""
-    zs, ws = loop
-    u, term = (0.5 * (zs + np.roll(zs, -1)) - c) / h, _steps(ws)
-    return [complex(np.sum(term * u ** p)) for p in range(count)]
-
-
 def winding_count(f, box: ContourBox, *, log_form: bool = False) -> int:
     """Number of zeros of f inside the box, counted with multiplicity.
 
@@ -468,7 +461,8 @@ def locate_zeros(f, box: ContourBox, tol: float, *,
                     raise NumericalError(
                         f"negative winding {w} over box at {b.center:.6g}: the "
                         "integrand has a pole inside (not holomorphic)", key=b.key)
-            seeded = [(x, _seeds(*x, tol)) for x in level if x[1] > 0]
+            wound = [x for x in level if x[1] > 0]
+            seeded = list(zip(wound, _seeds(wound, tol)))
             split = [x for x, zs in seeded if not zs]
             leaves += [(*x, zs) for x, zs in seeded if zs]
         else:  # the descent is done: polish its leaves, split the failures
@@ -507,32 +501,82 @@ def _leaf_zeros(eval_w, leaves, tol: float):
     return out
 
 
-def _seeds(box: ContourBox, w: int, loop, tol: float) -> list:
-    """The secant seeds of a box of winding w > 0, or none where it splits,
-    from its loop's power sums s_p in u = (z - c)/h (c the centre, h half
-    the diameter): below ``tol``, the winding centroid c + h s_1/s_0; for w
-    up to ``_LEAF_ZEROS``, c + h eig(H1, H0) of the Hankel pencil of s_0 ..
-    s_(2w-1) (the centroid at w = 1), unless a seed lies a quarter diameter
-    outside the box or the seeds give s_0 .. s_(w-1) back with a weight off
-    1 by more than ``_PENCIL_WEIGHT`` (a multiple or spurious seed).
+def _seeds(level, tol: float) -> list:
+    """The secant seeds of each (box, w, loop) of a level, w > 0, or none
+    where the box splits, from its loop's power sums s_p in u = (z - c)/h
+    (c the centre, h half the diameter): below ``tol``, the winding
+    centroid c + h s_1/s_0; for w up to ``_LEAF_ZEROS``, c + h eig(H1, H0)
+    of the Hankel pencil of s_0 .. s_(2w-1) (the centroid at w = 1), unless
+    a seed lies a quarter diameter outside the box or the seeds give
+    s_0 .. s_(w-1) back with a weight off 1 by more than ``_PENCIL_WEIGHT``
+    (a multiple or spurious seed).
+
+    One array pass seeds the whole level: the power sums of every loop are
+    segmented sums over one concatenated sample array, and the pencils of
+    each winding are stacked through batched ``np.linalg``, which solves
+    each box's matrices on their own; a box whose pencil is singular has
+    none.
     """
-    c, h = box.center, 0.5 * box.diameter
-    if box.diameter < tol:
-        s = _power_sums(loop, 2, c, h)
-        m1 = c + h * s[1] / s[0]
-        return [m1 if box.contains(m1, pad=0.25 * box.diameter) else c]
-    if w > _LEAF_ZEROS:
-        return []
-    s = _power_sums(loop, 2 * w, c, h)
-    hankel = np.array([s[i:i + w] for i in range(w + 1)])
+    out = [[] for _ in level]
+    rows = [i for i, (b, w, _) in enumerate(level) if b.diameter < tol or w <= _LEAF_ZEROS]
+    if not rows:
+        return out
+    boxes = [level[i][0] for i in rows]
+    wind = np.array([0 if b.diameter < tol else level[i][1] for i, b in zip(rows, boxes)])
+    sizes = [level[i][2][0].size for i in rows]
+    zs, ws = (np.concatenate([level[i][2][j] for i in rows]) for j in (0, 1))
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    seg = np.repeat(np.arange(len(rows)), sizes)
+    nxt = np.arange(1, zs.size + 1)
+    nxt[ends - 1] = starts  # each loop closes on its first sample
+    c = np.array([b.center for b in boxes])
+    h = 0.5 * np.array([b.diameter for b in boxes])
+    d = ws[nxt] - ws
+    term = d.real + 1j * _wrap_phase(d.imag)
+    u = (0.5 * (zs + zs[nxt]) - c[seg]) / h[seg]
+    s = np.empty((len(rows), 2 * max(1, wind.max())), dtype=complex)
+    for p in range(s.shape[1]):  # midpoint rule for the loop integrals of u^p dlog f
+        s[:, p] = np.add.reduceat(term, starts)
+        term = term * u
+    lo = np.array([b.lower_left for b in boxes])
+    hi = np.array([b.upper_right for b in boxes])
+    pad = 0.5 * h[:, None]  # a quarter diameter
+
+    def inside(z, r):  # each seed of the rows r within pad of its box
+        return ((lo[r, None].real - pad[r] <= z.real) & (z.real <= hi[r, None].real + pad[r])
+                & (lo[r, None].imag - pad[r] <= z.imag) & (z.imag <= hi[r, None].imag + pad[r]))
+
+    tiny = np.flatnonzero(wind == 0)
+    m1 = c[tiny] + h[tiny] * s[tiny, 1] / s[tiny, 0]
+    for r, z, keep in zip(tiny.tolist(), m1.tolist(), inside(m1[:, None], tiny)[:, 0].tolist()):
+        out[rows[r]] = [z if keep else boxes[r].center]
+    for w in range(1, _LEAF_ZEROS + 1):
+        r = np.flatnonzero(wind == w)
+        if not r.size:
+            continue
+        u, weights = _pencils(s[r, :2 * w], w)
+        z = c[r, None] + h[r, None] * u
+        good = np.all(np.abs(weights - 1) <= _PENCIL_WEIGHT, axis=1) & inside(z, r).all(axis=1)
+        for i, zi in zip(r[good].tolist(), z[good].tolist()):
+            out[rows[i]] = zi
+    return out
+
+
+def _pencils(s, w: int):
+    """The eigenvalues u of the Hankel pencils (H1, H0) of the rows of power
+    sums s and their weights in s_0 .. s_(w-1) (NaN for a singular
+    pencil); one batch, each row's matrices solved on their own."""
+    ij = np.add.outer(np.arange(w), np.arange(w))
     try:
-        u = np.linalg.eigvals(np.linalg.solve(hankel[:-1], hankel[1:]))
-        weights = np.linalg.solve(np.vander(u, w, increasing=True).T, s[:w]) / (2j * math.pi)
+        u = np.linalg.eigvals(np.linalg.solve(s[:, ij], s[:, ij + 1]))
+        vander = u[:, None, :] ** np.arange(w)[:, None]
+        return u, np.linalg.solve(vander, s[:, :w, None])[..., 0] / (2j * math.pi)
     except np.linalg.LinAlgError:
-        return []
-    seeds = (c + h * u).tolist()
-    good = np.all(np.abs(weights - 1) <= _PENCIL_WEIGHT)
-    return seeds if good and all(box.contains(z, pad=0.25 * box.diameter) for z in seeds) else []
+        if len(s) == 1:
+            return np.full((1, w), np.nan + 0j), np.full((1, w), np.nan + 0j)
+        return tuple(np.concatenate(x) for x in zip(*(_pencils(s[i:i + 1], w)
+                                                       for i in range(len(s)))))
 
 
 def _zeros_inside(found, box: ContourBox, winding: int):

@@ -51,6 +51,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -60,7 +61,8 @@ from .contour import _IRR, ContourBox, locate_zeros
 # not called here; kept importable because perfbench/tracing.py wraps it by name
 from .contour import _winding_with_perturbation  # noqa: F401
 from .errors import EvaluationOverflowError, NumericalError
-from .special import _j_ratio_logs, _log_odd_double_factorials, sph_h_pair_log, sph_j_pair_log
+from .special import (_h_normal, _j_normal, _j_ratio_logs, _log_odd_double_factorials,
+                      _matcher_members, _sph_factor, _usable, sph_h_pair_log, sph_j_pair_log)
 
 __all__ = [
     "RadialStepPotential",
@@ -369,68 +371,92 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
 
     def evaluate(lam: np.ndarray) -> np.ndarray:
         lam = np.asarray(lam, dtype=complex)
-        orders = np.broadcast_to(ell, lam.shape)
-        if lam.size <= _MATCHER_PIECE:
-            return piece(lam, orders)
-        return np.concatenate([piece(lam[i:i + _MATCHER_PIECE], orders[i:i + _MATCHER_PIECE])
-                               for i in range(0, lam.size, _MATCHER_PIECE)])
+        flat, orders = lam.ravel(), np.broadcast_to(ell, lam.shape).ravel()
+        return np.concatenate([piece(flat[i:i + _MATCHER_PIECE], orders[i:i + _MATCHER_PIECE])
+                               for i in range(0, max(flat.size, 1), _MATCHER_PIECE)]
+                              ).reshape(lam.shape)
 
     def piece(lam: np.ndarray, ell: np.ndarray) -> np.ndarray:
-        seen = np.bincount(ell, minlength=1) > 0
-        order = (np.lexsort((ell, lam.imag.view(np.int64), lam.real.view(np.int64)))
-                 if (seen[1:] & seen[:-1]).any() else slice(None))
+        order = np.lexsort((ell, lam.imag.view(np.int64), lam.real.view(np.int64)))
+        lam, ell = lam[order], ell[order]
+        re, im = lam.real.view(np.int64), lam.imag.view(np.int64)
+        new = np.ones(lam.size, dtype=bool)  # the first point of each distinct (lambda, ell)
+        new[1:] = (ell[1:] != ell[:-1]) | (re[1:] != re[:-1]) | (im[1:] != im[:-1])
+        first = np.flatnonzero(new)
         out = np.empty_like(lam)
-        out[order] = in_order(lam[order], ell[order])
+        out[order] = in_order(lam[first], ell[first])[np.cumsum(new) - 1]
         return out
 
     def in_order(lam: np.ndarray, ell: np.ndarray) -> np.ndarray:
-        k2 = lam * lam - v0
+        # + 0.0 turns a -0.0 imaginary part into +0.0: on the real axis k and
+        # the branch of log(lambda a) do not depend on the sign of a zero
+        k2 = lam * lam - v0 + 0.0
         k = np.sqrt(k2)
-        la = lam * a
-        pole_kill = (ell + 1) * np.log(la)
-        hm1, hl, sh = sph_h_pair_log(ell, la)
-        hp = hm1 - (ell + 1) / la * hl
-        out = np.empty_like(lam)
+        la, ka = lam * a + 0.0, k * a
         small = np.abs(k) * a < 0.5
-        big = slice(None)  # the direct path's points: whole arrays unless one is small
-        if small.any():
-            big = np.flatnonzero(~small)
-            es, u = ell[small], k2[small] * (a * a)  # g from J and q (docstring)
-            log_q, _, q_up = _j_ratio_logs(es, u, 1)
-            sinc = [(-1) ** m / math.factorial(2 * m + 1) for m in range(9, -1, -1)]
-            j0 = np.polyval(sinc, u)  # sin(ka) / (ka) as a series in u
-            g = (es - u * q_up) * hl[small] - lam[small] * a * hp[small]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out[small] = (np.log(g) + np.log(j0) + log_q + _log_odd_double_factorials(es)
-                              + (es - 1) * math.log(a) + sh[small] + pole_kill[small])
-        eb = ell[big]
-        if eb.size:
-            kb = k[big]
-            jm1, jl, sj = sph_j_pair_log(eb, kb * a)
-            jp = jm1 - (eb + 1) / (kb * a) * jl
-            p1 = kb * jp * hl[big]
-            p2 = lam[big] * jl * hp[big]
-            wt = p1 - p2
-            absl = np.abs(lam[big])
-            absk = np.abs(kb)
-            lndd = _log_odd_double_factorials(eb)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore",
-                             under="ignore"):
-                out[big] = (np.log(wt) + sj + sh[big] + lndd
-                            - eb * np.log(kb) + pole_kill[big])
-                # expected |W| (in the pair scaling): the free Wronskian plus
-                # the leading v0 part (k - lambda) j h, with k - lambda =
-                # -v0 / (k + lambda); unlike |wt| it does not dip at zeros
-                w_scale = (np.exp(-(sj + sh[big])) / (absl * a * a)
-                           + abs(v0) * np.abs(jl * hl[big]) / (absk + absl))
-                cond = (np.maximum(np.abs(p1), np.abs(p2)) / w_scale
-                        * (1.0 + a * absl ** 2 / (2.0 * absk)))
-            flagged = np.flatnonzero(~(cond <= _DIRECT_COND_MAX))
-            if flagged.size:
-                lost = np.flatnonzero(~small)[flagged]
-                out[lost] = (_potential_series_log(ell[lost], a, v0, la[lost],
-                                                   hm1[lost], hl[lost], sh[lost])
-                             + lndd[flagged] + (ell[lost] - 1) * math.log(a))
+        big, few = np.flatnonzero(~small), np.flatnonzero(small)
+        hm1, hl, jm1, jl = _matcher_members(ell, lam, la, ka, big)
+        lndd = _log_odd_double_factorials(ell)
+        # both branches take g from A h_ell - B h_ell', from the raw scaled
+        # AMOS members; the exp(iz) and exp(|Im z|) that AMOS removes and
+        # sqrt(pi / 2z) = exp((log(pi / 2) - log z) / 2) enter the log
+        A, B, extra = np.empty_like(lam), np.empty_like(lam), np.empty_like(lam)
+        ok = _usable(hm1, hl)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+            log_la, log_k = np.log(la), np.log(k[big])
+            sh = 1j * la + 0.5 * (math.log(math.pi / 2.0) - log_la)
+            pole_kill = (ell + 1) * log_la
+            if few.size:
+                es, u = ell[few], k2[few] * (a * a)  # g from J and q (docstring)
+                log_q, _, q_up = _j_ratio_logs(es, u, 1)
+                sinc = [(-1) ** m / math.factorial(2 * m + 1) for m in range(9, -1, -1)]
+                j0 = np.polyval(sinc, u)  # sin(ka) / (ka) as a series in u
+                A[few], B[few] = es - u * q_up, la[few]
+                extra[few] = np.log(j0) + log_q + (es - 1) * math.log(a)
+            sj = np.abs(ka[big].imag) + 0.5 * (math.log(math.pi / (2.0 * a)) - log_k)
+            ok[big] &= _usable(jm1, jl)
+
+            def direct(b):  # A, B and the scales of the direct path's points big[b]
+                i = big[b]
+                A[i] = k[i] * (jm1[b] - (ell[i] + 1) / ka[i] * jl[b])
+                B[i] = lam[i] * jl[b]
+                extra[i] = sj[b] - ell[i] * log_k[b]
+
+            def bracket(i):  # A h_ell - B h_ell' and the larger modulus of its terms
+                t1, t2 = A[i] * hl[i], B[i] * (hm1[i] - (ell[i] + 1) / la[i] * hl[i])
+                return t1 - t2, np.maximum(np.abs(t1), np.abs(t2))
+
+            def normal_h(i):  # the Hankel pair in normal form, from its members
+                f = _sph_factor(la[i])
+                hm1[i], hl[i], sh[i] = _h_normal(ell[i], la[i], f, f * hm1[i], f * hl[i])
+
+            direct(slice(None))
+            wt, top = bracket(slice(None))
+            # the normal forms and fallbacks, where a member is not usable or
+            # the terms leave double range
+            ok &= np.isfinite(wt) & (top >= sys.float_info.min)
+            lost = np.flatnonzero(~ok)
+            if lost.size:
+                normal_h(lost)
+                b = np.flatnonzero(~ok[big])
+                f = _sph_factor(ka[big[b]])
+                jm1[b], jl[b], sj[b] = _j_normal(ell[big[b]], ka[big[b]], f, f * jm1[b], f * jl[b])
+                direct(b)
+                wt[lost], top[lost] = bracket(lost)
+            out = np.log(wt) + extra + sh + lndd + pole_kill
+            # expected |W| (in the members' scaling): the free Wronskian plus
+            # the leading v0 part (k - lambda) j h, with k - lambda =
+            # -v0 / (k + lambda); unlike |W| it does not dip at zeros
+            absl, absk = np.abs(lam[big]), np.abs(k[big])
+            w_scale = (np.exp(-(sj + sh[big]).real) / (absl * a * a)
+                       + abs(v0) * np.abs(jl * hl[big]) / (absk + absl))
+            cond = top[big] / w_scale * (1.0 + a * absl ** 2 / (2.0 * absk))
+        flagged = big[~(cond <= _DIRECT_COND_MAX)]
+        if flagged.size:
+            normal_h(flagged[ok[flagged]])
+            out[flagged] = (_potential_series_log(ell[flagged], a, v0, la[flagged], hm1[flagged],
+                                                  hl[flagged], sh[flagged].real)
+                            + lndd[flagged] + (ell[flagged] - 1) * math.log(a))
         return out
 
     return (lambda lam: np.conj(evaluate(np.conj(lam)))) if kind == 2 else evaluate

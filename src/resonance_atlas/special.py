@@ -304,23 +304,48 @@ def _normal_form(fm1, fl, s):
     return fm1 / top, fl / top, s + np.log(top)
 
 
+def _fresh(ell, z):
+    """Where each point evaluates its lower AMOS member: everywhere but
+    right after the same z, bit for bit, at order ell - 1."""
+    re, im = z.real.view(np.int64), z.imag.view(np.int64)
+    fresh = np.ones(z.shape, dtype=bool)
+    fresh[1:] = (ell[1:] != ell[:-1] + 1) | (re[1:] != re[:-1]) | (im[1:] != im[:-1])
+    return fresh
+
+
+def _amos_members(scaled, ell, z, fresh):
+    """The raw members scaled(ell -+ 1/2, z) of an AMOS routine: the upper
+    one evaluated, the lower one evaluated where ``fresh``, else a copy of
+    the upper member of the point before."""
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
+        upper = scaled(ell + 0.5, z)
+        lower = np.empty_like(upper)
+        lower[1:] = upper[:-1]
+        own = np.flatnonzero(fresh)
+        lower[own] = scaled(ell[own] - 0.5, z[own])
+    return lower, upper
+
+
 def _amos_pair(scaled, ell, z, fac, lower=None):
     """The raw pair fac * scaled(ell -+ 1/2, z) of an AMOS routine, scaled or
     not: the upper member evaluated, the lower one a copy of ``lower`` if
     given, else of the upper member of the point before if that has the
-    same z, bit for bit, and the order ell - 1, else evaluated."""
+    same z, bit for bit, and the order ell - 1 (``_fresh``), else evaluated."""
     with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
-        upper = fac * scaled(ell + 0.5, z)
-        if lower is not None:
-            return np.array(lower, dtype=complex), upper
-        re, im = z.real.view(np.int64), z.imag.view(np.int64)
-        own = np.ones(z.shape, dtype=bool)  # the points that evaluate their lower member
-        own[1:] = (ell[1:] != ell[:-1] + 1) | (re[1:] != re[:-1]) | (im[1:] != im[:-1])
-        own = np.flatnonzero(own)
-        lower = np.empty_like(upper)
-        lower[1:] = upper[:-1]
-        lower[own] = fac[own] * scaled(ell[own] - 0.5, z[own])
-    return lower, upper
+        if lower is None:
+            return tuple(fac * m for m in _amos_members(scaled, ell, z, _fresh(ell, z)))
+        return np.array(lower, dtype=complex), fac * scaled(ell + 0.5, z)
+
+
+def _matcher_members(ell, lam, la, ka, big):
+    """The channel matcher's raw scaled AMOS members, in its (lambda, ell)
+    order: hankel1e(ell -+ 1/2, la) at every point and jve(ell -+ 1/2, ka)
+    at the points ``big``, under one run mask on lambda's bits, so that a
+    point right after the same lambda at order ell - 1 copies both lower
+    members (la and ka are functions of lambda, and so is ``big``)."""
+    fresh = _fresh(ell, lam)
+    return (*_amos_members(_ss.hankel1e, ell, la, fresh),
+            *_amos_members(_ss.jve, ell[big], ka[big], fresh[big]))
 
 
 def sph_j_pair_log(ell, z: np.ndarray, lower=None, upper=None):
@@ -340,6 +365,12 @@ def sph_j_pair_log(ell, z: np.ndarray, lower=None, upper=None):
     jm1, jl = _amos_pair(_ss.jve, ell, z, fac, lower)
     if upper is not None:
         upper[...] = jl
+    return _j_normal(ell, z, fac, jm1, jl)
+
+
+def _j_normal(ell, z, fac, jm1, jl):
+    """The j pair in normal form from fac * jve(ell -+ 1/2, z); the
+    fallback where that is not usable.  Writes to jm1 and jl."""
     s = np.abs(z.imag).astype(float)  # jve removes exp(|Im z|)
     bad = ~_usable(jm1, jl)
     if bad.any():
@@ -358,7 +389,12 @@ def sph_h_pair_log(ell, z: np.ndarray):
         raise ValueError("Hankel functions require z != 0")
     ell = np.broadcast_to(ell, z.shape)
     fac = _sph_factor(z)
-    hm1, hl = _amos_pair(_ss.hankel1e, ell, z, fac)
+    return _h_normal(ell, z, fac, *_amos_pair(_ss.hankel1e, ell, z, fac))
+
+
+def _h_normal(ell, z, fac, hm1, hl):
+    """The Hankel pair in normal form from fac * hankel1e(ell -+ 1/2, z);
+    the fallback where that is not usable."""
     s = (1j * z).real.astype(float)            # hankel1e removes exp(iz)
     phase = np.exp(1j * (1j * z).imag)
     hm1, hl = hm1 * phase, hl * phase

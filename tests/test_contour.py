@@ -311,12 +311,13 @@ def test_leaf_whose_secant_leaves_its_box_splits_while_its_batch_converges(monke
     pencil = ct._seeds
     moved = []
 
-    def bad_seed(box, w, edges, tol):
-        zs = pencil(box, w, edges, tol)
-        if not moved and zs and abs(zs[0] - want[0]) < 0.05:
-            moved.append(zs[0])
-            return [0.02 + 0.45j]
-        return zs
+    def bad_seed(level, tol):
+        seeds = pencil(level, tol)
+        for i, zs in enumerate(seeds):
+            if not moved and zs and abs(zs[0] - want[0]) < 0.05:
+                moved.append(zs[0])
+                seeds[i] = [0.02 + 0.45j]
+        return seeds
 
     monkeypatch.setattr(ct, "_newton_polish", spy_polish)
     monkeypatch.setattr(ct, "_seeds", bad_seed)
@@ -381,7 +382,7 @@ def test_pencil_seeds_only_a_box_of_simple_zeros():
         f = ct._make_log_evaluator(g, False)
         sides, = ct._sampled_edges(f, [(ct._boundary(box), 1e-3, "box")], ct._spacing(box, 32))
         loop = ct._loop(sides)
-        return ct._seeds(box, ct._winding(loop), loop, 1e-10)
+        return ct._seeds([(box, ct._winding(loop), loop)], 1e-10)[0]
 
     got = seeds(lambda z: (z - want[0]) * (z - want[1]) * (z - want[2]))
     assert len(got) == 3
