@@ -364,18 +364,24 @@ def _density_integral(d: int, lo: float, hi: float) -> float:
 
 
 def sector_density(d: int, phi: float, theta: float) -> float:
-    """h'(theta) - h'(phi) + d^2 * integral of h over [phi, theta]."""
+    """h'(theta) - h'(phi) + d^2 * integral of h over [phi, theta]; cached
+    per exact (d, phi, theta) in ``_cd_cache``."""
     _check_dimension(d)
     if not 0.0 < phi < theta < math.pi:
         raise ValueError(
             f"sector angles must satisfy 0 < phi < theta < pi; got ({phi}, {theta})")
-    hp = _radial_integral(d, np.array([theta, phi], dtype=float), DEFAULT_QUAD,
-                          "angular_density_deriv", _dtheta_minus_re_phase)
-    return float(hp[0] - hp[1] + d * d * _density_integral(d, phi, theta))
+    key = ("sector_density", d, phi, theta)
+    if key not in _cd_cache:
+        hp = _radial_integral(d, np.array([theta, phi], dtype=float), DEFAULT_QUAD,
+                              "angular_density_deriv", _dtheta_minus_re_phase)
+        _cd_cache[key] = float(hp[0] - hp[1] + d * d * _density_integral(d, phi, theta))
+    return _cd_cache[key]
 
 
 def near_axis_coefficient(d: int, theta: float) -> float:
-    """(1/(2 pi d)) * [h'(theta) + d^2 * integral of h over (0, theta)].
+    """(1/(2 pi d)) * [h'(theta) + d^2 * integral of h over (0, theta)];
+    cached per exact (d, theta) in ``_cd_cache``, so that the two mirror
+    sectors of a prediction share one quadrature.
 
     Multiplied by (a r)^d this is the leading count of resonances in the
     sector hugging the negative real axis with opening theta.
@@ -383,9 +389,12 @@ def near_axis_coefficient(d: int, theta: float) -> float:
     _check_dimension(d)
     if not 0.0 < theta < math.pi:
         raise ValueError(f"angle must lie in (0, pi); got {theta}")
-    bracket = (angular_density_deriv(d, theta)
-               + d * d * _density_integral(d, 0.0, theta))
-    return bracket / (2.0 * math.pi * d)
+    key = ("near_axis_coefficient", d, theta)
+    if key not in _cd_cache:
+        bracket = (angular_density_deriv(d, theta)
+                   + d * d * _density_integral(d, 0.0, theta))
+        _cd_cache[key] = bracket / (2.0 * math.pi * d)
+    return _cd_cache[key]
 
 
 # ---------------------------------------------------------------------------

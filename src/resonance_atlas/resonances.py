@@ -62,7 +62,7 @@ from .contour import _IRR, ContourBox, locate_zeros
 from .contour import _winding_with_perturbation  # noqa: F401
 from .errors import EvaluationOverflowError, NumericalError
 from .special import (_h_normal, _j_normal, _j_ratio_logs, _log_odd_double_factorials,
-                      _matcher_members, _sph_factor, _usable, sph_h_pair_log, sph_j_pair_log)
+                      _matcher_members, _sph_factor, sph_h_pair_log, sph_j_pair_log)
 
 __all__ = [
     "RadialStepPotential",
@@ -372,9 +372,10 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
     def evaluate(lam: np.ndarray) -> np.ndarray:
         lam = np.asarray(lam, dtype=complex)
         flat, orders = lam.ravel(), np.broadcast_to(ell, lam.shape).ravel()
+        if flat.size <= _MATCHER_PIECE:
+            return piece(flat, orders).reshape(lam.shape)
         return np.concatenate([piece(flat[i:i + _MATCHER_PIECE], orders[i:i + _MATCHER_PIECE])
-                               for i in range(0, max(flat.size, 1), _MATCHER_PIECE)]
-                              ).reshape(lam.shape)
+                               for i in range(0, flat.size, _MATCHER_PIECE)]).reshape(lam.shape)
 
     def piece(lam: np.ndarray, ell: np.ndarray) -> np.ndarray:
         order = np.lexsort((ell, lam.imag.view(np.int64), lam.real.view(np.int64)))
@@ -382,9 +383,9 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
         re, im = lam.real.view(np.int64), lam.imag.view(np.int64)
         new = np.ones(lam.size, dtype=bool)  # the first point of each distinct (lambda, ell)
         new[1:] = (ell[1:] != ell[:-1]) | (re[1:] != re[:-1]) | (im[1:] != im[:-1])
-        first = np.flatnonzero(new)
+        first = new.nonzero()[0]
         out = np.empty_like(lam)
-        out[order] = in_order(lam[first], ell[first])[np.cumsum(new) - 1]
+        out[order] = in_order(lam[first], ell[first])[new.cumsum() - 1]
         return out
 
     def in_order(lam: np.ndarray, ell: np.ndarray) -> np.ndarray:
@@ -393,34 +394,20 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
         k2 = lam * lam - v0 + 0.0
         k = np.sqrt(k2)
         la, ka = lam * a + 0.0, k * a
-        small = np.abs(k) * a < 0.5
-        big, few = np.flatnonzero(~small), np.flatnonzero(small)
-        hm1, hl, jm1, jl = _matcher_members(ell, lam, la, ka, big)
-        lndd = _log_odd_double_factorials(ell)
+        absk = np.abs(k)
+        small = absk * a < 0.5
+        hm1, hl, jm1, jl = _matcher_members(ell, lam, la, ka, small)
         # both branches take g from A h_ell - B h_ell', from the raw scaled
         # AMOS members; the exp(iz) and exp(|Im z|) that AMOS removes and
         # sqrt(pi / 2z) = exp((log(pi / 2) - log z) / 2) enter the log
-        A, B, extra = np.empty_like(lam), np.empty_like(lam), np.empty_like(lam)
-        ok = _usable(hm1, hl)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-            log_la, log_k = np.log(la), np.log(k[big])
+            log_la, log_k = np.log(la), np.log(k)
             sh = 1j * la + 0.5 * (math.log(math.pi / 2.0) - log_la)
-            pole_kill = (ell + 1) * log_la
-            if few.size:
-                es, u = ell[few], k2[few] * (a * a)  # g from J and q (docstring)
-                log_q, _, q_up = _j_ratio_logs(es, u, 1)
-                sinc = [(-1) ** m / math.factorial(2 * m + 1) for m in range(9, -1, -1)]
-                j0 = np.polyval(sinc, u)  # sin(ka) / (ka) as a series in u
-                A[few], B[few] = es - u * q_up, la[few]
-                extra[few] = np.log(j0) + log_q + (es - 1) * math.log(a)
-            sj = np.abs(ka[big].imag) + 0.5 * (math.log(math.pi / (2.0 * a)) - log_k)
-            ok[big] &= _usable(jm1, jl)
+            sj = np.abs(ka.imag) + 0.5 * (math.log(math.pi / (2.0 * a)) - log_k)
 
-            def direct(b):  # A, B and the scales of the direct path's points big[b]
-                i = big[b]
-                A[i] = k[i] * (jm1[b] - (ell[i] + 1) / ka[i] * jl[b])
-                B[i] = lam[i] * jl[b]
-                extra[i] = sj[b] - ell[i] * log_k[b]
+            def direct(i):  # A, B and the rest of the log of the direct path's points i
+                return (k[i] * (jm1[i] - (ell[i] + 1) / ka[i] * jl[i]), lam[i] * jl[i],
+                        sj[i] - ell[i] * log_k[i])
 
             def bracket(i):  # A h_ell - B h_ell' and the larger modulus of its terms
                 t1, t2 = A[i] * hl[i], B[i] * (hm1[i] - (ell[i] + 1) / la[i] * hl[i])
@@ -430,33 +417,44 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
                 f = _sph_factor(la[i])
                 hm1[i], hl[i], sh[i] = _h_normal(ell[i], la[i], f, f * hm1[i], f * hl[i])
 
-            direct(slice(None))
+            A, B, rest = direct(slice(None))
+            few = small.nonzero()[0]
+            if few.size:
+                es, u = ell[few], k2[few] * (a * a)  # g from J and q (docstring)
+                log_q, _, q_up = _j_ratio_logs(es, u, 1)
+                sinc = [(-1) ** m / math.factorial(2 * m + 1) for m in range(9, -1, -1)]
+                j0 = np.polyval(sinc, u)  # sin(ka) / (ka) as a series in u
+                A[few], B[few] = es - u * q_up, la[few]
+                rest[few] = np.log(j0) + log_q + (es - 1) * math.log(a)
             wt, top = bracket(slice(None))
-            # the normal forms and fallbacks, where a member is not usable or
-            # the terms leave double range
-            ok &= np.isfinite(wt) & (top >= sys.float_info.min)
-            lost = np.flatnonzero(~ok)
+            # the normal forms and fallbacks, where a pair's members are 0
+            # (the j members of the small-|k| points are 1) or their product
+            # underflows, or the terms are not finite (a member is not) or
+            # leave double range
+            lost = (~((hm1 * hl != 0) & (jm1 * jl != 0) & np.isfinite(wt)
+                      & (top >= sys.float_info.min))).nonzero()[0]
             if lost.size:
                 normal_h(lost)
-                b = np.flatnonzero(~ok[big])
-                f = _sph_factor(ka[big[b]])
-                jm1[b], jl[b], sj[b] = _j_normal(ell[big[b]], ka[big[b]], f, f * jm1[b], f * jl[b])
-                direct(b)
+                b = lost[~small[lost]]
+                f = _sph_factor(ka[b])
+                jm1[b], jl[b], sj[b] = _j_normal(ell[b], ka[b], f, f * jm1[b], f * jl[b])
+                A[b], B[b], rest[b] = direct(b)
                 wt[lost], top[lost] = bracket(lost)
-            out = np.log(wt) + extra + sh + lndd + pole_kill
+            out = np.log(wt) + rest + sh + _log_odd_double_factorials(ell) + (ell + 1) * log_la
             # expected |W| (in the members' scaling): the free Wronskian plus
             # the leading v0 part (k - lambda) j h, with k - lambda =
             # -v0 / (k + lambda); unlike |W| it does not dip at zeros
-            absl, absk = np.abs(lam[big]), np.abs(k[big])
-            w_scale = (np.exp(-(sj + sh[big]).real) / (absl * a * a)
-                       + abs(v0) * np.abs(jl * hl[big]) / (absk + absl))
-            cond = top[big] / w_scale * (1.0 + a * absl ** 2 / (2.0 * absk))
-        flagged = big[~(cond <= _DIRECT_COND_MAX)]
+            absl = np.abs(lam)
+            w_scale = (np.exp(-(sj + sh).real) / (absl * (a * a))
+                       + abs(v0) * np.abs(jl * hl) / (absk + absl))
+            cond = top / w_scale * (1.0 + a * absl ** 2 / (2.0 * absk))
+        flagged = (~(small | (cond <= _DIRECT_COND_MAX))).nonzero()[0]
         if flagged.size:
-            normal_h(flagged[ok[flagged]])
+            normal_h(np.setdiff1d(flagged, lost, assume_unique=True))
             out[flagged] = (_potential_series_log(ell[flagged], a, v0, la[flagged], hm1[flagged],
                                                   hl[flagged], sh[flagged].real)
-                            + lndd[flagged] + (ell[flagged] - 1) * math.log(a))
+                            + _log_odd_double_factorials(ell[flagged])
+                            + (ell[flagged] - 1) * math.log(a))
         return out
 
     return (lambda lam: np.conj(evaluate(np.conj(lam)))) if kind == 2 else evaluate

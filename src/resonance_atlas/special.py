@@ -321,7 +321,7 @@ def _amos_members(scaled, ell, z, fresh):
         upper = scaled(ell + 0.5, z)
         lower = np.empty_like(upper)
         lower[1:] = upper[:-1]
-        own = np.flatnonzero(fresh)
+        own = fresh.nonzero()[0]
         lower[own] = scaled(ell[own] - 0.5, z[own])
     return lower, upper
 
@@ -337,15 +337,19 @@ def _amos_pair(scaled, ell, z, fac, lower=None):
         return np.array(lower, dtype=complex), fac * scaled(ell + 0.5, z)
 
 
-def _matcher_members(ell, lam, la, ka, big):
+def _matcher_members(ell, lam, la, ka, small):
     """The channel matcher's raw scaled AMOS members, in its (lambda, ell)
     order: hankel1e(ell -+ 1/2, la) at every point and jve(ell -+ 1/2, ka)
-    at the points ``big``, under one run mask on lambda's bits, so that a
-    point right after the same lambda at order ell - 1 copies both lower
-    members (la and ka are functions of lambda, and so is ``big``)."""
+    but at the points ``small`` (there 1), under one run mask on lambda's
+    bits, so that a point right after the same lambda at order ell - 1
+    copies both lower members (la, ka and ``small`` are functions of
+    lambda)."""
     fresh = _fresh(ell, lam)
-    return (*_amos_members(_ss.hankel1e, ell, la, fresh),
-            *_amos_members(_ss.jve, ell[big], ka[big], fresh[big]))
+    hm1, hl = _amos_members(_ss.hankel1e, ell, la, fresh)
+    big = (~small).nonzero()[0]
+    jm1, jl = np.ones_like(hl), np.ones_like(hl)
+    jm1[big], jl[big] = _amos_members(_ss.jve, ell[big], ka[big], fresh[big])
+    return hm1, hl, jm1, jl
 
 
 def sph_j_pair_log(ell, z: np.ndarray, lower=None, upper=None):
@@ -449,9 +453,16 @@ def _j_ratio_logs(ell: np.ndarray, u: np.ndarray, first):
     """The sum of log q_k over first <= k <= ell, q_ell and q_(ell+1) of the
     ratios q_k = j_k(z) / (z j_(k-1)(z)) at u = z^2, elementwise, by the
     backward recurrence q_k = 1 / (2k + 1 - u q_(k+1)) from q = 0
-    ``_J_CARRY_START`` + ceil|z| orders above ell.  Each point runs from its
-    own start, so its values do not depend on the other points of the call."""
-    start = ell + _J_CARRY_START + np.ceil(np.sqrt(np.abs(u))).astype(int)
+    ``_J_CARRY_START`` + ceil|z| orders above ell, or, where |u| < 1, the n
+    orders above ell (at least 1) at which (|u| / 15)^n falls below eps: a
+    step down from k + 1 to k scales the error of q by u q_k q_(k+1), about
+    u / ((2k + 1)(2k + 3)), at most |u| / 15 in size from k = 1 on.  Each
+    point runs from its own start, so its values do not depend on the other
+    points of the call."""
+    mod = np.abs(u)
+    with np.errstate(divide="ignore"):
+        near = np.maximum(np.ceil(math.log(_EPS) / np.log(mod / 15.0)), 1.0)
+    start = ell + np.where(mod < 1.0, near, _J_CARRY_START + np.ceil(np.sqrt(mod))).astype(int)
     top = int(ell.max(initial=0)) + 1
     table = np.zeros((top + 1, u.size), dtype=complex)  # row k: q_k, for k <= top
     q = np.zeros_like(u)

@@ -499,6 +499,80 @@ def test_locate_matches_companion_roots(roots):
         assert min(abs(z - w) for w in want) < 1e-7
 
 
+def _one_box_seeds(box, w, loop, tol):
+    """The one-box rule that ``_seeds`` applies to a whole level: this box's
+    power sums by np.sum over its own loop, its pencil solved alone."""
+    zs, ws = loop
+    c, h = box.center, 0.5 * box.diameter
+    u, term = (0.5 * (zs + np.roll(zs, -1)) - c) / h, ct._steps(ws)
+    s = [complex(np.sum(term * u ** p)) for p in range(2 * max(w, 1))]
+    if box.diameter < tol:
+        m1 = c + h * s[1] / s[0]
+        return [m1 if box.contains(m1, pad=0.25 * box.diameter) else c]
+    if w > ct._LEAF_ZEROS:
+        return []
+    hankel = np.array([s[i:i + w] for i in range(w + 1)])
+    try:
+        u = np.linalg.eigvals(np.linalg.solve(hankel[:-1], hankel[1:]))
+        weights = np.linalg.solve(np.vander(u, w, increasing=True).T, s[:w]) / (2j * math.pi)
+    except np.linalg.LinAlgError:
+        return []
+    seeds = (c + h * u).tolist()
+    good = np.all(np.abs(weights - 1) <= ct._PENCIL_WEIGHT)
+    return seeds if good and all(box.contains(z, pad=0.25 * box.diameter) for z in seeds) else []
+
+
+@settings(max_examples=60)
+@given(_roots_for_box(), st.sampled_from([1e-8, 1.5]),
+       st.tuples(st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)), st.integers(1, 4))
+def test_level_seeds_match_the_one_box_rule(roots, tol, shift, winding):
+    # the loops of the top box and its four children, seeded as one level,
+    # get the seeds (within 1e-9 of their diameter) and the accept or reject
+    # decision of the one-box rule: each under its own box and winding, under
+    # its box shifted by shift times its width (its zeros may lie outside)
+    # and under a winding 1 to 4 that may not be its own (the weights
+    # reject).  Below tol (1.5 lies between the children's diameter and the
+    # top box's) the seed is the winding centroid, or the box centre
+    if any(abs(a - b) < 1e-3 for i, a in enumerate(roots) for b in roots[:i]):
+        return
+    coeffs = np.poly(roots)
+    f = ct._make_log_evaluator(lambda z: np.polyval(coeffs, z), False)
+    level = []
+    for box in [_BOX] + _BOX.quadrisect():
+        sides, = ct._sampled_edges(f, [(ct._boundary(box), 1e-3 * box.diameter, "box")],
+                                   ct._spacing(box, 32))
+        if isinstance(sides, BoundaryConflictError):
+            continue
+        loop, move = ct._loop(sides), complex(*shift) * box.width
+        w = ct._winding(loop)
+        moved = ct.ContourBox(box.lower_left + move, box.upper_right + move)
+        level += [(box, winding, loop), (moved, winding, loop)]
+        if w > 0:
+            level += [(box, w, loop), (moved, w, loop)]
+    for (box, w, loop), got in zip(level, ct._seeds(level, tol)):
+        want = _one_box_seeds(box, w, loop, tol)
+        assert len(got) == len(want), (box, w)
+        for z in want:
+            assert min(abs(z - y) for y in got) < 1e-9 * box.diameter
+
+
+@pytest.mark.parametrize("tol", [1e-8, 3.0])
+def test_level_seeds_keep_a_quarter_diameter_pad(tol):
+    # the zero 0.3+0.2j lies 0.24 or 0.26 diameters right of a box of
+    # diameter 1 that the same loop is declared under: the pencil seed (or
+    # below tol the centroid) is kept within the pad, and outside it the box
+    # splits (below tol it reports its centre)
+    loop = ct._loop(ct._sampled_edges(ct._make_log_evaluator(lambda z: z - 0.3 - 0.2j, False),
+                                      [(ct._boundary(_BOX), 1e-3, "box")],
+                                      ct._spacing(_BOX, 32))[0])
+    side = 1.0 / math.sqrt(2.0)
+    level = [(ct.ContourBox(complex(0.3 - side - gap, 0.0), complex(0.3 - gap, side)), 1, loop)
+             for gap in (0.24, 0.26)]
+    near, far = ct._seeds(level, tol)
+    assert abs(near[0] - (0.3 + 0.2j)) < 1e-2
+    assert far == ([] if tol < 1.0 else [level[1][0].center])
+
+
 @pytest.mark.parametrize("gap", [0.6, 1.0, 1.9])
 def test_locate_separates_simple_zeros_closer_than_two_tol(gap):
     # each zero's multiplicity is its leaf box's winding; a circle of radius

@@ -1637,6 +1637,57 @@ def test_matcher_is_finite_near_the_origin():
         assert np.all(np.isfinite(log_g)), pot.v0
 
 
+def _mpmath_log_g_at(mp, dps, ell, pot, lam):
+    """_mpmath_log_g at dps digits."""
+    with mp.workdps(dps):
+        z, k = mp.mpc(lam) * pot.a, mp.sqrt(mp.mpc(lam) ** 2 - mp.mpc(pot.v0))
+
+        def sph(fn, n, x):
+            return mp.sqrt(mp.pi / (2 * x)) * fn(n + mp.mpf(1) / 2, x)
+
+        hl = sph(mp.hankel1, ell, z)
+        hp = sph(mp.hankel1, ell - 1, z) - (ell + 1) / z * hl
+        jl, jm1 = sph(mp.besselj, ell, k * pot.a), sph(mp.besselj, ell - 1, k * pot.a)
+        w = k * (jm1 - (ell + 1) / (k * pot.a) * jl) * hl - mp.mpc(lam) * jl * hp
+        return complex(mp.log(mp.fac2(2 * ell + 1) * z ** (ell + 1) * w / k ** ell))
+
+
+@pytest.mark.parametrize("R", [8.0, 40.0])
+def test_matcher_matches_mpmath_where_raw_products_near_double_range(R):
+    # the direct path forms W from the raw scaled AMOS members; at orders
+    # 100 to 150 and |lambda| <= 1 the Hankel members reach 1e295 or
+    # overflow, and where a member or a term leaves double range the point
+    # takes the normal form and the fallbacks.  On the frame's top edge
+    # both match mpmath at 50 and at 80 digits, which agree
+    mp = pytest.importorskip("mpmath")
+    box = rs._channel_box(WELL, R)[0]
+    top = box.upper_right.imag
+    lams = [complex(x, top) for x in (box.lower_left.real, 0.1, 0.4, 0.7, 0.95)]
+    ells = np.array([100, 125, 140, 150])
+    got = rs.channel_matcher_log(ells.repeat(len(lams)), WELL)(np.tile(lams, ells.size))
+    for ell, lam, value in zip(ells.repeat(len(lams)), np.tile(lams, ells.size), got):
+        ref = _mpmath_log_g_at(mp, 50, int(ell), WELL, lam)
+        assert _log_close(ref, _mpmath_log_g_at(mp, 80, int(ell), WELL, lam), 1e-30 * abs(ref))
+        assert _log_close(value, ref, 1e-13 * abs(ref)), (ell, lam)
+
+
+def test_matcher_takes_lambda_of_any_shape():
+    # a scalar lambda and 2-D arrays give the values of the flat call, bit
+    # for bit, with an int order and with an order array of lambda's shape,
+    # for both kinds
+    lams = np.array([3 - 1j, 4 - 2j, -5 - 3j, 0.5 - 1e-6j, 3 - 1j, 7 - 8j])
+    orders = np.array([0, 3, 5, 3, 9, 40])
+    for kind in (1, 2):
+        for ell in (3, orders):
+            flat = rs.channel_matcher_log(ell, WELL, kind)(lams)
+            grid = rs.channel_matcher_log(np.reshape(ell, np.shape(ell)[:1] and (2, 3)), WELL,
+                                          kind)(lams.reshape(2, 3))
+            assert grid.shape == (2, 3) and _same_bits(grid.ravel(), flat)
+        scalar = rs.channel_matcher_log(3, WELL, kind)(3 - 1j)
+        assert np.shape(scalar) == () and _same_bits(np.reshape(scalar, 1),
+                                                     rs.channel_matcher_log(3, WELL, kind)(lams[:1]))
+
+
 @pytest.mark.parametrize("v0, R", [(-1000.0, 8.0), (-2000.0, 8.0), (-5000.0, 4.0),
                                    (-5000.0, 8.0), (-1e4, 2.0), (-1e4, 4.0), (-1e4, 8.0)])
 def test_strong_wells_pass_the_scale_aware_residual_check(v0, R):
