@@ -16,9 +16,12 @@ cross of a level into one sample array, and each refinement round is one
 set of array operations on it and one call for the midpoints of all its
 rejected intervals.  A leaf holds up to three simple zeros, seeded by the
 Hankel pencil of its loop's power sums (Kravanja & Van Barel, LNM 1727,
-2000).  The leaves are polished together once the descent has no box left
-to split, by one secant iteration with one call per step over the seeds
-still active; a leaf whose iterates fail splits and descends again.  Keyed,
+2000); a level's seeds are one array pass, its loops' power sums segmented
+sums over one sample array and its pencils one batched linear-algebra
+stack per winding.  The leaves are polished together once the descent has
+no box left to split, by one secant iteration with one call per step over
+the seeds still active; a leaf whose iterates fail splits and descends
+again.  Keyed,
 one descent runs the quadtrees of several functions over one top box in
 lockstep, so a group of channels makes a few calls per level.
 
@@ -406,7 +409,8 @@ def locate_zeros(f, box: ContourBox, tol: float, *,
     f maps an array of points to an array of the same shape (of log f with
     ``log_form``).  Quadrisects level by level down to leaf boxes: boxes of
     diameter below ``tol``, or of winding at most ``_LEAF_ZEROS`` (three)
-    that ``_seeds`` seeds from the Hankel pencil of their loops' power sums.
+    that ``_seeds`` seeds from the Hankel pencil of their loops' power sums,
+    all boxes of a level in one array pass.
     A leaf below ``tol`` reports its winding centroid as one zero of
     multiplicity w; any other holds w simple zeros (``_leaf_zeros``) or
     splits again.
@@ -430,10 +434,11 @@ def locate_zeros(f, box: ContourBox, tol: float, *,
 
     The descent makes one call of f per level, refinement round and secant
     step (``_split_boxes``, ``_leaf_zeros``; module docstring), and every
-    check of a box-by-box descent applies per segment, box or seed.  So
-    where f's value at a point does not depend on the other points of its
-    call (the resonance matcher's does not, bit for bit), the zeros are
-    those of a box-by-box descent.
+    check of a box-by-box descent applies per segment, box or seed: a box's
+    segmented power sums and its pencil do not depend on the other boxes
+    of its level.  So where f's value at a point does not depend on the
+    other points of its call (the resonance matcher's does not, bit for
+    bit), the zeros are those of a box-by-box descent.
 
     With distinct integer ``keys``, f(zs, ks) evaluates each point of zs
     under its own key in ks, and one function per key descends over the same

@@ -313,16 +313,19 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
 
     ``ell`` is an int order >= 0, or such orders in a signed integer array
     of the shape of the lambda arrays the evaluator is given, one per point
-    (else ValueError); an int is every point's order.  Each point is evaluated
-    with its own order by one elementwise code path, so a point's value
-    does not depend, bit for bit, on the other points of its call, on their
-    orders or on the call's size: calls run in pieces of ``_MATCHER_PIECE``
-    points, below the 16,384 complex values at which numpy turns a product
-    into an in-place one, whose swapped operands change an FMA complex
-    product's bits.  A piece of two consecutive orders runs in (lambda, ell)
-    order on lambda's bits, so that each point follows its lambda at the
-    order below, whose upper AMOS members its pairs copy
-    (``special._amos_pair``); its values are put back in input order.
+    (else ValueError); an int is every point's order.  The evaluator takes
+    lambda of any shape, a scalar too, and returns log g in that shape.
+    Each point is evaluated with its own order by one elementwise code
+    path, so a point's value does not depend, bit for bit, on the other
+    points of its call, on their orders or on the call's size: calls run in
+    pieces of ``_MATCHER_PIECE`` points, below the 16,384 complex values at
+    which numpy turns a product into an in-place one, whose swapped operands
+    change an FMA complex product's bits.  A piece runs in (lambda, ell)
+    order on lambda's bits, each distinct (lambda, ell) once (a call holds
+    the corners two sides share and the split point of a cross several
+    times), so that each point follows its lambda at the order below, whose
+    upper AMOS members it copies (``special._matcher_members``); its values
+    are put back in input order.
 
     g_ell = (2 ell + 1)!! (lambda a)^(ell+1) W_ell / k^ell is an entire
     function of lambda: the k^ell quotient removes the removable branch
@@ -339,7 +342,13 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
     potential series.
 
     Elsewhere W is first formed directly from one Bessel and one Hankel
-    pair.  Its condition number -- the larger of the two products over the
+    pair, in one pass over the piece: from the raw scaled AMOS members
+    (hankel1e and jve under one run mask on lambda), with the exp(iz) and
+    exp(|Im z|) that AMOS removes and the factors sqrt(pi / 2z) entered in
+    the log.  The pairs' normal forms and fallbacks (``special._h_normal``,
+    ``special._j_normal``) are taken only at the points whose members are 0
+    or not finite or whose terms leave double range.  W's condition
+    number -- the larger of the two products over the
     expected size of W, 1 / (|lambda| a^2) + |v0 j_ell h_ell| / (|k| + |lambda|),
     times 1 + a |lambda|^2 / (2 |k|) for the rounding of v0 in
     k = sqrt(lambda^2 - v0) -- flags the points where the difference has
@@ -352,7 +361,9 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
                                           int_0^a r^2 j_ell(k r) h_ell(lambda r) dr ],
 
     with the integral summed in closed form as the multiplication-theorem
-    series.  The free well's value -i (2 ell + 1)!! a^(ell-1) is then exact.
+    series, from the Hankel pair in normal form made of the members the
+    direct path evaluated.  The free well's value -i (2 ell + 1)!! a^(ell-1)
+    is then exact.
 
     ``kind=2`` gives the incoming matcher (h_ell^(2) for h_ell^(1)) as
     lambda -> conj(g_ell[conj v0](conj lambda)), g_ell[v] being the outgoing
@@ -360,7 +371,9 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
     since spherical Hankel functions are finite sums in e^(+-iz)/z with no
     branch cut, j_ell(k a)/k^ell and k j_ell'(k a)/k^ell are power series in
     k^2 = lambda^2 - v0 with real coefficients, and so is the normalisation
-    (2 ell + 1)!! (lambda a)^(ell+1) in lambda.
+    (2 ell + 1)!! (lambda a)^(ell+1) in lambda.  A -0.0 imaginary part of
+    lambda^2 - v0 and of lambda a is taken as +0.0, so a real lambda and its
+    conjugate give the same Re log g, bit for bit (g is even in k).
     """
     orders = np.asarray(ell)
     if orders.dtype.kind != "i" or orders.min(initial=0) < 0:
@@ -394,7 +407,7 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
         k2 = lam * lam - v0 + 0.0
         k = np.sqrt(k2)
         la, ka = lam * a + 0.0, k * a
-        absk = np.abs(k)
+        up, absk = ell + 1, np.abs(k)
         small = absk * a < 0.5
         hm1, hl, jm1, jl = _matcher_members(ell, lam, la, ka, small)
         # both branches take g from A h_ell - B h_ell', from the raw scaled
@@ -406,11 +419,11 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
             sj = np.abs(ka.imag) + 0.5 * (math.log(math.pi / (2.0 * a)) - log_k)
 
             def direct(i):  # A, B and the rest of the log of the direct path's points i
-                return (k[i] * (jm1[i] - (ell[i] + 1) / ka[i] * jl[i]), lam[i] * jl[i],
+                return (k[i] * (jm1[i] - up[i] / ka[i] * jl[i]), lam[i] * jl[i],
                         sj[i] - ell[i] * log_k[i])
 
             def bracket(i):  # A h_ell - B h_ell' and the larger modulus of its terms
-                t1, t2 = A[i] * hl[i], B[i] * (hm1[i] - (ell[i] + 1) / la[i] * hl[i])
+                t1, t2 = A[i] * hl[i], B[i] * (hm1[i] - up[i] / la[i] * hl[i])
                 return t1 - t2, np.maximum(np.abs(t1), np.abs(t2))
 
             def normal_h(i):  # the Hankel pair in normal form, from its members
@@ -431,8 +444,9 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
             # (the j members of the small-|k| points are 1) or their product
             # underflows, or the terms are not finite (a member is not) or
             # leave double range
-            lost = (~((hm1 * hl != 0) & (jm1 * jl != 0) & np.isfinite(wt)
-                      & (top >= sys.float_info.min))).nonzero()[0]
+            normal = ~((hm1 * hl != 0) & (jm1 * jl != 0) & np.isfinite(wt)
+                       & (top >= sys.float_info.min))
+            lost = normal.nonzero()[0]
             if lost.size:
                 normal_h(lost)
                 b = lost[~small[lost]]
@@ -440,7 +454,7 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
                 jm1[b], jl[b], sj[b] = _j_normal(ell[b], ka[b], f, f * jm1[b], f * jl[b])
                 A[b], B[b], rest[b] = direct(b)
                 wt[lost], top[lost] = bracket(lost)
-            out = np.log(wt) + rest + sh + _log_odd_double_factorials(ell) + (ell + 1) * log_la
+            out = np.log(wt) + rest + sh + _log_odd_double_factorials(ell) + up * log_la
             # expected |W| (in the members' scaling): the free Wronskian plus
             # the leading v0 part (k - lambda) j h, with k - lambda =
             # -v0 / (k + lambda); unlike |W| it does not dip at zeros
@@ -450,7 +464,7 @@ def channel_matcher_log(ell, pot: RadialStepPotential, kind: int = 1):
             cond = top / w_scale * (1.0 + a * absl ** 2 / (2.0 * absk))
         flagged = (~(small | (cond <= _DIRECT_COND_MAX))).nonzero()[0]
         if flagged.size:
-            normal_h(np.setdiff1d(flagged, lost, assume_unique=True))
+            normal_h(flagged[~normal[flagged]])
             out[flagged] = (_potential_series_log(ell[flagged], a, v0, la[flagged], hm1[flagged],
                                                   hl[flagged], sh[flagged].real)
                             + _log_odd_double_factorials(ell[flagged])
@@ -726,8 +740,8 @@ def scattering_log_det(pot: RadialStepPotential, lam: complex) -> float:
     one); the normalizing factors of the matcher cancel in the ratio.  The
     incoming matcher is the outgoing one of the conjugate well at
     conj(lambda), conjugated (``channel_matcher_log``, kind 2), so for a
-    real well on the real axis |S_ell| = 1 and the sum is 0 (exactly at the
-    bench's real points; 4.4e-16 at v0 = 20, lambda = 2.5, k imaginary).
+    real well on the real axis |S_ell| = 1 and the sum is 0, exactly (below
+    a barrier's top too, where k is imaginary).
     Summation stops once ten consecutive channels contribute less than 1e-10
     of the running total (only after ell has passed |lambda| a); a sum that
     has not settled by ell = ``_MAX_ORDER`` raises NumericalError.

@@ -15,13 +15,15 @@ Contents:
   order below (the channel matcher lays its points out so); where the
   scaled pair is not usable, from a seed carried by the recurrence (the
   comment above them).  Both return their pair in one normal form, divided
-  by its larger modulus.  They are the evaluators the resonance solver's
-  channel matcher calls, and they keep magnitudes that span hundreds of
-  decades representable.  The incoming ``h_l^(2)`` is not evaluated: it is
+  by its larger modulus, and so keep magnitudes that span hundreds of
+  decades representable.  The resonance solver's channel matcher takes the
+  raw scaled AMOS members of both at once (``_matcher_members``) and their
+  normal forms and fallbacks (``_h_normal``, ``_j_normal``) only at the
+  points that need them.  The incoming ``h_l^(2)`` is not evaluated: it is
   conj(h_l^(1)(conj z)), and the matcher takes it that way.
 
 All functions are pure; ``sph_j_pair_log`` writes only to an ``upper`` array
-it is handed.
+it is handed, and ``_j_normal`` to the pair it is handed.
 """
 
 from __future__ import annotations
@@ -245,9 +247,9 @@ def critical_curve_modulus(theta):
 # array of z's shape (the entry points of the matcher turn an int order into
 # one), and every per-order constant is elementwise numpy.  A point right
 # after the same z, bit for bit, at order ell - 1 copies its lower member
-# fac * AMOS(ell - 1/2, z) from that neighbour's upper one, the same bits
-# (``_amos_pair``), so a call in (z, ell) order, as the matcher's pieces
-# are, makes one AMOS evaluation per order and argument.  In any layout
+# AMOS(ell - 1/2, z) from that neighbour's upper one, the same bits
+# (``_fresh``, ``_amos_members``), so a call in (z, ell) order, as the
+# matcher's pieces are, makes one AMOS evaluation per order and argument.  In any layout
 # each point's value is a function of that point and its order alone, bit
 # for bit: a sum over terms stops each point at its own settled term.  That
 # holds for calls of fewer than 16,384 points: at 256 KiB numpy computes
@@ -346,6 +348,8 @@ def _matcher_members(ell, lam, la, ka, small):
     lambda)."""
     fresh = _fresh(ell, lam)
     hm1, hl = _amos_members(_ss.hankel1e, ell, la, fresh)
+    if not small.any():
+        return hm1, hl, *_amos_members(_ss.jve, ell, ka, fresh)
     big = (~small).nonzero()[0]
     jm1, jl = np.ones_like(hl), np.ones_like(hl)
     jm1[big], jl[big] = _amos_members(_ss.jve, ell[big], ka[big], fresh[big])
