@@ -21,9 +21,8 @@ sums over one sample array and its pencils one batched linear-algebra
 stack per winding.  The leaves are polished together once the descent has
 no box left to split, by one secant iteration with one call per step over
 the seeds still active; a leaf whose iterates fail splits and descends
-again.  Keyed,
-one descent runs the quadtrees of several functions over one top box in
-lockstep, so a group of channels makes a few calls per level.
+again.  Keyed, one descent runs the quadtrees of several functions over one
+top box in lockstep, so a group of channels makes a few calls per level.
 
 Functions are evaluated either directly or in "log form": a log-form
 callable returns log f(z) (any branch per point); only phase differences and
@@ -514,64 +513,57 @@ def _seeds(level, tol: float) -> list:
     of the Hankel pencil of s_0 .. s_(2w-1) (the centroid at w = 1), unless
     a seed lies a quarter diameter outside the box or the seeds give
     s_0 .. s_(w-1) back with a weight off 1 by more than ``_PENCIL_WEIGHT``
-    (a multiple or spurious seed).
-
-    One array pass seeds the whole level: the power sums of every loop are
-    segmented sums over one concatenated sample array, and the pencils of
-    each winding are stacked through batched ``np.linalg``, which solves
-    each box's matrices on their own; a box whose pencil is singular has
-    none.
+    (a multiple or spurious seed).  One array pass seeds the level: the
+    power sums are segmented sums over one concatenated sample array, and
+    the pencils of each winding one stack for batched ``np.linalg``.
     """
-    out = [[] for _ in level]
-    rows = [i for i, (b, w, _) in enumerate(level) if b.diameter < tol or w <= _LEAF_ZEROS]
-    if not rows:
-        return out
-    boxes = [level[i][0] for i in rows]
-    wind = np.array([0 if b.diameter < tol else level[i][1] for i, b in zip(rows, boxes)])
-    sizes = [level[i][2][0].size for i in rows]
-    zs, ws = (np.concatenate([level[i][2][j] for i in rows]) for j in (0, 1))
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    seg = np.repeat(np.arange(len(rows)), sizes)
+    if not level:
+        return []
+    boxes = [b for b, _, _ in level]
+    wind = np.array([0 if b.diameter < tol else w for b, w, _ in level])  # 0: below tol
+    sizes = [loop[0].size for _, _, loop in level]
+    zs, ws = (np.concatenate([loop[j] for _, _, loop in level]) for j in (0, 1))
+    starts = np.cumsum(sizes) - sizes
     nxt = np.arange(1, zs.size + 1)
-    nxt[ends - 1] = starts  # each loop closes on its first sample
+    nxt[starts + sizes - 1] = starts  # each loop closes on its first sample
+    seg = np.repeat(np.arange(len(level)), sizes)
     c = np.array([b.center for b in boxes])
     h = 0.5 * np.array([b.diameter for b in boxes])
     d = ws[nxt] - ws
-    term = d.real + 1j * _wrap_phase(d.imag)
-    u = (0.5 * (zs + zs[nxt]) - c[seg]) / h[seg]
-    s = np.empty((len(rows), 2 * max(1, wind.max())), dtype=complex)
-    for p in range(s.shape[1]):  # midpoint rule for the loop integrals of u^p dlog f
+    term, u = d.real + 1j * _wrap_phase(d.imag), (0.5 * (zs + zs[nxt]) - c[seg]) / h[seg]
+    s = np.empty((len(level), 2 * _LEAF_ZEROS), dtype=complex)
+    for p in range(2 * _LEAF_ZEROS):  # midpoint rule for the loop integrals of u^p dlog f
         s[:, p] = np.add.reduceat(term, starts)
         term = term * u
-    lo = np.array([b.lower_left for b in boxes])
-    hi = np.array([b.upper_right for b in boxes])
-    pad = 0.5 * h[:, None]  # a quarter diameter
+    pad = 0.5 * h * (1 + 1j)  # a quarter diameter on each side
+    lo, hi = (np.array([b.lower_left for b in boxes]) - pad,
+              np.array([b.upper_right for b in boxes]) + pad)
 
-    def inside(z, r):  # each seed of the rows r within pad of its box
-        return ((lo[r, None].real - pad[r] <= z.real) & (z.real <= hi[r, None].real + pad[r])
-                & (lo[r, None].imag - pad[r] <= z.imag) & (z.imag <= hi[r, None].imag + pad[r]))
+    def inside(z, r):  # the rows r whose seeds z all lie within the pad of their box
+        return ((lo[r, None].real <= z.real) & (z.real <= hi[r, None].real)
+                & (lo[r, None].imag <= z.imag) & (z.imag <= hi[r, None].imag)).all(axis=1)
 
-    tiny = np.flatnonzero(wind == 0)
-    m1 = c[tiny] + h[tiny] * s[tiny, 1] / s[tiny, 0]
-    for r, z, keep in zip(tiny.tolist(), m1.tolist(), inside(m1[:, None], tiny)[:, 0].tolist()):
-        out[rows[r]] = [z if keep else boxes[r].center]
+    out = [[] for _ in level]
+    r = (wind == 0).nonzero()[0]
+    m1 = (c[r] + h[r] * s[r, 1] / s[r, 0])[:, None]
+    for i, z, keep in zip(r.tolist(), m1[:, 0].tolist(), inside(m1, r).tolist()):
+        out[i] = [z if keep else boxes[i].center]
     for w in range(1, _LEAF_ZEROS + 1):
-        r = np.flatnonzero(wind == w)
-        if not r.size:
-            continue
-        u, weights = _pencils(s[r, :2 * w], w)
-        z = c[r, None] + h[r, None] * u
-        good = np.all(np.abs(weights - 1) <= _PENCIL_WEIGHT, axis=1) & inside(z, r).all(axis=1)
-        for i, zi in zip(r[good].tolist(), z[good].tolist()):
-            out[rows[i]] = zi
+        r = (wind == w).nonzero()[0]
+        if r.size:
+            u, weights = _pencils(s[r, :2 * w], w)
+            z = c[r, None] + h[r, None] * u
+            good = (np.abs(weights - 1) <= _PENCIL_WEIGHT).all(axis=1) & inside(z, r)
+            for i, zi in zip(r[good].tolist(), z[good].tolist()):
+                out[i] = zi
     return out
 
 
 def _pencils(s, w: int):
     """The eigenvalues u of the Hankel pencils (H1, H0) of the rows of power
-    sums s and their weights in s_0 .. s_(w-1) (NaN for a singular
-    pencil); one batch, each row's matrices solved on their own."""
+    sums s, and the weights that give s_0 .. s_(w-1) back; batched
+    ``np.linalg`` solves each row on its own, and a row whose pencil is
+    singular gets NaN."""
     ij = np.add.outer(np.arange(w), np.arange(w))
     try:
         u = np.linalg.eigvals(np.linalg.solve(s[:, ij], s[:, ij + 1]))
@@ -579,9 +571,8 @@ def _pencils(s, w: int):
         return u, np.linalg.solve(vander, s[:, :w, None])[..., 0] / (2j * math.pi)
     except np.linalg.LinAlgError:
         if len(s) == 1:
-            return np.full((1, w), np.nan + 0j), np.full((1, w), np.nan + 0j)
-        return tuple(np.concatenate(x) for x in zip(*(_pencils(s[i:i + 1], w)
-                                                       for i in range(len(s)))))
+            return (np.full((1, w), np.nan + 0j),) * 2
+        return tuple(map(np.concatenate, zip(*(_pencils(s[i:i + 1], w) for i in range(len(s))))))
 
 
 def _zeros_inside(found, box: ContourBox, winding: int):

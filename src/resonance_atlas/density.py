@@ -270,6 +270,8 @@ def angular_density_deriv_at_zero(d: int) -> float:
             / (math.factorial(d - 2) * math.prod(range(d, 0, -2))))
 
 
+# c_d per (d, spec), and the near-axis and sector coefficients per exact
+# (d, angles)
 _cd_cache: dict = {}
 
 

@@ -249,9 +249,10 @@ def critical_curve_modulus(theta):
 # after the same z, bit for bit, at order ell - 1 copies its lower member
 # AMOS(ell - 1/2, z) from that neighbour's upper one, the same bits
 # (``_fresh``, ``_amos_members``), so a call in (z, ell) order, as the
-# matcher's pieces are, makes one AMOS evaluation per order and argument.  In any layout
-# each point's value is a function of that point and its order alone, bit
-# for bit: a sum over terms stops each point at its own settled term.  That
+# matcher's pieces are, makes one AMOS evaluation per order and argument.
+# In any layout each point's value is a function of that point and its
+# order alone, bit for bit: a sum over terms stops each point at its own
+# settled term.  That
 # holds for calls of fewer than 16,384 points: at 256 KiB numpy computes
 # ``fac * jve(...)`` as an in-place product with swapped operands, which
 # FMA rounds differently.

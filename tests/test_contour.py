@@ -556,6 +556,18 @@ def test_level_seeds_match_the_one_box_rule(roots, tol, shift, winding):
             assert min(abs(z - y) for y in got) < 1e-9 * box.diameter
 
 
+def test_pencils_of_a_level_solve_each_row_alone():
+    # a singular pencil (the power sums of one zero at 0, read as two) gets
+    # NaN, and the other rows of its batch their own seeds and weights
+    zeros = np.array([0.3 + 0.1j, -0.4 + 0.2j])
+    good = [2j * math.pi * np.sum(zeros ** p) for p in range(4)]
+    u, weights = ct._pencils(np.array([good, [2j * math.pi, 0, 0, 0], good]), 2)
+    assert np.isnan(u[1]).all() and np.isnan(weights[1]).all()
+    for row in (0, 2):
+        assert np.allclose(np.sort_complex(u[row]), np.sort_complex(zeros), atol=1e-12)
+        assert np.allclose(weights[row], 1.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("tol", [1e-8, 3.0])
 def test_level_seeds_keep_a_quarter_diameter_pad(tol):
     # the zero 0.3+0.2j lies 0.24 or 0.26 diameters right of a box of
