@@ -347,6 +347,8 @@ def _matcher_members(ell, lam, la, ka, small):
     bits, so that a point right after the same lambda at order ell - 1
     copies both lower members (la, ka and ``small`` are functions of
     lambda)."""
+    if (la == 0).any():
+        raise ValueError("Hankel functions require z != 0")
     fresh = _fresh(ell, lam)
     hm1, hl = _amos_members(_ss.hankel1e, ell, la, fresh)
     if not small.any():

@@ -1674,7 +1674,7 @@ def test_matcher_matches_mpmath_where_raw_products_near_double_range(R):
 def test_matcher_takes_lambda_of_any_shape():
     # a scalar lambda and 2-D arrays give the values of the flat call, bit
     # for bit, with an int order and with an order array of lambda's shape,
-    # for both kinds
+    # for both kinds; lambda = 0 raises
     lams = np.array([3 - 1j, 4 - 2j, -5 - 3j, 0.5 - 1e-6j, 3 - 1j, 7 - 8j])
     orders = np.array([0, 3, 5, 3, 9, 40])
     for kind in (1, 2):
@@ -1686,6 +1686,8 @@ def test_matcher_takes_lambda_of_any_shape():
         scalar = rs.channel_matcher_log(3, WELL, kind)(3 - 1j)
         assert np.shape(scalar) == () and _same_bits(np.reshape(scalar, 1),
                                                      rs.channel_matcher_log(3, WELL, kind)(lams[:1]))
+        with pytest.raises(ValueError, match="require z != 0"):
+            rs.channel_matcher_log(3, WELL, kind)(np.zeros((2, 2), dtype=complex))
 
 
 @pytest.mark.parametrize("v0, R", [(-1000.0, 8.0), (-2000.0, 8.0), (-5000.0, 4.0),
