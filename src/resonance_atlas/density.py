@@ -270,8 +270,7 @@ def angular_density_deriv_at_zero(d: int) -> float:
             / (math.factorial(d - 2) * math.prod(range(d, 0, -2))))
 
 
-# c_d per (d, spec), and the near-axis and sector coefficients per exact
-# (d, angles)
+# c_d per (d, spec), and the near-axis coefficient per exact (d, theta)
 _cd_cache: dict = {}
 
 
@@ -366,18 +365,14 @@ def _density_integral(d: int, lo: float, hi: float) -> float:
 
 
 def sector_density(d: int, phi: float, theta: float) -> float:
-    """h'(theta) - h'(phi) + d^2 * integral of h over [phi, theta]; cached
-    per exact (d, phi, theta) in ``_cd_cache``."""
+    """h'(theta) - h'(phi) + d^2 * integral of h over [phi, theta]."""
     _check_dimension(d)
     if not 0.0 < phi < theta < math.pi:
         raise ValueError(
             f"sector angles must satisfy 0 < phi < theta < pi; got ({phi}, {theta})")
-    key = ("sector_density", d, phi, theta)
-    if key not in _cd_cache:
-        hp = _radial_integral(d, np.array([theta, phi], dtype=float), DEFAULT_QUAD,
-                              "angular_density_deriv", _dtheta_minus_re_phase)
-        _cd_cache[key] = float(hp[0] - hp[1] + d * d * _density_integral(d, phi, theta))
-    return _cd_cache[key]
+    hp = _radial_integral(d, np.array([theta, phi], dtype=float), DEFAULT_QUAD,
+                          "angular_density_deriv", _dtheta_minus_re_phase)
+    return float(hp[0] - hp[1] + d * d * _density_integral(d, phi, theta))
 
 
 def near_axis_coefficient(d: int, theta: float) -> float:
